@@ -23,7 +23,9 @@ is its automorphic descent
 
     W_{A,C;mu}(x, y) = <x; -y/2> sum_{b in B} H_{A,C}(-y-b) conj<b> <b; mu - x>,
 
-quasi-periodic in both arguments under B-shifts.
+quasi-periodic in both arguments under B-shifts.  Every kernel value, paired
+(`weight_kernel_many`) or on a grid (`weight_kernel_grid`, for the per-tet
+tables of the partition function), comes from one B-sum engine, `_b_sum`.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
     "pentagon_family",
     "weight_kernel",
     "weight_kernel_many",
+    "weight_kernel_grid",
 ]
 
 
@@ -276,77 +279,85 @@ class WeightKernelParams:
     mu: LcaPoint = LcaPoint(0.0, 0)
 
 
-def _bsum_halfwidth(wkp: WeightKernelParams, spec: QuadratureSpec) -> int:
-    """One-sided B-sum length from the exponential decay rate of F psi."""
-    cth_im = wkp.params.theta.c.imag
-    N = wkp.params.N.N
-    rate = 2 * np.pi * cth_im * min(wkp.charges.a, wkp.charges.b, wkp.charges.c) / N
-    K = int(np.ceil(-np.log(spec.tol * 1e-3) / rate)) + 4 * N
-    return min(K, spec.b_terms)
+# Transform points per block of the B-sum: bounds the memory of one block
+# whatever the number of kernel points or of B-terms.
+_BLOCK_POINTS = 4096
 
 
-def weight_kernel_many(wkp: WeightKernelParams, xr, xn, yr, yn,
-                       spec: QuadratureSpec | None = None) -> np.ndarray:
-    """W_{A,C;mu} at parallel arrays of points x = (xr, xn), y = (yr, yn).
+def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
+           grid: bool) -> np.ndarray:
+    """W(x, y) = <x; -y/2> sum_{|k| <= K} conj(kappa F psi)(y + k b0) conj<k b0> <k b0; mu - x>.
 
-    The B-sum is grouped by the residue of the shifted y-component so each
-    group evaluates the charged transform on a vectorized slice.
+    K follows the decay rate of F psi, capped at spec.b_terms; NonConvergent
+    is raised when a term with |k| >= K - N exceeds 1e3 * spec.tol times the
+    largest |W|.  Each block of rows of y times the k of one residue mod N,
+    about _BLOCK_POINTS points, takes one log_forward_transform call.  1-D x
+    and y give W(x_i, y_i) when paired, [j, i] -> W(x_i, y_j) on a grid.
     """
     spec = spec or QuadratureSpec()
     p = wkp.params
     N = p.N.N
     rN = p.N.sqrt
+    ch = wkp.charges
     xr = np.asarray(xr, dtype=float)
     xn = np.asarray(xn, dtype=int) % N
     yr = np.asarray(yr, dtype=float)
     yn = np.asarray(yn, dtype=int) % N
-    K = _bsum_halfwidth(wkp, spec)
+    rate = 2 * np.pi * p.theta.c.imag * min(ch.a, ch.b, ch.c) / N
+    K = min(int(np.ceil(-np.log(spec.tol * 1e-3) / rate)) + 4 * N, spec.b_terms)
+    ks = np.arange(-K, K + 1)
+    kap = pentagon_normalization(ch, p)
 
-    total = np.zeros(np.broadcast(xr, yr).shape, dtype=complex)
-    tail_mag = 0.0
-    mur, mun = wkp.mu.x, wkp.mu.n
-    kap = pentagon_normalization(wkp.charges, p)
-    for k in range(-K, K + 1):
-        shifted_r = yr + k / rN
-        term = np.zeros_like(total)
-        for v in range(N):
-            mask = yn == v
-            if not np.any(mask):
-                continue
-            nn = (v + k) % N
-            vals = np.conj(
-                kap * np.exp(log_forward_transform(wkp.charges, shifted_r[mask], nn, p, spec))
-            )
-            term[mask] = vals
-        # conj<k b0> = (-1)^k;  <k b0; mu - x> with b0 = (1/sqrt N, 1)
-        phase = (-1) ** k * np.exp(
-            2j * np.pi * (k / rN) * (mur - xr) - 2j * np.pi * k * ((mun - xn) / N)
+    def phase(k, x, n):
+        # conj<k b0> = (-1)^k;  <k b0; mu - (x, n)>
+        return (-1.0) ** k * np.exp(
+            2j * np.pi * (k / rN) * (wkp.mu.x - x) - 2j * np.pi * k * ((wkp.mu.n - n) / N)
         )
-        contrib = term * phase
-        total += contrib
-        if abs(k) >= K - N:
-            tail_mag = max(tail_mag, float(np.max(np.abs(contrib))))
-    if tail_mag > 1e3 * spec.tol * max(float(np.max(np.abs(total))), 1e-300):
-        raise NonConvergent(
-            f"weight-kernel B-sum tail {tail_mag:.2e} too large at K={K}"
-        )
-    # <x; -y/2> with the fixed halving convention
-    u = (N + 1) // 2
-    hyr = yr / 2
-    hyn = (u * yn) % N
-    pref = np.exp(-2j * np.pi * xr * hyr) * np.exp(2j * np.pi * (xn * hyn) / N)
-    return pref * total
+
+    total = np.zeros((len(yr), len(xr)) if grid else len(yr), dtype=complex)
+    tail = 0.0
+    for v in np.unique(yn):
+        rows = np.flatnonzero(yn == v)
+        for r in np.unique(ks % N):
+            k = ks[ks % N == r]
+            if grid:
+                P = phase(k[:, None], xr, xn)
+            step = max(1, _BLOCK_POINTS // len(k))
+            for start in range(0, len(rows), step):
+                i = rows[start:start + step]
+                z = yr[i, None] + k / rN
+                logs = log_forward_transform(ch, z.ravel(), (v + r) % N, p, spec)
+                terms = np.conj(kap * np.exp(logs)).reshape(z.shape)
+                # the phases are unimodular, so |terms| is the size of each summand
+                tail = max(tail, float(np.max(np.abs(terms[:, np.abs(k) >= K - N]), initial=0.0)))
+                if grid:
+                    total[i] += terms @ P
+                else:
+                    total[i] += np.einsum("ik,ik->i", terms, phase(k, xr[i, None], xn[i, None]))
+    if tail > 1e3 * spec.tol * max(float(np.max(np.abs(total), initial=0.0)), 1e-300):
+        raise NonConvergent(f"weight-kernel B-sum tail {tail:.2e} too large at K={K}")
+    if grid:
+        yr, yn = yr[:, None], yn[:, None]
+    # <x; -y/2> with the halving convention of lca.halve
+    hyn = ((N + 1) // 2 * yn) % N
+    return np.exp(-2j * np.pi * xr * (yr / 2)) * np.exp(2j * np.pi * (xn * hyn) / N) * total
+
+
+def weight_kernel_many(wkp: WeightKernelParams, xr, xn, yr, yn,
+                       spec: QuadratureSpec | None = None) -> np.ndarray:
+    """W_{A,C;mu} at parallel (broadcast) arrays of points x = (xr, xn), y = (yr, yn)."""
+    xr, xn, yr, yn = np.broadcast_arrays(xr, xn, yr, yn)
+    out = _b_sum(wkp, xr.ravel(), xn.ravel(), yr.ravel(), yn.ravel(), spec, grid=False)
+    return out.reshape(xr.shape)
+
+
+def weight_kernel_grid(wkp: WeightKernelParams, xr, yr,
+                       spec: QuadratureSpec | None = None) -> np.ndarray:
+    """W_{A,C;mu}((x_i, 0), (y_j, 0)) at every pair, as an array indexed [j, i]."""
+    return _b_sum(wkp, xr, np.zeros(len(xr), int), yr, np.zeros(len(yr), int), spec, grid=True)
 
 
 def weight_kernel(wkp: WeightKernelParams, x: LcaPoint, y: LcaPoint,
                   spec: QuadratureSpec | None = None) -> complex:
     """W_{A,C;mu}(x, y) at a single pair of points of A_N."""
-    out = weight_kernel_many(
-        wkp,
-        np.array([x.x]),
-        np.array([x.n]),
-        np.array([y.x]),
-        np.array([y.n]),
-        spec,
-    )
-    return complex(out[0])
+    return complex(weight_kernel_many(wkp, x.x, x.n, y.x, y.n, spec))

@@ -81,15 +81,25 @@ def _log1m_exp(w: np.ndarray) -> np.ndarray:
 
 
 def _log_pochhammer(lx: np.ndarray, lq: complex, tol: float) -> np.ndarray:
-    """sum_j log(1 - e^{lx + j lq}) until the tail term drops below tol."""
+    """sum_j log(1 - e^{lx + j lq}) until the tail term drops below tol.
+
+    The depth is set per element from that element's own Re(lx), so a value
+    does not depend on the other points of the batch: evaluating points
+    together or apart gives bit-identical results.
+    """
     lx = np.asarray(lx, dtype=complex)
     decay = lq.real  # = -2 pi Im theta^2 < 0
-    top = float(np.max(lx.real)) if lx.size else 0.0
-    jmax = int(max(1, math.ceil((math.log(tol) - top) / decay))) + 1
-    out = np.zeros_like(lx)
-    for j in range(jmax):
-        out += _log1m_exp(lx + j * lq)
-    return out
+    depth = np.ceil((math.log(tol) - lx.real) / decay)
+    if not np.all(depth < np.inf):
+        raise ValueError("q-product argument is not finite")
+    depth = np.maximum(depth, 1).astype(int).ravel() + 1
+    order = np.argsort(-depth)  # deepest first: the elements summing at step j are a prefix
+    flat = lx.ravel()[order]
+    live = np.searchsorted(-depth[order], -np.arange(depth.max(initial=0)))  # count of depth > j
+    acc = np.zeros_like(flat)
+    for j, n in enumerate(live):
+        acc[:n] += _log1m_exp(flat[:n] + j * lq)
+    return acc[np.argsort(order)].reshape(lx.shape)
 
 
 def _check_rate(theta: ThetaParam, spec: QuadratureSpec) -> None:

@@ -77,7 +77,9 @@ class QuadratureSpec:
     M:          grid points per circle direction (periodic trapezoid).
     window:     half-width of real-line truncation windows.
     step:       step of real-line quadratures.
-    b_terms:    hard cap on one-sided B-sum length.
+    b_terms:    hard cap on one-sided B-sum length; a B-sum that reaches it
+                with a tail above tolerance raises NonConvergent, on the
+                pointwise kernel and the per-tet table paths alike.
     tol:        target relative tolerance for adaptive truncations.
     product_tol: tail tolerance of the infinite q-products.
     im_theta_sq_floor: reject thetas with Im(theta^2) below this.

@@ -10,8 +10,9 @@ edge class; Z(X) integrates the product of weights over [0, sqrt(N))^edges
 with the mass-1 measure (dt/sqrt(N)) per edge, by periodic trapezoid on M
 points per edge.  Kernel values are memoized on the index grid: for lifted
 states all kernel arguments are integer multiples of h = sqrt(N)/M, so each
-tet needs a single (E2-index, E1-index) table, assembled from a B-sum matrix
-product.
+tet needs a single (E2-index, E1-index) table.  The table comes from
+`charged.weight_kernel_grid`, which shares the B-sum engine, its truncation
+rule and its tail check with every pointwise kernel value.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charged import (
-    ChargeTriple,
-    WeightKernelParams,
-    log_forward_transform,
-    pentagon_normalization,
-    weight_kernel,
-)
+from .charged import ChargeTriple, WeightKernelParams, weight_kernel, weight_kernel_grid
 from .errors import NonConvergent
 from .lca import LcaPoint, QuadratureSpec, b_generator, lift
 from .qdilog import QdParams
@@ -49,13 +44,9 @@ _E2_COEF = {(0, 3): 1, (1, 2): 1, (0, 2): -1, (1, 3): -1, (0, 1): 0, (2, 3): 0}
 EdgeState = tuple  # one CircleVar per edge class
 
 
-def _qd_params(X: ShapedTriangulation) -> QdParams:
-    return QdParams(X.theta, X.N)
-
-
 def _tet_kernel_params(X: ShapedTriangulation, t: int) -> WeightKernelParams:
     ang = X.tets[t].angles
-    return WeightKernelParams(ChargeTriple(ang.a, ang.b, ang.c), _qd_params(X))
+    return WeightKernelParams(ChargeTriple(ang.a, ang.b, ang.c), QdParams(X.theta, X.N))
 
 
 def _tet_args(X: ShapedTriangulation, t: int, lifts) -> tuple[LcaPoint, LcaPoint]:
@@ -122,12 +113,7 @@ def _tet_table(X: ShapedTriangulation, t: int, M: int, spec: QuadratureSpec) -> 
     Index ranges cover all integer combinations of grid indices 0..M-1 with
     the slot coefficients; entry [w - wmin, u - umin] = W((u h, 0), (w h, 0)).
     """
-    p = _qd_params(X)
-    N = p.N.N
-    rN = p.N.sqrt
-    h = rN / M
-    wkp = _tet_kernel_params(X, t)
-
+    h = X.N.sqrt / M
     m1 = {}
     m2 = {}
     for e in EDGE_PAIRS:
@@ -141,25 +127,7 @@ def _tet_table(X: ShapedTriangulation, t: int, M: int, spec: QuadratureSpec) -> 
 
     us = np.arange(umin, umax + 1)
     ws = np.arange(wmin, wmax + 1)
-    xr = us * h
-    yr = ws * h
-
-    cth_im = p.theta.c.imag
-    ch = wkp.charges
-    rate = 2 * np.pi * cth_im * min(ch.a, ch.b, ch.c) / N
-    K = min(int(np.ceil(-np.log(spec.tol * 1e-3) / rate)) + 4 * N, spec.b_terms)
-    ks = np.arange(-K, K + 1)
-
-    kap = pentagon_normalization(ch, p)
-    S = np.empty((len(ws), len(ks)), dtype=complex)
-    for i, k in enumerate(ks):
-        vals = np.exp(log_forward_transform(ch, yr + k / rN, k % N, p, spec))
-        S[:, i] = np.conj(kap * vals)
-    phase = (-1.0) ** ks
-    P = phase[:, None] * np.exp(-2j * np.pi * np.outer(ks, xr) / rN)
-    core = S @ P
-    pref = np.exp(-1j * np.pi * np.outer(yr, xr))
-    table = pref * core
+    table = weight_kernel_grid(_tet_kernel_params(X, t), us * h, ws * h, spec)
     if X.tets[t].sign < 0:
         table = np.conj(table)
     return {"table": table, "umin": umin, "wmin": wmin, "m1": m1, "m2": m2}

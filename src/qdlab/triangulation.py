@@ -580,9 +580,6 @@ def positivity_margin(X: ShapedTriangulation, direction: np.ndarray) -> float:
     return float(lim)
 
 
-_FIG8_GLUINGS: list | None = None  # filled below
-
-
 def builtin_census(
     name: str, N: int = 1, theta_arg_over_pi: float | str = 1 / 3
 ) -> ShapedTriangulation:

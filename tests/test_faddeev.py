@@ -10,6 +10,7 @@ from qdlab.faddeev import (
     ThetaParam,
     inversion_defect,
     is_near_pole,
+    log_phi_theta,
     nearest_pole,
     phi_theta,
     phi_truncation_bound,
@@ -85,6 +86,15 @@ def test_truncation_consistency(theta3):
         phi_theta(0.5, th4, QuadratureSpec(product_tol=1e-12))
         - phi_theta(0.5, th4, QuadratureSpec(product_tol=1e-18))
     ) < 1e-12
+
+
+def test_log_phi_independent_of_batching(theta3):
+    # each point's q-product depth follows its own real part, not the batch's
+    left = np.linspace(-8, -7, 40) + 0.05j
+    right = np.linspace(8, 12, 60) - 0.05j
+    together = log_phi_theta(np.concatenate([left, right]), theta3)
+    apart = np.concatenate([log_phi_theta(left, theta3), log_phi_theta(right, theta3)])
+    assert np.array_equal(together, apart)
 
 
 def test_pole_lattice(theta3):

@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 from conftest import params
 
-from qdlab.charged import WeightKernelParams, weight_kernel
+from qdlab.charged import ChargeTriple, WeightKernelParams, weight_kernel
 from qdlab.errors import NonConvergent
 from qdlab.lca import CircleVar, LcaPoint, Modulus, QuadratureSpec
 from qdlab.partition import (
     _grid_value,
+    _tet_table,
     boltzmann_weight,
     convergence_report,
     descent_residual,
     partition_function,
     total_weight,
 )
-from qdlab.triangulation import ShapedTriangulation, builtin_census
+from qdlab.triangulation import ShapedTet, ShapedTriangulation, builtin_census
 
 
 def test_empty_triangulation_is_one(theta3):
@@ -120,8 +121,6 @@ def test_edge_reversal_leaves_Z_unchanged():
         E = len(X.edge_classes)
         js = [np.arange(M).reshape((1,) * i + (M,) + (1,) * (E - i - 1)) for i in range(E)]
         js[edge] = (-js[edge]) % M
-        from qdlab.partition import _tet_table
-
         total = None
         for t in range(len(X.tets)):
             tab = tables_cached.setdefault(t, _tet_table(X, t, M, spec))
@@ -162,3 +161,33 @@ def test_total_weight_matches_product():
     lifts = [LcaPoint(s.t, 0) for s in st]
     prod = boltzmann_weight(X, 0, st) * boltzmann_weight(X, 1, st)
     assert total_weight(X, lifts) == pytest.approx(prod, rel=1e-13)
+
+
+def test_tet_table_matches_pointwise_kernel():
+    # the table path and the pointwise path of the B-sum give the same values
+    X = builtin_census("fig8_3tet", N=2)
+    M = 16
+    h = X.N.sqrt / M
+    spec = QuadratureSpec(M=M)
+    for t in range(len(X.tets)):
+        tab = _tet_table(X, t, M, spec)
+        wkp = WeightKernelParams(X.tets[t].angles, params(2))
+        rows, cols = tab["table"].shape
+        for i, j in [(0, 0), (rows - 1, cols - 1), (rows // 2, cols // 3), (rows // 3, cols - 1)]:
+            u, w = j + tab["umin"], i + tab["wmin"]
+            expect = weight_kernel(wkp, LcaPoint(u * h, 0), LcaPoint(w * h, 0), spec)
+            if X.tets[t].sign < 0:
+                expect = np.conj(expect)
+            assert tab["table"][i, j] == pytest.approx(expect, rel=1e-12)
+
+
+def test_tet_table_truncation_is_checked(theta3):
+    # K ~ 1047 is needed here, past the cap of 400 B-terms: both paths must raise
+    charges = ChargeTriple(0.05, 0.9, 0.05)
+    X = ShapedTriangulation(Modulus(5), theta3, [ShapedTet(1, charges)], [])
+    spec = QuadratureSpec(M=16)
+    wkp = WeightKernelParams(charges, params(5))
+    with pytest.raises(NonConvergent):
+        weight_kernel(wkp, LcaPoint(0.1, 0), LcaPoint(0.2, 0), spec)
+    with pytest.raises(NonConvergent):
+        _tet_table(X, 0, 16, spec)
