@@ -285,20 +285,32 @@ _BLOCK_POINTS = 4096
 
 
 def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
-           grid: bool) -> np.ndarray:
+           M: int | None = None) -> np.ndarray:
     """W(x, y) = <x; -y/2> sum_{|k| <= K} conj(kappa F psi)(y + k b0) conj<k b0> <k b0; mu - x>.
 
-    K follows the decay rate of F psi, capped at spec.b_terms; NonConvergent
+    K follows the decay rate of F psi, capped at spec.b_terms.  NonConvergent
     is raised when a term with |k| >= K - N exceeds 1e3 * spec.tol times the
-    largest |W|.  Each block of rows of y times the k of one residue mod N,
-    about _BLOCK_POINTS points, takes one log_forward_transform call.  1-D x
-    and y give W(x_i, y_i) when paired, [j, i] -> W(x_i, y_j) on a grid.
+    largest |W|, and when a term or a sum is not finite.  Each block of rows
+    of y times the k of one residue r mod N holds about _BLOCK_POINTS terms.
+
+    Paired (M None): 1-D x and y give W(x_i, y_i); each block takes one
+    log_forward_transform call.  Grid (M given): xr and yr are integer
+    indices u, w of the grid of step h = sqrt(N)/M, xn = yn = 0, and
+    [j, i] -> W(u_i h, w_j h).  With k = r + N m the shifted points are
+    w h + k/sqrt(N) = (w + m M) h + r/sqrt(N), so F psi is evaluated once per
+    distinct lattice index J = w + m M, in chunks of _BLOCK_POINTS, and each
+    block of terms is gathered from those values.
     """
     spec = spec or QuadratureSpec()
     p = wkp.params
     N = p.N.N
     rN = p.N.sqrt
     ch = wkp.charges
+    grid = M is not None
+    if grid:
+        h = rN / M
+        ws = np.asarray(yr, dtype=int)
+        xr, yr = np.asarray(xr, dtype=int) * h, ws * h
     xr = np.asarray(xr, dtype=float)
     xn = np.asarray(xn, dtype=int) % N
     yr = np.asarray(yr, dtype=float)
@@ -314,26 +326,48 @@ def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
             2j * np.pi * (k / rN) * (wkp.mu.x - x) - 2j * np.pi * k * ((wkp.mu.n - n) / N)
         )
 
+    def terms_at(z, n):
+        terms = np.conj(kap * np.exp(log_forward_transform(ch, z, n, p, spec)))
+        if not np.all(np.isfinite(terms)):
+            raise NonConvergent(f"weight-kernel B-sum term not finite (n={n})")
+        return terms
+
     total = np.zeros((len(yr), len(xr)) if grid else len(yr), dtype=complex)
     tail = 0.0
     for v in np.unique(yn):
         rows = np.flatnonzero(yn == v)
         for r in np.unique(ks % N):
             k = ks[ks % N == r]
+            step = max(1, _BLOCK_POINTS // len(k))
             if grid:
                 P = phase(k[:, None], xr, xn)
-            step = max(1, _BLOCK_POINTS // len(k))
+                # lattice index J = w + m M of the term (w, k = r + N m), offset by lo
+                mM = (k - r) // N * M
+                lo = ws.min() + mM[0]
+                hit = np.zeros(ws.max() + mM[-1] - lo + 1, dtype=bool)
+                for start in range(0, len(ws), step):
+                    hit[ws[start:start + step, None] + mM - lo] = True
+                J = lo + np.flatnonzero(hit)
+                slot = np.cumsum(hit) - 1  # position of each hit J in the lattice values
+                lattice = np.concatenate([
+                    terms_at(J[s:s + _BLOCK_POINTS] * h + r / rN, r)
+                    for s in range(0, len(J), _BLOCK_POINTS)
+                ])
             for start in range(0, len(rows), step):
                 i = rows[start:start + step]
-                z = yr[i, None] + k / rN
-                logs = log_forward_transform(ch, z.ravel(), (v + r) % N, p, spec)
-                terms = np.conj(kap * np.exp(logs)).reshape(z.shape)
+                if grid:
+                    terms = lattice[slot[ws[i, None] + mM - lo]]
+                else:
+                    z = yr[i, None] + k / rN
+                    terms = terms_at(z.ravel(), (v + r) % N).reshape(z.shape)
                 # the phases are unimodular, so |terms| is the size of each summand
                 tail = max(tail, float(np.max(np.abs(terms[:, np.abs(k) >= K - N]), initial=0.0)))
                 if grid:
                     total[i] += terms @ P
                 else:
                     total[i] += np.einsum("ik,ik->i", terms, phase(k, xr[i, None], xn[i, None]))
+    if not np.all(np.isfinite(total)):
+        raise NonConvergent(f"weight-kernel B-sum not finite at K={K}")
     if tail > 1e3 * spec.tol * max(float(np.max(np.abs(total), initial=0.0)), 1e-300):
         raise NonConvergent(f"weight-kernel B-sum tail {tail:.2e} too large at K={K}")
     if grid:
@@ -347,14 +381,20 @@ def weight_kernel_many(wkp: WeightKernelParams, xr, xn, yr, yn,
                        spec: QuadratureSpec | None = None) -> np.ndarray:
     """W_{A,C;mu} at parallel (broadcast) arrays of points x = (xr, xn), y = (yr, yn)."""
     xr, xn, yr, yn = np.broadcast_arrays(xr, xn, yr, yn)
-    out = _b_sum(wkp, xr.ravel(), xn.ravel(), yr.ravel(), yn.ravel(), spec, grid=False)
+    out = _b_sum(wkp, xr.ravel(), xn.ravel(), yr.ravel(), yn.ravel(), spec)
     return out.reshape(xr.shape)
 
 
-def weight_kernel_grid(wkp: WeightKernelParams, xr, yr,
+def weight_kernel_grid(wkp: WeightKernelParams, us, ws, M: int,
                        spec: QuadratureSpec | None = None) -> np.ndarray:
-    """W_{A,C;mu}((x_i, 0), (y_j, 0)) at every pair, as an array indexed [j, i]."""
-    return _b_sum(wkp, xr, np.zeros(len(xr), int), yr, np.zeros(len(yr), int), spec, grid=True)
+    """W_{A,C;mu}((u_i h, 0), (w_j h, 0)) at every pair, as an array indexed [j, i].
+
+    us and ws are integer indices of the grid of step h = sqrt(N)/M.  Every
+    shift w h + k/sqrt(N) of the B-sum lies on the lattice J h + r/sqrt(N),
+    J = w + m M, k = r + N m, so F psi is evaluated once per lattice point
+    and residue r, not once per (w, k).
+    """
+    return _b_sum(wkp, us, np.zeros(len(us), int), ws, np.zeros(len(ws), int), spec, M)
 
 
 def weight_kernel(wkp: WeightKernelParams, x: LcaPoint, y: LcaPoint,

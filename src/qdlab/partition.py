@@ -12,7 +12,13 @@ points per edge.  Kernel values are memoized on the index grid: for lifted
 states all kernel arguments are integer multiples of h = sqrt(N)/M, so each
 tet needs a single (E2-index, E1-index) table.  The table comes from
 `charged.weight_kernel_grid`, which shares the B-sum engine, its truncation
-rule and its tail check with every pointwise kernel value.
+rule and its tail check with every pointwise kernel value, and evaluates
+F psi once per point of the shifted lattice (w + m M) h + r/sqrt(N).
+
+Within one call, tets with equal charges, sign and index ranges share one
+table, and for even M the M/2 tables of the two-grid error estimate are the
+even-index slices of the M tables: W((2u) h, (2w) h) is the M/2-grid entry
+at (u, w).  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -107,38 +113,65 @@ def descent_residual(
     return abs(w1 - w0) / max(abs(w0), 1e-300)
 
 
-def _tet_table(X: ShapedTriangulation, t: int, M: int, spec: QuadratureSpec) -> dict:
+def _index_range(coef: dict, M: int) -> tuple[int, int]:
+    """Least and greatest sum of coef[c] * j_c over grid indices 0 <= j_c < M."""
+    return (sum(min(v * (M - 1), 0) for v in coef.values()),
+            sum(max(v * (M - 1), 0) for v in coef.values()))
+
+
+def _tet_table(X: ShapedTriangulation, t: int, M: int, spec: QuadratureSpec,
+               memo: dict | None = None) -> dict:
     """Kernel table of tet t on the index grid, plus its index offsets.
 
     Index ranges cover all integer combinations of grid indices 0..M-1 with
     the slot coefficients; entry [w - wmin, u - umin] = W((u h, 0), (w h, 0)).
+    The table depends only on the tet's charges and sign and on the ranges;
+    tets that agree on these share the one array kept in memo.
     """
-    h = X.N.sqrt / M
     m1 = {}
     m2 = {}
     for e in EDGE_PAIRS:
         c = X.edge_of[(t, e)]
         m1[c] = m1.get(c, 0) + _E1_COEF[e]
         m2[c] = m2.get(c, 0) + _E2_COEF[e]
-    umin = sum(min(v * (M - 1), 0) for v in m1.values())
-    umax = sum(max(v * (M - 1), 0) for v in m1.values())
-    wmin = sum(min(v * (M - 1), 0) for v in m2.values())
-    wmax = sum(max(v * (M - 1), 0) for v in m2.values())
+    umin, umax = _index_range(m1, M)
+    wmin, wmax = _index_range(m2, M)
+    tet = X.tets[t]
+    key = (tet.angles, tet.sign, umin, umax, wmin, wmax)
+    memo = {} if memo is None else memo
+    if key not in memo:
+        us = np.arange(umin, umax + 1)
+        ws = np.arange(wmin, wmax + 1)
+        table = weight_kernel_grid(_tet_kernel_params(X, t), us, ws, M, spec)
+        memo[key] = np.conj(table) if tet.sign < 0 else table
+    return {"table": memo[key], "umin": umin, "wmin": wmin, "m1": m1, "m2": m2}
 
-    us = np.arange(umin, umax + 1)
-    ws = np.arange(wmin, wmax + 1)
-    table = weight_kernel_grid(_tet_kernel_params(X, t), us * h, ws * h, spec)
-    if X.tets[t].sign < 0:
-        table = np.conj(table)
-    return {"table": table, "umin": umin, "wmin": wmin, "m1": m1, "m2": m2}
+
+def _tet_tables(X: ShapedTriangulation, M: int, spec: QuadratureSpec) -> list[dict]:
+    """The tables of every tet at grid size M, one array per distinct tet."""
+    memo = {}
+    return [_tet_table(X, t, M, spec, memo) for t in range(len(X.tets))]
 
 
-def _grid_value(X: ShapedTriangulation, M: int, spec: QuadratureSpec) -> complex:
-    """Z at grid size M by tensor-product periodic trapezoid."""
+def _coarse_table(tab: dict, M: int) -> dict:
+    """The M/2-grid table of a tet, copied from the even-index slice of its M-grid table.
+
+    For even M the M/2 grid has step 2h, so its entry at (u, w) is the M-grid
+    entry at (2u, 2w).
+    """
+    umin, umax = _index_range(tab["m1"], M // 2)
+    wmin, wmax = _index_range(tab["m2"], M // 2)
+    rows = slice(2 * wmin - tab["wmin"], 2 * wmax - tab["wmin"] + 1, 2)
+    cols = slice(2 * umin - tab["umin"], 2 * umax - tab["umin"] + 1, 2)
+    return {"table": tab["table"][rows, cols].copy(), "umin": umin, "wmin": wmin,
+            "m1": tab["m1"], "m2": tab["m2"]}
+
+
+def _contract(X: ShapedTriangulation, tables: list, M: int) -> complex:
+    """Z at grid size M by tensor-product periodic trapezoid over the tet tables."""
     E = len(X.edge_classes)
     if E == 0:
         return 1.0 + 0j
-    tables = [_tet_table(X, t, M, spec) for t in range(len(X.tets))]
     j = [np.arange(M).reshape((1,) * i + (M,) + (1,) * (E - i - 1)) for i in range(E)]
 
     def slab_product(sl):
@@ -159,6 +192,11 @@ def _grid_value(X: ShapedTriangulation, M: int, spec: QuadratureSpec) -> complex
     else:
         total = np.sum(slab_product(slice(None)))
     return complex(total / M**E)
+
+
+def _grid_value(X: ShapedTriangulation, M: int, spec: QuadratureSpec) -> complex:
+    """Z at grid size M by tensor-product periodic trapezoid."""
+    return _contract(X, _tet_tables(X, M, spec), M)
 
 
 @dataclass
@@ -182,16 +220,27 @@ def partition_function(
 ) -> PartitionResult:
     """Z(X) with an M-versus-M/2 error estimate.
 
-    Raises NonConvergent when the two-grid discrepancy exceeds the target
-    relative error (spec.tol scaled by 1e3 unless target given).
+    Raises NonConvergent when Z or the two-grid discrepancy is not finite, or
+    when the discrepancy exceeds the target relative error (spec.tol scaled
+    by 1e3 unless target given).  For even M the M/2 tables are slices of
+    the M tables; for odd M the M//2 tables are built.
     """
     spec = spec or QuadratureSpec()
     M = spec.M
-    z_fine = _grid_value(X, M, spec)
-    z_coarse = _grid_value(X, M // 2, spec)
+    tables = _tet_tables(X, M, spec)
+    z_fine = _contract(X, tables, M)
+    # rebinding frees the M tables before the M/2 contraction: its slabs
+    # have the same size cap as those at M, so the peak memory stays the same
+    if M % 2 == 0:
+        tables = [_coarse_table(tab, M) for tab in tables]
+    else:
+        tables = _tet_tables(X, M // 2, spec)
+    z_coarse = _contract(X, tables, M // 2)
     err = abs(z_fine - z_coarse)
     target = target if target is not None else 1e3 * spec.tol
-    if err > target * max(abs(z_fine), 1e-300):
+    if not np.isfinite(z_fine):
+        raise NonConvergent(f"partition value at grid M={M} is not finite: {z_fine}")
+    if not err <= target * max(abs(z_fine), 1e-300):
         raise NonConvergent(
             f"partition grid M={M} vs {M//2} differs by {err:.3e} (target {target:.1e})"
         )

@@ -17,6 +17,7 @@ from qdlab.charged import (
     psi_forward_transform,
     transform_normalization,
     weight_kernel,
+    weight_kernel_grid,
     weight_kernel_many,
 )
 from qdlab.lca import (
@@ -190,6 +191,21 @@ def test_weight_kernel_truncation_stability():
     a = weight_kernel(wkp, x, y, QuadratureSpec(tol=1e-9))
     b = weight_kernel(wkp, x, y, QuadratureSpec(tol=1e-13))
     assert abs(a - b) / abs(b) < 1e-10
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_weight_kernel_grid_on_sparse_indices(N):
+    # y-indices far apart leave gaps in the lattice w + m M of the B-sum terms
+    p = params(N)
+    wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p)
+    M = 16
+    h = p.N.sqrt / M
+    us, ws = np.array([-7, 0, 3]), np.array([-40, 2, 5, 61])
+    grid = weight_kernel_grid(wkp, us, ws, M)
+    for j, w in enumerate(ws):
+        for i, u in enumerate(us):
+            expect = weight_kernel(wkp, LcaPoint(u * h, 0), LcaPoint(w * h, 0))
+            assert grid[j, i] == pytest.approx(expect, rel=1e-12)
 
 
 def test_pentagon_family_matches_transform():

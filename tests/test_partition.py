@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 from conftest import params
 
+import qdlab.charged
+import qdlab.partition
 from qdlab.charged import ChargeTriple, WeightKernelParams, weight_kernel
+from qdlab.cli import run
 from qdlab.errors import NonConvergent
 from qdlab.lca import CircleVar, LcaPoint, Modulus, QuadratureSpec
 from qdlab.partition import (
+    _coarse_table,
     _grid_value,
     _tet_table,
+    _tet_tables,
     boltzmann_weight,
     convergence_report,
     descent_residual,
@@ -164,21 +169,23 @@ def test_total_weight_matches_product():
 
 
 def test_tet_table_matches_pointwise_kernel():
-    # the table path and the pointwise path of the B-sum give the same values
-    X = builtin_census("fig8_3tet", N=2)
+    # the table path (lattice gather) and the pointwise path of the B-sum give
+    # the same values; at N=3, N does not divide M and the lattice is offset
     M = 16
-    h = X.N.sqrt / M
     spec = QuadratureSpec(M=M)
-    for t in range(len(X.tets)):
-        tab = _tet_table(X, t, M, spec)
-        wkp = WeightKernelParams(X.tets[t].angles, params(2))
-        rows, cols = tab["table"].shape
-        for i, j in [(0, 0), (rows - 1, cols - 1), (rows // 2, cols // 3), (rows // 3, cols - 1)]:
-            u, w = j + tab["umin"], i + tab["wmin"]
-            expect = weight_kernel(wkp, LcaPoint(u * h, 0), LcaPoint(w * h, 0), spec)
-            if X.tets[t].sign < 0:
-                expect = np.conj(expect)
-            assert tab["table"][i, j] == pytest.approx(expect, rel=1e-12)
+    for N in (2, 3):
+        X = builtin_census("fig8_3tet", N=N)
+        h = X.N.sqrt / M
+        for t in range(len(X.tets)):
+            tab = _tet_table(X, t, M, spec)
+            wkp = WeightKernelParams(X.tets[t].angles, params(N))
+            rows, cols = tab["table"].shape
+            for i, j in [(0, 0), (rows - 1, cols - 1), (rows // 2, cols // 3), (rows // 3, cols - 1)]:
+                u, w = j + tab["umin"], i + tab["wmin"]
+                expect = weight_kernel(wkp, LcaPoint(u * h, 0), LcaPoint(w * h, 0), spec)
+                if X.tets[t].sign < 0:
+                    expect = np.conj(expect)
+                assert tab["table"][i, j] == pytest.approx(expect, rel=1e-12)
 
 
 def test_tet_table_truncation_is_checked(theta3):
@@ -191,3 +198,88 @@ def test_tet_table_truncation_is_checked(theta3):
         weight_kernel(wkp, LcaPoint(0.1, 0), LcaPoint(0.2, 0), spec)
     with pytest.raises(NonConvergent):
         _tet_table(X, 0, 16, spec)
+
+
+def test_coarse_tables_are_slices_of_fine_tables():
+    X = builtin_census("fig8_3tet", N=2)
+    spec = QuadratureSpec(M=32)
+    for t in range(len(X.tets)):
+        coarse = _coarse_table(_tet_table(X, t, 32, spec), 32)
+        direct = _tet_table(X, t, 16, spec)
+        assert (coarse["umin"], coarse["wmin"]) == (direct["umin"], direct["wmin"])
+        np.testing.assert_allclose(coarse["table"], direct["table"], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("M", [32, 33])
+def test_partition_function_matches_direct_grids(M):
+    # even M takes the M/2 tables as slices, odd M builds the M//2 tables;
+    # these grids are too coarse for any target, so none is set
+    X = builtin_census("fig8_3tet", N=2)
+    spec = QuadratureSpec(M=M)
+    res = partition_function(X, spec, target=np.inf)
+    z_fine = _grid_value(X, M, spec)
+    z_coarse = _grid_value(X, M // 2, spec)
+    assert res.Z == pytest.approx(z_fine, rel=1e-12)
+    assert res.error_estimate == pytest.approx(abs(z_fine - z_coarse), rel=1e-12)
+
+
+def test_equal_tets_share_one_table():
+    # tets 0 and 2 of fig8_3tet have equal charges, sign and index ranges
+    X = builtin_census("fig8_3tet", N=2)
+    spec = QuadratureSpec(M=16)
+    tabs = _tet_tables(X, 16, spec)
+    assert tabs[0]["table"] is tabs[2]["table"]
+    assert tabs[1]["table"] is not tabs[0]["table"]
+    for t in (0, 2):
+        np.testing.assert_array_equal(tabs[t]["table"], _tet_table(X, t, 16, spec)["table"])
+
+
+@pytest.fixture
+def nan_transform(monkeypatch):
+    """Put one NaN into the first output of charged.log_forward_transform."""
+    real = qdlab.charged.log_forward_transform
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if not calls:
+            out = out.copy()
+            out[len(out) // 2] = np.nan
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(qdlab.charged, "log_forward_transform", poisoned)
+    return calls
+
+
+def test_b_sum_raises_on_nan_term(nan_transform):
+    X = builtin_census("fig8_2tet", N=2)
+    wkp = WeightKernelParams(X.tets[0].angles, params(2))
+    with pytest.raises(NonConvergent):
+        weight_kernel(wkp, LcaPoint(0.1, 0), LcaPoint(0.2, 1))
+    nan_transform.clear()
+    with pytest.raises(NonConvergent):
+        _tet_table(X, 0, 16, QuadratureSpec(M=16))
+
+
+def test_partition_raises_on_nan_term(nan_transform, capsys):
+    X = builtin_census("fig8_2tet")
+    with pytest.raises(NonConvergent):
+        partition_function(X, QuadratureSpec(M=16), target=1.0)
+    nan_transform.clear()
+    assert run(["partition", "--name", "fig8_2tet", "--grid", "16", "--target", "1.0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_partition_raises_on_nan_table(monkeypatch):
+    # the guard of partition_function itself, behind the B-sum's own guard
+    real = qdlab.partition.weight_kernel_grid
+
+    def poisoned(wkp, us, ws, M, spec):
+        out = real(wkp, us, ws, M, spec)
+        out[list(ws).index(0), list(us).index(0)] = np.nan  # the entry at equal states
+        return out
+
+    monkeypatch.setattr(qdlab.partition, "weight_kernel_grid", poisoned)
+    with pytest.raises(NonConvergent):
+        partition_function(builtin_census("fig8_2tet"), QuadratureSpec(M=16), target=1.0)
