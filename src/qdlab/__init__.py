@@ -10,6 +10,7 @@ Modules:
     partition     Boltzmann weights and the state-integral Z(X)
     wgz           Weil-Gel'fand-Zak transform and conjugated operators
     groupoid      exact Ptolemy-groupoid coordinate algebra
+    checks        each verification's sampler, evaluator and limits, defined once
     cli           command-line interface
 """
 

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import NonConvergent
-from .lca import LcaPoint, QuadratureSpec, gaussian_exp
+from .lca import LcaPoint, QuadratureSpec, gaussian_exp, halve_residue, scalar_out
 from .qdilog import QdParams, log_dtheta
 
 __all__ = [
@@ -90,8 +90,7 @@ def psi_charged(charges: ChargeTriple, z, n: int, params: QdParams,
                 spec: QuadratureSpec | None = None):
     """psi_{A,C}(z, n); scalar in, scalar out."""
     zarr = np.asarray(z, dtype=complex)
-    vals = np.exp(log_psi(charges, zarr, n % params.N.N, params, spec))
-    return complex(vals) if zarr.ndim == 0 else vals
+    return scalar_out(zarr, np.exp(log_psi(charges, zarr, n % params.N.N, params, spec)))
 
 
 def _transform_prefactor(charges: ChargeTriple, params: QdParams) -> complex:
@@ -126,7 +125,7 @@ def forward_transform_closed(charges: ChargeTriple, z, n: int, params: QdParams,
     """(F psi_{A,C})(z, n) = <z,n> psi_{C,B}(-z, M-n) * prefactor."""
     zarr = np.asarray(z, dtype=complex)
     vals = np.exp(log_forward_transform(charges, zarr, n % params.N.N, params, spec))
-    return complex(vals) if zarr.ndim == 0 else vals
+    return scalar_out(zarr, vals)
 
 
 def forward_transform_quadrature(charges: ChargeTriple, x: float, n: int, params: QdParams,
@@ -195,8 +194,7 @@ def pentagon_family(charges: ChargeTriple, x, n: int, params: QdParams,
     """
     N = params.N.N
     val = forward_transform_closed(charges, -np.asarray(x, dtype=float), (-n) % N, params, spec)
-    out = np.conj(pentagon_normalization(charges, params) * val)
-    return complex(out) if np.asarray(x).ndim == 0 else out
+    return scalar_out(x, np.conj(pentagon_normalization(charges, params) * val))
 
 
 def f1_bridge_residual(charges: ChargeTriple, x: float, n: int, params: QdParams) -> float:
@@ -373,7 +371,7 @@ def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
     if grid:
         yr, yn = yr[:, None], yn[:, None]
     # <x; -y/2> with the halving convention of lca.halve
-    hyn = ((N + 1) // 2 * yn) % N
+    hyn = halve_residue(yn, N)
     return np.exp(-2j * np.pi * xr * (yr / 2)) * np.exp(2j * np.pi * (xn * hyn) / N) * total
 
 

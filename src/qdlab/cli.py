@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import charged, groupoid, partition, pentagon, qdilog, wgz
+from . import charged, checks, partition, qdilog, wgz
 from .errors import NonConvergent, QdlabError
 from .faddeev import ThetaParam, phi_theta, phi_zero
 from .lca import LcaPoint, Modulus, QuadratureSpec, gauss_gamma
@@ -23,12 +23,9 @@ from .qdilog import QdParams
 from .triangulation import (
     FIG8_CANONICAL_FACE,
     ShapedTriangulation,
-    balanced_perturbation,
     builtin_census,
-    gauge_direction,
     pachner_23,
     parse_triangulation,
-    positivity_margin,
 )
 
 
@@ -166,148 +163,28 @@ def cmd_wgz(args):
             comm["*".join(pair)] = _c(wgz.commutation_phase(*pair, b, k))
         except ValueError:
             comm["*".join(pair)] = "non-proportional"
-    ok = round_trip < 1e-10 and qp < 1e-10
-    _emit(
-        {
-            "k": k,
-            "round_trip_sup_error": round_trip,
-            "quasi_periodicity_residual": qp,
-            "commutation_phases": comm,
-            "pass": bool(ok),
-        },
-        args,
-    )
+    report = {"k": k, "round_trip_sup_error": round_trip, "quasi_periodicity_residual": qp,
+              "commutation_phases": comm}
+    ok = checks.passes(report, checks.WGZ_LIMITS)
+    _emit({**report, "pass": ok}, args)
     return 0 if ok else 3
 
 
 def cmd_check(args):
-    rng = np.random.default_rng(args.seed)
-    kind = args.kind
-    spec = _spec(args)
-    if kind == "inversion":
-        p = _params(args)
-        res = max(
-            qdilog.inversion_residual(rng.uniform(-2.5, 2.5), int(rng.integers(0, p.N.N)), p, spec)
-            for _ in range(args.samples)
-        )
-        ok = res < 1e-9
-        _emit({"max_residual": res, "pass": bool(ok)}, args)
-        return 0 if ok else 3
-    if kind == "fourier":
-        p = _params(args)
-        res = 0.0
-        for _ in range(args.samples):
-            y = rng.uniform(-1.0, 1.0)
-            n = int(rng.integers(0, p.N.N))
-            if abs(y) < 0.05 and n == 0:
-                y = 0.5
-            res = max(res, qdilog.fourier_formula_residual(y, n, p, spec))
-        ok = res < 1e-6
-        _emit({"max_residual": res, "pass": bool(ok)}, args)
-        return 0 if ok else 3
-    if kind == "charged":
-        p = _params(args)
-        ch = _parse_charges(args.charges) if args.charges else charged.ChargeTriple(0.5, 0.2, 0.3)
-        quad = max(
-            abs(
-                charged.psi_forward_transform(ch, x, n, p, spec, "closed_form")
-                - charged.psi_forward_transform(ch, x, n, p, spec, "quadrature")
-            )
-            for (x, n) in [
-                (rng.uniform(-1.2, 1.2), int(rng.integers(0, p.N.N)))
-                for _ in range(max(2, args.samples // 4))
-            ]
-        )
-        sam = [(rng.uniform(-2, 2), int(rng.integers(0, p.N.N))) for _ in range(args.samples)]
-        rep = charged.charged_identity_residuals(ch, sam, p, spec)
-        ok = quad < 1e-6 and rep["f2_max"] < 1e-8 and rep["f3_max"] < 1e-8
-        _emit(
-            {
-                "f1_closed_vs_quadrature": quad,
-                "f2_max": rep["f2_max"],
-                "f3_max": rep["f3_max"],
-                "pass": bool(ok),
-            },
-            args,
-        )
-        return 0 if ok else 3
-    if kind == "pentagon":
-        p = _params(args)
-        pc = pentagon.PentagonCharges.solve(
-            charged.ChargeTriple.equal(), charged.ChargeTriple(0.4, 0.25, 0.35)
-        )
-        parity = 2 if p.N.N % 2 == 0 else 1
-        sam = [
-            tuple(
-                LcaPoint(rng.uniform(-0.8, 0.8), parity * int(rng.integers(0, p.N.N)) % p.N.N)
-                for _ in range(4)
-            )
-            for _ in range(args.samples)
-        ]
-        rep = pentagon.check_charged_beta_pentagon(pc, sam, p, spec)
-        ok = rep["max_residual"] < 1e-4
-        _emit({**rep, "pass": bool(ok)}, args)
-        return 0 if ok else 3
-    if kind == "faddeev-type":
-        p = _params(args)
-        pc = pentagon.PentagonCharges.solve(
-            charged.ChargeTriple.equal(), charged.ChargeTriple(0.4, 0.25, 0.35)
-        )
-        sam = [
-            (
-                LcaPoint(rng.uniform(-0.6, 0.6), int(rng.integers(0, p.N.N))),
-                LcaPoint(rng.uniform(-0.6, 0.6), int(rng.integers(0, p.N.N))),
-            )
-            for _ in range(args.samples)
-        ]
-        rep = pentagon.check_faddeev_type(pc, sam, p, spec)
-        ok = rep["max_residual"] < 1e-4
-        _emit({**rep, "pass": bool(ok)}, args)
-        return 0 if ok else 3
-    if kind == "groupoid":
-        triples = [tuple(groupoid.random_point(rng) for _ in range(3)) for _ in range(args.samples)]
-        pairs = [tuple(groupoid.random_point(rng) for _ in range(2)) for _ in range(args.samples)]
-        rep = {
-            "pentagon": groupoid.verify_pentagon_exact(triples),
-            "inversion": groupoid.verify_inversion_exact(pairs),
-            "form": groupoid.form_preservation_check(pairs[: max(10, args.samples // 2)]),
-        }
-        ok = all(rep[k]["pass"] for k in rep)
-        payload = {k: {kk: vv for kk, vv in v.items() if kk != "witness"} for k, v in rep.items()}
-        payload["pass"] = bool(ok)
-        _emit(payload, args)
-        return 0 if ok else 3
-    if kind == "descent":
-        X = _load_triangulation(args)
-        from .lca import CircleVar
-
-        res = 0.0
-        for _ in range(args.samples):
-            st = tuple(CircleVar(rng.uniform(0, X.N.sqrt)) for _ in X.edge_classes)
-            for e in range(len(X.edge_classes)):
-                res = max(res, partition.descent_residual(X, st, e, k=X.N.N, spec=spec))
-        ok = res < 1e-8
-        _emit({"max_residual": res, "pass": bool(ok)}, args)
-        return 0 if ok else 3
-    if kind == "gauge":
-        X = _load_triangulation(args)
-        d = gauge_direction(X, 0)
-        eps = positivity_margin(X, d) / 2
-        Xp = balanced_perturbation(X, d, eps)
-        z0 = partition.partition_function(X, spec, target=1.0)
-        z1 = partition.partition_function(Xp, spec, target=1.0)
-        rel = abs(z0.abs - z1.abs) / z0.abs
-        ok = rel < 1e-3
-        _emit({"abs_base": z0.abs, "abs_perturbed": z1.abs, "rel_change": rel, "pass": bool(ok)}, args)
-        return 0 if ok else 3
-    raise ValueError(f"unknown check {kind!r}")
+    chk = checks.CHECKS[args.kind]
+    ctx = checks.Context(_params(args), _parse_charges(args.charges), _load_triangulation(args))
+    samples = chk.sample(np.random.default_rng(args.seed), ctx, args.samples)
+    report = chk.evaluate(ctx, samples, _spec(args))
+    ok = checks.passes(report, chk.limits)
+    _emit({**report, "pass": ok}, args)
+    return 0 if ok else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qdlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, theta=True, modulus=True):
+    def common(p, theta=True, modulus=True, triangulation=False):
         if theta:
             p.add_argument("--theta-arg", default="1/3", help="theta = e^{i pi p/q}")
         if modulus:
@@ -318,6 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted for interface compatibility; evaluation is sequential")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
+        if triangulation:
+            p.add_argument("--in", dest="inp", default=None, help="triangulation document")
+            p.add_argument("--name", default="fig8_2tet")
 
     p = sub.add_parser("phi", help="evaluate Faddeev's quantum dilogarithm")
     common(p, modulus=False)
@@ -350,16 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("partition", help="state-integral partition function")
-    common(p)
-    p.add_argument("--in", dest="inp", default=None, help="triangulation document")
-    p.add_argument("--name", default="fig8_2tet")
+    common(p, triangulation=True)
     p.add_argument("--target", type=float, default=1.0, help="relative two-grid target")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("pachner", help="apply the 2-3 move and print the new document")
-    common(p)
-    p.add_argument("--in", dest="inp", default=None)
-    p.add_argument("--name", default="fig8_2tet")
+    common(p, triangulation=True)
     p.add_argument("--face", default=f"{FIG8_CANONICAL_FACE[0]},{FIG8_CANONICAL_FACE[1]}")
     p.set_defaults(func=cmd_pachner)
 
@@ -375,24 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_wgz)
 
     p = sub.add_parser("check", help="run a verification and report pass/fail JSON")
-    p.add_argument(
-        "kind",
-        choices=[
-            "inversion",
-            "fourier",
-            "charged",
-            "pentagon",
-            "faddeev-type",
-            "groupoid",
-            "descent",
-            "gauge",
-        ],
-    )
-    common(p)
+    p.add_argument("kind", choices=list(checks.CHECKS))
+    common(p, triangulation=True)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--charges", default=None)
-    p.add_argument("--in", dest="inp", default=None)
-    p.add_argument("--name", default="fig8_2tet")
+    p.add_argument("--charges", default="0.5,0.2,0.3")
     p.set_defaults(func=cmd_check)
     return ap
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PoleProximity, SlowConvergence
-from .lca import QuadratureSpec
+from .lca import QuadratureSpec, scalar_out
 
 _LOG_SWITCH = 36.0  # |Re w| beyond which log(1 - e^w) uses an asymptotic branch
 
@@ -168,8 +168,7 @@ def phi_theta(
         pole, dist = nearest_pole(complex(zarr), theta)
         if dist < pole_eps:
             raise PoleProximity(f"z={complex(zarr)} within {dist:.2e} of pole {pole}")
-    vals = np.exp(log_phi_theta(zarr, theta, spec))
-    return complex(vals) if zarr.ndim == 0 else vals
+    return scalar_out(zarr, np.exp(log_phi_theta(zarr, theta, spec)))
 
 
 def phi_zero(theta: ThetaParam) -> complex:

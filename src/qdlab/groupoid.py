@@ -202,6 +202,24 @@ def _apply_word(word, coords: dict) -> dict:
     return coords
 
 
+def _compare_words(left, right, labels: str, samples) -> dict:
+    """Apply both words to each sample, its points labeled in order, and compare exactly."""
+    checked = skipped = 0
+    for sample in samples:
+        coords = dict(zip(labels, sample, strict=True))
+        try:
+            a = _apply_word(left, coords)
+            b = _apply_word(right, coords)
+        except DegenerateFlip:
+            skipped += 1
+            continue
+        checked += 1
+        if a != b:
+            return {"checked": checked, "skipped": skipped, "pass": False,
+                    "witness": tuple(sample)}
+    return {"checked": checked, "skipped": skipped, "pass": True, "witness": None}
+
+
 def verify_pentagon_exact(samples) -> dict:
     """Exact pentagon check on triples: the flip sequences
     omega_ij, omega_ik, omega_jk and omega_jk, omega_ij agree identically.
@@ -212,20 +230,7 @@ def verify_pentagon_exact(samples) -> dict:
     """
     left = [("flip", "i", "j"), ("flip", "i", "k"), ("flip", "j", "k")]
     right = [("flip", "j", "k"), ("flip", "i", "j")]
-    checked = skipped = 0
-    for (xi, xj, xk) in samples:
-        coords = {"i": xi, "j": xj, "k": xk}
-        try:
-            a = _apply_word(left, coords)
-            b = _apply_word(right, coords)
-        except DegenerateFlip:
-            skipped += 1
-            continue
-        checked += 1
-        if a != b:
-            return {"checked": checked, "skipped": skipped, "pass": False,
-                    "witness": (xi, xj, xk)}
-    return {"checked": checked, "skipped": skipped, "pass": True, "witness": None}
+    return _compare_words(left, right, "ijk", samples)
 
 
 def verify_inversion_exact(samples) -> dict:
@@ -236,20 +241,7 @@ def verify_inversion_exact(samples) -> dict:
     on pairs (x_i, x_j); same reporting convention as the pentagon check."""
     left = [("flip", "i", "j"), ("rho", "i"), ("flip", "j", "i")]
     right = [("swap", "i", "j"), ("rho", "j"), ("rho", "i")]
-    checked = skipped = 0
-    for (xi, xj) in samples:
-        coords = {"i": xi, "j": xj}
-        try:
-            a = _apply_word(left, coords)
-            b = _apply_word(right, coords)
-        except DegenerateFlip:
-            skipped += 1
-            continue
-        checked += 1
-        if a != b:
-            return {"checked": checked, "skipped": skipped, "pass": False,
-                    "witness": (xi, xj)}
-    return {"checked": checked, "skipped": skipped, "pass": True, "witness": None}
+    return _compare_words(left, right, "ij", samples)
 
 
 class _Jet:

@@ -116,16 +116,25 @@ def fourier_kernel(p: LcaPoint, q: LcaPoint, N: Modulus) -> complex:
     return np.exp(2j * np.pi * p.x * q.x) * np.exp(-2j * np.pi * (p.n * q.n) / N.N)
 
 
+def halve_residue(n, N: int):
+    """h(n) = ((N+1)//2 * n) mod N on integers or integer arrays: the residue part of halve."""
+    return ((N + 1) // 2 * n) % N
+
+
 def halve(p: LcaPoint, N: Modulus) -> LcaPoint:
     """A fixed halving convention h with h(p)+h(q) = h(p+q) on matching parities.
 
     On R ordinary division; on Z/N the inverse of 2 when N is odd (then
     2*h(p) = p exactly).  For even N odd residues are not divisible by 2; we
-    take the additive convention h(n) = ((N+1)//2 * n) mod N and the even-N
-    automorphy defects are probed numerically by the tests.
+    take the additive convention h(n) = ((N+1)//2 * n) mod N (halve_residue)
+    and the even-N automorphy defects are probed numerically by the tests.
     """
-    u = (N.N + 1) // 2  # inverse of 2 mod N when N is odd
-    return LcaPoint(p.x / 2, (u * (p.n % N.N)) % N.N)
+    return LcaPoint(p.x / 2, halve_residue(p.n % N.N, N.N))
+
+
+def scalar_out(z, vals):
+    """Scalar in, scalar out: vals as a Python complex when z is 0-d, else vals itself."""
+    return complex(vals) if np.ndim(z) == 0 else vals
 
 
 def gauss_gamma(N: Modulus) -> complex:

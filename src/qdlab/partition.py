@@ -183,14 +183,11 @@ def _contract(X: ShapedTriangulation, tables: list, M: int) -> complex:
             out = vals if out is None else out * vals
         return out
 
+    # slabs of about 4e6 grid points along the first edge; one slab when M**E fits
+    step = max(1, 4_000_000 // M ** (E - 1))
     total = 0j
-    if E >= 3 and M ** E > 4_000_000:
-        step = max(1, 4_000_000 // M ** (E - 1))
-        for start in range(0, M, step):
-            sl = slice(start, min(start + step, M))
-            total += np.sum(slab_product(sl))
-    else:
-        total = np.sum(slab_product(slice(None)))
+    for start in range(0, M, step):
+        total += np.sum(slab_product(slice(start, start + step)))
     return complex(total / M**E)
 
 

@@ -15,7 +15,7 @@ from scipy.integrate import simpson
 
 from .errors import PoleProximity
 from .faddeev import ThetaParam, is_near_pole, log_phi_theta
-from .lca import LcaPoint, Modulus, QuadratureSpec, gaussian_exp
+from .lca import LcaPoint, Modulus, QuadratureSpec, gaussian_exp, scalar_out
 
 __all__ = [
     "QdParams",
@@ -84,8 +84,7 @@ def dtheta(
         for arg in factor_args(complex(zarr), n, params):
             if is_near_pole(complex(arg), params.theta, pole_eps):
                 raise PoleProximity(f"factor argument {complex(arg)} near a pole")
-    vals = np.exp(log_dtheta(zarr, n, params, spec))
-    return complex(vals) if zarr.ndim == 0 else vals
+    return scalar_out(zarr, np.exp(log_dtheta(zarr, n, params, spec)))
 
 
 def inversion_constant(params: QdParams) -> complex:

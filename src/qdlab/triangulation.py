@@ -336,11 +336,8 @@ def pachner_23(X: ShapedTriangulation, face: tuple[int, int]) -> ShapedTriangula
         ShapedTet(sign, q[4]),
     ]
 
-    # label -> local position in each new tet
-    pos_in_new = {k: {lab: i for i, lab in enumerate(labs)} for k, labs in _NEW_LABELS.items()}
-
     def old_side_relocation(t_old, perm, role):
-        """Maps (old local face) -> (new tet, new face, old local vertex -> new pos)."""
+        """Maps (old tet, old local face) -> (new tet, new face, old local vertex -> new pos)."""
         labels = _D3_LABELS if role == "d3" else _D1_LABELS
         label_of = {perm[pos]: labels[pos] for pos in range(4)}
         out = {}
@@ -351,42 +348,14 @@ def pachner_23(X: ShapedTriangulation, face: tuple[int, int]) -> ShapedTriangula
                 continue  # the shared face, consumed by the move
             key, new_face = _new_face_location(role, lab)
             vmap = {
-                v: pos_in_new[key][label_of[v]] for v in face_vertices(f_old)
+                v: _label_positions(key)[label_of[v]] for v in face_vertices(f_old)
             }
-            out[f_old] = (key_index[key], new_face, vmap)
+            out[(t_old, f_old)] = (key_index[key], new_face, vmap)
         return out
 
-    reloc = {
-        tA: old_side_relocation(tA, permA, "d3"),
-        tB: old_side_relocation(tB, permB, "d1"),
-    }
-
-    def translate_side(t, f):
-        if t in reloc:
-            return reloc[t][f]
-        return (new_index[t], f, {v: v for v in face_vertices(f)})
-
-    new_gluings = []
-    for og in X.gluings:
-        if og is g:
-            continue
-        ft, ff, vmd = translate_side(og.from_tet, og.from_face)
-        tt, tf, vmd2 = translate_side(og.to_tet, og.to_face)
-        corr = dict(zip(face_vertices(og.from_face), og.vertex_map))
-        new_corr = {vmd[v]: vmd2[corr[v]] for v in face_vertices(og.from_face)}
-        vm = tuple(new_corr[v] for v in face_vertices(ff))
-        new_gluings.append(FaceGluing(ft, ff, tt, tf, vm))
-
-    # internal gluings of the three new tets around the new edge (1,3)
-    def internal(key_a, face_a, key_b, face_b):
-        labs_a = [v for v in _NEW_LABELS[key_a] if v != _NEW_LABELS[key_a][face_a]]
-        vm = tuple(pos_in_new[key_b][lab] for lab in labs_a)
-        return FaceGluing(key_index[key_a], face_a, key_index[key_b], face_b, vm)
-
-    new_gluings.append(internal(0, 1, 2, 0))  # face (1,3,4)
-    new_gluings.append(internal(0, 3, 4, 0))  # face (1,2,3)
-    new_gluings.append(internal(2, 3, 4, 2))  # face (0,1,3)
-
+    moved = {**old_side_relocation(tA, permA, "d3"), **old_side_relocation(tB, permB, "d1")}
+    new_gluings = _outer_gluings(X, {(g.from_tet, g.from_face)}, moved, new_index)
+    new_gluings += _internal_gluings(key_index)
     return ShapedTriangulation(X.N, X.theta, new_tets, new_gluings)
 
 
@@ -394,7 +363,7 @@ def pachner_32(X: ShapedTriangulation, edge_index: int) -> ShapedTriangulation:
     """Inverse move: collapse a valence-3 internal edge in canonical position.
 
     Recognizes the configuration produced by pachner_23 (three distinct tets
-    wired by the three internal gluings above) and rebuilds the two-tet side.
+    wired by the _INTERNAL_GLUINGS) and rebuilds the two-tet side.
     """
     cls = X.edge_classes[edge_index]
     if len(cls.members) != 3:
@@ -450,26 +419,11 @@ def pachner_32(X: ShapedTriangulation, edge_index: int) -> ShapedTriangulation:
             }
             back[(k_idx, face_in_key)] = (tet_new, pos_of[lab], vmap)
 
-    def translate_side(t, f):
-        if (t, f) in back:
-            return back[(t, f)]
-        return (new_index[t], f, {v: v for v in face_vertices(f)})
-
-    internal_faces = set()
-    for key_a, face_a, key_b, face_b in ((0, 1, 2, 0), (0, 3, 4, 0), (2, 3, 4, 2)):
-        internal_faces.add(({0: k0, 2: k2, 4: k4}[key_a], face_a))
-        internal_faces.add(({0: k0, 2: k2, 4: k4}[key_b], face_b))
-
-    new_gluings = []
-    for og in X.gluings:
-        if (og.from_tet, og.from_face) in internal_faces:
-            continue
-        ft, ff, vmd = translate_side(og.from_tet, og.from_face)
-        tt, tf, vmd2 = translate_side(og.to_tet, og.to_face)
-        corr = dict(zip(face_vertices(og.from_face), og.vertex_map))
-        new_corr = {vmd[v]: vmd2[corr[v]] for v in face_vertices(og.from_face)}
-        vm = tuple(new_corr[v] for v in face_vertices(ff))
-        new_gluings.append(FaceGluing(ft, ff, tt, tf, vm))
+    internal_faces = {
+        side for ig in _internal_gluings({0: k0, 2: k2, 4: k4})
+        for side in ((ig.from_tet, ig.from_face), (ig.to_tet, ig.to_face))
+    }
+    new_gluings = _outer_gluings(X, internal_faces, back, new_index)
     new_gluings.append(
         FaceGluing(iA, 1, iB, 2, _shared_face_map())
     )
@@ -477,7 +431,45 @@ def pachner_32(X: ShapedTriangulation, edge_index: int) -> ShapedTriangulation:
 
 
 def _label_positions(key: int) -> dict:
+    """Bipyramid label -> local vertex position in the new tet of that key."""
     return {lab: i for i, lab in enumerate(_NEW_LABELS[key])}
+
+
+# the internal gluings (key_a, face_a, key_b, face_b) of the three new tets
+# around the new edge (1,3): the faces (1,3,4), (1,2,3) and (0,1,3)
+_INTERNAL_GLUINGS = ((0, 1, 2, 0), (0, 3, 4, 0), (2, 3, 4, 2))
+
+
+def _internal_gluings(index: dict) -> list[FaceGluing]:
+    """The _INTERNAL_GLUINGS with the new tet of each key at index[key]."""
+    out = []
+    for key_a, face_a, key_b, face_b in _INTERNAL_GLUINGS:
+        labs_a = [v for v in _NEW_LABELS[key_a] if v != _NEW_LABELS[key_a][face_a]]
+        vm = tuple(_label_positions(key_b)[lab] for lab in labs_a)
+        out.append(FaceGluing(index[key_a], face_a, index[key_b], face_b, vm))
+    return out
+
+
+def _outer_gluings(X: ShapedTriangulation, skip: set, moved: dict, new_index: dict) -> list:
+    """The gluings of X whose from-side (tet, face) is not in skip, rewritten for a move.
+
+    moved maps an old (tet, face) to (new tet, new face, {old vertex: new
+    vertex}); any other face keeps its vertices, its tet renumbered by new_index.
+    """
+    def side(t, f):
+        return moved.get((t, f)) or (new_index[t], f, {v: v for v in face_vertices(f)})
+
+    out = []
+    for og in X.gluings:
+        if (og.from_tet, og.from_face) in skip:
+            continue
+        ft, ff, vmd = side(og.from_tet, og.from_face)
+        tt, tf, vmd2 = side(og.to_tet, og.to_face)
+        corr = dict(zip(face_vertices(og.from_face), og.vertex_map))
+        new_corr = {vmd[v]: vmd2[corr[v]] for v in face_vertices(og.from_face)}
+        vm = tuple(new_corr[v] for v in face_vertices(ff))
+        out.append(FaceGluing(ft, ff, tt, tf, vm))
+    return out
 
 
 def _shared_face_map() -> tuple[int, int, int]:
@@ -488,12 +480,10 @@ def _shared_face_map() -> tuple[int, int, int]:
 
 
 def _check_internal_wiring(X, k0, k2, k4) -> bool:
-    want = set()
-    idx = {0: k0, 2: k2, 4: k4}
-    for key_a, face_a, key_b, face_b in ((0, 1, 2, 0), (0, 3, 4, 0), (2, 3, 4, 2)):
-        labs_a = [v for v in _NEW_LABELS[key_a] if v != _NEW_LABELS[key_a][face_a]]
-        vm = tuple(_label_positions(key_b)[lab] for lab in labs_a)
-        want.add((idx[key_a], face_a, idx[key_b], face_b, vm))
+    want = {
+        (g.from_tet, g.from_face, g.to_tet, g.to_face, g.vertex_map)
+        for g in _internal_gluings({0: k0, 2: k2, 4: k4})
+    }
     have = {
         (g.from_tet, g.from_face, g.to_tet, g.to_face, g.vertex_map) for g in X.gluings
     }

@@ -9,17 +9,13 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import params
 
-from qdlab.charged import ChargeTriple, charged_identity_residuals, psi_forward_transform
+from qdlab.charged import ChargeTriple
+from qdlab.checks import CHECKS, WGZ_LIMITS, Context, passes
 from qdlab.faddeev import ThetaParam, phi_theta, phi_zero, shift_defects
-from qdlab.lca import CircleVar, LcaPoint, Modulus, QuadratureSpec
-from qdlab.partition import descent_residual, partition_function
-from qdlab.pentagon import (
-    PentagonCharges,
-    check_charged_beta_pentagon,
-    check_faddeev_type,
-)
-from qdlab.qdilog import QdParams, fourier_formula_residual, inversion_residual
+from qdlab.lca import QuadratureSpec
+from qdlab.partition import partition_function
 from qdlab.triangulation import (
     balanced_perturbation,
     builtin_census,
@@ -50,17 +46,22 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {num}: {name} {detail}"
 
 
+def run_check(worst: dict, kind: str, rng, ctx: Context, n: int, spec=None) -> dict:
+    """Draw n samples of a registry check, evaluate them and fold the limited
+    report values into worst (a NaN stays NaN)."""
+    chk = CHECKS[kind]
+    rep = chk.evaluate(ctx, chk.sample(rng, ctx, n), spec)
+    return {k: float(np.maximum(worst.get(k, 0.0), rep[k])) for k in chk.limits}
+
+
 def test_criterion_01_inversion():
     rng = np.random.default_rng(1)
-    worst = 0.0
+    worst = {}
     for N in (1, 2, 3, 5):
         for frac in FRACTIONS:
-            p = QdParams(ThetaParam.from_pi_fraction(frac), Modulus(N))
-            for _ in range(100):
-                x = rng.uniform(-2.5, 2.5)
-                n = int(rng.integers(0, N))
-                worst = max(worst, inversion_residual(x, n, p))
-    report(1, "inversion relation", worst < 1e-9, f"max residual {worst:.2e}")
+            worst = run_check(worst, "inversion", rng, Context(params(N, frac)), 100)
+    report(1, "inversion relation", passes(worst, CHECKS["inversion"].limits),
+           f"max residual {worst['max_residual']:.2e}")
 
 
 def test_criterion_02_phi_zero():
@@ -84,86 +85,54 @@ def test_criterion_03_shift_equations():
 
 def test_criterion_04_fourier_formula():
     rng = np.random.default_rng(4)
-    worst = 0.0
+    worst = {}
     for N in (1, 2, 3):
-        p = QdParams(ThetaParam.from_pi_fraction("1/3"), Modulus(N))
-        for _ in range(20):
-            y = rng.uniform(-1.0, 1.0)
-            n = int(rng.integers(0, N))
-            if n == 0 and abs(y) < 0.05:
-                y = y + 0.5  # the transform diverges at the origin character
-            worst = max(worst, fourier_formula_residual(y, n, p))
-    report(4, "Fourier transformation formula", worst < 1e-6, f"max residual {worst:.2e}")
+        worst = run_check(worst, "fourier", rng, Context(params(N)), 20)
+    report(4, "Fourier transformation formula", passes(worst, CHECKS["fourier"].limits),
+           f"max residual {worst['max_residual']:.2e}")
 
 
 def test_criterion_05_charged_identities():
     rng = np.random.default_rng(5)
     triples = [ChargeTriple.equal(), ChargeTriple(0.5, 0.2, 0.3), ChargeTriple(0.25, 0.45, 0.3)]
-    f1_worst = 0.0
-    f23_worst = 0.0
+    worst = {}
     for N in (1, 2, 3):
-        p = QdParams(ThetaParam.from_pi_fraction("1/3"), Modulus(N))
         for ch in triples:
-            samples = [(rng.uniform(-2, 2), int(rng.integers(0, N))) for _ in range(10)]
-            rep = charged_identity_residuals(ch, samples, p)
-            f23_worst = max(f23_worst, rep["f2_max"], rep["f3_max"])
-            for (x, n) in samples[:3]:
-                closed = psi_forward_transform(ch, x, n, p, path="closed_form")
-                quad = psi_forward_transform(ch, x, n, p, path="quadrature")
-                f1_worst = max(f1_worst, abs(closed - quad))
-    ok = f1_worst < 1e-6 and f23_worst < 1e-8
-    report(5, "charged identities f1, f2, f3", ok,
-           f"f1 {f1_worst:.2e}, f2/f3 {f23_worst:.2e}")
+            worst = run_check(worst, "charged", rng, Context(params(N), ch), 10)
+    report(5, "charged identities f1, f2, f3", passes(worst, CHECKS["charged"].limits),
+           f"f1 {worst['f1_closed_vs_quadrature']:.2e}, "
+           f"f2/f3 {max(worst['f2_max'], worst['f3_max']):.2e}")
 
 
 def test_criterion_06_pentagon_identities():
     rng = np.random.default_rng(6)
-    pc = PentagonCharges.solve(ChargeTriple.equal(), ChargeTriple(0.4, 0.25, 0.35))
-    worst11 = 0.0
-    worst50 = 0.0
+    worst11 = {}
+    worst50 = {}
     for N in (1, 2):
-        p = QdParams(ThetaParam.from_pi_fraction("1/3"), Modulus(N))
-        step = 2 if N % 2 == 0 else 1
-        sams = [
-            tuple(
-                LcaPoint(rng.uniform(-0.8, 0.8), (step * int(rng.integers(0, N))) % N)
-                for _ in range(4)
-            )
-            for _ in range(5)
-        ]
-        rep = check_charged_beta_pentagon(pc, sams, p, QuadratureSpec(M=256))
-        worst11 = max(worst11, rep["max_residual"])
-        pairs = [
-            (
-                LcaPoint(rng.uniform(-0.6, 0.6), int(rng.integers(0, N))),
-                LcaPoint(rng.uniform(-0.6, 0.6), int(rng.integers(0, N))),
-            )
-            for _ in range(5)
-        ]
-        rep50 = check_faddeev_type(pc, pairs, p, QuadratureSpec(window=10.0, step=1 / 64))
-        worst50 = max(worst50, rep50["max_residual"])
+        worst11 = run_check(worst11, "pentagon", rng, Context(params(N)), 5, QuadratureSpec(M=256))
+        worst50 = run_check(worst50, "faddeev-type", rng, Context(params(N)), 5,
+                            QuadratureSpec(window=10.0, step=1 / 64))
     # refinement: residual decreases from a coarse grid to M=256
-    p1 = QdParams(ThetaParam.from_pi_fraction("1/3"), Modulus(1))
-    sams1 = [tuple(LcaPoint(rng.uniform(-0.8, 0.8), 0) for _ in range(4)) for _ in range(2)]
-    coarse = check_charged_beta_pentagon(pc, sams1, p1, QuadratureSpec(M=8))["max_residual"]
-    fine = check_charged_beta_pentagon(pc, sams1, p1, QuadratureSpec(M=256))["max_residual"]
-    ok = worst11 < 1e-4 and worst50 < 1e-4 and fine < coarse
+    pent = CHECKS["pentagon"]
+    ctx1 = Context(params(1))
+    sams1 = pent.sample(rng, ctx1, 2)
+    coarse = pent.evaluate(ctx1, sams1, QuadratureSpec(M=8))["max_residual"]
+    fine = pent.evaluate(ctx1, sams1, QuadratureSpec(M=256))["max_residual"]
+    ok = (passes(worst11, pent.limits) and passes(worst50, CHECKS["faddeev-type"].limits)
+          and fine < coarse)
     report(6, "beta pentagon and Faddeev-type identities", ok,
-           f"eq11 {worst11:.2e}, eq50 {worst50:.2e}, refinement {coarse:.1e}->{fine:.1e}")
+           f"eq11 {worst11['max_residual']:.2e}, eq50 {worst50['max_residual']:.2e}, "
+           f"refinement {coarse:.1e}->{fine:.1e}")
 
 
 def test_criterion_07_descent():
     rng = np.random.default_rng(7)
-    worst = 0.0
+    worst = {}
     for N in (1, 2):
         for name in ("fig8_2tet", "fig8_3tet"):
-            X = builtin_census(name, N=N)
-            for _ in range(3):
-                st = tuple(CircleVar(rng.uniform(0, X.N.sqrt)) for _ in X.edge_classes)
-                for e in range(len(X.edge_classes)):
-                    worst = max(worst, descent_residual(X, st, e, k=N))
-    report(7, "sqrt(N)-shift descent of Boltzmann weights", worst < 1e-8,
-           f"max residual {worst:.2e}")
+            worst = run_check(worst, "descent", rng, Context(X=builtin_census(name, N=N)), 3)
+    report(7, "sqrt(N)-shift descent of Boltzmann weights",
+           passes(worst, CHECKS["descent"].limits), f"max residual {worst['max_residual']:.2e}")
 
 
 def test_criterion_08_pachner_invariance():
@@ -187,7 +156,8 @@ def test_criterion_09_gauge_invariance():
         Xp = balanced_perturbation(X, d, eps)
         z1 = partition_function(Xp, spec, target=1e-2)
         worst = max(worst, abs(z0.abs - z1.abs) / z0.abs)
-    report(9, "gauge invariance of |Z| on balanced shapes", worst < 1e-3,
+    ok = passes({"rel_change": worst}, CHECKS["gauge"].limits)
+    report(9, "gauge invariance of |Z| on balanced shapes", ok,
            f"max rel change {worst:.2e}")
 
 
@@ -215,7 +185,8 @@ def test_criterion_10_wgz():
     vt_exact = all(
         np.array_equal(np.asarray(f(j, us)), np.asarray(g(j, us))) for j in range(k)
     )
-    ok = worst_rt < 1e-10 and worst_qp < 1e-10 and vt_exact
+    worst = {"round_trip_sup_error": worst_rt, "quasi_periodicity_residual": worst_qp}
+    ok = passes(worst, WGZ_LIMITS) and vt_exact
     report(10, "Weil-Gel'fand-Zak round trip", ok,
            f"round-trip {worst_rt:.2e}, quasi-periodicity {worst_qp:.2e}, Vt^k exact {vt_exact}")
 

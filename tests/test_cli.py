@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from qdlab import checks
 from qdlab.cli import run
 
 
@@ -109,6 +110,20 @@ def test_check_descent(capsys):
 def test_check_gauge(capsys):
     code, doc = invoke(["check", "gauge", "--name", "fig8_2tet", "--grid", "32"], capsys)
     assert code == 0 and doc["pass"]
+
+
+def test_check_failing_exit_code(capsys):
+    # M=8 is far too coarse for the beta-pentagon integral: residual about 0.38
+    code, doc = invoke(["check", "pentagon", "--N", "1", "--grid", "8", "--samples", "2"], capsys)
+    assert code == 3
+    assert doc["pass"] is False and doc["max_residual"] > 1e-4
+
+
+def test_nan_residual_fails_its_check():
+    residuals = iter([1e-12, float("nan"), 1e-13])
+    evaluate = checks._max_residual(lambda x, n, p, spec: next(residuals))
+    report = evaluate(checks.Context(), [(0.0, 0)] * 3, None)
+    assert not checks.passes(report, {"max_residual": 1e-9})
 
 
 def test_dtheta_psi_kernel_commands(capsys):
