@@ -45,7 +45,7 @@ __all__ = [
     "psi_charged",
     "log_psi",
     "forward_transform_closed",
-    "psi_forward_transform",
+    "forward_transform_quadrature",
     "f1_bridge_residual",
     "charged_identity_residuals",
     "pentagon_normalization",
@@ -146,16 +146,6 @@ def forward_transform_quadrature(charges: ChargeTriple, x: float, n: int, params
     return complex(tot / params.N.sqrt)
 
 
-def psi_forward_transform(charges: ChargeTriple, x: float, n: int, params: QdParams,
-                          spec: QuadratureSpec | None = None, path: str = "closed_form") -> complex:
-    """Forward Fourier transform of the charged function, by either path."""
-    if path == "closed_form":
-        return forward_transform_closed(charges, float(x), n % params.N.N, params, spec)
-    if path == "quadrature":
-        return forward_transform_quadrature(charges, float(x), n, params, spec)
-    raise ValueError(f"unknown path {path!r}")
-
-
 def pentagon_normalization(charges: ChargeTriple, params: QdParams) -> complex:
     """kappa_{A,C} = e^{i pi c_th^2 (A^2 + A C)/N}, unit modulus.
 
@@ -197,7 +187,8 @@ def pentagon_family(charges: ChargeTriple, x, n: int, params: QdParams,
     return scalar_out(x, np.conj(pentagon_normalization(charges, params) * val))
 
 
-def f1_bridge_residual(charges: ChargeTriple, x: float, n: int, params: QdParams) -> float:
+def f1_bridge_residual(charges: ChargeTriple, x: float, n: int, params: QdParams,
+                       spec: QuadratureSpec | None = None) -> float:
     """Consistency of the two closed-form readings of the transformed function.
 
     The transform table lists psi-tilde'(x,n) = psi_{C,B}(x, M+n) * prefactor;
@@ -205,11 +196,11 @@ def f1_bridge_residual(charges: ChargeTriple, x: float, n: int, params: QdParams
     <x,n>^{-1} (F psi)(-x,-n) == psi_{C,B}(x, M+n) * prefactor.
     """
     N = params.N.N
-    lhs = forward_transform_closed(charges, -x, (-n) % N, params) / gaussian_exp(
+    lhs = forward_transform_closed(charges, -x, (-n) % N, params, spec) / gaussian_exp(
         LcaPoint(x, n), params.N
     )
     swapped = ChargeTriple(charges.c, charges.a, charges.b)
-    rhs = psi_charged(swapped, x, (params.M + n) % N, params) * _transform_prefactor(
+    rhs = psi_charged(swapped, x, (params.M + n) % N, params, spec) * _transform_prefactor(
         charges, params
     )
     return abs(lhs - rhs)
@@ -257,14 +248,8 @@ def charged_identity_residuals(charges: ChargeTriple, samples, params: QdParams,
             * np.exp(-1j * np.pi * (N - 4 * cth**2 / N) / 12)
         )
         f3_max = max(f3_max, abs(lhs3 - rhs3))
-
-        # f3 recomputed by composing the transform with f2 must agree exactly
-        swapped = ChargeTriple(charges.c, charges.a, charges.b)
-        via_f2 = (
-            np.conj(psi_charged(swapped, x, (M + n) % N, params, spec))
-            * np.conj(_transform_prefactor(charges, params))
-        )
-        comp_max = max(comp_max, abs(lhs3 - via_f2))
+        # f3 composed from f1 and f2 is the f1 bridge, which vanishes identically
+        comp_max = max(comp_max, f1_bridge_residual(charges, x, n, params, spec))
     return {"f2_max": f2_max, "f3_max": f3_max, "f3_composition_max": comp_max}
 
 

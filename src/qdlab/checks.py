@@ -56,8 +56,8 @@ def _charged_evaluate(ctx: Context, samples, spec) -> dict:
     ch, p = ctx.charges, ctx.params
     rep = charged.charged_identity_residuals(ch, samples, p, spec)
     f1 = _worst(  # f1 on the first three samples only: the quadrature path is slow
-        abs(charged.psi_forward_transform(ch, x, m, p, spec, "closed_form")
-            - charged.psi_forward_transform(ch, x, m, p, spec, "quadrature"))
+        abs(charged.forward_transform_closed(ch, x, m, p, spec)
+            - charged.forward_transform_quadrature(ch, x, m, p, spec))
         for (x, m) in samples[:3]
     )
     return {"f1_closed_vs_quadrature": f1, "f2_max": rep["f2_max"], "f3_max": rep["f3_max"]}

@@ -35,7 +35,7 @@ def _c(z: complex) -> list:
 
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -47,14 +47,14 @@ def _theta(args) -> ThetaParam:
 
 
 def _params(args) -> QdParams:
-    return QdParams(_theta(args), Modulus(args.N), getattr(args, "M_residue", 0))
+    return QdParams(_theta(args), Modulus(args.N))
 
 
 def _spec(args) -> QuadratureSpec:
     kw = {}
-    if getattr(args, "grid", None):
+    if args.grid:
         kw["M"] = args.grid
-    if getattr(args, "tol", None):
+    if args.tol:
         kw["tol"] = args.tol
     return QuadratureSpec(**kw)
 
@@ -77,7 +77,7 @@ def _parse_charges(text: str) -> charged.ChargeTriple:
 
 
 def _load_triangulation(args) -> ShapedTriangulation:
-    if getattr(args, "inp", None):
+    if args.inp:
         with open(args.inp) as fh:
             return parse_triangulation(fh.read())
     return builtin_census(args.name, N=args.N, theta_arg_over_pi=args.theta_arg)

@@ -61,11 +61,6 @@ class ThetaParam:
         return (self.theta**2).imag
 
 
-def c_theta(theta: ThetaParam) -> complex:
-    """i (theta + theta^{-1}) / 2."""
-    return theta.c
-
-
 def _log1m_exp(w: np.ndarray) -> np.ndarray:
     """log(1 - e^w) for complex w, stable for any Re(w)."""
     w = np.asarray(w, dtype=complex)

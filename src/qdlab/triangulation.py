@@ -15,6 +15,14 @@ under the Klein four-group of double transpositions, which is exactly the
 freedom used to align the two old tets with d3 and d1; the remaining parity of
 the shared-face gluing must match one of the two exact wirings, otherwise the
 move is refused.
+
+Both moves follow one label rule.  Every old tet carries the bipyramid labels
+of its local vertices 0..3 (the two-tet side _TWO, the three-tet side _THREE).
+Two tets that share three labels are glued label to label (_label_gluings);
+the 2-3 wiring check and the 3-2 recognition ask that these gluings are in X.
+Each outer face of an old tet moves to the new tet holding its three labels,
+its vertices following their labels, and the new tets are glued by the same
+label rule (_rewire).
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -41,7 +49,6 @@ from .lca import Modulus
 from .pentagon import solve_pentagon_charges
 
 EDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_EDGE_INDEX = {e: i for i, e in enumerate(EDGE_PAIRS)}
 # angle slot (0=a, 1=b, 2=c) carried by each edge pair; opposite edges agree
 ANGLE_SLOT = {(0, 1): 0, (2, 3): 0, (0, 2): 1, (1, 3): 1, (0, 3): 2, (1, 2): 2}
 # Klein four-group of vertex relabelings preserving the weight formula
@@ -237,61 +244,70 @@ def parse_triangulation(document) -> ShapedTriangulation:
     return ShapedTriangulation(Modulus(document["N"]), theta, tets, gluings)
 
 
-# bipyramid labels of the order-aligned old tets
-_D3_LABELS = (0, 1, 2, 4)
-_D1_LABELS = (0, 2, 3, 4)
-# new tets, order-induced labels
-_NEW_LABELS = {0: (1, 2, 3, 4), 2: (0, 1, 3, 4), 4: (0, 1, 2, 3)}
+# bipyramid labels of the local vertices 0..3 of each tet on either side
+_TWO = ((0, 1, 2, 4), (0, 2, 3, 4))
+_THREE = ((1, 2, 3, 4), (0, 1, 3, 4), (0, 1, 2, 3))
 
 
-def _v4_to_position(pos: int, target: int):
-    """The unique V4 element (as new->old map) placing old position pos at target."""
-    for perm in V4:
-        if perm[target] == pos:
-            return perm
-    raise AssertionError
+def _v4_placed(t: int, f: int, labels, apex: int):
+    """(t, labels of its vertices 0..3): the V4 relabeling of labels putting apex on vertex f."""
+    perm = next(p for p in V4 if labels[p[f]] == apex)
+    return t, tuple(labels[p] for p in perm)
 
 
-def _relabel_angles(tet: ShapedTet, perm) -> ChargeTriple:
-    """Angles of the tet after reordering vertices by perm (new->old); V4 fixes them."""
-    vals = (tet.angles.a, tet.angles.b, tet.angles.c)
-    new = [None] * 3
-    for new_edge, slot in ANGLE_SLOT.items():
-        old_edge = tuple(sorted((perm[new_edge[0]], perm[new_edge[1]])))
-        new[slot] = vals[ANGLE_SLOT[old_edge]]
-    return ChargeTriple(*new)
+def _label_gluings(placed) -> list[FaceGluing]:
+    """Glue every two placed (tet, labels) that share three labels, label to label."""
+    out = []
+    for i, (s, ls) in enumerate(placed):
+        for t, lt in placed[i + 1:]:
+            fs = [v for v in range(4) if ls[v] not in lt]
+            ft = [v for v in range(4) if lt[v] not in ls]
+            if len(fs) == 1:
+                vm = tuple(lt.index(ls[v]) for v in face_vertices(fs[0]))
+                out.append(FaceGluing(s, fs[0], t, ft[0], vm))
+    return out
 
 
-def _bipyramid_wiring(X: ShapedTriangulation, g: FaceGluing, swap: bool):
-    """Try to align the two tets of gluing g with (d3, d1); None if incompatible.
+def _is_glued(X: ShapedTriangulation, gluings) -> bool:
+    """Whether every one of gluings is a gluing of X, read in either direction."""
+    have = set(X.gluings)
+    for g in X.gluings:
+        inv = {w: v for v, w in zip(face_vertices(g.from_face), g.vertex_map)}
+        vm = tuple(inv[w] for w in face_vertices(g.to_face))
+        have.add(FaceGluing(g.to_tet, g.to_face, g.from_tet, g.from_face, vm))
+    return set(gluings) <= have
 
-    Returns (t_d3, perm_d3, t_d1, perm_d1) where perm maps new position ->
-    original local vertex, apex of d3 at position 1 and apex of d1 at
-    position 2.  swap exchanges which side of the gluing plays d3.
+
+def _rewire(X: ShapedTriangulation, old, new_labels, new_tets) -> ShapedTriangulation:
+    """Replace the placed old (tet, labels) of X by new_tets carrying new_labels.
+
+    Each old face moves to the new tet holding its three labels, at the place of
+    that tet's fourth label, and each vertex follows its label; the gluings between
+    old faces no new tet holds are dropped.  The other tets keep their order and
+    faces, the new tets follow them, and _label_gluings glues the new tets.
     """
-    sides = [(g.from_tet, g.from_face), (g.to_tet, g.to_face)]
-    corr = dict(zip(face_vertices(g.from_face), g.vertex_map))
-    if swap:
-        sides = sides[::-1]
-        corr = {v: k for k, v in corr.items()}
-    (tA, fA), (tB, fB) = sides
-    permA = _v4_to_position(fA, 1)
-    permB = _v4_to_position(fB, 2)
-    labelA = {permA[pos]: _D3_LABELS[pos] for pos in (0, 2, 3)}
-    labelB = {permB[pos]: _D1_LABELS[pos] for pos in (0, 1, 3)}
-    for v, lab in labelA.items():
-        if labelB[corr[v]] != lab:
-            return None
-    return tA, permA, tB, permB
-
-
-def _new_face_location(role: str, label: int):
-    """(new tet key, face index) housing the outer face of d3/d1 opposite label."""
-    table = {
-        "d3": {0: (0, 2), 2: (2, 2), 4: (4, 3)},
-        "d1": {0: (0, 0), 2: (2, 1), 4: (4, 1)},
-    }
-    return table[role][label]
+    gone = {t for t, _ in old}
+    survivors = [i for i in range(len(X.tets)) if i not in gone]
+    placed = [(len(survivors) + j, labs) for j, labs in enumerate(new_labels)]
+    side = {(t, f): (i, f, {v: v for v in face_vertices(f)})
+            for i, t in enumerate(survivors) for f in range(4)}
+    for t, labs in old:
+        for f in range(4):
+            face = {labs[v] for v in face_vertices(f)}
+            for n, nl in placed:
+                rest = [v for v in range(4) if nl[v] not in face]
+                if len(rest) == 1:
+                    side[(t, f)] = (n, rest[0], {v: nl.index(labs[v]) for v in face_vertices(f)})
+    gluings = []
+    for g in X.gluings:
+        if (g.from_tet, g.from_face) not in side:
+            continue
+        ft, ff, fmap = side[(g.from_tet, g.from_face)]
+        tt, tf, tmap = side[(g.to_tet, g.to_face)]
+        corr = {fmap[v]: tmap[w] for v, w in zip(face_vertices(g.from_face), g.vertex_map)}
+        gluings.append(FaceGluing(ft, ff, tt, tf, tuple(corr[v] for v in face_vertices(ff))))
+    tets = [X.tets[i] for i in survivors] + list(new_tets)
+    return ShapedTriangulation(X.N, X.theta, tets, gluings + _label_gluings(placed))
 
 
 def pachner_23(X: ShapedTriangulation, face: tuple[int, int]) -> ShapedTriangulation:
@@ -314,56 +330,26 @@ def pachner_23(X: ShapedTriangulation, face: tuple[int, int]) -> ShapedTriangula
         raise TopologyError("2-3 move needs two distinct tetrahedra")
     if X.tets[g.from_tet].sign != X.tets[g.to_tet].sign:
         raise TopologyError("2-3 move needs equal tet signs")
-    wiring = _bipyramid_wiring(X, g, swap=False) or _bipyramid_wiring(X, g, swap=True)
-    if wiring is None:
+    sides = [(g.from_tet, g.from_face), (g.to_tet, g.to_face)]
+    for (tA, fA), (tB, fB) in (sides, sides[::-1]):  # tA plays d3, tB plays d1
+        old = [_v4_placed(tA, fA, _TWO[0], 1), _v4_placed(tB, fB, _TWO[1], 3)]
+        if _is_glued(X, _label_gluings(old)):
+            break
+    else:
         raise TopologyError(
             "shared-face gluing parity does not match the exact pentagon wiring"
         )
-    tA, permA, tB, permB = wiring  # tA plays d3, tB plays d1
+    q = solve_pentagon_charges(X.tets[tB].angles, X.tets[tA].angles)
     sign = X.tets[tA].sign
-    t3 = _relabel_angles(X.tets[tA], permA)
-    t1 = _relabel_angles(X.tets[tB], permB)
-    q = solve_pentagon_charges(t1, t3)
-
-    # new tets indexed by bipyramid key 0, 2, 4 appended in this order
-    survivors = [i for i in range(len(X.tets)) if i not in (tA, tB)]
-    new_index = {old: i for i, old in enumerate(survivors)}
-    base = len(survivors)
-    key_index = {0: base, 2: base + 1, 4: base + 2}
-    new_tets = [X.tets[i] for i in survivors] + [
-        ShapedTet(sign, q[0]),
-        ShapedTet(sign, q[2]),
-        ShapedTet(sign, q[4]),
-    ]
-
-    def old_side_relocation(t_old, perm, role):
-        """Maps (old tet, old local face) -> (new tet, new face, old local vertex -> new pos)."""
-        labels = _D3_LABELS if role == "d3" else _D1_LABELS
-        label_of = {perm[pos]: labels[pos] for pos in range(4)}
-        out = {}
-        for f_old in range(4):
-            lab = label_of[f_old]
-            apex_lab = 1 if role == "d3" else 3
-            if lab == apex_lab:
-                continue  # the shared face, consumed by the move
-            key, new_face = _new_face_location(role, lab)
-            vmap = {
-                v: _label_positions(key)[label_of[v]] for v in face_vertices(f_old)
-            }
-            out[(t_old, f_old)] = (key_index[key], new_face, vmap)
-        return out
-
-    moved = {**old_side_relocation(tA, permA, "d3"), **old_side_relocation(tB, permB, "d1")}
-    new_gluings = _outer_gluings(X, {(g.from_tet, g.from_face)}, moved, new_index)
-    new_gluings += _internal_gluings(key_index)
-    return ShapedTriangulation(X.N, X.theta, new_tets, new_gluings)
+    return _rewire(X, old, _THREE, [ShapedTet(sign, q[k]) for k in (0, 2, 4)])
 
 
 def pachner_32(X: ShapedTriangulation, edge_index: int) -> ShapedTriangulation:
     """Inverse move: collapse a valence-3 internal edge in canonical position.
 
     Recognizes the configuration produced by pachner_23 (three distinct tets
-    wired by the _INTERNAL_GLUINGS) and rebuilds the two-tet side.
+    labeled by _THREE, the edge at labels (1,3), glued by _label_gluings) and
+    rebuilds the two-tet side.
     """
     cls = X.edge_classes[edge_index]
     if len(cls.members) != 3:
@@ -371,16 +357,16 @@ def pachner_32(X: ShapedTriangulation, edge_index: int) -> ShapedTriangulation:
     tets_around = sorted({t for (t, _) in cls.members})
     if len(tets_around) != 3:
         raise TopologyError("valence-3 edge must touch three distinct tets")
-    # canonical recognition: the member edges must sit at the (1,3)-slots
     found = set(cls.members)
-    for assign in permutations(tets_around):
-        k0, k2, k4 = assign
-        expect = {(k0, (0, 2)), (k2, (1, 2)), (k4, (1, 3))}
-        if expect == found and _check_internal_wiring(X, k0, k2, k4):
+    for ks in permutations(tets_around):
+        old = list(zip(ks, _THREE))
+        axis = {(t, (labs.index(1), labs.index(3))) for t, labs in old}  # the edge (1,3)
+        if axis == found and _is_glued(X, _label_gluings(old)):
             break
     else:
         raise TopologyError("edge is not in the canonical three-tet position")
-    q0, q2, q4 = (X.tets[k].angles for k in (k0, k2, k4))
+    k0, k2, k4 = ks
+    q0, q2, q4 = (X.tets[k].angles for k in ks)
     sign = X.tets[k0].sign
     if not (X.tets[k2].sign == X.tets[k4].sign == sign):
         raise TopologyError("three-tet signs disagree")
@@ -395,109 +381,7 @@ def pachner_32(X: ShapedTriangulation, edge_index: int) -> ShapedTriangulation:
         t3 = ChargeTriple(a3, 1 - a3 - c3, c3)
     except ValueError as e:
         raise Infeasible(str(e)) from e
-
-    survivors = [i for i in range(len(X.tets)) if i not in (k0, k2, k4)]
-    new_index = {old: i for i, old in enumerate(survivors)}
-    iA, iB = len(survivors), len(survivors) + 1  # d3-role, d1-role
-    new_tets = [X.tets[i] for i in survivors] + [
-        ShapedTet(sign, t3),
-        ShapedTet(sign, t1),
-    ]
-    # outer faces of the new (old) tets, inverted relocation tables
-    back = {}
-    for role, tet_new, labels, apex in (("d3", iA, _D3_LABELS, 1), ("d1", iB, _D1_LABELS, 3)):
-        pos_of = {lab: i for i, lab in enumerate(labels)}
-        for lab in labels:
-            if lab == apex:
-                continue
-            key, face_in_key = _new_face_location(role, lab)
-            k_idx = {0: k0, 2: k2, 4: k4}[key]
-            vmap = {
-                pos_in_key: pos_of[lab_v]
-                for lab_v, pos_in_key in _label_positions(key).items()
-                if lab_v in labels and lab_v != lab
-            }
-            back[(k_idx, face_in_key)] = (tet_new, pos_of[lab], vmap)
-
-    internal_faces = {
-        side for ig in _internal_gluings({0: k0, 2: k2, 4: k4})
-        for side in ((ig.from_tet, ig.from_face), (ig.to_tet, ig.to_face))
-    }
-    new_gluings = _outer_gluings(X, internal_faces, back, new_index)
-    new_gluings.append(
-        FaceGluing(iA, 1, iB, 2, _shared_face_map())
-    )
-    return ShapedTriangulation(X.N, X.theta, new_tets, new_gluings)
-
-
-def _label_positions(key: int) -> dict:
-    """Bipyramid label -> local vertex position in the new tet of that key."""
-    return {lab: i for i, lab in enumerate(_NEW_LABELS[key])}
-
-
-# the internal gluings (key_a, face_a, key_b, face_b) of the three new tets
-# around the new edge (1,3): the faces (1,3,4), (1,2,3) and (0,1,3)
-_INTERNAL_GLUINGS = ((0, 1, 2, 0), (0, 3, 4, 0), (2, 3, 4, 2))
-
-
-def _internal_gluings(index: dict) -> list[FaceGluing]:
-    """The _INTERNAL_GLUINGS with the new tet of each key at index[key]."""
-    out = []
-    for key_a, face_a, key_b, face_b in _INTERNAL_GLUINGS:
-        labs_a = [v for v in _NEW_LABELS[key_a] if v != _NEW_LABELS[key_a][face_a]]
-        vm = tuple(_label_positions(key_b)[lab] for lab in labs_a)
-        out.append(FaceGluing(index[key_a], face_a, index[key_b], face_b, vm))
-    return out
-
-
-def _outer_gluings(X: ShapedTriangulation, skip: set, moved: dict, new_index: dict) -> list:
-    """The gluings of X whose from-side (tet, face) is not in skip, rewritten for a move.
-
-    moved maps an old (tet, face) to (new tet, new face, {old vertex: new
-    vertex}); any other face keeps its vertices, its tet renumbered by new_index.
-    """
-    def side(t, f):
-        return moved.get((t, f)) or (new_index[t], f, {v: v for v in face_vertices(f)})
-
-    out = []
-    for og in X.gluings:
-        if (og.from_tet, og.from_face) in skip:
-            continue
-        ft, ff, vmd = side(og.from_tet, og.from_face)
-        tt, tf, vmd2 = side(og.to_tet, og.to_face)
-        corr = dict(zip(face_vertices(og.from_face), og.vertex_map))
-        new_corr = {vmd[v]: vmd2[corr[v]] for v in face_vertices(og.from_face)}
-        vm = tuple(new_corr[v] for v in face_vertices(ff))
-        out.append(FaceGluing(ft, ff, tt, tf, vm))
-    return out
-
-
-def _shared_face_map() -> tuple[int, int, int]:
-    """Ascending vertices of d3 face 1 -> d1 face 2, matching labels (0,2,4)."""
-    labelsA = {pos: _D3_LABELS[pos] for pos in (0, 2, 3)}
-    posB = {_D1_LABELS[pos]: pos for pos in (0, 1, 3)}
-    return tuple(posB[labelsA[p]] for p in (0, 2, 3))
-
-
-def _check_internal_wiring(X, k0, k2, k4) -> bool:
-    want = {
-        (g.from_tet, g.from_face, g.to_tet, g.to_face, g.vertex_map)
-        for g in _internal_gluings({0: k0, 2: k2, 4: k4})
-    }
-    have = {
-        (g.from_tet, g.from_face, g.to_tet, g.to_face, g.vertex_map) for g in X.gluings
-    }
-    have |= {
-        (g.to_tet, g.to_face, g.from_tet, g.from_face, _invert_map(g))
-        for g in X.gluings
-    }
-    return want <= have
-
-
-def _invert_map(g: FaceGluing) -> tuple[int, int, int]:
-    corr = dict(zip(face_vertices(g.from_face), g.vertex_map))
-    inv = {v: k for k, v in corr.items()}
-    return tuple(inv[v] for v in face_vertices(g.to_face))
+    return _rewire(X, old, _TWO, [ShapedTet(sign, t3), ShapedTet(sign, t1)])
 
 
 def gauge_direction(X: ShapedTriangulation, edge_index: int) -> np.ndarray:

@@ -10,11 +10,11 @@ from qdlab.charged import (
     charged_identity_residuals,
     f1_bridge_residual,
     forward_transform_closed,
+    forward_transform_quadrature,
     log_forward_transform,
     pentagon_family,
     pentagon_normalization,
     psi_charged,
-    psi_forward_transform,
     transform_normalization,
     weight_kernel,
     weight_kernel_grid,
@@ -79,8 +79,8 @@ def test_f1_closed_vs_quadrature(N, triple, rng):
     ch = TRIPLES[triple]
     for _ in range(2):
         x, n = rng.uniform(-1.2, 1.2), int(rng.integers(0, N))
-        closed = psi_forward_transform(ch, x, n, p, path="closed_form")
-        quad = psi_forward_transform(ch, x, n, p, path="quadrature")
+        closed = forward_transform_closed(ch, x, n, p)
+        quad = forward_transform_quadrature(ch, x, n, p)
         assert abs(closed - quad) < 1e-6
 
 

@@ -245,3 +245,26 @@ def test_balance_kernel_rank():
         v = gauge_direction(X, e)
         resid = v - ker.T @ (ker @ v)
         assert np.linalg.norm(resid) < 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_pachner_moves_on_every_feasible_face(N):
+    # every feasible 2-3 move of fig8_2tet, fig8_3tet and the 4-tet complex; each
+    # result is closed and balanced, and its 3-2 move followed by the 2-3 move on
+    # the rebuilt shared face gives back the same document
+    X3 = builtin_census("fig8_3tet", N)
+    moves = 0
+    for X in (builtin_census("fig8_2tet", N), X3, pachner_23(X3, (0, 2))):
+        for face in ((t, f) for t in range(len(X.tets)) for f in range(4)):
+            try:
+                Y = pachner_23(X, face)
+            except (TopologyError, Infeasible):
+                continue
+            moves += 1
+            T = len(Y.tets)
+            assert Y.is_closed and Y.is_balanced(1e-12)
+            assert sum(len(c.members) for c in Y.edge_classes) == 6 * T
+            new_edge = Y.edge_of[(T - 3, (0, 2))]  # edge (1,3) of the first new tet
+            Z = pachner_32(Y, new_edge)
+            assert pachner_23(Z, (T - 3, 1)).to_document() == Y.to_document()
+    assert moves == 12
