@@ -5,7 +5,7 @@ Prints Z on a ladder of grid sizes for the two- and three-tetrahedron
 figure-eight triangulations, the successive differences, and the Pachner
 comparison of |Z| at the finest grid.
 
-Usage: python scripts/convergence_study.py [--N 1] [--theta-arg 1/3]
+Usage: python scripts/convergence_study.py [--N 1] [--theta-arg 1/3] [--ladder 16,32,64,128]
 """
 
 import argparse

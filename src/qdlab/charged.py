@@ -265,13 +265,16 @@ class WeightKernelParams:
 # Transform points per block of the B-sum: bounds the memory of one block
 # whatever the number of kernel points or of B-terms.
 _BLOCK_POINTS = 4096
+# Hard cap on the one-sided B-sum length K; a sum that reaches it with a tail
+# above tolerance raises NonConvergent.
+_B_TERMS = 400
 
 
 def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
            M: int | None = None) -> np.ndarray:
     """W(x, y) = <x; -y/2> sum_{|k| <= K} conj(kappa F psi)(y + k b0) conj<k b0> <k b0; mu - x>.
 
-    K follows the decay rate of F psi, capped at spec.b_terms.  NonConvergent
+    K follows the decay rate of F psi, capped at _B_TERMS.  NonConvergent
     is raised when a term with |k| >= K - N exceeds 1e3 * spec.tol times the
     largest |W|, and when a term or a sum is not finite.  Each block of rows
     of y times the k of one residue r mod N holds about _BLOCK_POINTS terms.
@@ -299,7 +302,7 @@ def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
     yr = np.asarray(yr, dtype=float)
     yn = np.asarray(yn, dtype=int) % N
     rate = 2 * np.pi * p.theta.c.imag * min(ch.a, ch.b, ch.c) / N
-    K = min(int(np.ceil(-np.log(spec.tol * 1e-3) / rate)) + 4 * N, spec.b_terms)
+    K = min(int(np.ceil(-np.log(spec.tol * 1e-3) / rate)) + 4 * N, _B_TERMS)
     ks = np.arange(-K, K + 1)
     kap = pentagon_normalization(ch, p)
 

@@ -52,9 +52,9 @@ def _params(args) -> QdParams:
 
 def _spec(args) -> QuadratureSpec:
     kw = {}
-    if args.grid:
+    if args.grid is not None:
         kw["M"] = args.grid
-    if args.tol:
+    if args.tol is not None:
         kw["tol"] = args.tol
     return QuadratureSpec(**kw)
 

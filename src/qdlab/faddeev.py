@@ -20,6 +20,8 @@ from .errors import PoleProximity, SlowConvergence
 from .lca import QuadratureSpec, scalar_out
 
 _LOG_SWITCH = 36.0  # |Re w| beyond which log(1 - e^w) uses an asymptotic branch
+_IM_THETA_SQ_FLOOR = 0.05  # thetas with Im(theta^2) below this converge too slowly
+_POLE_EPS = 1e-7  # distance to the pole lattice below which a scalar z is refused
 
 
 @dataclass(frozen=True)
@@ -97,18 +99,18 @@ def _log_pochhammer(lx: np.ndarray, lq: complex, tol: float) -> np.ndarray:
     return acc[np.argsort(order)].reshape(lx.shape)
 
 
-def _check_rate(theta: ThetaParam, spec: QuadratureSpec) -> None:
-    if theta.im_theta_sq < spec.im_theta_sq_floor:
+def _check_rate(theta: ThetaParam) -> None:
+    if theta.im_theta_sq < _IM_THETA_SQ_FLOOR:
         raise SlowConvergence(
             f"Im(theta^2) = {theta.im_theta_sq:.4f} below floor "
-            f"{spec.im_theta_sq_floor}; products converge too slowly"
+            f"{_IM_THETA_SQ_FLOOR}; products converge too slowly"
         )
 
 
 def log_phi_theta(z, theta: ThetaParam, spec: QuadratureSpec | None = None) -> np.ndarray:
     """log Phi_theta(z), vectorized over z.  No pole check (may return +/-inf)."""
     spec = spec or QuadratureSpec()
-    _check_rate(theta, spec)
+    _check_rate(theta)
     z = np.asarray(z, dtype=complex)
     t, c = theta.theta, theta.c
     num = _log_pochhammer(2 * np.pi * t * (z + c), 2j * np.pi * t**2, spec.product_tol)
@@ -142,8 +144,8 @@ def nearest_pole(z: complex, theta: ThetaParam) -> tuple[complex, float]:
     return best
 
 
-def is_near_pole(z: complex, theta: ThetaParam, eps: float = 1e-7) -> bool:
-    return nearest_pole(z, theta)[1] < eps
+def is_near_pole(z: complex, theta: ThetaParam) -> bool:
+    return nearest_pole(z, theta)[1] < _POLE_EPS
 
 
 def phi_theta(
@@ -151,17 +153,16 @@ def phi_theta(
     theta: ThetaParam,
     spec: QuadratureSpec | None = None,
     check_poles: bool = True,
-    pole_eps: float = 1e-7,
 ):
     """Phi_theta(z); scalar in, scalar out; arrays pass through vectorized.
 
-    Raises PoleProximity when a scalar z is within pole_eps of the pole
+    Raises PoleProximity when a scalar z is within _POLE_EPS of the pole
     lattice (array inputs skip the check for speed).
     """
     zarr = np.asarray(z, dtype=complex)
     if check_poles and zarr.ndim == 0:
         pole, dist = nearest_pole(complex(zarr), theta)
-        if dist < pole_eps:
+        if dist < _POLE_EPS:
             raise PoleProximity(f"z={complex(zarr)} within {dist:.2e} of pole {pole}")
     return scalar_out(zarr, np.exp(log_phi_theta(zarr, theta, spec)))
 

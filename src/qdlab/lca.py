@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergent
-
 
 @dataclass(frozen=True)
 class Modulus:
@@ -66,32 +64,24 @@ class CircleVar:
 
     t: float
 
-    def reduce(self, N: Modulus) -> "CircleVar":
-        return CircleVar(self.t % N.sqrt)
-
 
 @dataclass
 class QuadratureSpec:
-    """Grid sizes, truncation depths and tolerances for every integral and sum.
+    """Grid sizes and tolerances for every integral and sum.
 
     M:          grid points per circle direction (periodic trapezoid).
     window:     half-width of real-line truncation windows.
     step:       step of real-line quadratures.
-    b_terms:    hard cap on one-sided B-sum length; a B-sum that reaches it
-                with a tail above tolerance raises NonConvergent, on the
-                pointwise kernel and the per-tet table paths alike.
-    tol:        target relative tolerance for adaptive truncations.
+    tol:        target relative tolerance; it sets the B-sum length and tail
+                check and the default two-grid target of partition_function.
     product_tol: tail tolerance of the infinite q-products.
-    im_theta_sq_floor: reject thetas with Im(theta^2) below this.
     """
 
     M: int = 128
     window: float = 14.0
     step: float = 1 / 64
-    b_terms: int = 400
     tol: float = 1e-11
     product_tol: float = 1e-16
-    im_theta_sq_floor: float = 0.05
 
     def __post_init__(self):
         if self.M < 8:
@@ -152,63 +142,3 @@ def project_to_quotient(p: LcaPoint, N: Modulus) -> CircleVar:
 def lift(c: CircleVar, N: Modulus) -> LcaPoint:
     """Section of the projection: t -> (t, 0).  project(lift(t)) == t."""
     return LcaPoint(c.t, 0)
-
-
-def haar_integrate(f, N: Modulus, spec: QuadratureSpec | None = None):
-    """Truncated-trapezoid Haar integral of f(x, n) over A_N.
-
-    f must accept (xs: ndarray, n: int) and return a complex ndarray.  Returns
-    (value, error_estimate).  The error estimate is the change under window
-    doubling; raises NonConvergent when it exceeds spec.tol relative to the
-    value.
-    """
-    spec = spec or QuadratureSpec()
-
-    def at_window(w):
-        xs = np.arange(-w, w + spec.step / 2, spec.step)
-        tot = 0j
-        for n in range(N.N):
-            ys = np.asarray(f(xs, n), dtype=complex)
-            tot += np.trapezoid(ys, dx=spec.step)
-        return tot / N.sqrt
-
-    v1 = at_window(spec.window)
-    v2 = at_window(2 * spec.window)
-    err = abs(v2 - v1)
-    scale = max(abs(v2), 1.0)
-    if err > spec.tol * scale * 1e3:
-        raise NonConvergent(
-            f"Haar integral changed by {err:.3e} on window doubling (tol {spec.tol:.1e})"
-        )
-    return v2, err
-
-
-def b_sum(f, base: LcaPoint, N: Modulus, spec: QuadratureSpec | None = None) -> complex:
-    """sum_k f(base + k (N^{-1/2}, 1)) with adaptive symmetric truncation.
-
-    f takes an LcaPoint.  Truncates once the last N consecutive terms on both
-    sides fall below spec.tol relative to the running sum; raises NonConvergent
-    if the term magnitude fails to decrease over a full period of N before the
-    hard cap.
-    """
-    spec = spec or QuadratureSpec()
-    b0 = b_generator(N)
-    total = complex(f(base))
-    kmax = 0
-    tail = []
-    for k in range(1, spec.b_terms + 1):
-        tp = complex(f(base + b0.scale(k)))
-        tm = complex(f(base - b0.scale(k)))
-        total += tp + tm
-        kmax = k
-        tail.append(max(abs(tp), abs(tm)))
-        if len(tail) >= N.N and all(
-            t <= spec.tol * max(abs(total), 1e-300) for t in tail[-N.N :]
-        ):
-            return total
-    window = tail[-N.N :]
-    if min(window) > 0 and max(window) >= max(tail[: N.N]):
-        raise NonConvergent(
-            f"B-sum terms not decreasing after {kmax} periods (last {max(window):.3e})"
-        )
-    raise NonConvergent(f"B-sum did not reach tolerance {spec.tol:.1e} in {kmax} terms")

@@ -16,9 +16,11 @@ rule and its tail check with every pointwise kernel value, and evaluates
 F psi once per point of the shifted lattice (w + m M) h + r/sqrt(N).
 
 Within one call, tets with equal charges, sign and index ranges share one
-table, and for even M the M/2 tables of the two-grid error estimate are the
-even-index slices of the M tables: W((2u) h, (2w) h) is the M/2-grid entry
-at (u, w).  Nothing is cached across calls.
+table.  A grid of M/s points per edge is the stride-s subgrid of the M grid,
+so it is contracted straight from the M tables: its index j reads the M-grid
+entry at s j.  The two-grid error estimate reads its M/2 grid this way for
+even M, and a convergence ladder reads every rung that divides its largest.
+Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -153,26 +155,24 @@ def _tet_tables(X: ShapedTriangulation, M: int, spec: QuadratureSpec) -> list[di
     return [_tet_table(X, t, M, spec, memo) for t in range(len(X.tets))]
 
 
-def _coarse_table(tab: dict, M: int) -> dict:
-    """The M/2-grid table of a tet, copied from the even-index slice of its M-grid table.
+# grid points per slab of the contraction; one slab when M**E fits
+_SLAB_POINTS = 4_000_000
 
-    For even M the M/2 grid has step 2h, so its entry at (u, w) is the M-grid
-    entry at (2u, 2w).
+
+def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> complex:
+    """Z on the grid of M // stride points per edge, read from the M-grid tet tables.
+
+    Tensor-product periodic trapezoid: the coarse grid has step stride * h,
+    so its index j reads the M-grid entry at stride * j.  The sum runs in
+    slabs along the first edge, sized by the table grid M whatever the stride:
+    the M tables stay alive through a strided sum, and its smaller slabs keep
+    its peak memory below that of the M-grid sum.
     """
-    umin, umax = _index_range(tab["m1"], M // 2)
-    wmin, wmax = _index_range(tab["m2"], M // 2)
-    rows = slice(2 * wmin - tab["wmin"], 2 * wmax - tab["wmin"] + 1, 2)
-    cols = slice(2 * umin - tab["umin"], 2 * umax - tab["umin"] + 1, 2)
-    return {"table": tab["table"][rows, cols].copy(), "umin": umin, "wmin": wmin,
-            "m1": tab["m1"], "m2": tab["m2"]}
-
-
-def _contract(X: ShapedTriangulation, tables: list, M: int) -> complex:
-    """Z at grid size M by tensor-product periodic trapezoid over the tet tables."""
     E = len(X.edge_classes)
     if E == 0:
         return 1.0 + 0j
-    j = [np.arange(M).reshape((1,) * i + (M,) + (1,) * (E - i - 1)) for i in range(E)]
+    n = M // stride
+    j = [stride * np.arange(n).reshape((1,) * i + (n,) + (1,) * (E - i - 1)) for i in range(E)]
 
     def slab_product(sl):
         out = None
@@ -183,12 +183,11 @@ def _contract(X: ShapedTriangulation, tables: list, M: int) -> complex:
             out = vals if out is None else out * vals
         return out
 
-    # slabs of about 4e6 grid points along the first edge; one slab when M**E fits
-    step = max(1, 4_000_000 // M ** (E - 1))
+    step = max(1, _SLAB_POINTS // M ** (E - 1))
     total = 0j
-    for start in range(0, M, step):
+    for start in range(0, n, step):
         total += np.sum(slab_product(slice(start, start + step)))
-    return complex(total / M**E)
+    return complex(total / n**E)
 
 
 def _grid_value(X: ShapedTriangulation, M: int, spec: QuadratureSpec) -> complex:
@@ -219,20 +218,14 @@ def partition_function(
 
     Raises NonConvergent when Z or the two-grid discrepancy is not finite, or
     when the discrepancy exceeds the target relative error (spec.tol scaled
-    by 1e3 unless target given).  For even M the M/2 tables are slices of
-    the M tables; for odd M the M//2 tables are built.
+    by 1e3 unless target given).  For even M the M/2 grid is read from the
+    M tables by stride 2; for odd M the M//2 tables are built.
     """
     spec = spec or QuadratureSpec()
     M = spec.M
     tables = _tet_tables(X, M, spec)
     z_fine = _contract(X, tables, M)
-    # rebinding frees the M tables before the M/2 contraction: its slabs
-    # have the same size cap as those at M, so the peak memory stays the same
-    if M % 2 == 0:
-        tables = [_coarse_table(tab, M) for tab in tables]
-    else:
-        tables = _tet_tables(X, M // 2, spec)
-    z_coarse = _contract(X, tables, M // 2)
+    z_coarse = _contract(X, tables, M, stride=2) if M % 2 == 0 else _grid_value(X, M // 2, spec)
     err = abs(z_fine - z_coarse)
     target = target if target is not None else 1e3 * spec.tol
     if not np.isfinite(z_fine):
@@ -245,16 +238,18 @@ def partition_function(
 
 
 def convergence_report(X: ShapedTriangulation, Ms, spec: QuadratureSpec | None = None):
-    """Successive grid values and differences over a ladder of at least 3 sizes."""
+    """Successive grid values and differences over a ladder of at least 3 sizes.
+
+    The tables are built once, at the largest size; a rung that divides it is
+    read from them by stride, any other rung builds its own.
+    """
     spec = spec or QuadratureSpec()
-    Ms = list(Ms)
+    Ms = [int(M) for M in Ms]
     if len(Ms) < 3:
         raise ValueError("ladder needs at least 3 grid sizes")
-    rows = []
-    prev = None
-    for M in Ms:
-        z = _grid_value(X, int(M), spec)
-        delta = abs(z - prev) if prev is not None else None
-        rows.append({"M": int(M), "Z": [z.real, z.imag], "delta": delta})
-        prev = z
-    return rows
+    top = max(Ms)
+    tables = _tet_tables(X, top, spec)
+    zs = [_contract(X, tables, top, top // M) if top % M == 0 else _grid_value(X, M, spec)
+          for M in Ms]
+    return [{"M": M, "Z": [z.real, z.imag], "delta": abs(z - zs[i - 1]) if i else None}
+            for i, (M, z) in enumerate(zip(Ms, zs))]

@@ -76,13 +76,12 @@ def dtheta(
     params: QdParams,
     spec: QuadratureSpec | None = None,
     check_poles: bool = True,
-    pole_eps: float = 1e-7,
 ):
     """D_theta(z, n).  Scalar z gets a pole-proximity check on every factor."""
     zarr = np.asarray(z, dtype=complex)
     if check_poles and zarr.ndim == 0:
         for arg in factor_args(complex(zarr), n, params):
-            if is_near_pole(complex(arg), params.theta, pole_eps):
+            if is_near_pole(complex(arg), params.theta):
                 raise PoleProximity(f"factor argument {complex(arg)} near a pole")
     return scalar_out(zarr, np.exp(log_dtheta(zarr, n, params, spec)))
 

@@ -420,18 +420,10 @@ def balance_kernel(X: ShapedTriangulation) -> np.ndarray:
 
 
 def balanced_perturbation(
-    X: ShapedTriangulation, direction: np.ndarray | None = None, eps: float = 0.0
+    X: ShapedTriangulation, direction: np.ndarray, eps: float
 ) -> ShapedTriangulation:
-    """Perturb angles along a balance-kernel direction, preserving positivity."""
+    """Perturb angles by eps along a balance-kernel direction, preserving positivity."""
     ker = balance_kernel(X)
-    if direction is None:
-        # default to a gauge direction, along which |Z| is provably constant
-        for e in range(len(X.edge_classes)):
-            direction = gauge_direction(X, e)
-            if np.linalg.norm(direction) > 1e-12:
-                break
-        else:
-            raise PositivityViolation("no nontrivial gauge direction")
     direction = np.asarray(direction, dtype=float)
     resid = direction - ker.T @ (ker @ direction)
     if np.linalg.norm(resid) > 1e-9 * max(np.linalg.norm(direction), 1.0):

@@ -67,6 +67,13 @@ def test_validation_error_exit_code(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag", ["--grid", "--tol"])
+def test_zero_grid_and_tol_are_rejected(flag, capsys):
+    # 0 is a value, not a missing option: QuadratureSpec must see and reject it
+    assert run(["phi", "--z", "0.3", flag, "0"]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_threads_flag_validated():
     assert run(["gamma", "--N", "1", "--threads", "0"]) == 1
 

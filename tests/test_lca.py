@@ -1,22 +1,18 @@
-"""Group structure of A_N: characters, Haar measure, B-sums."""
+"""Group structure of A_N: characters, Haar measure, the quotient by B."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdlab.errors import NonConvergent
 from qdlab.lca import (
     CircleVar,
     LcaPoint,
     Modulus,
-    QuadratureSpec,
     b_generator,
-    b_sum,
     fourier_kernel,
     gauss_gamma,
     gaussian_exp,
-    haar_integrate,
     halve,
     lift,
     project_to_quotient,
@@ -78,30 +74,6 @@ def test_unit_modulus():
     assert abs(abs(fourier_kernel(p, LcaPoint(1.2, 1), N)) - 1) < 1e-15
 
 
-def test_haar_gaussian_examples():
-    v, err = haar_integrate(
-        lambda xs, n: np.exp(-np.pi * xs**2) * (n == 0), Modulus(1)
-    )
-    assert abs(v - 1) < 1e-10
-    v4, _ = haar_integrate(lambda xs, n: np.exp(-np.pi * xs**2) + 0j, Modulus(4))
-    assert abs(v4 - 2) < 1e-10  # N identical summands over sqrt(N)
-
-
-def test_haar_fresnel_regularized():
-    eps = 1e-3
-    v, _ = haar_integrate(
-        lambda xs, n: np.exp(1j * np.pi * xs**2 - eps * xs**2),
-        Modulus(1),
-        QuadratureSpec(window=80.0, step=1 / 128, tol=1e-6),
-    )
-    assert abs(v - np.exp(1j * np.pi / 4)) < 5e-4
-
-
-def test_haar_nonconvergent():
-    with pytest.raises(NonConvergent):
-        haar_integrate(lambda xs, n: 1.0 / (1.0 + xs**2), Modulus(1))
-
-
 def test_gauss_gamma():
     assert abs(gauss_gamma(Modulus(1)) - np.exp(1j * np.pi / 4)) < 1e-15
     # N=2 by hand: e^{i pi/4} (1 + i)/sqrt 2 = i
@@ -119,49 +91,23 @@ def test_quotient_projection():
     assert project_to_quotient(lift(c, N), N).t == pytest.approx(0.77)
 
 
-def test_b_sum_theta_series(rng):
-    # independent oracle: brute-force sum of e^{-pi k^2} over |k| <= 30
-    brute = sum(np.exp(-np.pi * k**2) for k in range(-30, 31))
-    N = Modulus(1)
-    val = b_sum(lambda p: np.exp(-np.pi * p.x**2), LcaPoint(0, 0), N)
-    assert abs(val - brute) < 1e-12
-
-
-def test_b_sum_point_mass():
-    N = Modulus(3)
-
-    def f(p):
-        return 1.0 if abs(p.x) < 1e-9 and p.n % 3 == 0 else 0.0
-
-    assert b_sum(f, LcaPoint(0, 0), N, QuadratureSpec(tol=1e-14)) == 1.0
-
-
-def test_b_sum_linearity(rng):
-    N = Modulus(2)
-    f = lambda p: np.exp(-0.8 * np.pi * p.x**2)
-    g = lambda p: np.exp(-1.1 * np.pi * (p.x - 0.3) ** 2)
-    a, b = 1.7, -0.4
-    base = LcaPoint(0.2, 1)
-    combo = b_sum(lambda p: a * f(p) + b * g(p), base, N)
-    assert abs(combo - (a * b_sum(f, base, N) + b * b_sum(g, base, N))) < 1e-12
-
-
-def test_b_sum_nonconvergent():
-    with pytest.raises(NonConvergent):
-        b_sum(lambda p: 1.0, LcaPoint(0, 0), Modulus(1))
-
-
 def test_weil_decomposition():
-    # integral_A f = (1/sqrt N) int_0^{sqrt N} (sum_B f(lift(t)+b)) dt
+    # integral_A f = (1/sqrt N) int_0^{sqrt N} (sum_B f(lift(t)+b)) dt, both sides
+    # by brute force on fixed windows: |x| <= 14 and |k| <= 30, where the
+    # Gaussian is below 1e-200
     N = Modulus(2)
-    f = lambda p: np.exp(-np.pi * (p.x - 0.4) ** 2) * np.exp(2j * np.pi * p.n / 2) / (1 + p.n % 2)
-    direct, _ = haar_integrate(
-        lambda xs, n: np.exp(-np.pi * (xs - 0.4) ** 2) * np.exp(2j * np.pi * n / 2) / (1 + n % 2),
-        N,
-    )
+
+    def f(x, n):
+        return np.exp(-np.pi * (x - 0.4) ** 2) * np.exp(2j * np.pi * n / 2) / (1 + n % 2)
+
+    step = 1 / 64
+    xs = np.arange(-14, 14 + step / 2, step)
+    direct = sum(np.sum(f(xs, n)) * step for n in range(N.N)) / N.sqrt
     Mg = 256
     ts = (np.arange(Mg) + 0.5) * N.sqrt / Mg
-    fiber = [b_sum(f, lift(CircleVar(t), N), N) for t in ts]
+    ks = np.arange(-30, 31)
+    b0 = b_generator(N)
+    fiber = np.sum(f(ts[:, None] + ks * b0.x, ks * b0.n), axis=1)
     weil = np.mean(fiber)  # dt/sqrt(N) over [0, sqrt N): mass-one average
     assert abs(direct - weil) < 1e-9
 

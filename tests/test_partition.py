@@ -13,7 +13,6 @@ from qdlab.cli import run
 from qdlab.errors import NonConvergent
 from qdlab.lca import CircleVar, LcaPoint, Modulus, QuadratureSpec
 from qdlab.partition import (
-    _coarse_table,
     _grid_value,
     _tet_table,
     _tet_tables,
@@ -102,7 +101,7 @@ def test_pachner_invariance(N):
     assert abs(zx.abs - zy.abs) / zx.abs < 1e-3
 
 
-def test_convergence_report():
+def test_convergence_report(monkeypatch):
     X = builtin_census("fig8_2tet")
     rows = convergence_report(X, (32, 64, 128))
     deltas = [r["delta"] for r in rows[1:]]
@@ -111,6 +110,18 @@ def test_convergence_report():
     assert json.loads(json.dumps(rows)) == json.loads(json.dumps(rows))
     with pytest.raises(ValueError):
         convergence_report(X, (32, 64))
+    # 32 is read from the M=64 tables by stride 2; 24 does not divide 64 and
+    # builds its own; each rung matches a direct build at its own grid
+    spec = QuadratureSpec()
+    built = []
+    real = qdlab.partition._tet_tables
+    monkeypatch.setattr(qdlab.partition, "_tet_tables",
+                        lambda X, M, spec: built.append(M) or real(X, M, spec))
+    rows = convergence_report(X, (24, 32, 64), spec)
+    assert sorted(built) == [24, 64]
+    monkeypatch.undo()
+    for r in rows:
+        assert complex(*r["Z"]) == pytest.approx(_grid_value(X, r["M"], spec), rel=1e-12)
 
 
 def test_edge_reversal_leaves_Z_unchanged():
@@ -200,20 +211,10 @@ def test_tet_table_truncation_is_checked(theta3):
         _tet_table(X, 0, 16, spec)
 
 
-def test_coarse_tables_are_slices_of_fine_tables():
-    X = builtin_census("fig8_3tet", N=2)
-    spec = QuadratureSpec(M=32)
-    for t in range(len(X.tets)):
-        coarse = _coarse_table(_tet_table(X, t, 32, spec), 32)
-        direct = _tet_table(X, t, 16, spec)
-        assert (coarse["umin"], coarse["wmin"]) == (direct["umin"], direct["wmin"])
-        np.testing.assert_allclose(coarse["table"], direct["table"], rtol=1e-12, atol=0)
-
-
 @pytest.mark.parametrize("M", [32, 33])
 def test_partition_function_matches_direct_grids(M):
-    # even M takes the M/2 tables as slices, odd M builds the M//2 tables;
-    # these grids are too coarse for any target, so none is set
+    # even M reads the M/2 grid from the M tables by stride, odd M builds the
+    # M//2 tables; these grids are too coarse for any target, so none is set
     X = builtin_census("fig8_3tet", N=2)
     spec = QuadratureSpec(M=M)
     res = partition_function(X, spec, target=np.inf)
@@ -221,6 +222,18 @@ def test_partition_function_matches_direct_grids(M):
     z_coarse = _grid_value(X, M // 2, spec)
     assert res.Z == pytest.approx(z_fine, rel=1e-12)
     assert res.error_estimate == pytest.approx(abs(z_fine - z_coarse), rel=1e-12)
+
+
+def test_contraction_in_many_slabs(monkeypatch):
+    # three index planes per slab: 11 slabs at M=32 (the last one short) and 6
+    # on the stride-2 grid, against the one-slab sums
+    X = builtin_census("fig8_3tet", N=2)
+    spec = QuadratureSpec(M=32)
+    one = partition_function(X, spec, target=np.inf)
+    monkeypatch.setattr(qdlab.partition, "_SLAB_POINTS", 3 * 32**2)
+    many = partition_function(X, spec, target=np.inf)
+    assert many.Z == pytest.approx(one.Z, rel=1e-13)
+    assert many.error_estimate == pytest.approx(one.error_estimate, rel=1e-13)
 
 
 def test_equal_tets_share_one_table():

@@ -5,6 +5,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdlab.charged import ChargeTriple
 from qdlab.errors import (
@@ -268,3 +270,34 @@ def test_pachner_moves_on_every_feasible_face(N):
             Z = pachner_32(Y, new_edge)
             assert pachner_23(Z, (T - 3, 1)).to_document() == Y.to_document()
     assert moves == 12
+
+
+
+def _feasible_moves(X):
+    """The results of every feasible 2-3 move of X."""
+    out = []
+    for face in ((t, f) for t in range(len(X.tets)) for f in range(4)):
+        try:
+            out.append(pachner_23(X, face))
+        except (TopologyError, Infeasible):
+            pass
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(min_value=3, max_value=4), st.data())
+def test_random_pachner_chains(N, depth, data):
+    # a random chain of 2-3 moves from fig8_2tet; every result is closed and
+    # balanced with edge valences summing to 6T, and the 3-2 move on its new
+    # edge followed by the 2-3 move on the rebuilt face gives back its document
+    Y = builtin_census("fig8_2tet", N)
+    for step in range(depth):
+        moves = _feasible_moves(Y)
+        if step < depth - 1:  # some 4-tet complexes admit no 2-3 move: skip them
+            moves = [Z for Z in moves if _feasible_moves(Z)]
+        Y = data.draw(st.sampled_from(moves))
+        T = len(Y.tets)
+        assert Y.is_closed and Y.is_balanced(1e-12)
+        assert sum(len(c.members) for c in Y.edge_classes) == 6 * T
+        new_edge = Y.edge_of[(T - 3, (0, 2))]
+        assert pachner_23(pachner_32(Y, new_edge), (T - 3, 1)).to_document() == Y.to_document()
