@@ -149,8 +149,10 @@ def cmd_wgz(args):
     rng = np.random.default_rng(args.seed)
     rows = [list(rng.uniform(-1, 1, j + 1)) for j in range(k)]
     f = wgz.gauss_poly_vector(rows)
-    M = args.grid or 240
+    M = 240 if args.grid is None else args.grid
     M -= M % k  # inverse needs k | M
+    if M < k:
+        raise ValueError(f"--grid must be at least --k = {k}, got {args.grid}")
     s = wgz.wgz_forward(f, k, M)
     us = np.arange(-M // 4, M // 4) / M
     rec = wgz.wgz_inverse(s, k, us)

@@ -20,7 +20,10 @@ table.  A grid of M/s points per edge is the stride-s subgrid of the M grid,
 so it is contracted straight from the M tables: its index j reads the M-grid
 entry at s j.  The two-grid error estimate reads its M/2 grid this way for
 even M, and a convergence ladder reads every rung that divides its largest.
-Nothing is cached across calls.
+Nothing is cached across calls.  Each tet's slot coefficients (+1, +1, -1, -1
+in E1 and in E2) sum to zero, so the integrand depends only on the index
+differences j_c - j_0, and descent makes it periodic in each j_c: the sum over
+j_0 is equal copies of j_0 = 0, the one slice summed (M^(E-1) points, not M^E).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charged import ChargeTriple, WeightKernelParams, weight_kernel, weight_kernel_grid
-from .errors import NonConvergent
+from .errors import NonConvergent, TopologyError
 from .lca import LcaPoint, QuadratureSpec, b_generator, lift
 from .qdilog import QdParams
 from .triangulation import EDGE_PAIRS, ShapedTriangulation
@@ -155,7 +158,7 @@ def _tet_tables(X: ShapedTriangulation, M: int, spec: QuadratureSpec) -> list[di
     return [_tet_table(X, t, M, spec, memo) for t in range(len(X.tets))]
 
 
-# grid points per slab of the contraction; one slab when M**E fits
+# grid points per slab of the contraction; one slab when M**(E-1) fits
 _SLAB_POINTS = 4_000_000
 
 
@@ -163,31 +166,33 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
     """Z on the grid of M // stride points per edge, read from the M-grid tet tables.
 
     Tensor-product periodic trapezoid: the coarse grid has step stride * h,
-    so its index j reads the M-grid entry at stride * j.  The sum runs in
-    slabs along the first edge, sized by the table grid M whatever the stride:
-    the M tables stay alive through a strided sum, and its smaller slabs keep
-    its peak memory below that of the M-grid sum.
+    so its index j reads the M-grid entry at stride * j.  The sum over j_0 is
+    n equal copies (zero coefficient sums and descent), so j_0 = 0 is fixed and
+    Z = n^-(E-1) times the sum over the other edges, in slabs along edge 1
+    sized by the table grid M whatever the stride.
     """
+    if any(sum(tab["m1"].values()) or sum(tab["m2"].values()) for tab in tables):
+        raise TopologyError("tet slot coefficients do not sum to zero; j_0 cannot be fixed")
     E = len(X.edge_classes)
     if E == 0:
         return 1.0 + 0j
     n = M // stride
-    j = [stride * np.arange(n).reshape((1,) * i + (n,) + (1,) * (E - i - 1)) for i in range(E)]
+    j = [0, *np.ix_(*[stride * np.arange(n)] * (E - 1))]  # j_0 = 0, open grid for the rest
 
     def slab_product(sl):
         out = None
         for tab in tables:
-            u = sum(v * (j[c][sl] if c == 0 else j[c]) for c, v in tab["m1"].items())
-            w = sum(v * (j[c][sl] if c == 0 else j[c]) for c, v in tab["m2"].items())
+            u = sum(v * (j[c][sl] if c == 1 else j[c]) for c, v in tab["m1"].items())
+            w = sum(v * (j[c][sl] if c == 1 else j[c]) for c, v in tab["m2"].items())
             vals = tab["table"][w - tab["wmin"], u - tab["umin"]]
             out = vals if out is None else out * vals
         return out
 
-    step = max(1, _SLAB_POINTS // M ** (E - 1))
+    step = max(1, _SLAB_POINTS // M ** max(E - 2, 0))
     total = 0j
-    for start in range(0, n, step):
+    for start in range(0, n if E > 1 else 1, step):
         total += np.sum(slab_product(slice(start, start + step)))
-    return complex(total / n**E)
+    return complex(total / n ** (E - 1))
 
 
 def _grid_value(X: ShapedTriangulation, M: int, spec: QuadratureSpec) -> complex:

@@ -74,6 +74,14 @@ def test_zero_grid_and_tol_are_rejected(flag, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("k,grid", [(2, 0), (3, 2)])
+def test_wgz_grid_below_k_is_rejected(k, grid, capsys):
+    # M is rounded down to a multiple of k; a grid with no such point is an error
+    assert run(["wgz", "--k", str(k), "--grid", str(grid)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--grid" in captured.err and "--k" in captured.err
+
+
 def test_threads_flag_validated():
     assert run(["gamma", "--N", "1", "--threads", "0"]) == 1
 

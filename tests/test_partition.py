@@ -10,9 +10,10 @@ import qdlab.charged
 import qdlab.partition
 from qdlab.charged import ChargeTriple, WeightKernelParams, weight_kernel
 from qdlab.cli import run
-from qdlab.errors import NonConvergent
+from qdlab.errors import NonConvergent, TopologyError
 from qdlab.lca import CircleVar, LcaPoint, Modulus, QuadratureSpec
 from qdlab.partition import (
+    _contract,
     _grid_value,
     _tet_table,
     _tet_tables,
@@ -22,7 +23,7 @@ from qdlab.partition import (
     partition_function,
     total_weight,
 )
-from qdlab.triangulation import ShapedTet, ShapedTriangulation, builtin_census
+from qdlab.triangulation import ShapedTet, ShapedTriangulation, builtin_census, pachner_23
 
 
 def test_empty_triangulation_is_one(theta3):
@@ -99,6 +100,58 @@ def test_pachner_invariance(N):
     zx = partition_function(X, spec, target=1e-2)
     zy = partition_function(Y, spec, target=1e-2)
     assert abs(zx.abs - zy.abs) / zx.abs < 1e-3
+
+
+def test_pachner_invariance_four_tets_N2():
+    """|Z| at N=2 is invariant under the 2-3 move from 3 to 4 tets.
+
+    Andersen-Kashaev (arXiv:1109.6295) prove Pachner invariance for the N=1
+    theory.  The 4-tet grid sums 192^3 points once j_0 is fixed.
+    """
+    X2 = builtin_census("fig8_2tet", N=2)
+    X4 = pachner_23(builtin_census("fig8_3tet", N=2), (0, 2))
+    z2 = _grid_value(X2, 256, QuadratureSpec(M=256))
+    z4 = _grid_value(X4, 192, QuadratureSpec(M=192))
+    assert abs(abs(z4) - abs(z2)) / abs(z2) < 1e-3
+
+
+def _full_grid_sum(X, tables, M, stride):
+    """Z as the plain sum over all j in [0, n)^E, no edge fixed."""
+    E = len(X.edge_classes)
+    n = M // stride
+    js = np.ix_(*[stride * np.arange(n)] * E)
+    total = np.ones((n,) * E, dtype=complex)
+    for tab in tables:
+        u = sum(v * js[c] for c, v in tab["m1"].items())
+        w = sum(v * js[c] for c, v in tab["m2"].items())
+        total = total * tab["table"][w - tab["wmin"], u - tab["umin"]]
+    return complex(np.sum(total) / n**E)
+
+
+@pytest.mark.parametrize("M", [16, 32])
+@pytest.mark.parametrize(
+    "name,N", [(name, N) for name in ("fig8_2tet", "fig8_3tet") for N in (1, 2, 3)]
+    + [("four_tet", 1)]
+)
+def test_fixed_edge_matches_full_grid_sum(name, N, M):
+    # the integrand depends on j_c - j_0 and is periodic, so fixing j_0 = 0
+    # changes Z only by the B-sum truncation that descent rests on
+    if name == "four_tet":
+        X = pachner_23(builtin_census("fig8_3tet", N=N), (0, 2))
+    else:
+        X = builtin_census(name, N=N)
+    tables = _tet_tables(X, M, QuadratureSpec(M=M))
+    for stride in (1, 2):
+        z = _contract(X, tables, M, stride)
+        assert z == pytest.approx(_full_grid_sum(X, tables, M, stride), rel=1e-11)
+
+
+def test_fixed_edge_needs_zero_coefficient_sums(monkeypatch):
+    coef = dict(qdlab.partition._E1_COEF)
+    coef[(1, 2)] = 0
+    monkeypatch.setattr(qdlab.partition, "_E1_COEF", coef)
+    with pytest.raises(TopologyError):
+        partition_function(builtin_census("fig8_2tet"), QuadratureSpec(M=16), target=np.inf)
 
 
 def test_convergence_report(monkeypatch):
@@ -225,12 +278,13 @@ def test_partition_function_matches_direct_grids(M):
 
 
 def test_contraction_in_many_slabs(monkeypatch):
-    # three index planes per slab: 11 slabs at M=32 (the last one short) and 6
-    # on the stride-2 grid, against the one-slab sums
+    # with j_0 fixed the sum runs over edges 1 and 2; three planes of edge 1 per
+    # slab: 11 slabs at M=32 (the last one short) and 6 on the stride-2 grid,
+    # against the one-slab sums
     X = builtin_census("fig8_3tet", N=2)
     spec = QuadratureSpec(M=32)
     one = partition_function(X, spec, target=np.inf)
-    monkeypatch.setattr(qdlab.partition, "_SLAB_POINTS", 3 * 32**2)
+    monkeypatch.setattr(qdlab.partition, "_SLAB_POINTS", 3 * 32)
     many = partition_function(X, spec, target=np.inf)
     assert many.Z == pytest.approx(one.Z, rel=1e-13)
     assert many.error_estimate == pytest.approx(one.error_estimate, rel=1e-13)
