@@ -5,6 +5,9 @@ Phi_theta(z) = (e^{2 pi theta (z + c)}; q)_inf / (e^{2 pi theta^{-1} (z - c)}; q
 with q = e^{2 pi i theta^2}, qt = e^{-2 pi i theta^{-2}} and c = i(theta + 1/theta)/2.
 Both q-products converge geometrically at rate e^{-2 pi Im(theta^2)}.  All
 evaluation goes through logarithms so that arguments of any size are safe.
+
+For Re z > 0, log_phi_theta runs both products at -z, where they are short, by
+the inversion relation of Phi: log Phi(z) = pi i z^2 + 2 log Phi(0) - log Phi(-z).
 """
 
 from __future__ import annotations
@@ -96,7 +99,9 @@ def _log_pochhammer(lx: np.ndarray, lq: complex, tol: float) -> np.ndarray:
     acc = np.zeros_like(flat)
     for j, n in enumerate(live):
         acc[:n] += _log1m_exp(flat[:n] + j * lq)
-    return acc[np.argsort(order)].reshape(lx.shape)
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out.reshape(lx.shape)
 
 
 def _check_rate(theta: ThetaParam) -> None:
@@ -108,14 +113,22 @@ def _check_rate(theta: ThetaParam) -> None:
 
 
 def log_phi_theta(z, theta: ThetaParam, spec: QuadratureSpec | None = None) -> np.ndarray:
-    """log Phi_theta(z), vectorized over z.  No pole check (may return +/-inf)."""
+    """log Phi_theta(z), vectorized over z.  No pole check (may return +/-inf).
+
+    A product's depth grows with 2 pi Re(theta z), so Re z > 0 is reflected
+    (see above), per element: batching changes no value; c_theta stays put.
+    """
     spec = spec or QuadratureSpec()
     _check_rate(theta)
-    z = np.asarray(z, dtype=complex)
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).ravel()  # numpy scalar math rounds unlike its array loops
     t, c = theta.theta, theta.c
-    num = _log_pochhammer(2 * np.pi * t * (z + c), 2j * np.pi * t**2, spec.product_tol)
-    den = _log_pochhammer(2 * np.pi / t * (z - c), -2j * np.pi / t**2, spec.product_tol)
-    return num - den
+    flip = z.real > 0
+    w = np.where(flip, -z, z)
+    num = _log_pochhammer(2 * np.pi * t * (w + c), 2j * np.pi * t**2, spec.product_tol)
+    den = _log_pochhammer(2 * np.pi / t * (w - c), -2j * np.pi / t**2, spec.product_tol)
+    two_log_phi0 = -1j * np.pi * (1 + 2 * c**2) / 6  # phi_zero's exponent, doubled
+    return np.where(flip, 1j * np.pi * z**2 + two_log_phi0 - (num - den), num - den).reshape(shape)
 
 
 def nearest_pole(z: complex, theta: ThetaParam) -> tuple[complex, float]:
@@ -185,7 +198,8 @@ def phi_truncation_bound(z, theta: ThetaParam, spec: QuadratureSpec | None = Non
 
 
 def inversion_defect(z, theta: ThetaParam, spec: QuadratureSpec | None = None):
-    """Phi(z) Phi(-z) - e^{pi i z^2} Phi(0)^2, which is 0 identically."""
+    """Phi(z) Phi(-z) - e^{pi i z^2} Phi(0)^2, which is 0 identically.  log_phi_theta
+    reflects by this relation, so for Re z != 0 it is rounding, not a product test."""
     return phi_theta(z, theta, spec) * phi_theta(-z, theta, spec) - np.exp(
         1j * np.pi * np.asarray(z, dtype=complex) ** 2
     ) * phi_zero(theta) ** 2

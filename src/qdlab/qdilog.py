@@ -64,10 +64,8 @@ def log_dtheta(z, n: int, params: QdParams, spec: QuadratureSpec | None = None) 
     """log D_theta(z, n), vectorized over z."""
     spec = spec or QuadratureSpec()
     z = np.asarray(z, dtype=complex)
-    tot = np.zeros_like(z)
-    for arg in factor_args(z, n, params):
-        tot = tot + log_phi_theta(arg, params.theta, spec)
-    return tot
+    rows = log_phi_theta(np.stack(factor_args(z, n, params)), params.theta, spec)
+    return sum(rows, np.zeros_like(z))  # rows added in factor order, j = 0..N-1
 
 
 def dtheta(
@@ -94,7 +92,8 @@ def inversion_constant(params: QdParams) -> complex:
 
 
 def inversion_residual(x: float, n: int, params: QdParams, spec: QuadratureSpec | None = None) -> float:
-    """| D(x,n) D(-x,-n) - <x,n> e^{-pi i (N + 2 c^2/N)/6} |."""
+    """| D(x,n) D(-x,-n) - <x,n> e^{-pi i (N + 2 c^2/N)/6} |.  The factor arguments pair
+    as z, -z, so under log_phi_theta's reflection this tests no q-product."""
     N = params.N
     lhs = dtheta(x, n % N.N, params, spec) * dtheta(-x, (-n) % N.N, params, spec)
     rhs = gaussian_exp(LcaPoint(x, n), N) * inversion_constant(params)

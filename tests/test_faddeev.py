@@ -1,6 +1,7 @@
 """Faddeev's quantum dilogarithm: closed forms, inversion, shift equations."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from qdlab.errors import PoleProximity, SlowConvergence
 from qdlab.faddeev import (
     ThetaParam,
+    _log_pochhammer,
     inversion_defect,
     is_near_pole,
     log_phi_theta,
@@ -17,7 +19,10 @@ from qdlab.faddeev import (
     phi_zero,
     shift_defects,
 )
-from qdlab.lca import QuadratureSpec
+from qdlab.lca import Modulus, QuadratureSpec
+from qdlab.qdilog import QdParams, dtheta, factor_args
+
+ORACLE_FRACTIONS = ("1/3", "1/4", "2/5", "1/5")
 
 
 def test_theta_param_validation():
@@ -68,6 +73,17 @@ def test_shift_equations(thetas, rng):
         assert np.max(np.abs(r2)) < 1e-9
 
 
+def test_shift_equations_far_field(thetas, rng):
+    # relative defects where the products run reflected (Re z > 0) and directly
+    for th in thetas:
+        t = th.theta
+        re = np.concatenate([rng.uniform(5, 30, 50), rng.uniform(-30, -5, 50)])
+        zs = re + 1j * rng.uniform(-0.1, 0.1, 100)
+        r1, r2 = shift_defects(zs, th)
+        assert np.max(np.abs(r1 / (1 + np.exp(2 * np.pi * t * zs)))) < 1e-11
+        assert np.max(np.abs(r2 / (1 + np.exp(2 * np.pi * zs / t)))) < 1e-11
+
+
 def test_unitarity_on_real_line(thetas):
     xs = np.linspace(-4, 4, 41)
     for th in thetas:
@@ -113,3 +129,72 @@ def test_slow_convergence_guard():
     th = ThetaParam.from_pi_fraction("1/500")  # Im theta^2 tiny
     with pytest.raises(SlowConvergence):
         phi_theta(0.3, th)
+
+
+@pytest.fixture
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        yield mpmath
+
+
+def _mp_pochhammer(mp, lx, lq):
+    """(e^lx; e^lq)_inf at the working precision, stopped once |x q^j| < 1e-45."""
+    x, q, out = mp.exp(lx), mp.exp(lq), mp.mpc(1)
+    while abs(x) >= mp.mpf("1e-45"):
+        out *= 1 - x
+        x *= q
+    return out
+
+
+def _mp_phi(mp, z, th):
+    """Phi_theta(z) from its product formula, at the float theta and z given."""
+    t, z = mp.mpc(th.theta), mp.mpc(z)
+    c = 1j * (t + 1 / t) / 2
+    num = _mp_pochhammer(mp, 2 * mp.pi * t * (z + c), 2j * mp.pi * t**2)
+    return num / _mp_pochhammer(mp, 2 * mp.pi / t * (z - c), -2j * mp.pi / t**2)
+
+
+@pytest.mark.parametrize("span, rel", [(30, 1e-12), (90, 1e-11)])
+def test_log_phi_matches_mpmath(mp, span, rel):
+    for seed, frac in enumerate(ORACLE_FRACTIONS):
+        th = ThetaParam.from_pi_fraction(frac)
+        rng = np.random.default_rng(seed)
+        zs = rng.uniform(-span, span, 40) + 1j * rng.uniform(-0.3, 0.3, 40)
+        ref = np.array([complex(_mp_phi(mp, z, th)) for z in zs])
+        assert np.max(np.abs(np.exp(log_phi_theta(zs, th)) / ref - 1)) < rel
+
+
+def test_q_products_match_mpmath(mp):
+    # the raw products on Re z <= 0, where log_phi_theta runs them unreflected
+    tol = QuadratureSpec().product_tol
+    for seed, frac in enumerate(ORACLE_FRACTIONS):
+        th = ThetaParam.from_pi_fraction(frac)
+        t, c = th.theta, th.c
+        rng = np.random.default_rng(seed)
+        zs = -rng.uniform(0, 30, 40) + 1j * rng.uniform(-0.3, 0.3, 40)
+        for lx, lq in [(2 * np.pi * t * (zs + c), 2j * np.pi * t**2),
+                       (2 * np.pi / t * (zs - c), -2j * np.pi / t**2)]:
+            got = np.exp(_log_pochhammer(lx, lq, tol))
+            ref = np.array([complex(_mp_pochhammer(mp, mp.mpc(x), mp.mpc(lq))) for x in lx])
+            assert np.max(np.abs(got / ref - 1)) < 1e-12
+
+
+def test_reflection_keeps_pole_guards(thetas):
+    # poles with Re > 0 are reflected onto zeros of Phi(-z); the scalar guards
+    # run before any evaluation and still refuse them
+    for th in thetas:
+        t = th.theta
+        for m, k in [(0, 1), (0, 2), (1, 2)]:
+            pole = th.c + 1j * (t * m + k / t)
+            assert pole.real > 0
+            with pytest.raises(PoleProximity):
+                phi_theta(pole, th)
+        # factor j = 0 of D(z, 0) at N = 2 has argument z/sqrt(2) + c/2
+        params = QdParams(th, Modulus(2))
+        z = math.sqrt(2) * (th.c + 1j / t - th.c / 2)
+        assert is_near_pole(complex(factor_args(z, 0, params)[0]), th)
+        with pytest.raises(PoleProximity):
+            dtheta(z, 0, params)
+        with np.errstate(divide="ignore"):  # the denominator product is 0 at c
+            assert np.real(log_phi_theta(np.array([th.c]), th))[0] == np.inf
