@@ -33,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import NonConvergent
-from .lca import LcaPoint, QuadratureSpec, gaussian_exp, halve_residue, scalar_out
+from .lca import (LcaPoint, QuadratureSpec, fourier_kernel, gaussian_exp, haar_simpson,
+                  halve_residue, scalar_out)
 from .qdilog import QdParams, log_dtheta
 
 __all__ = [
@@ -66,9 +66,10 @@ class ChargeTriple:
     c: float
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) <= 0:
+        # written so that NaN and inf fail: every comparison with NaN is False
+        if not (self.a > 0 and self.b > 0 and self.c > 0):
             raise ValueError(f"charges must be strictly positive: {self}")
-        if abs(self.a + self.b + self.c - 1.0) > 1e-12:
+        if not abs(self.a + self.b + self.c - 1.0) <= 1e-12:
             raise ValueError(f"charges must sum to 1: {self}")
 
     @classmethod
@@ -132,18 +133,14 @@ def forward_transform_quadrature(charges: ChargeTriple, x: float, n: int, params
                                  spec: QuadratureSpec | None = None) -> complex:
     """integral_A psi(y, m) <y,m; x,n> d(y,m) by Simpson on a truncated window."""
     spec = spec or QuadratureSpec()
-    N = params.N.N
     h = spec.step / 4  # psi oscillates with quadratic phase in the tails
     # window set by the slower of the two exponential decay rates of psi
     rate = 2 * np.pi * params.theta.c.imag * min(charges.a, charges.c) / params.N.sqrt
     W = max(2 * spec.window, 23.0 / rate)
     ys = np.arange(-W, W + h / 2, h)
-    tot = 0j
-    for m in range(N):
-        vals = psi_charged(charges, ys, m, params, spec)
-        ker = np.exp(2j * np.pi * x * ys) * np.exp(-2j * np.pi * n * m / N)
-        tot += simpson(vals * ker, dx=h)
-    return complex(tot / params.N.sqrt)
+    return haar_simpson(lambda y, m: psi_charged(charges, y, m, params, spec)
+                        * fourier_kernel(LcaPoint(x, n), LcaPoint(y, m), params.N),
+                        ys, h, params.N)
 
 
 def pentagon_normalization(charges: ChargeTriple, params: QdParams) -> complex:
@@ -307,7 +304,8 @@ def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
     kap = pentagon_normalization(ch, p)
 
     def phase(k, x, n):
-        # conj<k b0> = (-1)^k;  <k b0; mu - (x, n)>
+        # conj<k b0> = (-1)^k;  <k b0; mu - (x, n)>, one fused exp rather than
+        # lca.fourier_kernel, which would move Z in its last bits
         return (-1.0) ** k * np.exp(
             2j * np.pi * (k / rN) * (wkp.mu.x - x) - 2j * np.pi * k * ((wkp.mu.n - n) / N)
         )
@@ -358,7 +356,7 @@ def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
         raise NonConvergent(f"weight-kernel B-sum tail {tail:.2e} too large at K={K}")
     if grid:
         yr, yn = yr[:, None], yn[:, None]
-    # <x; -y/2> with the halving convention of lca.halve
+    # <x; -y/2> with the halving convention of lca.halve, inline for the same reason
     hyn = halve_residue(yn, N)
     return np.exp(-2j * np.pi * xr * (yr / 2)) * np.exp(2j * np.pi * (xn * hyn) / N) * total
 

@@ -35,14 +35,15 @@ class ThetaParam:
 
     def __post_init__(self):
         t = complex(self.theta)
-        if abs(abs(t) - 1.0) > 1e-12:
+        # written so that NaN and inf fail: every comparison with NaN is False
+        if not abs(abs(t) - 1.0) <= 1e-12:
             raise ValueError(f"|theta| must be 1, got {abs(t)}")
-        if t.real <= 0 or t.imag <= 0:
+        if not (t.real > 0 and t.imag > 0):
             raise ValueError("theta must lie strictly inside the first quadrant")
 
     @classmethod
-    def from_pi_fraction(cls, frac: Fraction | str) -> "ThetaParam":
-        """theta = e^{i pi p/q} from a rational p/q in (0, 1/2)."""
+    def from_pi_fraction(cls, frac: Fraction | float | str) -> "ThetaParam":
+        """theta = e^{i pi p/q} from a rational p/q in (0, 1/2); a float is read exactly."""
         frac = Fraction(frac)
         if not (0 < frac < Fraction(1, 2)):
             raise ValueError("theta argument must be in (0, 1/2) as a fraction of pi")

@@ -84,6 +84,8 @@ class GaussianRational:
         )
 
     def __truediv__(self, o):
+        if not isinstance(o, GaussianRational):
+            return NotImplemented  # a constant over a _Jet
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -245,7 +247,11 @@ def verify_inversion_exact(samples) -> dict:
 
 
 class _Jet:
-    """First-order jet over Gaussian rationals in n directions (exact)."""
+    """First-order jet over Gaussian rationals in n directions (exact).
+
+    It has the arithmetic that flip and corner_change use, so the real moves
+    run on jets and their derivatives come out exact.
+    """
 
     __slots__ = ("val", "d")
 
@@ -259,15 +265,12 @@ class _Jet:
         d[slot] = ONE
         return cls(val, d)
 
-    @classmethod
-    def const(cls, val, n):
-        return cls(val, [ZERO] * n)
+    @property
+    def is_zero(self) -> bool:
+        return self.val.is_zero
 
     def __add__(self, o):
         return _Jet(self.val + o.val, [a + b for a, b in zip(self.d, o.d)])
-
-    def __sub__(self, o):
-        return _Jet(self.val - o.val, [a - b for a, b in zip(self.d, o.d)])
 
     def __mul__(self, o):
         return _Jet(
@@ -281,63 +284,58 @@ class _Jet:
             val, [(da - val * db) / o.val for da, db in zip(self.d, o.d)]
         )
 
+    def __rtruediv__(self, c: GaussianRational):
+        return _Jet(c, [ZERO] * len(self.d)) / self
 
-def _two_form_coeffs(jets) -> dict:
+
+def _two_form_coeffs(points) -> dict:
     """Coefficients of dz_a ^ dz_b of sum_t dx1^dx2/(x1 x2) pulled back.
 
-    jets: list of pairs (x1, x2) of _Jet over n base directions.  Returns a
-    dict {(a, b): coeff} for a < b.
+    points: RatioPoints of _Jet over n base directions.  Returns a dict
+    {(a, b): coeff} for a < b.
     """
-    n = len(jets[0][0].d)
+    n = len(points[0].x1.d)
     out = {}
-    for (x1, x2) in jets:
-        inv = ONE / (x1.val * x2.val)
+    for p in points:
+        inv = ONE / (p.x1.val * p.x2.val)
         for a_ in range(n):
             for b_ in range(a_ + 1, n):
-                c = (x1.d[a_] * x2.d[b_] - x1.d[b_] * x2.d[a_]) * inv
+                c = (p.x1.d[a_] * p.x2.d[b_] - p.x1.d[b_] * p.x2.d[a_]) * inv
                 key = (a_, b_)
                 out[key] = out.get(key, ZERO) + c
     return out
 
 
-def form_preservation_check(samples) -> dict:
-    """Exact check that the flip preserves sum dx1^dx2/(x1 x2) + dy1^dy2/(y1 y2).
+def _preserves_form(move, samples) -> dict:
+    """Exact check that move preserves sum_t dx1^dx2/(x1 x2) over its triangles.
 
-    Uses first-order jets in the four input coordinates; the pulled-back
-    two-form of (x.y, x*y) must equal the input form coefficient-by-
-    coefficient.  Returns the same report dict as the other checks.
+    Each sample is a tuple of RatioPoints.  move runs on first-order jets in
+    their coordinates, and the pulled-back two-form of its image must equal
+    the input form coefficient by coefficient.  Samples on which move raises
+    DegenerateFlip are skipped and counted.  Returns the same report dict as
+    the other checks.
     """
     checked = skipped = 0
-    for (x, y) in samples:
-        vals = [x.x1, x.x2, y.x1, y.x2]
-        jets = [_Jet.var(v, 4, i) for i, v in enumerate(vals)]
-        jx = (jets[0], jets[1])
-        jy = (jets[2], jets[3])
-        den = jx[0] * jy[1] + jx[1]
-        if den.val.is_zero:
+    for sample in samples:
+        vals = [v for p in sample for v in (p.x1, p.x2)]
+        jets = [_Jet.var(v, len(vals), i) for i, v in enumerate(vals)]
+        points = [RatioPoint(*jets[i:i + 2]) for i in range(0, len(jets), 2)]
+        try:
+            image = move(*points)
+        except DegenerateFlip:
             skipped += 1
             continue
         checked += 1
-        xd = (jx[0] * jy[0], den)
-        ys = (jy[0] * jx[1] / den, jy[1] / den)
-        before = _two_form_coeffs([jx, jy])
-        after = _two_form_coeffs([xd, ys])
-        keys = set(before) | set(after)
-        if any(before.get(k1, ZERO) != after.get(k1, ZERO) for k1 in keys):
-            return {"checked": checked, "skipped": skipped, "pass": False,
-                    "witness": (x, y)}
+        if _two_form_coeffs(points) != _two_form_coeffs(image):
+            return {"checked": checked, "skipped": skipped, "pass": False, "witness": sample}
     return {"checked": checked, "skipped": skipped, "pass": True, "witness": None}
 
 
+def form_preservation_check(samples) -> dict:
+    """Exact check that flip preserves dx1^dx2/(x1 x2) + dy1^dy2/(y1 y2) on pairs (x, y)."""
+    return _preserves_form(flip, samples)
+
+
 def corner_form_check(samples) -> dict:
-    """Exact check that the corner change preserves dx1^dx2/(x1 x2)."""
-    checked = 0
-    for x in samples:
-        jets = [_Jet.var(v, 2, i) for i, v in enumerate((x.x1, x.x2))]
-        hat = (jets[1] / jets[0], _Jet.const(ONE, 2) / jets[0])
-        before = _two_form_coeffs([tuple(jets)])
-        after = _two_form_coeffs([hat])
-        checked += 1
-        if before != after:
-            return {"checked": checked, "skipped": 0, "pass": False, "witness": x}
-    return {"checked": checked, "skipped": 0, "pass": True, "witness": None}
+    """Exact check that corner_change preserves dx1^dx2/(x1 x2); samples are RatioPoints."""
+    return _preserves_form(lambda x: (corner_change(x),), [(x,) for x in samples])

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import simpson
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.M < 8:
             raise ValueError("M must be at least 8")
-        if min(self.tol, self.product_tol, self.step, self.window) <= 0:
-            raise ValueError("tolerances, step and window must be positive")
+        if not all(0 < v < math.inf for v in (self.tol, self.product_tol, self.step, self.window)):
+            raise ValueError("tolerances, step and window must be positive and finite")
 
 
 def b_generator(N: Modulus) -> LcaPoint:
@@ -104,6 +105,14 @@ def gaussian_exp(p: LcaPoint, N: Modulus) -> complex:
 def fourier_kernel(p: LcaPoint, q: LcaPoint, N: Modulus) -> complex:
     """<p;q> = e^{2 pi i x y} e^{-2 pi i m n / N}, the self-duality bicharacter."""
     return np.exp(2j * np.pi * p.x * q.x) * np.exp(-2j * np.pi * (p.n * q.n) / N.N)
+
+
+def haar_simpson(f, xs, h: float, N: Modulus) -> complex:
+    """integral_A f d(x,n) = N^{-1/2} sum_n integral_R f(x,n) dx, by Simpson on xs of step h.
+
+    f(xs, n) gives the values on the grid xs (real, or a shifted contour) at residue n.
+    """
+    return complex(sum(simpson(f(xs, n), dx=h) for n in range(N.N)) / N.sqrt)
 
 
 def halve_residue(n, N: int):

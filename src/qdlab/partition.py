@@ -39,7 +39,6 @@ from .qdilog import QdParams
 from .triangulation import EDGE_PAIRS, ShapedTriangulation
 
 __all__ = [
-    "EdgeState",
     "boltzmann_weight",
     "total_weight",
     "descent_residual",
@@ -52,32 +51,32 @@ __all__ = [
 _E1_COEF = {(0, 1): 1, (2, 3): 1, (0, 3): -1, (1, 2): -1, (0, 2): 0, (1, 3): 0}
 _E2_COEF = {(0, 3): 1, (1, 2): 1, (0, 2): -1, (1, 3): -1, (0, 1): 0, (2, 3): 0}
 
-EdgeState = tuple  # one CircleVar per edge class
-
 
 def _tet_kernel_params(X: ShapedTriangulation, t: int) -> WeightKernelParams:
     ang = X.tets[t].angles
     return WeightKernelParams(ChargeTriple(ang.a, ang.b, ang.c), QdParams(X.theta, X.N))
 
 
+def _tet_coefs(X: ShapedTriangulation, t: int) -> tuple[dict, dict]:
+    """The slot rule: {edge class: coefficient} of E1 and of E2 in tet t."""
+    m1, m2 = {}, {}
+    for e in EDGE_PAIRS:
+        c = X.edge_of[(t, e)]
+        m1[c] = m1.get(c, 0) + _E1_COEF[e]
+        m2[c] = m2.get(c, 0) + _E2_COEF[e]
+    return m1, m2
+
+
 def _tet_args(X: ShapedTriangulation, t: int, lifts) -> tuple[LcaPoint, LcaPoint]:
     """Kernel arguments (E1, E2) of tet t from per-edge-class lifted states."""
-    e1r = e2r = 0.0
-    e1n = e2n = 0
-    for e in EDGE_PAIRS:
-        p = lifts[X.edge_of[(t, e)]]
-        c1, c2 = _E1_COEF[e], _E2_COEF[e]
-        e1r += c1 * p.x
-        e1n += c1 * p.n
-        e2r += c2 * p.x
-        e2n += c2 * p.n
-    return LcaPoint(e1r, e1n), LcaPoint(e2r, e2n)
+    return tuple(sum((lifts[c].scale(v) for c, v in m.items()), LcaPoint(0.0, 0))
+                 for m in _tet_coefs(X, t))
 
 
 def boltzmann_weight(
     X: ShapedTriangulation,
     t: int,
-    state: EdgeState,
+    state: tuple,
     spec: QuadratureSpec | None = None,
 ) -> complex:
     """Weight of tet t at a state, one CircleVar per edge class (lifted canonically)."""
@@ -101,7 +100,7 @@ def total_weight(X: ShapedTriangulation, lifts, spec: QuadratureSpec | None = No
 
 def descent_residual(
     X: ShapedTriangulation,
-    state: EdgeState,
+    state: tuple,
     edge: int,
     k: int = 1,
     spec: QuadratureSpec | None = None,
@@ -133,12 +132,7 @@ def _tet_table(X: ShapedTriangulation, t: int, M: int, spec: QuadratureSpec,
     The table depends only on the tet's charges and sign and on the ranges;
     tets that agree on these share the one array kept in memo.
     """
-    m1 = {}
-    m2 = {}
-    for e in EDGE_PAIRS:
-        c = X.edge_of[(t, e)]
-        m1[c] = m1.get(c, 0) + _E1_COEF[e]
-        m2[c] = m2.get(c, 0) + _E2_COEF[e]
+    m1, m2 = _tet_coefs(X, t)
     umin, umax = _index_range(m1, M)
     wmin, wmax = _index_range(m2, M)
     tet = X.tets[t]
@@ -195,9 +189,16 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
     return complex(total / n ** (E - 1))
 
 
-def _grid_value(X: ShapedTriangulation, M: int, spec: QuadratureSpec) -> complex:
-    """Z at grid size M by tensor-product periodic trapezoid."""
-    return _contract(X, _tet_tables(X, M, spec), M)
+def _grid_values(X: ShapedTriangulation, Ms, spec: QuadratureSpec) -> list[complex]:
+    """Z at each grid size in Ms by tensor-product periodic trapezoid.
+
+    The tables are built once, at the largest size; a size that divides it is
+    read from them by stride, any other size builds its own.
+    """
+    top = max(Ms)
+    tables = _tet_tables(X, top, spec)
+    return [_contract(X, tables, top, top // M) if top % M == 0
+            else _contract(X, _tet_tables(X, M, spec), M) for M in Ms]
 
 
 @dataclass
@@ -223,14 +224,11 @@ def partition_function(
 
     Raises NonConvergent when Z or the two-grid discrepancy is not finite, or
     when the discrepancy exceeds the target relative error (spec.tol scaled
-    by 1e3 unless target given).  For even M the M/2 grid is read from the
-    M tables by stride 2; for odd M the M//2 tables are built.
+    by 1e3 unless target given).
     """
     spec = spec or QuadratureSpec()
     M = spec.M
-    tables = _tet_tables(X, M, spec)
-    z_fine = _contract(X, tables, M)
-    z_coarse = _contract(X, tables, M, stride=2) if M % 2 == 0 else _grid_value(X, M // 2, spec)
+    z_fine, z_coarse = _grid_values(X, [M, M // 2], spec)
     err = abs(z_fine - z_coarse)
     target = target if target is not None else 1e3 * spec.tol
     if not np.isfinite(z_fine):
@@ -243,18 +241,11 @@ def partition_function(
 
 
 def convergence_report(X: ShapedTriangulation, Ms, spec: QuadratureSpec | None = None):
-    """Successive grid values and differences over a ladder of at least 3 sizes.
-
-    The tables are built once, at the largest size; a rung that divides it is
-    read from them by stride, any other rung builds its own.
-    """
+    """Successive grid values and differences over a ladder of at least 3 sizes."""
     spec = spec or QuadratureSpec()
     Ms = [int(M) for M in Ms]
     if len(Ms) < 3:
         raise ValueError("ladder needs at least 3 grid sizes")
-    top = max(Ms)
-    tables = _tet_tables(X, top, spec)
-    zs = [_contract(X, tables, top, top // M) if top % M == 0 else _grid_value(X, M, spec)
-          for M in Ms]
+    zs = _grid_values(X, Ms, spec)
     return [{"M": M, "Z": [z.real, z.imag], "delta": abs(z - zs[i - 1]) if i else None}
             for i, (M, z) in enumerate(zip(Ms, zs))]

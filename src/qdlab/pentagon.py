@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-
 from .charged import (
     ChargeTriple,
     WeightKernelParams,
@@ -29,7 +27,8 @@ from .charged import (
     weight_kernel_many,
 )
 from .errors import Infeasible
-from .lca import LcaPoint, QuadratureSpec, b_generator, gaussian_exp
+from .lca import (LcaPoint, QuadratureSpec, b_generator, fourier_kernel, gaussian_exp,
+                  haar_simpson)
 from .qdilog import QdParams
 
 __all__ = [
@@ -181,7 +180,6 @@ def check_faddeev_type(
     values, for negative controls.
     """
     spec = spec or QuadratureSpec()
-    N = params.N.N
     h = spec.step
     zs = np.arange(-spec.window, spec.window + h / 2, h)
 
@@ -195,17 +193,10 @@ def check_faddeev_type(
         lhs = complex(family[1](np.array([p.x]), p.n)[0]) * complex(
             family[3](np.array([q.x]), q.n)[0]
         )
-        tot = 0j
-        for m in range(N):
-            gz = np.exp(1j * np.pi * zs**2) * gaussian_exp(LcaPoint(0.0, m), params.N)
-            vals = (
-                family[4](q.x - zs, q.n - m)
-                * family[2](zs, m)
-                * family[0](p.x - zs, p.n - m)
-                * gz
-            )
-            tot += simpson(vals, dx=h)
-        kernel = np.exp(-2j * np.pi * p.x * q.x) * np.exp(2j * np.pi * (p.n * q.n) / N)
-        rhs = kernel * tot / params.N.sqrt
+        integral = haar_simpson(
+            lambda z, m: family[4](q.x - z, q.n - m) * family[2](z, m)
+            * family[0](p.x - z, p.n - m) * gaussian_exp(LcaPoint(z, m), params.N),
+            zs, h, params.N)
+        rhs = fourier_kernel(-p, q, params.N) * integral
         residuals.append(abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
     return {"max_residual": max(residuals)}

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-
 from .errors import PoleProximity
 from .faddeev import ThetaParam, is_near_pole, log_phi_theta
-from .lca import LcaPoint, Modulus, QuadratureSpec, gaussian_exp, scalar_out
+from .lca import (LcaPoint, Modulus, QuadratureSpec, fourier_kernel, gaussian_exp, haar_simpson,
+                  scalar_out)
 
 __all__ = [
     "QdParams",
@@ -133,15 +132,12 @@ def fourier_transform_dtheta(
         x0, x1 = window
     h = spec.step / 4  # quadratic phase of D needs a finer grid than psi does
     xs = np.arange(x0, x1 + h / 2, h)
-    zs = xs + 1j * delta
-    G = np.zeros_like(zs)
-    for m in range(N):
-        G = G + dtheta(zs, m, params, spec, check_poles=False) * np.exp(2j * np.pi * n * m / N)
-    G = G / np.sqrt(N)
-    vals = G * np.exp(-2j * np.pi * y * zs)
-    total = complex(simpson(vals, dx=h))
+    total = haar_simpson(lambda z, m: dtheta(z, m, params, spec, check_poles=False)
+                         * fourier_kernel(-LcaPoint(y, n), LcaPoint(z, m), params.N),
+                         xs + 1j * delta, h, params.N)
     if left_const:
-        total += left_const * np.exp(-2j * np.pi * y * (x0 + 1j * delta)) / (-2j * np.pi * y)
+        tail = fourier_kernel(-LcaPoint(y, 0), LcaPoint(x0 + 1j * delta, 0), params.N)
+        total += left_const * tail / (-2j * np.pi * y)
     return total
 
 

@@ -27,7 +27,6 @@ label rule (_rewire).
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -215,8 +214,8 @@ def parse_triangulation(document) -> ShapedTriangulation:
     if not isinstance(document["N"], int):
         raise SchemaError("N must be an integer")
     try:
-        theta = ThetaParam(cmath.exp(1j * math.pi * float(document["theta_arg_over_pi"])))
-    except ValueError as e:
+        theta = ThetaParam.from_pi_fraction(document["theta_arg_over_pi"])
+    except (ValueError, OverflowError, TypeError) as e:  # Fraction(inf) overflows
         raise SchemaError(str(e)) from e
     tets = []
     for i, td in enumerate(document["tets"]):
@@ -450,11 +449,7 @@ def builtin_census(
     name: str, N: int = 1, theta_arg_over_pi: float | str = 1 / 3
 ) -> ShapedTriangulation:
     """Named example triangulations: fig8_2tet, fig8_3tet, single_tet."""
-    if isinstance(theta_arg_over_pi, str):
-        from fractions import Fraction
-
-        theta_arg_over_pi = float(Fraction(theta_arg_over_pi))
-    theta = ThetaParam(cmath.exp(1j * math.pi * theta_arg_over_pi))
+    theta = ThetaParam.from_pi_fraction(theta_arg_over_pi)
     third = ChargeTriple.equal()
     if name == "single_tet":
         return ShapedTriangulation(Modulus(N), theta, [ShapedTet(1, third)], [])

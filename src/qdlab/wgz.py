@@ -119,15 +119,6 @@ class QuasiPeriodicSection:
     def M(self) -> int:
         return self.values.shape[0]
 
-    def extended(self, i: int, j: int) -> complex:
-        """s at (i/M + a, j/M + b) via the quasi-periodic extension."""
-        M = self.M
-        a, i0 = divmod(i, M)
-        b, j0 = divmod(j, M)
-        u, v = i0 / M, j0 / M
-        phase = np.exp(1j * np.pi * self.k * (a * (v + b) - b * u))
-        return phase * self.values[i0, j0]
-
 
 def wgz_forward(f: TestVector, k: int, M: int = 256) -> QuasiPeriodicSection:
     grid = np.arange(M) / M
@@ -150,7 +141,9 @@ def quasi_periodicity_residual(f: TestVector, k: int, n_samples: int = 64, seed:
 def wgz_inverse(s: QuasiPeriodicSection, k: int, us) -> np.ndarray:
     """Components on the array us; needs k | M.  Returns shape (k, len(us)).
 
-    us must lie on the grid 1/M Z (the section only carries grid data).
+    us must lie on the grid 1/M Z (the section only carries grid data).  The
+    rows at u - j'/k are read from [0, 1) by the quasi-periodic extension: v
+    stays in [0, 1), so only the u-wrap phase e^{pi i k a v} appears.
     """
     M = s.M
     if M % k != 0:
@@ -160,23 +153,15 @@ def wgz_inverse(s: QuasiPeriodicSection, k: int, us) -> np.ndarray:
     if np.max(np.abs(idx / M - us)) > 1e-12:
         raise ValueError("evaluation points must lie on the section grid")
     vs = np.arange(M) / M
-    out = np.zeros((k, len(us)), dtype=complex)
-    for j0 in range(k):
-        acc = np.zeros(len(us), dtype=complex)
-        for jp in range(k):
-            shift = (M // k) * jp
-            rows = np.array(
-                [
-                    [s.extended(i - shift, j) for j in range(M)]
-                    for i in idx
-                ]
-            )
-            integ = rows * np.exp(
-                1j * np.pi * k * np.outer(us - jp / k, vs)
-            ) * np.exp(2j * np.pi * jp * vs)
-            acc += np.exp(2j * np.pi * j0 * jp / k) * integ.mean(axis=1)
-        out[j0] = np.exp(-2j * np.pi * j0 * us) * acc / k
-    return out
+    integrals = np.empty((k, len(us)), dtype=complex)  # [j', u]
+    for jp in range(k):
+        a, i0 = np.divmod(idx - (M // k) * jp, M)
+        # the wrap phase e^{pi i k a v} times the kernel's e^{k pi i (u - j'/k) v}
+        phase = np.exp(1j * np.pi * k * np.outer(a + us - jp / k, vs))
+        integrals[jp] = (s.values[i0] * phase * np.exp(2j * np.pi * jp * vs)).mean(axis=1)
+    j = np.arange(k)
+    dft = np.exp(2j * np.pi * np.outer(j, j) / k)
+    return np.exp(-2j * np.pi * np.outer(j, us)) * (dft @ integrals) / k
 
 
 def _check_level(b: complex, k: int) -> None:

@@ -42,6 +42,13 @@ def test_charge_triple_validation():
         ChargeTriple(0.5, 0.6, -0.1)
 
 
+@pytest.mark.parametrize("charges", [(np.nan, 0.5, 0.5), (0.5, np.nan, 0.5),
+                                     (0.5, 0.5, np.nan), (np.inf, 0.5, 0.5)])
+def test_charge_triple_rejects_non_finite(charges):
+    with pytest.raises(ValueError):
+        ChargeTriple(*charges)
+
+
 def test_psi_equal_charges_against_dtheta_oracle():
     # psi at x=0: e^0 / D(-c (A+C)/sqrt N, 0), via the dtheta oracle directly
     p = params(1)

@@ -2,6 +2,7 @@
 
 import cmath
 import json
+import math
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 from qdlab import checks
 from qdlab.cli import run
+from qdlab.triangulation import builtin_census
 
 
 def invoke(args, capsys):
@@ -67,10 +69,30 @@ def test_validation_error_exit_code(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["pachner", "partition"])
+@pytest.mark.parametrize("theta,angle", [(math.nan, 1 / 3), (math.inf, 1 / 3), (1 / 3, math.nan)])
+def test_non_finite_document_is_rejected(command, theta, angle, capsys, tmp_path):
+    # json reads NaN and Infinity; validation must refuse them, with no traceback
+    doc = builtin_census("fig8_2tet").to_document()
+    doc["theta_arg_over_pi"] = theta
+    doc["tets"][0]["angles"] = [angle, 1 / 3, 1 / 3]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 @pytest.mark.parametrize("flag", ["--grid", "--tol"])
 def test_zero_grid_and_tol_are_rejected(flag, capsys):
     # 0 is a value, not a missing option: QuadratureSpec must see and reject it
     assert run(["phi", "--z", "0.3", flag, "0"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tol_is_rejected(value, capsys):
+    assert run(["check", "inversion", "--samples", "2", "--tol", value]) == 1
     assert capsys.readouterr().out == ""
 
 

@@ -25,6 +25,13 @@ from qdlab.qdilog import QdParams, dtheta, factor_args
 ORACLE_FRACTIONS = ("1/3", "1/4", "2/5", "1/5")
 
 
+@pytest.mark.parametrize("theta", [complex(np.nan, 1.0), complex(0.6, np.nan),
+                                   complex(np.inf, np.inf)])
+def test_theta_param_rejects_non_finite(theta):
+    with pytest.raises(ValueError):
+        ThetaParam(theta)
+
+
 def test_theta_param_validation():
     with pytest.raises(ValueError):
         ThetaParam(1.0)  # on the real axis

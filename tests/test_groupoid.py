@@ -22,6 +22,7 @@ from qdlab.groupoid import (
 )
 
 G = GaussianRational.of
+ONE = G(1)
 
 
 def pt(a, b, c=0, d=0):
@@ -143,6 +144,29 @@ def test_form_preservation(rng):
 def test_corner_form_preservation(rng):
     rep = corner_form_check([random_point(rng) for _ in range(30)])
     assert rep["pass"]
+
+
+def test_form_check_runs_the_real_flip(rng, monkeypatch):
+    # a flip with a wrong y-component must fail: the check applies flip itself
+    from qdlab import groupoid
+
+    def bad_flip(x, y):
+        xd, ys = flip(x, y)
+        return xd, RatioPoint(ys.x1, ys.x2 * ys.x2)
+
+    monkeypatch.setattr(groupoid, "flip", bad_flip)
+    pairs = [tuple(random_point(rng) for _ in range(2)) for _ in range(10)]
+    assert form_preservation_check(pairs)["pass"] is False
+
+
+def test_corner_form_check_runs_the_real_corner_change(rng, monkeypatch):
+    from qdlab import groupoid
+
+    def bad_corner(x):
+        return RatioPoint(corner_change(x).x1, ONE / (x.x1 * x.x1))
+
+    monkeypatch.setattr(groupoid, "corner_change", bad_corner)
+    assert corner_form_check([random_point(rng) for _ in range(10)])["pass"] is False
 
 
 def test_identity_map_preserves_form():

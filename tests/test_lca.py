@@ -13,6 +13,7 @@ from qdlab.lca import (
     fourier_kernel,
     gauss_gamma,
     gaussian_exp,
+    haar_simpson,
     halve,
     lift,
     project_to_quotient,
@@ -29,6 +30,20 @@ def test_gaussian_exp_examples():
     assert abs(gaussian_exp(LcaPoint(1, 0), Modulus(1)) - (-1)) < 1e-15
     # (0,1), N=2: e^{-pi i 1*3/2} = i
     assert abs(gaussian_exp(LcaPoint(0, 1), Modulus(2)) - 1j) < 1e-15
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_haar_simpson_transforms_the_gaussian(N):
+    # integral_A e^{-pi x^2} <x,m; y,n> d(x,m) = sqrt(N) e^{-pi y^2} if n = 0 mod N, else 0
+    Nm = Modulus(N)
+    h = 1 / 64
+    xs = np.arange(-8, 8 + h / 2, h)
+    for y in (0.0, 0.3, -0.71):
+        for n in range(-1, N + 1):
+            got = haar_simpson(lambda x, m: np.exp(-np.pi * x**2)
+                               * fourier_kernel(LcaPoint(x, m), LcaPoint(y, n), Nm), xs, h, Nm)
+            want = np.sqrt(N) * np.exp(-np.pi * y**2) if n % N == 0 else 0.0
+            assert abs(got - want) < 1e-12
 
 
 def test_fourier_kernel_examples():

@@ -14,7 +14,7 @@ from qdlab.errors import NonConvergent, TopologyError
 from qdlab.lca import CircleVar, LcaPoint, Modulus, QuadratureSpec
 from qdlab.partition import (
     _contract,
-    _grid_value,
+    _grid_values,
     _tet_table,
     _tet_tables,
     boltzmann_weight,
@@ -110,8 +110,8 @@ def test_pachner_invariance_four_tets_N2():
     """
     X2 = builtin_census("fig8_2tet", N=2)
     X4 = pachner_23(builtin_census("fig8_3tet", N=2), (0, 2))
-    z2 = _grid_value(X2, 256, QuadratureSpec(M=256))
-    z4 = _grid_value(X4, 192, QuadratureSpec(M=192))
+    z2 = _grid_values(X2, [256], QuadratureSpec(M=256))[0]
+    z4 = _grid_values(X4, [192], QuadratureSpec(M=192))[0]
     assert abs(abs(z4) - abs(z2)) / abs(z2) < 1e-3
 
 
@@ -174,7 +174,7 @@ def test_convergence_report(monkeypatch):
     assert sorted(built) == [24, 64]
     monkeypatch.undo()
     for r in rows:
-        assert complex(*r["Z"]) == pytest.approx(_grid_value(X, r["M"], spec), rel=1e-12)
+        assert complex(*r["Z"]) == pytest.approx(_grid_values(X, [r["M"]], spec)[0], rel=1e-12)
 
 
 def test_edge_reversal_leaves_Z_unchanged():
@@ -182,7 +182,7 @@ def test_edge_reversal_leaves_Z_unchanged():
     X = builtin_census("fig8_2tet")
     spec = QuadratureSpec()
     M = 64
-    base = _grid_value(X, M, spec)
+    base = _grid_values(X, [M], spec)[0]
     tables_cached = {}
 
     def z_with_reversal(edge):
@@ -271,8 +271,8 @@ def test_partition_function_matches_direct_grids(M):
     X = builtin_census("fig8_3tet", N=2)
     spec = QuadratureSpec(M=M)
     res = partition_function(X, spec, target=np.inf)
-    z_fine = _grid_value(X, M, spec)
-    z_coarse = _grid_value(X, M // 2, spec)
+    z_fine = _grid_values(X, [M], spec)[0]
+    z_coarse = _grid_values(X, [M // 2], spec)[0]
     assert res.Z == pytest.approx(z_fine, rel=1e-12)
     assert res.error_estimate == pytest.approx(abs(z_fine - z_coarse), rel=1e-12)
 

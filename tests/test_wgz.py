@@ -51,21 +51,6 @@ def test_forward_inverse_forward_consistency():
     s = wgz_forward(f, k, M)
     us = np.arange(M) / M
     rec = wgz_inverse(s, k, us)
-
-    comps = []
-    for j in range(k):
-        row = rec[j].copy()
-
-        def comp(u, row=row, j=j):
-            u = np.asarray(u)
-            idx = np.rint(((u % 1.0) * M)).astype(int) % M
-            shiftphase = np.where(u >= 1.0, 1.0, 1.0)
-            base = row[idx]
-            # tails vanish; clamp lookups outside [0,1) to the decayed values
-            out = np.where((u < -3) | (u > 3), 0.0, base)
-            return out
-
-        comps.append(comp)
     # compare on the grid itself
     g = np.array([rec[j] for j in range(k)])
     orig = np.array([f(j, us) for j in range(k)])
