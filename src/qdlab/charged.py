@@ -9,7 +9,7 @@ decays exponentially in both directions along R.  Its forward Fourier
 transform has the closed form (derived from the transformation formula of the
 quantum dilogarithm, and pinned against direct quadrature by the tests):
 
-    (F psi_{A,C})(x, n) = <x,n> psi_{C,B}(-x, M-n)
+    (F psi_{A,C})(x, n) = <x,n> psi_{C,B}(-x, -n)
                           * e^{-pi i c_th^2 a(a+2c)} * e^{-pi i (N - 4 c_th^2/N)/12}
 
 The five-term (pentagon) family is the conjugated, normalized transform
@@ -49,7 +49,6 @@ __all__ = [
     "f1_bridge_residual",
     "charged_identity_residuals",
     "pentagon_normalization",
-    "transform_normalization",
     "pentagon_family",
     "weight_kernel",
     "weight_kernel_many",
@@ -116,14 +115,14 @@ def log_forward_transform(charges: ChargeTriple, z, n: int, params: QdParams,
     )  # log <z, n> with the n-part separated
     return (
         lg
-        + log_psi(swapped, -z, (params.M - n) % N, params, spec)
+        + log_psi(swapped, -z, (-n) % N, params, spec)
         + np.log(_transform_prefactor(charges, params))
     )
 
 
 def forward_transform_closed(charges: ChargeTriple, z, n: int, params: QdParams,
                              spec: QuadratureSpec | None = None):
-    """(F psi_{A,C})(z, n) = <z,n> psi_{C,B}(-z, M-n) * prefactor."""
+    """(F psi_{A,C})(z, n) = <z,n> psi_{C,B}(-z, -n) * prefactor."""
     zarr = np.asarray(z, dtype=complex)
     vals = np.exp(log_forward_transform(charges, zarr, n % params.N.N, params, spec))
     return scalar_out(zarr, vals)
@@ -155,24 +154,6 @@ def pentagon_normalization(charges: ChargeTriple, params: QdParams) -> complex:
     )
 
 
-def transform_normalization(charges: ChargeTriple, params: QdParams) -> complex:
-    """The unimodular normalization under which the transform is a clean cocycle:
-
-        kappa'_{A,C} (F psi_{A,C})(x,n)
-            = gamma^{-1/3} <x,n> kappa'_{C,B} psi_{C,B}(-x, M-n),
-
-    with gamma^{-1/3} = e^{-i pi N/12}.  Differs from the pentagon
-    normalization by the linear character e^{-i pi c^2 (A-C)/(3N)}; the two
-    roles cannot be filled by one phase.
-    """
-    cth = params.theta.c
-    N = params.N.N
-    A, C = charges.a, charges.c
-    return complex(
-        np.exp(1j * np.pi * cth**2 * ((A**2 + A * C) / N - (A - C) / (3 * N)))
-    )
-
-
 def pentagon_family(charges: ChargeTriple, x, n: int, params: QdParams,
                     spec: QuadratureSpec | None = None):
     """H_{A,C}(x, n) = conj(kappa (F^{-1} psi_{A,C})(x, n)), the five-term family.
@@ -188,16 +169,16 @@ def f1_bridge_residual(charges: ChargeTriple, x: float, n: int, params: QdParams
                        spec: QuadratureSpec | None = None) -> float:
     """Consistency of the two closed-form readings of the transformed function.
 
-    The transform table lists psi-tilde'(x,n) = psi_{C,B}(x, M+n) * prefactor;
+    The transform table lists psi-tilde'(x,n) = psi_{C,B}(x, n) * prefactor;
     with psi-tilde' = <x,n>^{-1} (F^{-1} psi)(x,n) both readings coincide:
-    <x,n>^{-1} (F psi)(-x,-n) == psi_{C,B}(x, M+n) * prefactor.
+    <x,n>^{-1} (F psi)(-x,-n) == psi_{C,B}(x, n) * prefactor.
     """
     N = params.N.N
     lhs = forward_transform_closed(charges, -x, (-n) % N, params, spec) / gaussian_exp(
         LcaPoint(x, n), params.N
     )
     swapped = ChargeTriple(charges.c, charges.a, charges.b)
-    rhs = psi_charged(swapped, x, (params.M + n) % N, params, spec) * _transform_prefactor(
+    rhs = psi_charged(swapped, x, n % N, params, spec) * _transform_prefactor(
         charges, params
     )
     return abs(lhs - rhs)
@@ -210,7 +191,7 @@ def charged_identity_residuals(charges: ChargeTriple, samples, params: QdParams,
     f2: conj psi_{A,C}(x,n) = psi_{C,A}(-x,-n) <x,n> e^{pi i c^2 (a+c)^2}
                               e^{-pi i (N + 2 c^2/N)/6}
     f3: conj (F^{-1}psi_{A,C} <.,.>^{-1})(x,n)
-        = psi_{B,C}(-x, -n+M) <x, n+M> e^{-2 pi i c^2 a b} e^{-pi i (N - 4c^2/N)/12}
+        = psi_{B,C}(-x, -n) <x, n> e^{-2 pi i c^2 a b} e^{-pi i (N - 4c^2/N)/12}
 
     samples: iterable of (x, n).  Also reports the f3-from-f1-and-f2
     composition discrepancy, which vanishes identically.
@@ -219,10 +200,7 @@ def charged_identity_residuals(charges: ChargeTriple, samples, params: QdParams,
     N = params.N.N
     rN = params.N.sqrt
     a, b, c = charges.a / rN, charges.b / rN, charges.c / rN
-    M = params.M
-    f2_max = 0.0
-    f3_max = 0.0
-    comp_max = 0.0
+    f2, f3, comp = [], [], []
     for (x, n) in samples:
         n = n % N
         lhs2 = np.conj(psi_charged(charges, x, n, params, spec))
@@ -232,22 +210,24 @@ def charged_identity_residuals(charges: ChargeTriple, samples, params: QdParams,
             * np.exp(1j * np.pi * cth**2 * (a + c) ** 2)
             * np.exp(-1j * np.pi * (N + 2 * cth**2 / N) / 6)
         )
-        f2_max = max(f2_max, abs(lhs2 - rhs2))
+        f2.append(abs(lhs2 - rhs2))
 
         tilde = forward_transform_closed(charges, -x, (-n) % N, params, spec) / gaussian_exp(
             LcaPoint(x, n), params.N
         )
         lhs3 = np.conj(tilde)
         rhs3 = (
-            psi_charged(ChargeTriple(charges.b, charges.a, charges.c), -x, (-n + M) % N, params, spec)
-            * gaussian_exp(LcaPoint(x, n + M), params.N)
+            psi_charged(ChargeTriple(charges.b, charges.a, charges.c), -x, (-n) % N, params, spec)
+            * gaussian_exp(LcaPoint(x, n), params.N)
             * np.exp(-2j * np.pi * cth**2 * a * b)
             * np.exp(-1j * np.pi * (N - 4 * cth**2 / N) / 12)
         )
-        f3_max = max(f3_max, abs(lhs3 - rhs3))
+        f3.append(abs(lhs3 - rhs3))
         # f3 composed from f1 and f2 is the f1 bridge, which vanishes identically
-        comp_max = max(comp_max, f1_bridge_residual(charges, x, n, params, spec))
-    return {"f2_max": f2_max, "f3_max": f3_max, "f3_composition_max": comp_max}
+        comp.append(f1_bridge_residual(charges, x, n, params, spec))
+    # np.max keeps a NaN residual, which Python's max can drop
+    return {key: float(np.max(vals, initial=0.0))
+            for key, vals in (("f2_max", f2), ("f3_max", f3), ("f3_composition_max", comp))}
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ def _c(z: complex) -> list:
 
 
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)  # NaN is not JSON
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

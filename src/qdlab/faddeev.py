@@ -55,14 +55,6 @@ class ThetaParam:
         return 1j * (self.theta + 1 / self.theta) / 2
 
     @property
-    def q(self) -> complex:
-        return cmath.exp(2j * cmath.pi * self.theta**2)
-
-    @property
-    def q_tilde(self) -> complex:
-        return cmath.exp(-2j * cmath.pi / self.theta**2)
-
-    @property
     def im_theta_sq(self) -> float:
         return (self.theta**2).imag
 
@@ -184,26 +176,6 @@ def phi_theta(
 def phi_zero(theta: ThetaParam) -> complex:
     """Closed form Phi_theta(0) = e^{-pi i (1 + 2 c^2)/12}."""
     return cmath.exp(-1j * cmath.pi * (1 + 2 * theta.c**2) / 12)
-
-
-def phi_truncation_bound(z, theta: ThetaParam, spec: QuadratureSpec | None = None) -> float:
-    """Relative error bound of the truncated products at z.
-
-    Each product stops once |x q^j| < spec.product_tol, so the neglected tail
-    changes log Phi by at most ~2 tol/(1-|q|); doubling the truncation depth
-    moves the value by less than this.
-    """
-    spec = spec or QuadratureSpec()
-    q_mag = math.exp(-2 * math.pi * theta.im_theta_sq)
-    return 4.0 * spec.product_tol / (1.0 - q_mag)
-
-
-def inversion_defect(z, theta: ThetaParam, spec: QuadratureSpec | None = None):
-    """Phi(z) Phi(-z) - e^{pi i z^2} Phi(0)^2, which is 0 identically.  log_phi_theta
-    reflects by this relation, so for Re z != 0 it is rounding, not a product test."""
-    return phi_theta(z, theta, spec) * phi_theta(-z, theta, spec) - np.exp(
-        1j * np.pi * np.asarray(z, dtype=complex) ** 2
-    ) * phi_zero(theta) ** 2
 
 
 def shift_defects(z, theta: ThetaParam, spec: QuadratureSpec | None = None):

@@ -94,9 +94,6 @@ class GaussianRational:
             (self.im * o.re - self.re * o.im) / d,
         )
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0

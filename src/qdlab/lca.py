@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 
 @dataclass(frozen=True)
@@ -42,9 +41,6 @@ class LcaPoint:
 
     x: float
     n: int
-
-    def reduce(self, N: Modulus) -> "LcaPoint":
-        return LcaPoint(self.x, self.n % N.N)
 
     def __add__(self, other: "LcaPoint") -> "LcaPoint":
         return LcaPoint(self.x + other.x, self.n + other.n)
@@ -107,6 +103,20 @@ def fourier_kernel(p: LcaPoint, q: LcaPoint, N: Modulus) -> complex:
     return np.exp(2j * np.pi * p.x * q.x) * np.exp(-2j * np.pi * (p.n * q.n) / N.N)
 
 
+def simpson(y, dx: float):
+    """Composite Simpson's rule on >= 3 uniform samples y of step dx, bit for bit SciPy's
+    simpson (>= 1.11): an even count takes Cartwright's correction on the last interval."""
+    y = np.asarray(y)
+    n = len(y)
+    if n % 2:
+        return np.sum(y[0:n - 2:2] + 4.0 * y[1:n - 1:2] + y[2:n:2]) * (dx / 3.0)
+    head = np.sum(y[0:n - 3:2] + 4.0 * y[1:n - 2:2] + y[2:n - 1:2]) * (dx / 3.0)
+    alpha = (2 * dx**2 + 3 * dx * dx) / (6 * (dx + dx))
+    beta = (dx**2 + 3.0 * dx * dx) / (6 * dx)
+    eta = dx**3 / (6 * dx * (dx + dx))
+    return head + (alpha * y[-1] + beta * y[-2] - eta * y[-3])
+
+
 def haar_simpson(f, xs, h: float, N: Modulus) -> complex:
     """integral_A f d(x,n) = N^{-1/2} sum_n integral_R f(x,n) dx, by Simpson on xs of step h.
 
@@ -143,11 +153,6 @@ def gauss_gamma(N: Modulus) -> complex:
     return np.exp(1j * np.pi / 4) * s / N.sqrt
 
 
-def project_to_quotient(p: LcaPoint, N: Modulus) -> CircleVar:
-    """Canonical projection A -> A/B: (x, n) -> (x - n N^{-1/2}) mod sqrt(N)."""
-    return CircleVar((p.x - p.n / N.sqrt) % N.sqrt)
-
-
 def lift(c: CircleVar, N: Modulus) -> LcaPoint:
-    """Section of the projection: t -> (t, 0).  project(lift(t)) == t."""
+    """Section of the projection A -> A/B, (x, n) -> (x - n N^{-1/2}) mod sqrt(N): t -> (t, 0)."""
     return LcaPoint(c.t, 0)

@@ -29,21 +29,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QdParams:
-    """theta, the modulus N, and the order-two residue M of epsilon = (0, M).
-
-    The paper determines M = 0 whenever N is not a multiple of 8 and leaves
-    the 8 | N case open; M stays an explicit parameter (experimental branch).
-    """
+    """theta and the modulus N.  The residue epsilon = (0, M) of order two is 0 for every N:
+    the paper determines M = 0 unless 8 | N and leaves the 8 | N case open."""
 
     theta: ThetaParam
     N: Modulus
-    M: int = 0
-
-    def __post_init__(self):
-        if (2 * self.M) % self.N.N != 0:
-            raise ValueError("epsilon = (0, M) must have order two: 2M = 0 mod N")
-        if self.N.N % 8 != 0 and self.M % self.N.N != 0:
-            raise ValueError("M must be 0 unless N is a multiple of 8")
 
 
 def factor_args(z, n: int, params: QdParams) -> list[np.ndarray]:
@@ -142,10 +132,10 @@ def fourier_transform_dtheta(
 
 
 def fourier_formula_rhs(y: float, n: int, params: QdParams) -> complex:
-    """D(-y + c/sqrt(N), -n + M) <y,n>^{-1} e^{pi i (N - 4 c^2/N)/12}."""
+    """D(-y + c/sqrt(N), -n) <y,n>^{-1} e^{pi i (N - 4 c^2/N)/12}."""
     c = params.theta.c
     N = params.N
-    val = dtheta(-y + c / N.sqrt, (-n + params.M) % N.N, params, check_poles=False)
+    val = dtheta(-y + c / N.sqrt, (-n) % N.N, params, check_poles=False)
     return (
         val
         / gaussian_exp(LcaPoint(y, n), N)

@@ -33,7 +33,6 @@ from .errors import DecayViolation, LevelMismatch, QuasiPeriodicityViolation
 __all__ = [
     "TestVector",
     "gauss_poly_vector",
-    "QuasiPeriodicSection",
     "wgz_forward",
     "wgz_forward_at",
     "quasi_periodicity_residual",
@@ -103,26 +102,10 @@ def wgz_forward_at(f: TestVector, k: int, us, vs):
     return np.exp(-1j * np.pi * k * np.outer(us, vs)) * acc
 
 
-@dataclass
-class QuasiPeriodicSection:
-    """Grid samples on [0,1)^2 of a level-k quasi-periodic function."""
-
-    values: np.ndarray  # shape (M, M), index [i, j] = s(i/M, j/M)
-    k: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ValueError("section values must be a square grid")
-
-    @property
-    def M(self) -> int:
-        return self.values.shape[0]
-
-
-def wgz_forward(f: TestVector, k: int, M: int = 256) -> QuasiPeriodicSection:
+def wgz_forward(f: TestVector, k: int, M: int = 256) -> np.ndarray:
+    """W(f) on the grid of [0,1)^2: an (M, M) array with [i, j] = W(f)(i/M, j/M)."""
     grid = np.arange(M) / M
-    return QuasiPeriodicSection(wgz_forward_at(f, k, grid, grid), k)
+    return wgz_forward_at(f, k, grid, grid)
 
 
 def quasi_periodicity_residual(f: TestVector, k: int, n_samples: int = 64, seed: int = 0):
@@ -138,14 +121,14 @@ def quasi_periodicity_residual(f: TestVector, k: int, n_samples: int = 64, seed:
     return float(max(r1, r2))
 
 
-def wgz_inverse(s: QuasiPeriodicSection, k: int, us) -> np.ndarray:
-    """Components on the array us; needs k | M.  Returns shape (k, len(us)).
+def wgz_inverse(s: np.ndarray, k: int, us) -> np.ndarray:
+    """Components, shape (k, len(us)), from the (M, M) grid section s; needs k | M.
 
     us must lie on the grid 1/M Z (the section only carries grid data).  The
     rows at u - j'/k are read from [0, 1) by the quasi-periodic extension: v
     stays in [0, 1), so only the u-wrap phase e^{pi i k a v} appears.
     """
-    M = s.M
+    M = len(s)
     if M % k != 0:
         raise QuasiPeriodicityViolation(f"grid M={M} must be divisible by k={k}")
     us = np.asarray(us, dtype=float)
@@ -158,7 +141,7 @@ def wgz_inverse(s: QuasiPeriodicSection, k: int, us) -> np.ndarray:
         a, i0 = np.divmod(idx - (M // k) * jp, M)
         # the wrap phase e^{pi i k a v} times the kernel's e^{k pi i (u - j'/k) v}
         phase = np.exp(1j * np.pi * k * np.outer(a + us - jp / k, vs))
-        integrals[jp] = (s.values[i0] * phase * np.exp(2j * np.pi * jp * vs)).mean(axis=1)
+        integrals[jp] = (s[i0] * phase * np.exp(2j * np.pi * jp * vs)).mean(axis=1)
     j = np.arange(k)
     dft = np.exp(2j * np.pi * np.outer(j, j) / k)
     return np.exp(-2j * np.pi * np.outer(j, us)) * (dft @ integrals) / k
@@ -166,7 +149,7 @@ def wgz_inverse(s: QuasiPeriodicSection, k: int, us) -> np.ndarray:
 
 def _check_level(b: complex, k: int) -> None:
     lvl = 2 * (b * b).real
-    if abs(lvl - k) > 1e-9:
+    if not abs(lvl - k) <= 1e-9:  # NaN fails this comparison
         raise LevelMismatch(f"2 Re(b^2) = {lvl} but level k = {k}")
 
 

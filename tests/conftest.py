@@ -23,8 +23,8 @@ def rng():
     return np.random.default_rng(20240809)
 
 
-def params(N: int, frac: str = "1/3", M: int = 0) -> QdParams:
-    return QdParams(ThetaParam.from_pi_fraction(frac), Modulus(N), M)
+def params(N: int, frac: str = "1/3") -> QdParams:
+    return QdParams(ThetaParam.from_pi_fraction(frac), Modulus(N))
 
 
 @pytest.fixture

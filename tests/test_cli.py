@@ -104,6 +104,19 @@ def test_wgz_grid_below_k_is_rejected(k, grid, capsys):
     assert captured.out == "" and "--grid" in captured.err and "--k" in captured.err
 
 
+def test_non_finite_value_is_not_printed(capsys):
+    # psi is NaN this far out; JSON has no NaN, so the command fails with no output
+    assert run(["psi", "--charges", "0.4,0.3,0.3", "--z", "1e300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_wgz_nan_level_is_rejected(capsys):
+    assert run(["wgz", "--b", "nan,0", "--k", "2", "--grid", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "level k = 2" in captured.err
+
+
 def test_threads_flag_validated():
     assert run(["gamma", "--N", "1", "--threads", "0"]) == 1
 
@@ -179,6 +192,11 @@ def test_dtheta_psi_kernel_commands(capsys):
         capsys,
     )
     assert code == 0
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, qdlab.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def _cli_bytes(args):

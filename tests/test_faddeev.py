@@ -10,12 +10,10 @@ from qdlab.errors import PoleProximity, SlowConvergence
 from qdlab.faddeev import (
     ThetaParam,
     _log_pochhammer,
-    inversion_defect,
     is_near_pole,
     log_phi_theta,
     nearest_pole,
     phi_theta,
-    phi_truncation_bound,
     phi_zero,
     shift_defects,
 )
@@ -39,7 +37,6 @@ def test_theta_param_validation():
         ThetaParam(0.5 + 0.5j)  # not unit modulus
     th = ThetaParam.from_pi_fraction("1/3")
     assert th.c == pytest.approx(0.5j)
-    assert abs(th.q) < 1 and abs(th.q_tilde) < 1
 
 
 def test_c_theta_examples(thetas):
@@ -63,13 +60,6 @@ def test_product_matches_phi_zero(thetas):
     extra = [ThetaParam.from_pi_fraction(f) for f in ("1/5", "3/8")]
     for th in list(thetas) + extra:
         assert abs(phi_theta(0, th) - phi_zero(th)) < 1e-10
-
-
-def test_inversion_on_strip(thetas, rng):
-    for th in thetas:
-        half = th.c.imag / 2
-        zs = rng.uniform(-2, 2, 100) + 1j * rng.uniform(-half, half, 100)
-        assert np.max(np.abs(inversion_defect(zs, th))) < 1e-9
 
 
 def test_shift_equations(thetas, rng):
@@ -98,12 +88,13 @@ def test_unitarity_on_real_line(thetas):
 
 
 def test_truncation_consistency(theta3):
-    # doubling the product depth changes values by less than the reported bound
+    # each product stops once |x q^j| < product_tol, so the neglected tails move
+    # log Phi by at most ~2 tol/(1-|q|) each: doubling the depth stays inside 4 tol/(1-|q|)
     z = 0.5
-    spec9 = QuadratureSpec(product_tol=1e-9)
-    loose = phi_theta(z, theta3, spec9)
+    loose = phi_theta(z, theta3, QuadratureSpec(product_tol=1e-9))
     tight = phi_theta(z, theta3, QuadratureSpec(product_tol=1e-18))
-    assert abs(loose - tight) <= phi_truncation_bound(z, theta3, spec9) * abs(tight)
+    bound = 4.0 * 1e-9 / (1.0 - math.exp(-2 * math.pi * theta3.im_theta_sq))
+    assert abs(loose - tight) <= bound * abs(tight)
     th4 = ThetaParam.from_pi_fraction("1/4")
     assert abs(
         phi_theta(0.5, th4, QuadratureSpec(product_tol=1e-12))

@@ -120,3 +120,37 @@ def test_faddeev_type_negative_control(rng):
     gauss = [lambda xr, n: np.exp(-np.pi * np.asarray(xr) ** 2) + 0j] * 5
     rep = check_faddeev_type(pc, _pair_samples(rng, 1, 2), p, family=gauss)
     assert rep["max_residual"] > 1e-2
+
+
+def test_faddeev_type_keeps_nan(rng):
+    # a NaN left side at the second sample must reach max_residual
+    calls = []
+
+    def gauss(xr, n):
+        return np.exp(-np.pi * np.asarray(xr) ** 2) + 0j
+
+    def nan_after_first(xr, n):  # family[1] is called once per sample
+        calls.append(xr)
+        return gauss(xr, n) * (1.0 if len(calls) == 1 else np.nan)
+
+    family = [gauss, nan_after_first, gauss, gauss, gauss]
+    rep = check_faddeev_type(PentagonCharges.solve(EQUAL, T3), _pair_samples(rng, 1, 2),
+                             params(1), family=family)
+    assert np.isnan(rep["max_residual"])
+
+
+def test_beta_pentagon_keeps_nan(rng, monkeypatch):
+    # kernel values turn NaN after the five calls of the first sample
+    from qdlab import pentagon
+
+    real, calls = pentagon.weight_kernel_many, []
+
+    def kernel(*args):
+        calls.append(args)
+        out = real(*args)
+        return out if len(calls) <= 5 else out * np.nan
+
+    monkeypatch.setattr(pentagon, "weight_kernel_many", kernel)
+    rep = check_charged_beta_pentagon(PentagonCharges.solve(EQUAL, T3), _samples(rng, 1, 2),
+                                      params(1), QuadratureSpec(M=32))
+    assert np.isnan(rep["max_residual"])

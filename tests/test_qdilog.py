@@ -5,9 +5,8 @@ import pytest
 from conftest import params
 
 from qdlab.faddeev import phi_theta
-from qdlab.lca import Modulus, QuadratureSpec
+from qdlab.lca import QuadratureSpec
 from qdlab.qdilog import (
-    QdParams,
     dtheta,
     factor_args,
     fourier_formula_residual,
@@ -16,14 +15,6 @@ from qdlab.qdilog import (
     inversion_constant,
     inversion_residual,
 )
-
-
-def test_qdparams_validation(theta3):
-    QdParams(theta3, Modulus(8), 4)  # order-two residue allowed when 8 | N
-    with pytest.raises(ValueError):
-        QdParams(theta3, Modulus(4), 2)  # N not a multiple of 8
-    with pytest.raises(ValueError):
-        QdParams(theta3, Modulus(5), 1)  # 2M != 0 mod N
 
 
 def test_n1_reduces_to_phi(theta3):
