@@ -78,7 +78,7 @@ class ChargeTriple:
 
 def log_psi(charges: ChargeTriple, z, n: int, params: QdParams,
             spec: QuadratureSpec | None = None) -> np.ndarray:
-    """log psi_{A,C}(z, n), vectorized over z."""
+    """log psi_{A,C}(z, n) modulo 2 pi i, vectorized over z."""
     cth = params.theta.c
     rN = params.N.sqrt
     z = np.asarray(z, dtype=complex)
@@ -106,7 +106,7 @@ def _transform_prefactor(charges: ChargeTriple, params: QdParams) -> complex:
 
 def log_forward_transform(charges: ChargeTriple, z, n: int, params: QdParams,
                           spec: QuadratureSpec | None = None) -> np.ndarray:
-    """log (F psi_{A,C})(z, n), vectorized over z (closed form)."""
+    """log (F psi_{A,C})(z, n) modulo 2 pi i, vectorized over z (closed form)."""
     N = params.N.N
     z = np.asarray(z, dtype=complex)
     swapped = ChargeTriple(charges.c, charges.a, charges.b)  # psi_{C,B}

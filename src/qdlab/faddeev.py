@@ -3,8 +3,16 @@
 Phi_theta(z) = (e^{2 pi theta (z + c)}; q)_inf / (e^{2 pi theta^{-1} (z - c)}; qt)_inf
 
 with q = e^{2 pi i theta^2}, qt = e^{-2 pi i theta^{-2}} and c = i(theta + 1/theta)/2.
-Both q-products converge geometrically at rate e^{-2 pi Im(theta^2)}.  All
-evaluation goes through logarithms so that arguments of any size are safe.
+Both q-products converge geometrically at rate |q| = e^{-2 pi Im(theta^2)}.
+
+A product (x; q)_inf = prod_j (1 - x q^j) is evaluated as follows.
+- Dead: if Re log x < log(tol (1 - |q|)), then |log (x; q)_inf| <= |x|/(1 - |q|)
+  < tol (to first order in |x|), and its log is taken as exactly 0.
+- Live: terms run until |x q^j| < tol.  A term with Re log(x q^j) > 0 is added
+  as a log, since a product of such terms could overflow.  The other terms
+  are multiplied, x q^j updated by one multiplication by q per term, and
+  their product is logged once.
+So every log is defined only modulo 2 pi i; every caller exponentiates.
 
 For Re z > 0, log_phi_theta runs both products at -z, where they are short, by
 the inversion relation of Phi: log Phi(z) = pi i z^2 + 2 log Phi(0) - log Phi(-z).
@@ -22,7 +30,6 @@ import numpy as np
 from .errors import PoleProximity, SlowConvergence
 from .lca import QuadratureSpec, scalar_out
 
-_LOG_SWITCH = 36.0  # |Re w| beyond which log(1 - e^w) uses an asymptotic branch
 _IM_THETA_SQ_FLOOR = 0.05  # thetas with Im(theta^2) below this converge too slowly
 _POLE_EPS = 1e-7  # distance to the pole lattice below which a scalar z is refused
 
@@ -59,41 +66,34 @@ class ThetaParam:
         return (self.theta**2).imag
 
 
-def _log1m_exp(w: np.ndarray) -> np.ndarray:
-    """log(1 - e^w) for complex w, stable for any Re(w)."""
-    w = np.asarray(w, dtype=complex)
-    out = np.empty_like(w)
-    re = w.real
-    lo = re < -_LOG_SWITCH
-    hi = re > _LOG_SWITCH
-    mid = ~(lo | hi)
-    out[lo] = -np.exp(w[lo])
-    out[hi] = w[hi] + 1j * np.pi - np.exp(-w[hi])
-    out[mid] = np.log(1.0 - np.exp(w[mid]))
-    return out
-
-
 def _log_pochhammer(lx: np.ndarray, lq: complex, tol: float) -> np.ndarray:
-    """sum_j log(1 - e^{lx + j lq}) until the tail term drops below tol.
+    """log prod_j (1 - e^{lx + j lq}) modulo 2 pi i, to within tol (see the module notes).
 
-    The depth is set per element from that element's own Re(lx), so a value
-    does not depend on the other points of the batch: evaluating points
-    together or apart gives bit-identical results.
+    Each element's depth follows its own Re lx, and every product is taken out
+    of place (numpy's in-place complex multiply rounds a lone element unlike a
+    longer run), so a value does not depend on the other points of the batch.
     """
     lx = np.asarray(lx, dtype=complex)
-    decay = lq.real  # = -2 pi Im theta^2 < 0
-    depth = np.ceil((math.log(tol) - lx.real) / decay)
-    if not np.all(depth < np.inf):
+    if not np.all(np.isfinite(lx)):
         raise ValueError("q-product argument is not finite")
-    depth = np.maximum(depth, 1).astype(int).ravel() + 1
-    order = np.argsort(-depth)  # deepest first: the elements summing at step j are a prefix
-    flat = lx.ravel()[order]
-    live = np.searchsorted(-depth[order], -np.arange(depth.max(initial=0)))  # count of depth > j
-    acc = np.zeros_like(flat)
-    for j, n in enumerate(live):
-        acc[:n] += _log1m_exp(flat[:n] + j * lq)
-    out = np.empty_like(acc)
-    out[order] = acc
+    decay = lq.real  # = -2 pi Im theta^2 < 0
+    flat = lx.ravel()
+    out = np.zeros_like(flat)  # dead elements stay exactly 0
+    live = np.flatnonzero(flat.real >= math.log(tol * -math.expm1(decay)))
+    x = flat[live]
+    depth = np.maximum(np.ceil((math.log(tol) - x.real) / decay), 1).astype(int) + 1
+    head = np.maximum(np.ceil(x.real / -decay), 0).astype(int)  # terms with Re > 0
+    for j in range(head.max(initial=0)):
+        w = x[head > j] + j * lq
+        out[live[head > j]] += w + np.log(np.expm1(-w))  # log(1 - e^w) mod 2 pi i
+    x, depth = x + head * lq, depth - head
+    order = np.argsort(-depth)  # deepest first: the elements taking term j are a prefix
+    e = np.exp(x[order])
+    prod = 1 - e
+    for n in np.searchsorted(-depth[order], -np.arange(1, depth.max(initial=1))):
+        e[:n] = e[:n] * cmath.exp(lq)
+        prod[:n] = prod[:n] * (1 - e[:n])
+    out[live[order]] += np.log(prod)
     return out.reshape(lx.shape)
 
 
@@ -106,7 +106,7 @@ def _check_rate(theta: ThetaParam) -> None:
 
 
 def log_phi_theta(z, theta: ThetaParam, spec: QuadratureSpec | None = None) -> np.ndarray:
-    """log Phi_theta(z), vectorized over z.  No pole check (may return +/-inf).
+    """log Phi_theta(z) modulo 2 pi i, vectorized over z.  No pole check (may return +/-inf).
 
     A product's depth grows with 2 pi Re(theta z), so Re z > 0 is reflected
     (see above), per element: batching changes no value; c_theta stays put.

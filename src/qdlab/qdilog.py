@@ -50,7 +50,7 @@ def factor_args(z, n: int, params: QdParams) -> list[np.ndarray]:
 
 
 def log_dtheta(z, n: int, params: QdParams, spec: QuadratureSpec | None = None) -> np.ndarray:
-    """log D_theta(z, n), vectorized over z."""
+    """log D_theta(z, n) modulo 2 pi i, vectorized over z."""
     spec = spec or QuadratureSpec()
     z = np.asarray(z, dtype=complex)
     rows = log_phi_theta(np.stack(factor_args(z, n, params)), params.theta, spec)

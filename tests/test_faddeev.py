@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import qdlab.faddeev
 from qdlab.errors import PoleProximity, SlowConvergence
 from qdlab.faddeev import (
     ThetaParam,
@@ -111,6 +112,15 @@ def test_log_phi_independent_of_batching(theta3):
     assert np.array_equal(together, apart)
 
 
+def test_log_phi_alone_equals_batched(thetas, rng):
+    # a point evaluated alone gives the bits it gets inside a batch, also where
+    # some q-product terms take the log form (|Im z| > cos(arg theta))
+    for th in thetas:
+        zs = rng.uniform(-3, 3, 100) + 1j * rng.uniform(-1.5, 1.5, 100)
+        alone = [log_phi_theta(zs[i : i + 1], th)[0] for i in range(zs.size)]
+        assert np.array_equal(alone, log_phi_theta(zs, th))
+
+
 def test_pole_lattice(theta3):
     t = theta3.theta
     for m, k in [(0, 0), (1, 0), (0, 2), (2, 3)]:
@@ -161,6 +171,47 @@ def test_log_phi_matches_mpmath(mp, span, rel):
         zs = rng.uniform(-span, span, 40) + 1j * rng.uniform(-0.3, 0.3, 40)
         ref = np.array([complex(_mp_phi(mp, z, th)) for z in zs])
         assert np.max(np.abs(np.exp(log_phi_theta(zs, th)) / ref - 1)) < rel
+
+
+def test_log_phi_matches_mpmath_off_axis(mp, monkeypatch):
+    # |Im z| up to 1.5 > cos(arg theta): some q-product terms have Re > 0 and
+    # take the log form, which the near-axis oracle never reaches
+    max_re = []
+
+    def recorded(lx, lq, tol):
+        max_re.append(np.max(np.real(lx)))
+        return _log_pochhammer(lx, lq, tol)
+
+    monkeypatch.setattr(qdlab.faddeev, "_log_pochhammer", recorded)
+    for seed, frac in enumerate(ORACLE_FRACTIONS):
+        th = ThetaParam.from_pi_fraction(frac)
+        rng = np.random.default_rng(seed)
+        zs = rng.uniform(-4, 4, 40) + 1j * rng.uniform(-1.5, 1.5, 40)
+        max_re.clear()
+        got = np.exp(log_phi_theta(zs, th))
+        assert max(max_re) > 0
+        ref = np.array([complex(_mp_phi(mp, z, th)) for z in zs])
+        assert np.max(np.abs(got / ref - 1)) < 1e-12
+
+
+def test_dead_q_product_points_match_mpmath(mp):
+    # below Re lx = log(tol (1 - |q|)) the product is 1 to within tol, and
+    # _log_pochhammer returns exactly 0; just above it, the live terms run
+    tol = QuadratureSpec().product_tol
+    for seed, frac in enumerate(ORACLE_FRACTIONS):
+        t = ThetaParam.from_pi_fraction(frac).theta
+        rng = np.random.default_rng(seed)
+        for lq in (2j * np.pi * t**2, -2j * np.pi / t**2):
+            edge = math.log(tol * -math.expm1(lq.real))
+            lx = rng.uniform(edge - 2, edge + 2, 60) + 1j * rng.uniform(-np.pi, np.pi, 60)
+            dead = lx.real < edge
+            assert 0 < dead.sum() < dead.size
+            got = _log_pochhammer(lx, lq, tol)
+            ref = [_mp_pochhammer(mp, mp.mpc(x), mp.mpc(lq)) for x in lx]
+            assert np.all(got[dead] == 0) and np.all(got[~dead] != 0)
+            assert max(abs(r - 1) for r, d in zip(ref, dead) if d) < tol
+            ref = np.array([complex(r) for r in ref])
+            assert np.max(np.abs(np.exp(got[~dead]) / ref[~dead] - 1)) < 1e-12
 
 
 def test_q_products_match_mpmath(mp):
