@@ -248,36 +248,26 @@ _B_TERMS = 400
 
 
 def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
-           M: int | None = None) -> np.ndarray:
-    """W(x, y) = <x; -y/2> sum_{|k| <= K} conj(kappa F psi)(y + k b0) conj<k b0> <k b0; mu - x>.
+           grid: bool = False) -> np.ndarray:
+    """S(x, y) = sum_{|k| <= K} conj(kappa F psi)(y + k b0) conj<k b0> <k b0; mu - x>.
 
-    K follows the decay rate of F psi, capped at _B_TERMS.  NonConvergent
-    is raised when a term with |k| >= K - N exceeds 1e3 * spec.tol times the
-    largest |W|, and when a term or a sum is not finite.  Each block of rows
-    of y times the k of one residue r mod N holds about _BLOCK_POINTS terms.
+    W(x, y) = <x; -y/2> S(x, y); the prefactor is left to the callers.  K
+    follows the decay rate of F psi, capped at _B_TERMS.  NonConvergent is
+    raised when a term with |k| >= K - N exceeds 1e3 * spec.tol times the
+    largest |S|, and when a term or a sum is not finite.  Each block of rows
+    of y times the k of one residue r mod N holds about _BLOCK_POINTS terms,
+    evaluated by one log_forward_transform call at z = y_i + k/sqrt(N).
 
-    Paired (M None): 1-D x and y give W(x_i, y_i); each block takes one
-    log_forward_transform call.  Grid (M given): xr and yr are integer
-    indices u, w of the grid of step h = sqrt(N)/M, xn = yn = 0, and
-    [j, i] -> W(u_i h, w_j h).  With k = r + N m the shifted points are
-    w h + k/sqrt(N) = (w + m M) h + r/sqrt(N), so F psi is evaluated once per
-    distinct lattice index J = w + m M, in chunks of _BLOCK_POINTS, and each
-    block of terms is gathered from those values.
+    xr, yr are 1-D float arrays and xn, yn 1-D integer arrays reduced mod N.
+    Paired (grid False): S(x_i, y_i), each block contracted row by row with
+    its own phases.  Grid: [j, i] -> S(x_i, y_j), each block contracted with
+    the phases of every x by one matmul.
     """
     spec = spec or QuadratureSpec()
     p = wkp.params
     N = p.N.N
     rN = p.N.sqrt
     ch = wkp.charges
-    grid = M is not None
-    if grid:
-        h = rN / M
-        ws = np.asarray(yr, dtype=int)
-        xr, yr = np.asarray(xr, dtype=int) * h, ws * h
-    xr = np.asarray(xr, dtype=float)
-    xn = np.asarray(xn, dtype=int) % N
-    yr = np.asarray(yr, dtype=float)
-    yn = np.asarray(yn, dtype=int) % N
     rate = 2 * np.pi * p.theta.c.imag * min(ch.a, ch.b, ch.c) / N
     K = min(int(np.ceil(-np.log(spec.tol * 1e-3) / rate)) + 4 * N, _B_TERMS)
     ks = np.arange(-K, K + 1)
@@ -290,40 +280,21 @@ def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
             2j * np.pi * (k / rN) * (wkp.mu.x - x) - 2j * np.pi * k * ((wkp.mu.n - n) / N)
         )
 
-    def terms_at(z, n):
-        terms = np.conj(kap * np.exp(log_forward_transform(ch, z, n, p, spec)))
-        if not np.all(np.isfinite(terms)):
-            raise NonConvergent(f"weight-kernel B-sum term not finite (n={n})")
-        return terms
-
     total = np.zeros((len(yr), len(xr)) if grid else len(yr), dtype=complex)
     tail = 0.0
     for v in np.unique(yn):
         rows = np.flatnonzero(yn == v)
         for r in np.unique(ks % N):
-            k = ks[ks % N == r]
+            k, n = ks[ks % N == r], (v + r) % N
             step = max(1, _BLOCK_POINTS // len(k))
-            if grid:
-                P = phase(k[:, None], xr, xn)
-                # lattice index J = w + m M of the term (w, k = r + N m), offset by lo
-                mM = (k - r) // N * M
-                lo = ws.min() + mM[0]
-                hit = np.zeros(ws.max() + mM[-1] - lo + 1, dtype=bool)
-                for start in range(0, len(ws), step):
-                    hit[ws[start:start + step, None] + mM - lo] = True
-                J = lo + np.flatnonzero(hit)
-                slot = np.cumsum(hit) - 1  # position of each hit J in the lattice values
-                lattice = np.concatenate([
-                    terms_at(J[s:s + _BLOCK_POINTS] * h + r / rN, r)
-                    for s in range(0, len(J), _BLOCK_POINTS)
-                ])
+            P = phase(k[:, None], xr, xn) if grid else None
             for start in range(0, len(rows), step):
                 i = rows[start:start + step]
-                if grid:
-                    terms = lattice[slot[ws[i, None] + mM - lo]]
-                else:
-                    z = yr[i, None] + k / rN
-                    terms = terms_at(z.ravel(), (v + r) % N).reshape(z.shape)
+                z = yr[i, None] + k / rN
+                terms = np.conj(kap * np.exp(log_forward_transform(ch, z.ravel(), n, p, spec)))
+                if not np.all(np.isfinite(terms)):
+                    raise NonConvergent(f"weight-kernel B-sum term not finite (n={n})")
+                terms = terms.reshape(z.shape)
                 # the phases are unimodular, so |terms| is the size of each summand
                 tail = max(tail, float(np.max(np.abs(terms[:, np.abs(k) >= K - N]), initial=0.0)))
                 if grid:
@@ -334,31 +305,43 @@ def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
         raise NonConvergent(f"weight-kernel B-sum not finite at K={K}")
     if tail > 1e3 * spec.tol * max(float(np.max(np.abs(total), initial=0.0)), 1e-300):
         raise NonConvergent(f"weight-kernel B-sum tail {tail:.2e} too large at K={K}")
-    if grid:
-        yr, yn = yr[:, None], yn[:, None]
-    # <x; -y/2> with the halving convention of lca.halve, inline for the same reason
-    hyn = halve_residue(yn, N)
-    return np.exp(-2j * np.pi * xr * (yr / 2)) * np.exp(2j * np.pi * (xn * hyn) / N) * total
+    return total
 
 
 def weight_kernel_many(wkp: WeightKernelParams, xr, xn, yr, yn,
                        spec: QuadratureSpec | None = None) -> np.ndarray:
     """W_{A,C;mu} at parallel (broadcast) arrays of points x = (xr, xn), y = (yr, yn)."""
-    xr, xn, yr, yn = np.broadcast_arrays(xr, xn, yr, yn)
-    out = _b_sum(wkp, xr.ravel(), xn.ravel(), yr.ravel(), yn.ravel(), spec)
-    return out.reshape(xr.shape)
+    N = wkp.params.N.N
+    xr, xn, yr, yn = np.broadcast_arrays(np.asarray(xr, dtype=float), np.asarray(xn, dtype=int) % N,
+                                         np.asarray(yr, dtype=float), np.asarray(yn, dtype=int) % N)
+    total = _b_sum(wkp, xr.ravel(), xn.ravel(), yr.ravel(), yn.ravel(), spec).reshape(xr.shape)
+    # <x; -y/2> with the halving convention of lca.halve, fused like the phases of _b_sum
+    hyn = halve_residue(yn, N)
+    return np.exp(-2j * np.pi * xr * (yr / 2)) * np.exp(2j * np.pi * (xn * hyn) / N) * total
 
 
 def weight_kernel_grid(wkp: WeightKernelParams, us, ws, M: int,
                        spec: QuadratureSpec | None = None) -> np.ndarray:
     """W_{A,C;mu}((u_i h, 0), (w_j h, 0)) at every pair, as an array indexed [j, i].
 
-    us and ws are integer indices of the grid of step h = sqrt(N)/M.  Every
-    shift w h + k/sqrt(N) of the B-sum lies on the lattice J h + r/sqrt(N),
-    J = w + m M, k = r + N m, so F psi is evaluated once per lattice point
-    and residue r, not once per (w, k).
+    us and ws are integer indices of the grid of step h = sqrt(N)/M.  The B-sum
+    S of _b_sum is evaluated only on the M x M core 0 <= u, w < M and extended
+    by two automorphy relations, identities of the infinite sum: u -> u + M
+    leaves every phase e^{-2 pi i k u/M} unchanged, and w -> w + M maps term k
+    to term k + N, so S(u, w + qM) = lambda(u)^q S(u, w) with
+    lambda(u) = (-1)^N e^{2 pi i sqrt(N) (u h - mu_x)}.  Every entry carries the
+    truncation error of its core entry.
     """
-    return _b_sum(wkp, us, np.zeros(len(us), int), ws, np.zeros(len(ws), int), spec, M)
+    p = wkp.params
+    N, h = p.N.N, p.N.sqrt / M
+    us, ws = np.asarray(us, dtype=int), np.asarray(ws, dtype=int)[:, None]
+    core = np.arange(M)
+    S = _b_sum(wkp, core * h, 0 * core, core * h, 0 * core, spec, grid=True)
+    q = ws // M
+    # lambda(u)^q, with sqrt(N) u h = N u / M reduced mod M in integers
+    lam = (-1.0) ** (N * q) * np.exp(2j * np.pi * ((q * N * us) % M / M - q * p.N.sqrt * wkp.mu.x))
+    # <u h; -w h/2>: the residue parts are 0
+    return np.exp(-2j * np.pi * (us * h) * (ws * h / 2)) * lam * S[ws % M, us % M]
 
 
 def weight_kernel(wkp: WeightKernelParams, x: LcaPoint, y: LcaPoint,

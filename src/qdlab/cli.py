@@ -173,6 +173,8 @@ def cmd_wgz(args):
 
 
 def cmd_check(args):
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     chk = checks.CHECKS[args.kind]
     ctx = checks.Context(_params(args), _parse_charges(args.charges), _load_triangulation(args))
     samples = chk.sample(np.random.default_rng(args.seed), ctx, args.samples)

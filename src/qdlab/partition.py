@@ -12,8 +12,9 @@ points per edge.  Kernel values are memoized on the index grid: for lifted
 states all kernel arguments are integer multiples of h = sqrt(N)/M, so each
 tet needs a single (E2-index, E1-index) table.  The table comes from
 `charged.weight_kernel_grid`, which shares the B-sum engine, its truncation
-rule and its tail check with every pointwise kernel value, and evaluates
-F psi once per point of the shifted lattice (w + m M) h + r/sqrt(N).
+rule and its tail check with every pointwise kernel value.  It sums the B-sum
+on the M x M core of indices in [0, M) only and reads every other entry from
+its core entry by the two automorphy relations of the kernel.
 
 Within one call, tets with equal charges, sign and index ranges share one
 table.  A grid of M/s points per edge is the stride-s subgrid of the M grid,
@@ -246,6 +247,8 @@ def convergence_report(X: ShapedTriangulation, Ms, spec: QuadratureSpec | None =
     Ms = [int(M) for M in Ms]
     if len(Ms) < 3:
         raise ValueError("ladder needs at least 3 grid sizes")
+    if min(Ms) < 8:
+        raise ValueError(f"grid sizes must be at least 8, as QuadratureSpec.M: {Ms}")
     zs = _grid_values(X, Ms, spec)
     return [{"M": M, "Z": [z.real, z.imag], "delta": abs(z - zs[i - 1]) if i else None}
             for i, (M, z) in enumerate(zip(Ms, zs))]

@@ -193,19 +193,22 @@ def test_weight_kernel_truncation_stability():
     assert abs(a - b) / abs(b) < 1e-10
 
 
-@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("N", [1, 2, 3])
 def test_weight_kernel_grid_on_sparse_indices(N):
-    # y-indices far apart leave gaps in the lattice w + m M of the B-sum terms
+    # indices outside the core [0, M) come from the automorphy relations; the
+    # rows w = -40 and 61 lie an odd number q of periods out, so both the sign
+    # (-1)^(N q) (N odd) and the mu_x phase of lambda(u)^q are exercised
     p = params(N)
-    wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p)
     M = 16
     h = p.N.sqrt / M
     us, ws = np.array([-7, 0, 3]), np.array([-40, 2, 5, 61])
-    grid = weight_kernel_grid(wkp, us, ws, M)
-    for j, w in enumerate(ws):
-        for i, u in enumerate(us):
-            expect = weight_kernel(wkp, LcaPoint(u * h, 0), LcaPoint(w * h, 0))
-            assert grid[j, i] == pytest.approx(expect, rel=1e-12)
+    for mu in (LcaPoint(0.0, 0), LcaPoint(0.3, 1)):
+        wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p, mu)
+        grid = weight_kernel_grid(wkp, us, ws, M)
+        for j, w in enumerate(ws):
+            for i, u in enumerate(us):
+                expect = weight_kernel(wkp, LcaPoint(u * h, 0), LcaPoint(w * h, 0))
+                assert grid[j, i] == pytest.approx(expect, rel=1e-12)
 
 
 def test_pentagon_family_matches_transform():

@@ -121,6 +121,14 @@ def test_threads_flag_validated():
     assert run(["gamma", "--N", "1", "--threads", "0"]) == 1
 
 
+@pytest.mark.parametrize("kind", list(checks.CHECKS))
+def test_samples_flag_validated(kind, capsys):
+    # a check over no samples checks nothing; it must not report a pass
+    assert run(["check", kind, "--samples", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--samples must be >= 1" in captured.err
+
+
 def test_wgz_report(capsys):
     code, doc = invoke(["wgz", "--k", "2", "--grid", "120"], capsys)
     assert code == 0

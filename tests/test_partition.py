@@ -163,6 +163,10 @@ def test_convergence_report(monkeypatch):
     assert json.loads(json.dumps(rows)) == json.loads(json.dumps(rows))
     with pytest.raises(ValueError):
         convergence_report(X, (32, 64))
+    # every rung must be a grid QuadratureSpec accepts (M >= 8)
+    for bad in ((-8, 8, 16), (0, 8, 16), (4, 8, 16)):
+        with pytest.raises(ValueError):
+            convergence_report(X, bad)
     # 32 is read from the M=64 tables by stride 2; 24 does not divide 64 and
     # builds its own; each rung matches a direct build at its own grid
     spec = QuadratureSpec()
@@ -233,8 +237,9 @@ def test_total_weight_matches_product():
 
 
 def test_tet_table_matches_pointwise_kernel():
-    # the table path (lattice gather) and the pointwise path of the B-sum give
-    # the same values; at N=3, N does not divide M and the lattice is offset
+    # the table path (the M x M core, extended by the automorphy relations) and
+    # the pointwise path of the B-sum give the same values; the corners of each
+    # table lie up to two periods outside the core, and at N=3, N does not divide M
     M = 16
     spec = QuadratureSpec(M=M)
     for N in (2, 3):
