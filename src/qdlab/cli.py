@@ -1,9 +1,10 @@
 """Command-line surface: evaluation and verification subcommands with JSON I/O.
 
-Exit codes: 0 success, 1 validation error, 2 numerical non-convergence,
-3 failed check.  Complex numbers serialize as [re, im]; angles are accepted
-as rational multiples of pi ("1/3").  Identical command lines with identical
---seed produce byte-identical JSON.
+Each subcommand takes only the flags its command reads; `qdlab <command>
+--help` lists them.  Exit codes: 0 success, 1 usage or validation error,
+2 numerical non-convergence, 3 failed check.  Complex numbers serialize as
+[re, im]; angles are accepted as rational multiples of pi ("1/3").
+Identical command lines produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -50,20 +51,17 @@ def _params(args) -> QdParams:
     return QdParams(_theta(args), Modulus(args.N))
 
 
-def _spec(args) -> QuadratureSpec:
-    kw = {}
-    if args.grid is not None:
-        kw["M"] = args.grid
-    if args.tol is not None:
-        kw["tol"] = args.tol
-    return QuadratureSpec(**kw)
+def _spec(grid: int | None = None, tol: float | None = None) -> QuadratureSpec:
+    """The default QuadratureSpec, with M and tol replaced where a flag gave them."""
+    kw = {"M": grid, "tol": tol}
+    return QuadratureSpec(**{k: v for k, v in kw.items() if v is not None})
 
 
 def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    return complex(float(parts[0]), float(parts[1]))
+    parts = [float(v) for v in text.split(",")]
+    if len(parts) > 2:
+        raise ValueError(f"a complex number is re or re,im, got {text!r}")
+    return complex(*parts)
 
 
 def _parse_point(text: str) -> LcaPoint:
@@ -86,13 +84,13 @@ def _load_triangulation(args) -> ShapedTriangulation:
 def cmd_phi(args):
     th = _theta(args)
     z = _parse_complex(args.z)
-    _emit({"value": _c(phi_theta(z, th, _spec(args))), "phi_zero": _c(phi_zero(th))}, args)
+    _emit({"value": _c(phi_theta(z, th)), "phi_zero": _c(phi_zero(th))}, args)
     return 0
 
 
 def cmd_dtheta(args):
     p = _params(args)
-    v = qdilog.dtheta(_parse_complex(args.z), args.n, p, _spec(args))
+    v = qdilog.dtheta(_parse_complex(args.z), args.n, p)
     _emit({"value": _c(v)}, args)
     return 0
 
@@ -105,7 +103,7 @@ def cmd_gamma(args):
 def cmd_psi(args):
     p = _params(args)
     ch = _parse_charges(args.charges)
-    v = charged.psi_charged(ch, _parse_complex(args.z), args.n, p, _spec(args))
+    v = charged.psi_charged(ch, _parse_complex(args.z), args.n, p)
     _emit({"value": _c(v)}, args)
     return 0
 
@@ -115,14 +113,14 @@ def cmd_kernel(args):
     ch = _parse_charges(args.charges)
     mu = _parse_point(args.mu) if args.mu else LcaPoint(0.0, 0)
     wkp = charged.WeightKernelParams(ch, p, mu)
-    v = charged.weight_kernel(wkp, _parse_point(args.x), _parse_point(args.y), _spec(args))
+    v = charged.weight_kernel(wkp, _parse_point(args.x), _parse_point(args.y), _spec(tol=args.tol))
     _emit({"value": _c(v)}, args)
     return 0
 
 
 def cmd_partition(args):
     X = _load_triangulation(args)
-    spec = _spec(args)
+    spec = _spec(args.grid, args.tol)
     res = partition.partition_function(X, spec, target=args.target)
     doc = res.to_document()
     doc["params"] = {"N": X.N.N, "grid": spec.M, "tets": len(X.tets)}
@@ -178,7 +176,7 @@ def cmd_check(args):
     chk = checks.CHECKS[args.kind]
     ctx = checks.Context(_params(args), _parse_charges(args.charges), _load_triangulation(args))
     samples = chk.sample(np.random.default_rng(args.seed), ctx, args.samples)
-    report = chk.evaluate(ctx, samples, _spec(args))
+    report = chk.evaluate(ctx, samples, _spec(args.grid, args.tol))
     ok = checks.passes(report, chk.limits)
     _emit({**report, "pass": ok}, args)
     return 0 if ok else 3
@@ -188,16 +186,19 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qdlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, theta=True, modulus=True, triangulation=False):
+    def common(p, theta=True, modulus=True, grid=False, tol=False, seed=False,
+               triangulation=False):
+        """Add to p the shared flags its command reads, and --out."""
         if theta:
             p.add_argument("--theta-arg", default="1/3", help="theta = e^{i pi p/q}")
         if modulus:
             p.add_argument("--N", type=int, default=1)
-        p.add_argument("--grid", type=int, default=None, help="grid points M")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for interface compatibility; evaluation is sequential")
-        p.add_argument("--seed", type=int, default=0)
+        if grid:
+            p.add_argument("--grid", type=int, default=None, help="grid points M")
+        if tol:
+            p.add_argument("--tol", type=float, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
         if triangulation:
             p.add_argument("--in", dest="inp", default=None, help="triangulation document")
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("kernel", help="evaluate the two-variable weight kernel")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--charges", required=True)
     p.add_argument("--x", required=True, help="point of A_N as xr,n")
     p.add_argument("--y", required=True)
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("partition", help="state-integral partition function")
-    common(p, triangulation=True)
+    common(p, grid=True, tol=True, triangulation=True)
     p.add_argument("--target", type=float, default=1.0, help="relative two-grid target")
     p.set_defaults(func=cmd_partition)
 
@@ -249,14 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("wgz", help="Weil-Gel'fand-Zak round-trip and commutation report")
-    common(p, theta=False, modulus=False)
+    common(p, theta=False, modulus=False, grid=True, seed=True)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--b", default=None, help="level parameter b as re,im (2 Re b^2 = k)")
     p.set_defaults(func=cmd_wgz)
 
     p = sub.add_parser("check", help="run a verification and report pass/fail JSON")
     p.add_argument("kind", choices=list(checks.CHECKS))
-    common(p, triangulation=True)
+    common(p, grid=True, tol=True, seed=True, triangulation=True)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--charges", default="0.5,0.2,0.3")
     p.set_defaults(func=cmd_check)
@@ -264,11 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return 1
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help and 2 on a usage error
+        return 1 if e.code else 0
     try:
         return args.func(args)
     except NonConvergent as e:

@@ -182,41 +182,44 @@ def random_point(rng, scale: int = 8) -> RatioPoint:
     return RatioPoint(nz(), nz())
 
 
-def _apply_word(word, coords: dict) -> dict:
-    """Apply a word of moves to labeled coordinates; raises DegenerateFlip."""
-    coords = dict(coords)
-    for move in word:
-        kind = move[0]
-        if kind == "flip":
-            _, i, j = move
-            coords[i], coords[j] = flip(coords[i], coords[j])
-        elif kind == "rho":
-            _, i = move
-            coords[i] = corner_change(coords[i])
-        elif kind == "swap":
-            _, i, j = move
-            coords[i], coords[j] = coords[j], coords[i]
-        else:
-            raise ValueError(f"unknown move {move!r}")
-    return coords
+def _exact_report(same, samples) -> dict:
+    """Check the exact relation same(sample) on each sample.
 
-
-def _compare_words(left, right, labels: str, samples) -> dict:
-    """Apply both words to each sample, its points labeled in order, and compare exactly."""
+    Samples on which same raises DegenerateFlip are skipped and counted; the
+    first sample on which it is False is the witness.  Returns
+    {"checked", "skipped", "pass", "witness"}.
+    """
     checked = skipped = 0
     for sample in samples:
-        coords = dict(zip(labels, sample, strict=True))
         try:
-            a = _apply_word(left, coords)
-            b = _apply_word(right, coords)
+            ok = same(sample)
         except DegenerateFlip:
             skipped += 1
             continue
         checked += 1
-        if a != b:
+        if not ok:
             return {"checked": checked, "skipped": skipped, "pass": False,
                     "witness": tuple(sample)}
     return {"checked": checked, "skipped": skipped, "pass": True, "witness": None}
+
+
+def _pentagon(sample) -> bool:
+    """omega_ij ; omega_ik ; omega_jk  ==  omega_jk ; omega_ij on (x_i, x_j, x_k)."""
+    xi, xj, xk = sample
+    li, lj = flip(xi, xj)
+    li, lk = flip(li, xk)
+    lj, lk = flip(lj, lk)
+    rj, rk = flip(xj, xk)
+    ri, rj = flip(xi, rj)
+    return (li, lj, lk) == (ri, rj, rk)
+
+
+def _inversion(sample) -> bool:
+    """omega_ij ; rho_i ; omega_ji  ==  (ij) ; rho_j ; rho_i on (x_i, x_j)."""
+    xi, xj = sample
+    li, lj = flip(xi, xj)
+    lj, li = flip(lj, corner_change(li))
+    return (li, lj) == (corner_change(xj), corner_change(xi))
 
 
 def verify_pentagon_exact(samples) -> dict:
@@ -227,9 +230,7 @@ def verify_pentagon_exact(samples) -> dict:
     samples (vanishing flip denominators) are skipped and counted.  Returns
     {"checked", "skipped", "pass", "witness"}.
     """
-    left = [("flip", "i", "j"), ("flip", "i", "k"), ("flip", "j", "k")]
-    right = [("flip", "j", "k"), ("flip", "i", "j")]
-    return _compare_words(left, right, "ijk", samples)
+    return _exact_report(_pentagon, samples)
 
 
 def verify_inversion_exact(samples) -> dict:
@@ -238,9 +239,7 @@ def verify_inversion_exact(samples) -> dict:
         omega_ij ; rho_i ; omega_ji  ==  (ij) ; rho_j ; rho_i
 
     on pairs (x_i, x_j); same reporting convention as the pentagon check."""
-    left = [("flip", "i", "j"), ("rho", "i"), ("flip", "j", "i")]
-    right = [("swap", "i", "j"), ("rho", "j"), ("rho", "i")]
-    return _compare_words(left, right, "ij", samples)
+    return _exact_report(_inversion, samples)
 
 
 class _Jet:
@@ -303,36 +302,28 @@ def _two_form_coeffs(points) -> dict:
     return out
 
 
-def _preserves_form(move, samples) -> dict:
-    """Exact check that move preserves sum_t dx1^dx2/(x1 x2) over its triangles.
+def _preserves_form(move):
+    """The exact relation: move preserves sum_t dx1^dx2/(x1 x2) over its triangles.
 
-    Each sample is a tuple of RatioPoints.  move runs on first-order jets in
-    their coordinates, and the pulled-back two-form of its image must equal
-    the input form coefficient by coefficient.  Samples on which move raises
-    DegenerateFlip are skipped and counted.  Returns the same report dict as
-    the other checks.
+    The relation takes a tuple of RatioPoints.  move runs on first-order jets
+    in their coordinates, and the pulled-back two-form of its image must
+    equal the input form coefficient by coefficient.
     """
-    checked = skipped = 0
-    for sample in samples:
+    def same(sample) -> bool:
         vals = [v for p in sample for v in (p.x1, p.x2)]
         jets = [_Jet.var(v, len(vals), i) for i, v in enumerate(vals)]
         points = [RatioPoint(*jets[i:i + 2]) for i in range(0, len(jets), 2)]
-        try:
-            image = move(*points)
-        except DegenerateFlip:
-            skipped += 1
-            continue
-        checked += 1
-        if _two_form_coeffs(points) != _two_form_coeffs(image):
-            return {"checked": checked, "skipped": skipped, "pass": False, "witness": sample}
-    return {"checked": checked, "skipped": skipped, "pass": True, "witness": None}
+        image = move(*points)
+        return _two_form_coeffs(points) == _two_form_coeffs(image)
+
+    return same
 
 
 def form_preservation_check(samples) -> dict:
     """Exact check that flip preserves dx1^dx2/(x1 x2) + dy1^dy2/(y1 y2) on pairs (x, y)."""
-    return _preserves_form(flip, samples)
+    return _exact_report(_preserves_form(flip), samples)
 
 
 def corner_form_check(samples) -> dict:
     """Exact check that corner_change preserves dx1^dx2/(x1 x2); samples are RatioPoints."""
-    return _preserves_form(lambda x: (corner_change(x),), [(x,) for x in samples])
+    return _exact_report(_preserves_form(lambda x: (corner_change(x),)), [(x,) for x in samples])

@@ -213,9 +213,9 @@ def test_criterion_11_groupoid_exact():
 
 def test_criterion_12_determinism():
     cmds = [
-        ["check", "inversion", "--N", "2", "--samples", "20", "--seed", "9", "--threads", "1"],
-        ["check", "groupoid", "--samples", "15", "--seed", "2", "--threads", "1"],
-        ["partition", "--name", "fig8_2tet", "--grid", "64", "--target", "1.0", "--seed", "0"],
+        ["check", "inversion", "--N", "2", "--samples", "20", "--seed", "9"],
+        ["check", "groupoid", "--samples", "15", "--seed", "2"],
+        ["partition", "--name", "fig8_2tet", "--grid", "64", "--target", "1.0"],
     ]
     ok = True
     for args in cmds:

@@ -8,7 +8,6 @@ from qdlab.charged import (
     ChargeTriple,
     WeightKernelParams,
     charged_identity_residuals,
-    f1_bridge_residual,
     forward_transform_closed,
     forward_transform_quadrature,
     log_forward_transform,
@@ -128,12 +127,9 @@ def test_identity_residuals_keep_nan(monkeypatch):
 def test_f1_bridge(rng):
     # the two closed-form readings of the transformed function agree exactly
     for N in (1, 2, 3):
-        p = params(N)
-        for _ in range(4):
-            res = f1_bridge_residual(
-                ChargeTriple(0.4, 0.35, 0.25), rng.uniform(-2, 2), int(rng.integers(0, N)), p
-            )
-            assert res < 1e-10
+        samples = [(rng.uniform(-2, 2), int(rng.integers(0, N))) for _ in range(4)]
+        rep = charged_identity_residuals(ChargeTriple(0.4, 0.35, 0.25), samples, params(N))
+        assert rep["f3_composition_max"] < 1e-10
 
 
 def test_pentagon_normalization_unimodular():

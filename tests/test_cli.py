@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,7 +87,7 @@ def test_non_finite_document_is_rejected(command, theta, angle, capsys, tmp_path
 @pytest.mark.parametrize("flag", ["--grid", "--tol"])
 def test_zero_grid_and_tol_are_rejected(flag, capsys):
     # 0 is a value, not a missing option: QuadratureSpec must see and reject it
-    assert run(["phi", "--z", "0.3", flag, "0"]) == 1
+    assert run(["partition", "--name", "fig8_2tet", flag, "0"]) == 1
     assert capsys.readouterr().out == ""
 
 
@@ -117,8 +118,45 @@ def test_wgz_nan_level_is_rejected(capsys):
     assert captured.out == "" and "level k = 2" in captured.err
 
 
-def test_threads_flag_validated():
-    assert run(["gamma", "--N", "1", "--threads", "0"]) == 1
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "nope"],
+        ["gamma", "--N", "abc"],
+        ["partition", "--bogus"],
+        ["gamma", "--threads", "1"],
+        ["partition", "--seed", "1"],
+        ["phi", "--z", "0.3", "--grid", "64"],
+    ],
+    ids=["unknown-kind", "bad-int", "unknown-flag", "gamma-threads", "partition-seed", "phi-grid"],
+)
+def test_usage_error_exits_1(args, capsys):
+    # 2 is non-convergence; a command line argparse refuses is a validation error
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage: qdlab" in captured.err
+
+
+def test_help_exits_0(capsys):
+    assert run(["partition", "--help"]) == 0
+    assert "--grid" in capsys.readouterr().out
+
+
+def test_complex_with_three_parts_is_rejected(capsys):
+    assert run(["phi", "--z", "1,2,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_readme_cli_examples_run(capsys):
+    # every `qdlab ...` line of the README's CLI block must parse and succeed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln.split("#", 1)[0].split() for ln in block.splitlines() if ln.startswith("qdlab ")]
+    assert len(lines) >= 10
+    for argv in lines:
+        assert run(argv[1:]) == 0, " ".join(argv)
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("kind", list(checks.CHECKS))
@@ -219,7 +257,7 @@ def _cli_bytes(args):
     [
         ["check", "inversion", "--N", "2", "--samples", "10", "--seed", "7"],
         ["check", "groupoid", "--samples", "12", "--seed", "3"],
-        ["partition", "--name", "fig8_2tet", "--grid", "32", "--target", "1.0", "--seed", "1"],
+        ["partition", "--name", "fig8_2tet", "--grid", "32", "--target", "1.0"],
     ],
 )
 def test_determinism_byte_identical(args):

@@ -120,19 +120,19 @@ def test_inversion_exact(rng):
     assert rep["pass"] and rep["checked"] >= 95
 
 
-def test_pentagon_negative_control(rng):
-    # a sign error in the flip must fail on the first generic sample
+@pytest.mark.parametrize("check,size", [(verify_pentagon_exact, 3), (verify_inversion_exact, 2)],
+                         ids=["pentagon", "inversion"])
+def test_relation_check_runs_the_real_flip(check, size, rng, monkeypatch):
+    # a sign error in the flip must fail both relations: the checks apply flip itself
+    from qdlab import groupoid
+
     def bad_flip(x, y):
         den = x.x1 * y.x2 + x.x2
         return RatioPoint(-(x.x1 * y.x1), den), RatioPoint(y.x1 * x.x2 / den, y.x2 / den)
 
-    x, y, z = (random_point(rng) for _ in range(3))
-    a1, b1 = bad_flip(x, y)
-    a2, c1 = bad_flip(a1, z)
-    b2, c2 = bad_flip(b1, c1)
-    yr, zr = bad_flip(y, z)
-    xr, yr2 = bad_flip(x, yr)
-    assert (a2, b2, c2) != (xr, yr2, zr)
+    monkeypatch.setattr(groupoid, "flip", bad_flip)
+    samples = [tuple(random_point(rng) for _ in range(size)) for _ in range(10)]
+    assert check(samples)["pass"] is False
 
 
 def test_form_preservation(rng):
