@@ -225,21 +225,21 @@ class WeightKernelParams:
 # Transform points per block of the B-sum: bounds the memory of one block
 # whatever the number of kernel points or of B-terms.
 _BLOCK_POINTS = 4096
-# Hard cap on the one-sided B-sum length K; a sum that reaches it with a tail
+# Hard cap on each side K+, K- of the B-sum; a sum that reaches it with a tail
 # above tolerance raises NonConvergent.
 _B_TERMS = 400
 
 
 def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
            grid: bool = False) -> np.ndarray:
-    """S(x, y) = sum_{|k| <= K} conj(kappa F psi)(y + k b0) conj<k b0> <k b0; mu - x>.
+    """S(x, y) = sum_{k=-K-}^{K+} conj(kappa F psi)(y + k b0) conj<k b0> <k b0; mu - x>.
 
-    W(x, y) = <x; -y/2> S(x, y); the prefactor is left to the callers.  K
-    follows the decay rate of F psi, capped at _B_TERMS.  NonConvergent is
-    raised when a term with |k| >= K - N exceeds 1e3 * spec.tol times the
-    largest |S|, and when a term or a sum is not finite.  Each block of rows
-    of y times the k of one residue r mod N holds about _BLOCK_POINTS terms,
-    evaluated by one log_forward_transform call at z = y_i + k/sqrt(N).
+    W(x, y) = <x; -y/2> S(x, y); the prefactor is left to the callers.  K+ and K-
+    follow the decay of F psi at rates C (k -> +inf) and B (k -> -inf), capped at
+    _B_TERMS.  NonConvergent is raised when a term with k >= K+ - N or k <= N - K-
+    exceeds 1e3 * spec.tol times the largest |S|, and when a term or a sum is not
+    finite.  Each block of rows of y times the k of one residue r mod N holds about
+    _BLOCK_POINTS terms, evaluated by one log_forward_transform call at y_i + k b0.
 
     xr, yr are 1-D float arrays and xn, yn 1-D integer arrays reduced mod N.
     Paired (grid False): S(x_i, y_i), each block contracted row by row with
@@ -247,13 +247,12 @@ def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
     the phases of every x by one matmul.
     """
     spec = spec or QuadratureSpec()
-    p = wkp.params
-    N = p.N.N
-    rN = p.N.sqrt
-    ch = wkp.charges
-    rate = 2 * np.pi * p.theta.c.imag * min(ch.a, ch.b, ch.c) / N
-    K = min(int(np.ceil(-np.log(spec.tol * 1e-3) / rate)) + 4 * N, _B_TERMS)
-    ks = np.arange(-K, K + 1)
+    p, ch = wkp.params, wkp.charges
+    N, rN = p.N.N, p.N.sqrt
+    rate = 2 * np.pi * p.theta.c.imag / N  # per k and per unit charge
+    Kp, Km = (min(int(np.ceil(-np.log(spec.tol * 1e-3) / (rate * r))) + 4 * N, _B_TERMS)
+              for r in (ch.c, ch.b))
+    ks = np.arange(-Km, Kp + 1)
     kap = pentagon_normalization(ch, p)
 
     def phase(k, x, n):
@@ -269,6 +268,7 @@ def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
         rows = np.flatnonzero(yn == v)
         for r in np.unique(ks % N):
             k, n = ks[ks % N == r], (v + r) % N
+            edge = (k >= Kp - N) | (k <= N - Km)  # the two tails the check reads
             step = max(1, _BLOCK_POINTS // len(k))
             P = phase(k[:, None], xr, xn) if grid else None
             for start in range(0, len(rows), step):
@@ -279,15 +279,15 @@ def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
                     raise NonConvergent(f"weight-kernel B-sum term not finite (n={n})")
                 terms = terms.reshape(z.shape)
                 # the phases are unimodular, so |terms| is the size of each summand
-                tail = max(tail, float(np.max(np.abs(terms[:, np.abs(k) >= K - N]), initial=0.0)))
+                tail = max(tail, float(np.max(np.abs(terms[:, edge]), initial=0.0)))
                 if grid:
                     total[i] += terms @ P
                 else:
                     total[i] += np.einsum("ik,ik->i", terms, phase(k, xr[i, None], xn[i, None]))
     if not np.all(np.isfinite(total)):
-        raise NonConvergent(f"weight-kernel B-sum not finite at K={K}")
+        raise NonConvergent(f"weight-kernel B-sum not finite at K=-{Km}..{Kp}")
     if tail > 1e3 * spec.tol * max(float(np.max(np.abs(total), initial=0.0)), 1e-300):
-        raise NonConvergent(f"weight-kernel B-sum tail {tail:.2e} too large at K={K}")
+        raise NonConvergent(f"weight-kernel B-sum tail {tail:.2e} too large at K=-{Km}..{Kp}")
     return total
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -265,6 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):  # argparse reads a value like -0.3,0.2 as a flag
+        if re.fullmatch(r"--(?!help$)\w[\w-]*", argv[i - 1]) and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:  # argparse exits 0 after --help and 2 on a usage error

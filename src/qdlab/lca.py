@@ -69,8 +69,8 @@ class QuadratureSpec:
     M:          grid points per circle direction (periodic trapezoid).
     window:     half-width of real-line truncation windows.
     step:       step of real-line quadratures.
-    tol:        target relative tolerance; it sets the B-sum length and tail
-                check and the default two-grid target of partition_function.
+    tol:        target relative tolerance; it sets each side's B-sum length and
+                tail check, and the default two-grid target of partition_function.
     product_tol: tail tolerance of the infinite q-products.
     """
 

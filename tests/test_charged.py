@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import params
 
+import qdlab.charged
 from qdlab.charged import (
     ChargeTriple,
     WeightKernelParams,
@@ -177,6 +178,44 @@ def test_weight_kernel_brute_force_bsum():
         brute += term * (-1) ** k * np.exp(-2j * np.pi * k * x.x)
     brute *= np.exp(-1j * np.pi * x.x * y.x)
     assert abs(val - brute) < 1e-10
+
+
+@pytest.mark.parametrize("frac", ["1/3", "1/4"])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_forward_transform_decay_rates(N, frac):
+    # |F psi_{A,C}(x)| decays like e^{-2 pi Im(c_th) C x/sqrt(N)} as x -> +inf and
+    # like the same with B as x -> -inf; A sets neither rate.  The B-sum cuts each
+    # side at its own rate.  Each of a, b, c in turn is the smallest charge.
+    p = params(N, frac)
+    unit = 2 * np.pi * p.theta.c.imag / p.N.sqrt
+    for ch in (ChargeTriple(0.2, 0.3, 0.5), ChargeTriple(0.5, 0.2, 0.3), ChargeTriple(0.3, 0.5, 0.2)):
+        def log_abs(x):
+            return np.log(abs(forward_transform_closed(ch, x, 0, p)))
+
+        assert (log_abs(40.0) - log_abs(60.0)) / 20 == pytest.approx(unit * ch.c, rel=1e-3)
+        assert (log_abs(-40.0) - log_abs(-60.0)) / 20 == pytest.approx(unit * ch.b, rel=1e-3)
+
+
+def test_b_sum_length_per_side(monkeypatch):
+    # K+ = ceil(-log(1e-3 tol)/r_C) + 4N on the right and K- the same with B on
+    # the left, r = 2 pi Im(c_th) charge/N: K+ = 173 and K- = 36 here, both below
+    # the cap, so one paired point costs K+ + K- + 1 transform points
+    N, spec = 2, QuadratureSpec()
+    p = params(N)
+    ch = ChargeTriple(0.1417, 0.7333, 0.125)
+    Kp, Km = (int(np.ceil(-np.log(1e-3 * spec.tol) / (2 * np.pi * p.theta.c.imag * r / N))) + 4 * N
+              for r in (ch.c, ch.b))
+    assert (Kp, Km) == (173, 36)
+    real = qdlab.charged.log_forward_transform
+    points = []
+
+    def counted(charges, z, *args):
+        points.append(np.size(z))
+        return real(charges, z, *args)
+
+    monkeypatch.setattr(qdlab.charged, "log_forward_transform", counted)
+    weight_kernel(WeightKernelParams(ch, p), LcaPoint(0.1, 0), LcaPoint(0.2, 1), spec)
+    assert sum(points) == Kp + Km + 1
 
 
 def test_weight_kernel_truncation_stability():

@@ -240,6 +240,20 @@ def test_dtheta_psi_kernel_commands(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("phi", {"--z": "-0.3,0.2"}),
+    ("psi", {"--N": "2", "--charges": "0.4,0.35,0.25", "--z": "-0.3,-0.1", "--n": "-1"}),
+    ("kernel", {"--N": "3", "--charges": "0.4,0.35,0.25", "--x": "-0.4,2", "--y": "-.2,-1",
+                "--mu": "-0.1,1"}),
+], ids=["phi", "psi", "kernel"])
+def test_negative_values_read_as_values(command, flags, capsys):
+    # argparse alone reads a separate -0.3,0.2 as a flag; it must parse like --z=-0.3,0.2
+    spaced = [command] + [t for flag in flags.items() for t in flag]
+    code, doc = invoke(spaced, capsys)
+    assert code == 0
+    assert invoke([command] + [f"{k}={v}" for k, v in flags.items()], capsys) == (0, doc)
+
+
 def test_cli_import_loads_no_scipy():
     code = "import sys, qdlab.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0

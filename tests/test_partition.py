@@ -257,16 +257,32 @@ def test_tet_table_matches_pointwise_kernel():
                 assert tab["table"][i, j] == pytest.approx(expect, rel=1e-12)
 
 
-def test_tet_table_truncation_is_checked(theta3):
-    # K ~ 1047 is needed here, past the cap of 400 B-terms: both paths must raise
-    charges = ChargeTriple(0.05, 0.9, 0.05)
-    X = ShapedTriangulation(Modulus(5), theta3, [ShapedTet(1, charges)], [])
+@pytest.mark.parametrize("charges, want", [
+    ((0.05, 0.9, 0.05), None),
+    ((0.475, 0.05, 0.475), None),
+    ((0.475, 0.475, 0.05), None),
+    # W((0.1, 0), (0.2, 0)) and the table entries [0, 0] and [30, 30] of the
+    # sum over k = -400..400
+    ((0.05, 0.475, 0.475), (0.7923974491314545 + 1.7012240234258045j,
+                            0.6100782727582019 + 1.4744542095767674j,
+                            32.135484131704246 + 2.9276006376445043j)),
+], ids=["a-c-small", "b-small", "c-small", "a-small"])
+def test_tet_table_truncation_is_checked(theta3, charges, want):
+    # a charge 0.05 on C (right side) or B (left side) needs K ~ 1047 B-terms on
+    # that side, past the cap of 400: both paths must raise.  A sets no side.
+    ch = ChargeTriple(*charges)
+    X = ShapedTriangulation(Modulus(5), theta3, [ShapedTet(1, ch)], [])
     spec = QuadratureSpec(M=16)
-    wkp = WeightKernelParams(charges, params(5))
-    with pytest.raises(NonConvergent):
-        weight_kernel(wkp, LcaPoint(0.1, 0), LcaPoint(0.2, 0), spec)
-    with pytest.raises(NonConvergent):
-        _tet_table(X, 0, 16, spec)
+    wkp = WeightKernelParams(ch, params(5))
+    if want is None:
+        with pytest.raises(NonConvergent):
+            weight_kernel(wkp, LcaPoint(0.1, 0), LcaPoint(0.2, 0), spec)
+        with pytest.raises(NonConvergent):
+            _tet_table(X, 0, 16, spec)
+        return
+    table = _tet_table(X, 0, 16, spec)["table"]
+    got = (weight_kernel(wkp, LcaPoint(0.1, 0), LcaPoint(0.2, 0), spec), table[0, 0], table[30, 30])
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("M", [32, 33])
