@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergent
-from .lca import (LcaPoint, QuadratureSpec, fourier_kernel, gaussian_exp, haar_simpson,
-                  halve_residue, scalar_out)
+from .lca import (STEP, WINDOW, LcaPoint, QuadratureSpec, fourier_kernel, gaussian_exp,
+                  haar_simpson, halve_residue, scalar_out)
 from .qdilog import QdParams, log_dtheta
 
 __all__ = [
@@ -75,21 +75,19 @@ class ChargeTriple:
         return cls(1 / 3, 1 / 3, 1 / 3)
 
 
-def log_psi(charges: ChargeTriple, z, n: int, params: QdParams,
-            spec: QuadratureSpec | None = None) -> np.ndarray:
+def log_psi(charges: ChargeTriple, z, n: int, params: QdParams) -> np.ndarray:
     """log psi_{A,C}(z, n) modulo 2 pi i, vectorized over z."""
     cth = params.theta.c
     rN = params.N.sqrt
     z = np.asarray(z, dtype=complex)
     shift = cth * (charges.a + charges.c) / rN
-    return -2j * np.pi * cth * (charges.a / rN) * z - log_dtheta(z - shift, n, params, spec)
+    return -2j * np.pi * cth * (charges.a / rN) * z - log_dtheta(z - shift, n, params)
 
 
-def psi_charged(charges: ChargeTriple, z, n: int, params: QdParams,
-                spec: QuadratureSpec | None = None):
+def psi_charged(charges: ChargeTriple, z, n: int, params: QdParams):
     """psi_{A,C}(z, n); scalar in, scalar out."""
     zarr = np.asarray(z, dtype=complex)
-    return scalar_out(zarr, np.exp(log_psi(charges, zarr, n % params.N.N, params, spec)))
+    return scalar_out(zarr, np.exp(log_psi(charges, zarr, n % params.N.N, params)))
 
 
 def _transform_prefactor(charges: ChargeTriple, params: QdParams) -> complex:
@@ -103,8 +101,7 @@ def _transform_prefactor(charges: ChargeTriple, params: QdParams) -> complex:
     )
 
 
-def log_forward_transform(charges: ChargeTriple, z, n: int, params: QdParams,
-                          spec: QuadratureSpec | None = None) -> np.ndarray:
+def log_forward_transform(charges: ChargeTriple, z, n: int, params: QdParams) -> np.ndarray:
     """log (F psi_{A,C})(z, n) modulo 2 pi i, vectorized over z (closed form)."""
     N = params.N.N
     z = np.asarray(z, dtype=complex)
@@ -114,29 +111,27 @@ def log_forward_transform(charges: ChargeTriple, z, n: int, params: QdParams,
     )  # log <z, n> with the n-part separated
     return (
         lg
-        + log_psi(swapped, -z, (-n) % N, params, spec)
+        + log_psi(swapped, -z, (-n) % N, params)
         + np.log(_transform_prefactor(charges, params))
     )
 
 
-def forward_transform_closed(charges: ChargeTriple, z, n: int, params: QdParams,
-                             spec: QuadratureSpec | None = None):
+def forward_transform_closed(charges: ChargeTriple, z, n: int, params: QdParams):
     """(F psi_{A,C})(z, n) = <z,n> psi_{C,B}(-z, -n) * prefactor."""
     zarr = np.asarray(z, dtype=complex)
-    vals = np.exp(log_forward_transform(charges, zarr, n % params.N.N, params, spec))
+    vals = np.exp(log_forward_transform(charges, zarr, n % params.N.N, params))
     return scalar_out(zarr, vals)
 
 
-def forward_transform_quadrature(charges: ChargeTriple, x: float, n: int, params: QdParams,
-                                 spec: QuadratureSpec | None = None) -> complex:
+def forward_transform_quadrature(charges: ChargeTriple, x: float, n: int,
+                                 params: QdParams) -> complex:
     """integral_A psi(y, m) <y,m; x,n> d(y,m) by Simpson on a truncated window."""
-    spec = spec or QuadratureSpec()
-    h = spec.step / 4  # psi oscillates with quadratic phase in the tails
+    h = STEP / 4  # psi oscillates with quadratic phase in the tails
     # window set by the slower of the two exponential decay rates of psi
     rate = 2 * np.pi * params.theta.c.imag * min(charges.a, charges.c) / params.N.sqrt
-    W = max(2 * spec.window, 23.0 / rate)
+    W = max(2 * WINDOW, 23.0 / rate)
     ys = np.arange(-W, W + h / 2, h)
-    return haar_simpson(lambda y, m: psi_charged(charges, y, m, params, spec)
+    return haar_simpson(lambda y, m: psi_charged(charges, y, m, params)
                         * fourier_kernel(LcaPoint(x, n), LcaPoint(y, m), params.N),
                         ys, h, params.N)
 
@@ -153,19 +148,17 @@ def pentagon_normalization(charges: ChargeTriple, params: QdParams) -> complex:
     )
 
 
-def pentagon_family(charges: ChargeTriple, x, n: int, params: QdParams,
-                    spec: QuadratureSpec | None = None):
+def pentagon_family(charges: ChargeTriple, x, n: int, params: QdParams):
     """H_{A,C}(x, n) = conj(kappa (F^{-1} psi_{A,C})(x, n)), the five-term family.
 
     F^{-1} psi(x, n) = (F psi)(-x, -n) by evenness of the kernel.
     """
     N = params.N.N
-    val = forward_transform_closed(charges, -np.asarray(x, dtype=float), (-n) % N, params, spec)
+    val = forward_transform_closed(charges, -np.asarray(x, dtype=float), (-n) % N, params)
     return scalar_out(x, np.conj(pentagon_normalization(charges, params) * val))
 
 
-def charged_identity_residuals(charges: ChargeTriple, samples, params: QdParams,
-                               spec: QuadratureSpec | None = None) -> dict:
+def charged_identity_residuals(charges: ChargeTriple, samples, params: QdParams) -> dict:
     """Max residuals of the conjugation identities f2 and f3 over samples.
 
     f2: conj psi_{A,C}(x,n) = psi_{C,A}(-x,-n) <x,n> e^{pi i c^2 (a+c)^2}
@@ -187,27 +180,27 @@ def charged_identity_residuals(charges: ChargeTriple, samples, params: QdParams,
     f2, f3, comp = [], [], []
     for (x, n) in samples:
         n = n % N
-        lhs2 = np.conj(psi_charged(charges, x, n, params, spec))
+        lhs2 = np.conj(psi_charged(charges, x, n, params))
         rhs2 = (
-            psi_charged(ChargeTriple(charges.c, charges.b, charges.a), -x, (-n) % N, params, spec)
+            psi_charged(ChargeTriple(charges.c, charges.b, charges.a), -x, (-n) % N, params)
             * gaussian_exp(LcaPoint(x, n), params.N)
             * np.exp(1j * np.pi * cth**2 * (a + c) ** 2)
             * np.exp(-1j * np.pi * (N + 2 * cth**2 / N) / 6)
         )
         f2.append(abs(lhs2 - rhs2))
 
-        tilde = forward_transform_closed(charges, -x, (-n) % N, params, spec) / gaussian_exp(
+        tilde = forward_transform_closed(charges, -x, (-n) % N, params) / gaussian_exp(
             LcaPoint(x, n), params.N
         )
         lhs3 = np.conj(tilde)
         rhs3 = (
-            psi_charged(ChargeTriple(charges.b, charges.a, charges.c), -x, (-n) % N, params, spec)
+            psi_charged(ChargeTriple(charges.b, charges.a, charges.c), -x, (-n) % N, params)
             * gaussian_exp(LcaPoint(x, n), params.N)
             * np.exp(-2j * np.pi * cth**2 * a * b)
             * np.exp(-1j * np.pi * (N - 4 * cth**2 / N) / 12)
         )
         f3.append(abs(lhs3 - rhs3))
-        comp.append(abs(tilde - psi_charged(swapped, x, n, params, spec) * prefactor))
+        comp.append(abs(tilde - psi_charged(swapped, x, n, params) * prefactor))
     # np.max keeps a NaN residual, which Python's max can drop
     return {key: float(np.max(vals, initial=0.0))
             for key, vals in (("f2_max", f2), ("f3_max", f3), ("f3_composition_max", comp))}
@@ -274,7 +267,7 @@ def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
             for start in range(0, len(rows), step):
                 i = rows[start:start + step]
                 z = yr[i, None] + k / rN
-                terms = np.conj(kap * np.exp(log_forward_transform(ch, z.ravel(), n, p, spec)))
+                terms = np.conj(kap * np.exp(log_forward_transform(ch, z.ravel(), n, p)))
                 if not np.all(np.isfinite(terms)):
                     raise NonConvergent(f"weight-kernel B-sum term not finite (n={n})")
                 terms = terms.reshape(z.shape)

@@ -41,9 +41,9 @@ def _residues(rng, ctx: Context, n: int, lo: float, hi: float) -> list:
 
 
 def _max_residual(residual):
-    """The evaluator {"max_residual": largest residual(x, n, params, spec)} over samples (x, n)."""
+    """The evaluator {"max_residual": largest residual(x, n, params)} over samples (x, n)."""
     return lambda ctx, sam, spec: {
-        "max_residual": _worst(residual(x, m, ctx.params, spec) for (x, m) in sam)}
+        "max_residual": _worst(residual(x, m, ctx.params) for (x, m) in sam)}
 
 
 def _fourier_sample(rng, ctx: Context, n: int) -> list:
@@ -54,10 +54,10 @@ def _fourier_sample(rng, ctx: Context, n: int) -> list:
 
 def _charged_evaluate(ctx: Context, samples, spec) -> dict:
     ch, p = ctx.charges, ctx.params
-    rep = charged.charged_identity_residuals(ch, samples, p, spec)
+    rep = charged.charged_identity_residuals(ch, samples, p)
     f1 = _worst(  # f1 on the first three samples only: the quadrature path is slow
-        abs(charged.forward_transform_closed(ch, x, m, p, spec)
-            - charged.forward_transform_quadrature(ch, x, m, p, spec))
+        abs(charged.forward_transform_closed(ch, x, m, p)
+            - charged.forward_transform_quadrature(ch, x, m, p))
         for (x, m) in samples[:3]
     )
     return {"f1_closed_vs_quadrature": f1, "f2_max": rep["f2_max"], "f3_max": rep["f3_max"]}
@@ -111,8 +111,7 @@ CHECKS: dict[str, Check] = {
     "faddeev-type": Check(
         lambda rng, ctx, n: [tuple(LcaPoint(*xm) for xm in _residues(rng, ctx, 2, -0.6, 0.6))
                              for _ in range(n)],
-        lambda ctx, sam, spec: pentagon.check_faddeev_type(
-            _PENTAGON_CHARGES, sam, ctx.params, spec),
+        lambda ctx, sam, spec: pentagon.check_faddeev_type(_PENTAGON_CHARGES, sam, ctx.params),
         {"max_residual": 1e-4}),
     "groupoid": Check(
         lambda rng, ctx, n: tuple([tuple(groupoid.random_point(rng) for _ in range(size))

@@ -66,13 +66,17 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_point(text: str) -> LcaPoint:
-    re, n = text.split(",")
-    return LcaPoint(float(re), int(n))
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"a point of A_N is xr,n, got {text!r}")
+    return LcaPoint(float(parts[0]), int(parts[1]))
 
 
 def _parse_charges(text: str) -> charged.ChargeTriple:
-    a, b, c = (float(v) for v in text.split(","))
-    return charged.ChargeTriple(a, b, c)
+    parts = [float(v) for v in text.split(",")]
+    if len(parts) != 3:
+        raise ValueError(f"charges are a,b,c, got {text!r}")
+    return charged.ChargeTriple(*parts)
 
 
 def _load_triangulation(args) -> ShapedTriangulation:

@@ -28,9 +28,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PoleProximity, SlowConvergence
-from .lca import QuadratureSpec, scalar_out
+from .lca import scalar_out
 
 _IM_THETA_SQ_FLOOR = 0.05  # thetas with Im(theta^2) below this converge too slowly
+_PRODUCT_TOL = 1e-16  # tail tolerance of the infinite q-products
 _POLE_EPS = 1e-7  # distance to the pole lattice below which a scalar z is refused
 
 
@@ -105,21 +106,20 @@ def _check_rate(theta: ThetaParam) -> None:
         )
 
 
-def log_phi_theta(z, theta: ThetaParam, spec: QuadratureSpec | None = None) -> np.ndarray:
+def log_phi_theta(z, theta: ThetaParam) -> np.ndarray:
     """log Phi_theta(z) modulo 2 pi i, vectorized over z.  No pole check (may return +/-inf).
 
     A product's depth grows with 2 pi Re(theta z), so Re z > 0 is reflected
     (see above), per element: batching changes no value; c_theta stays put.
     """
-    spec = spec or QuadratureSpec()
     _check_rate(theta)
     shape = np.shape(z)
     z = np.asarray(z, dtype=complex).ravel()  # numpy scalar math rounds unlike its array loops
     t, c = theta.theta, theta.c
     flip = z.real > 0
     w = np.where(flip, -z, z)
-    num = _log_pochhammer(2 * np.pi * t * (w + c), 2j * np.pi * t**2, spec.product_tol)
-    den = _log_pochhammer(2 * np.pi / t * (w - c), -2j * np.pi / t**2, spec.product_tol)
+    num = _log_pochhammer(2 * np.pi * t * (w + c), 2j * np.pi * t**2, _PRODUCT_TOL)
+    den = _log_pochhammer(2 * np.pi / t * (w - c), -2j * np.pi / t**2, _PRODUCT_TOL)
     two_log_phi0 = -1j * np.pi * (1 + 2 * c**2) / 6  # phi_zero's exponent, doubled
     return np.where(flip, 1j * np.pi * z**2 + two_log_phi0 - (num - den), num - den).reshape(shape)
 
@@ -154,23 +154,18 @@ def is_near_pole(z: complex, theta: ThetaParam) -> bool:
     return nearest_pole(z, theta)[1] < _POLE_EPS
 
 
-def phi_theta(
-    z,
-    theta: ThetaParam,
-    spec: QuadratureSpec | None = None,
-    check_poles: bool = True,
-):
+def phi_theta(z, theta: ThetaParam):
     """Phi_theta(z); scalar in, scalar out; arrays pass through vectorized.
 
     Raises PoleProximity when a scalar z is within _POLE_EPS of the pole
     lattice (array inputs skip the check for speed).
     """
     zarr = np.asarray(z, dtype=complex)
-    if check_poles and zarr.ndim == 0:
+    if zarr.ndim == 0:
         pole, dist = nearest_pole(complex(zarr), theta)
         if dist < _POLE_EPS:
             raise PoleProximity(f"z={complex(zarr)} within {dist:.2e} of pole {pole}")
-    return scalar_out(zarr, np.exp(log_phi_theta(zarr, theta, spec)))
+    return scalar_out(zarr, np.exp(log_phi_theta(zarr, theta)))
 
 
 def phi_zero(theta: ThetaParam) -> complex:
@@ -178,7 +173,7 @@ def phi_zero(theta: ThetaParam) -> complex:
     return cmath.exp(-1j * cmath.pi * (1 + 2 * theta.c**2) / 12)
 
 
-def shift_defects(z, theta: ThetaParam, spec: QuadratureSpec | None = None):
+def shift_defects(z, theta: ThetaParam):
     """Residuals of the two functional equations
 
     Phi(z - i theta/2)/Phi(z + i theta/2)       = 1 + e^{2 pi theta z}
@@ -186,10 +181,8 @@ def shift_defects(z, theta: ThetaParam, spec: QuadratureSpec | None = None):
     """
     t = theta.theta
     z = np.asarray(z, dtype=complex)
-    r1 = phi_theta(z - 1j * t / 2, theta, spec, check_poles=False) / phi_theta(
-        z + 1j * t / 2, theta, spec, check_poles=False
-    ) - (1 + np.exp(2 * np.pi * t * z))
-    r2 = phi_theta(z - 1j / t / 2, theta, spec, check_poles=False) / phi_theta(
-        z + 1j / t / 2, theta, spec, check_poles=False
-    ) - (1 + np.exp(2 * np.pi * z / t))
+    r1 = (phi_theta(z - 1j * t / 2, theta) / phi_theta(z + 1j * t / 2, theta)
+          - (1 + np.exp(2 * np.pi * t * z)))
+    r2 = (phi_theta(z - 1j / t / 2, theta) / phi_theta(z + 1j / t / 2, theta)
+          - (1 + np.exp(2 * np.pi * z / t)))
     return r1, r2

@@ -37,7 +37,8 @@ class Modulus:
 
 @dataclass(frozen=True)
 class LcaPoint:
-    """An element (x, n) of A_N; n is stored canonically in [0, N)."""
+    """An element (x, n) of A_N.  n is any integer representative of its residue:
+    consumers reduce it mod N (gaussian_exp does, and fourier_kernel is N-periodic in n)."""
 
     x: float
     n: int
@@ -62,29 +63,29 @@ class CircleVar:
     t: float
 
 
+# Half-width and step of the real-line Simpson quadratures (the Fourier transforms
+# of D_theta and psi, the Faddeev-type integral); a slower decay widens the window.
+WINDOW = 14.0
+STEP = 1 / 64
+
+
 @dataclass
 class QuadratureSpec:
-    """Grid sizes and tolerances for every integral and sum.
+    """The two numerical choices of the A/B integrals and B-sums.
 
-    M:          grid points per circle direction (periodic trapezoid).
-    window:     half-width of real-line truncation windows.
-    step:       step of real-line quadratures.
-    tol:        target relative tolerance; it sets each side's B-sum length and
-                tail check, and the default two-grid target of partition_function.
-    product_tol: tail tolerance of the infinite q-products.
+    M:    grid points per circle direction (periodic trapezoid).
+    tol:  target relative tolerance; it sets each side's B-sum length and
+          tail check, and the default two-grid target of partition_function.
     """
 
     M: int = 128
-    window: float = 14.0
-    step: float = 1 / 64
     tol: float = 1e-11
-    product_tol: float = 1e-16
 
     def __post_init__(self):
         if self.M < 8:
             raise ValueError("M must be at least 8")
-        if not all(0 < v < math.inf for v in (self.tol, self.product_tol, self.step, self.window)):
-            raise ValueError("tolerances, step and window must be positive and finite")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 def b_generator(N: Modulus) -> LcaPoint:

@@ -27,8 +27,8 @@ from .charged import (
     weight_kernel_many,
 )
 from .errors import Infeasible
-from .lca import (LcaPoint, QuadratureSpec, b_generator, fourier_kernel, gaussian_exp,
-                  haar_simpson)
+from .lca import (STEP, WINDOW, LcaPoint, QuadratureSpec, b_generator, fourier_kernel,
+                  gaussian_exp, haar_simpson)
 from .qdilog import QdParams
 
 __all__ = [
@@ -167,26 +167,18 @@ def check_charged_beta_pentagon(
     return {"max_residual": float(np.max(residuals)), "integrand_b_shift_defect": shift_defect}
 
 
-def check_faddeev_type(
-    pc: PentagonCharges,
-    samples,
-    params: QdParams,
-    spec: QuadratureSpec | None = None,
-    family=None,
-) -> dict:
+def check_faddeev_type(pc: PentagonCharges, samples, params: QdParams, family=None) -> dict:
     """Residual of the Fourier-side five-term identity over samples of A^2.
 
     samples: iterable of pairs (p, q) of LcaPoint.  family optionally replaces
     the pentagon family with an arbitrary 5-tuple of callables (xr, n) ->
     values, for negative controls.
     """
-    spec = spec or QuadratureSpec()
-    h = spec.step
-    zs = np.arange(-spec.window, spec.window + h / 2, h)
+    zs = np.arange(-WINDOW, WINDOW + STEP / 2, STEP)
 
     if family is None:
         family = [
-            (lambda ch: (lambda xr, n: pentagon_family(ch, xr, n, params, spec)))(ch)
+            (lambda ch: (lambda xr, n: pentagon_family(ch, xr, n, params)))(ch)
             for ch in pc.charges
         ]
     residuals = []
@@ -197,7 +189,7 @@ def check_faddeev_type(
         integral = haar_simpson(
             lambda z, m: family[4](q.x - z, q.n - m) * family[2](z, m)
             * family[0](p.x - z, p.n - m) * gaussian_exp(LcaPoint(z, m), params.N),
-            zs, h, params.N)
+            zs, STEP, params.N)
         rhs = fourier_kernel(-p, q, params.N) * integral
         residuals.append(abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
     return {"max_residual": float(np.max(residuals))}

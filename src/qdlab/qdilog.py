@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from .errors import PoleProximity
 from .faddeev import ThetaParam, is_near_pole, log_phi_theta
-from .lca import (LcaPoint, Modulus, QuadratureSpec, fourier_kernel, gaussian_exp, haar_simpson,
+from .lca import (STEP, WINDOW, LcaPoint, Modulus, fourier_kernel, gaussian_exp, haar_simpson,
                   scalar_out)
 
 __all__ = [
@@ -49,28 +49,21 @@ def factor_args(z, n: int, params: QdParams) -> list[np.ndarray]:
     return out
 
 
-def log_dtheta(z, n: int, params: QdParams, spec: QuadratureSpec | None = None) -> np.ndarray:
+def log_dtheta(z, n: int, params: QdParams) -> np.ndarray:
     """log D_theta(z, n) modulo 2 pi i, vectorized over z."""
-    spec = spec or QuadratureSpec()
     z = np.asarray(z, dtype=complex)
-    rows = log_phi_theta(np.stack(factor_args(z, n, params)), params.theta, spec)
+    rows = log_phi_theta(np.stack(factor_args(z, n, params)), params.theta)
     return sum(rows, np.zeros_like(z))  # rows added in factor order, j = 0..N-1
 
 
-def dtheta(
-    z,
-    n: int,
-    params: QdParams,
-    spec: QuadratureSpec | None = None,
-    check_poles: bool = True,
-):
+def dtheta(z, n: int, params: QdParams):
     """D_theta(z, n).  Scalar z gets a pole-proximity check on every factor."""
     zarr = np.asarray(z, dtype=complex)
-    if check_poles and zarr.ndim == 0:
+    if zarr.ndim == 0:
         for arg in factor_args(complex(zarr), n, params):
             if is_near_pole(complex(arg), params.theta):
                 raise PoleProximity(f"factor argument {complex(arg)} near a pole")
-    return scalar_out(zarr, np.exp(log_dtheta(zarr, n, params, spec)))
+    return scalar_out(zarr, np.exp(log_dtheta(zarr, n, params)))
 
 
 def inversion_constant(params: QdParams) -> complex:
@@ -80,11 +73,11 @@ def inversion_constant(params: QdParams) -> complex:
     return complex(np.exp(-1j * np.pi * (N + 2 * c**2 / N) / 6))
 
 
-def inversion_residual(x: float, n: int, params: QdParams, spec: QuadratureSpec | None = None) -> float:
+def inversion_residual(x: float, n: int, params: QdParams) -> float:
     """| D(x,n) D(-x,-n) - <x,n> e^{-pi i (N + 2 c^2/N)/6} |.  The factor arguments pair
     as z, -z, so under log_phi_theta's reflection this tests no q-product."""
     N = params.N
-    lhs = dtheta(x, n % N.N, params, spec) * dtheta(-x, (-n) % N.N, params, spec)
+    lhs = dtheta(x, n % N.N, params) * dtheta(-x, (-n) % N.N, params)
     rhs = gaussian_exp(LcaPoint(x, n), N) * inversion_constant(params)
     return abs(lhs - rhs)
 
@@ -95,11 +88,7 @@ def _contour_delta(params: QdParams) -> float:
 
 
 def fourier_transform_dtheta(
-    y: float,
-    n: int,
-    params: QdParams,
-    spec: QuadratureSpec | None = None,
-    window: tuple[float, float] | None = None,
+    y: float, n: int, params: QdParams, window: tuple[float, float] | None = None
 ) -> complex:
     """integral_A D(x, m) <y,n; x,m>^{-1} d(x,m), conditionally convergent.
 
@@ -108,7 +97,6 @@ def fourier_transform_dtheta(
     on the left D -> 1 exponentially fast, so for n = 0 mod N the residual
     constant tail is summed in closed (Abel) form, which requires y != 0.
     """
-    spec = spec or QuadratureSpec()
     N = params.N.N
     delta = _contour_delta(params)
     n = n % N
@@ -116,13 +104,13 @@ def fourier_transform_dtheta(
     if left_const and y == 0.0:
         raise ZeroDivisionError("transform diverges at (y, n) = (0, 0)")
     if window is None:
-        x0 = -spec.window
-        x1 = max(26.0 / (2 * np.pi * delta), spec.window)
+        x0 = -WINDOW
+        x1 = max(26.0 / (2 * np.pi * delta), WINDOW)
     else:
         x0, x1 = window
-    h = spec.step / 4  # quadratic phase of D needs a finer grid than psi does
+    h = STEP / 4  # quadratic phase of D needs a finer grid than psi does
     xs = np.arange(x0, x1 + h / 2, h)
-    total = haar_simpson(lambda z, m: dtheta(z, m, params, spec, check_poles=False)
+    total = haar_simpson(lambda z, m: dtheta(z, m, params)
                          * fourier_kernel(-LcaPoint(y, n), LcaPoint(z, m), params.N),
                          xs + 1j * delta, h, params.N)
     if left_const:
@@ -135,7 +123,7 @@ def fourier_formula_rhs(y: float, n: int, params: QdParams) -> complex:
     """D(-y + c/sqrt(N), -n) <y,n>^{-1} e^{pi i (N - 4 c^2/N)/12}."""
     c = params.theta.c
     N = params.N
-    val = dtheta(-y + c / N.sqrt, (-n) % N.N, params, check_poles=False)
+    val = complex(np.exp(log_dtheta(-y + c / N.sqrt, (-n) % N.N, params)))
     return (
         val
         / gaussian_exp(LcaPoint(y, n), N)
@@ -143,10 +131,8 @@ def fourier_formula_rhs(y: float, n: int, params: QdParams) -> complex:
     )
 
 
-def fourier_formula_residual(
-    y: float, n: int, params: QdParams, spec: QuadratureSpec | None = None
-) -> float:
+def fourier_formula_residual(y: float, n: int, params: QdParams) -> float:
     """|LHS(quadrature) - RHS(closed form)| of the Fourier transformation formula."""
-    lhs = fourier_transform_dtheta(y, n, params, spec)
+    lhs = fourier_transform_dtheta(y, n, params)
     rhs = fourier_formula_rhs(y, n, params)
     return abs(lhs - rhs)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qdlab.faddeev import ThetaParam
-from qdlab.lca import Modulus, QuadratureSpec
+from qdlab.lca import Modulus
 from qdlab.qdilog import QdParams
 
 THETA_FRACTIONS = ["1/3", "1/4", "2/5"]
@@ -25,8 +25,3 @@ def rng():
 
 def params(N: int, frac: str = "1/3") -> QdParams:
     return QdParams(ThetaParam.from_pi_fraction(frac), Modulus(N))
-
-
-@pytest.fixture
-def spec():
-    return QuadratureSpec()

@@ -110,8 +110,7 @@ def test_criterion_06_pentagon_identities():
     worst50 = {}
     for N in (1, 2):
         worst11 = run_check(worst11, "pentagon", rng, Context(params(N)), 5, QuadratureSpec(M=256))
-        worst50 = run_check(worst50, "faddeev-type", rng, Context(params(N)), 5,
-                            QuadratureSpec(window=10.0, step=1 / 64))
+        worst50 = run_check(worst50, "faddeev-type", rng, Context(params(N)), 5)
     # refinement: residual decreases from a coarse grid to M=256
     pent = CHECKS["pentagon"]
     ctx1 = Context(params(1))

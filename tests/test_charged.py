@@ -50,7 +50,7 @@ def test_psi_equal_charges_against_dtheta_oracle():
     # psi at x=0: e^0 / D(-c (A+C)/sqrt N, 0), via the dtheta oracle directly
     p = params(1)
     ch = ChargeTriple.equal()
-    oracle = 1.0 / dtheta(-p.theta.c * (2 / 3), 0, p, check_poles=False)
+    oracle = 1.0 / dtheta(-p.theta.c * (2 / 3), 0, p)
     assert psi_charged(ch, 0.0, 0, p) == pytest.approx(oracle, rel=1e-13)
 
 
@@ -116,8 +116,8 @@ def test_identity_residuals_keep_nan(monkeypatch):
 
     real = charged.psi_charged
 
-    def psi(ch, x, n, p, spec=None):
-        return complex("nan") if abs(abs(x) - 0.7) < 1e-12 else real(ch, x, n, p, spec)
+    def psi(ch, x, n, p):
+        return complex("nan") if abs(abs(x) - 0.7) < 1e-12 else real(ch, x, n, p)
 
     monkeypatch.setattr(charged, "psi_charged", psi)
     rep = charged_identity_residuals(ChargeTriple(0.5, 0.2, 0.3), [(0.3, 0), (0.7, 0)], params(1))

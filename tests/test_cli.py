@@ -217,7 +217,7 @@ def test_check_failing_exit_code(capsys):
 
 def test_nan_residual_fails_its_check():
     residuals = iter([1e-12, float("nan"), 1e-13])
-    evaluate = checks._max_residual(lambda x, n, p, spec: next(residuals))
+    evaluate = checks._max_residual(lambda x, n, p: next(residuals))
     report = evaluate(checks.Context(), [(0.0, 0)] * 3, None)
     assert not checks.passes(report, {"max_residual": 1e-9})
 
@@ -252,6 +252,18 @@ def test_negative_values_read_as_values(command, flags, capsys):
     code, doc = invoke(spaced, capsys)
     assert code == 0
     assert invoke([command] + [f"{k}={v}" for k, v in flags.items()], capsys) == (0, doc)
+
+
+@pytest.mark.parametrize("x, charges, form", [
+    ("0.3", "0.4,0.3,0.3", "xr,n"),
+    ("0.3,0,1", "0.4,0.3,0.3", "xr,n"),
+    ("0.3,0", "0.4,0.3", "a,b,c"),
+], ids=["point-short", "point-long", "charges-short"])
+def test_malformed_point_and_charges_name_the_form(x, charges, form, capsys):
+    code = run(["kernel", "--charges", charges, "--x", x, "--y", "0.2,0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert form in captured.err
 
 
 def test_cli_import_loads_no_scipy():

@@ -18,7 +18,7 @@ from qdlab.faddeev import (
     phi_zero,
     shift_defects,
 )
-from qdlab.lca import Modulus, QuadratureSpec
+from qdlab.lca import Modulus
 from qdlab.qdilog import QdParams, dtheta, factor_args
 
 ORACLE_FRACTIONS = ("1/3", "1/4", "2/5", "1/5")
@@ -88,19 +88,20 @@ def test_unitarity_on_real_line(thetas):
         assert np.max(np.abs(np.abs(phi_theta(xs, th)) - 1)) < 1e-10
 
 
-def test_truncation_consistency(theta3):
-    # each product stops once |x q^j| < product_tol, so the neglected tails move
+def test_truncation_consistency(theta3, monkeypatch):
+    # each product stops once |x q^j| < _PRODUCT_TOL, so the neglected tails move
     # log Phi by at most ~2 tol/(1-|q|) each: doubling the depth stays inside 4 tol/(1-|q|)
+    def phi_at(z, theta, tol):
+        monkeypatch.setattr(qdlab.faddeev, "_PRODUCT_TOL", tol)
+        return phi_theta(z, theta)
+
     z = 0.5
-    loose = phi_theta(z, theta3, QuadratureSpec(product_tol=1e-9))
-    tight = phi_theta(z, theta3, QuadratureSpec(product_tol=1e-18))
+    loose = phi_at(z, theta3, 1e-9)
+    tight = phi_at(z, theta3, 1e-18)
     bound = 4.0 * 1e-9 / (1.0 - math.exp(-2 * math.pi * theta3.im_theta_sq))
     assert abs(loose - tight) <= bound * abs(tight)
     th4 = ThetaParam.from_pi_fraction("1/4")
-    assert abs(
-        phi_theta(0.5, th4, QuadratureSpec(product_tol=1e-12))
-        - phi_theta(0.5, th4, QuadratureSpec(product_tol=1e-18))
-    ) < 1e-12
+    assert abs(phi_at(0.5, th4, 1e-12) - phi_at(0.5, th4, 1e-18)) < 1e-12
 
 
 def test_log_phi_independent_of_batching(theta3):
@@ -197,7 +198,7 @@ def test_log_phi_matches_mpmath_off_axis(mp, monkeypatch):
 def test_dead_q_product_points_match_mpmath(mp):
     # below Re lx = log(tol (1 - |q|)) the product is 1 to within tol, and
     # _log_pochhammer returns exactly 0; just above it, the live terms run
-    tol = QuadratureSpec().product_tol
+    tol = qdlab.faddeev._PRODUCT_TOL
     for seed, frac in enumerate(ORACLE_FRACTIONS):
         t = ThetaParam.from_pi_fraction(frac).theta
         rng = np.random.default_rng(seed)
@@ -216,7 +217,7 @@ def test_dead_q_product_points_match_mpmath(mp):
 
 def test_q_products_match_mpmath(mp):
     # the raw products on Re z <= 0, where log_phi_theta runs them unreflected
-    tol = QuadratureSpec().product_tol
+    tol = qdlab.faddeev._PRODUCT_TOL
     for seed, frac in enumerate(ORACLE_FRACTIONS):
         th = ThetaParam.from_pi_fraction(frac)
         t, c = th.theta, th.c

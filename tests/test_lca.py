@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qdlab.lca import (
     LcaPoint,
     Modulus,
+    QuadratureSpec,
     b_generator,
     fourier_kernel,
     gauss_gamma,
@@ -21,6 +22,18 @@ moduli = st.integers(min_value=1, max_value=7).map(Modulus)
 reals = st.floats(min_value=-8, max_value=8, allow_nan=False)
 residues = st.integers(min_value=-15, max_value=15)
 points = st.builds(LcaPoint, reals, residues)
+
+
+@pytest.mark.parametrize("kw, error", [
+    ({"M": 7}, ValueError), ({"tol": 0.0}, ValueError), ({"tol": -1e-3}, ValueError),
+    ({"tol": np.nan}, ValueError), ({"tol": np.inf}, ValueError),
+    # M and tol are the only fields: the q-product tolerance and the real-line
+    # window and step are module constants
+    ({"product_tol": 1e-3}, TypeError), ({"window": 1e-3}, TypeError), ({"step": 1e-3}, TypeError),
+])
+def test_quadrature_spec_rejects(kw, error):
+    with pytest.raises(error):
+        QuadratureSpec(**kw)
 
 
 def test_gaussian_exp_examples():

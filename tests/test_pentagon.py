@@ -108,8 +108,7 @@ def _pair_samples(rng, N, count):
 def test_faddeev_type(N, rng):
     p = params(N)
     pc = PentagonCharges.solve(EQUAL, T3)
-    spec = QuadratureSpec(window=10.0, step=1 / 64)
-    rep = check_faddeev_type(pc, _pair_samples(rng, N, 3), p, spec)
+    rep = check_faddeev_type(pc, _pair_samples(rng, N, 3), p)
     assert rep["max_residual"] < 1e-4
 
 

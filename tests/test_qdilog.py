@@ -5,7 +5,6 @@ import pytest
 from conftest import params
 
 from qdlab.faddeev import phi_theta
-from qdlab.lca import QuadratureSpec
 from qdlab.qdilog import (
     dtheta,
     factor_args,
@@ -85,9 +84,8 @@ def test_fourier_formula_window_convergence():
     # residual decreases as the quadrature window grows (convergence witness)
     p = params(1)
     rhs = fourier_formula_rhs(0.35, 0, p)
-    spec = QuadratureSpec()
     res = [
-        abs(fourier_transform_dtheta(0.35, 0, p, spec, window=(-6.0, w)) - rhs)
+        abs(fourier_transform_dtheta(0.35, 0, p, window=(-6.0, w)) - rhs)
         for w in (8.0, 16.0, 32.0)
     ]
     assert res[2] < res[0]
