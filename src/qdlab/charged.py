@@ -306,18 +306,29 @@ def weight_kernel_grid(wkp: WeightKernelParams, us, ws, M: int,
     leaves every phase e^{-2 pi i k u/M} unchanged, and w -> w + M maps term k
     to term k + N, so S(u, w + qM) = lambda(u)^q S(u, w) with
     lambda(u) = (-1)^N e^{2 pi i sqrt(N) (u h - mu_x)}.  Every entry carries the
-    truncation error of its core entry.
+    truncation error of its core entry.  With u = u0 + aM, w = w0 + qM and
+    0 <= u0, w0 < M, the block (q, a) of entries <u h; -w h/2> lambda(u)^q S(u0, w0)
+    is the phased core T0 = S e^{-pi i N u0 w0/M^2} times e^{-pi i N a w0/M}
+    e^{pi i N q u0/M} (-1)^(N q (1 - a)) e^{-2 pi i q sqrt(N) mu_x}, each phase one
+    exp of an exact integer numerator.  One broadcast product builds the blocks
+    that cover us, ws, and us, ws are gathered from them.
     """
     p = wkp.params
     N, h = p.N.N, p.N.sqrt / M
-    us, ws = np.asarray(us, dtype=int), np.asarray(ws, dtype=int)[:, None]
+    us, ws = np.asarray(us, dtype=int), np.asarray(ws, dtype=int)
     core = np.arange(M)
     S = _b_sum(wkp, core * h, 0 * core, core * h, 0 * core, spec, grid=True)
-    q = ws // M
-    # lambda(u)^q, with sqrt(N) u h = N u / M reduced mod M in integers
-    lam = (-1.0) ** (N * q) * np.exp(2j * np.pi * ((q * N * us) % M / M - q * p.N.sqrt * wkp.mu.x))
-    # <u h; -w h/2>: the residue parts are 0
-    return np.exp(-2j * np.pi * (us * h) * (ws * h / 2)) * lam * S[ws % M, us % M]
+    a, q = (np.arange(v.min() // M, v.max() // M + 1)[:, None] for v in (us, ws))  # block indices
+
+    def root(k, d):  # e^{pi i k/d} for integer k
+        return np.exp(1j * np.pi * (k % (2 * d)) / d)
+
+    cols = us - a[0, 0] * M  # of the flattened (a, u0) axis
+    T0 = S * root(-N * core[:, None] * core, M * M)
+    T0a = (T0[:, None, :] * root(-N * a * core, M).T[:, :, None]).reshape(M, -1)[:, cols]
+    qa = (root(N * q[..., None] * core, M) * (1 - 2 * (N * q * (1 - a.T) % 2))[..., None]
+          * np.exp(-2j * np.pi * q[..., None] * p.N.sqrt * wkp.mu.x)).reshape(len(q), -1)[:, cols]
+    return (T0a * qa[:, None, :]).reshape(len(q) * M, -1)[ws - q[0, 0] * M]
 
 
 def weight_kernel(wkp: WeightKernelParams, x: LcaPoint, y: LcaPoint,

@@ -2,9 +2,11 @@
 
 CHECKS maps a check kind to its seeded sampler `sample(rng, ctx, n)`, its
 evaluator `evaluate(ctx, samples, spec)` returning a JSON-ready report dict,
-and its limits {report key: strict upper bound}.  `qdlab check <kind>` and the
-acceptance tests both go through this table.  ctx is a Context holding the
-QdParams, the charges or the triangulation X that the check reads.
+its limits {report key: strict upper bound}, and `reads`, the flags among
+"grid" and "tol" that its evaluator reads (the CLI rejects the others).
+`qdlab check <kind>` and the acceptance tests both go through this table.  ctx
+is a Context holding the QdParams, the charges or the triangulation X that the
+check reads.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from . import charged, groupoid, partition, pentagon, qdilog, triangulation
 from .lca import CircleVar, LcaPoint
 
 Context = namedtuple("Context", "params charges X", defaults=(None, None, None))
-Check = namedtuple("Check", "sample evaluate limits")
+Check = namedtuple("Check", "sample evaluate limits reads", defaults=((),))
 
 
 def passes(report: dict, limits: dict) -> bool:
@@ -107,7 +109,8 @@ CHECKS: dict[str, Check] = {
         _pentagon_sample,
         lambda ctx, sam, spec: pentagon.check_charged_beta_pentagon(
             _PENTAGON_CHARGES, sam, ctx.params, spec),
-        {"max_residual": 1e-4}),
+        {"max_residual": 1e-4},
+        ("grid", "tol")),
     "faddeev-type": Check(
         lambda rng, ctx, n: [tuple(LcaPoint(*xm) for xm in _residues(rng, ctx, 2, -0.6, 0.6))
                              for _ in range(n)],
@@ -124,11 +127,13 @@ CHECKS: dict[str, Check] = {
         lambda ctx, sam, spec: {"max_residual": _worst(
             partition.descent_residual(ctx.X, st, e, k=ctx.X.N.N, spec=spec)
             for st in sam for e in range(len(ctx.X.edge_classes)))},
-        {"max_residual": 1e-8}),
+        {"max_residual": 1e-8},
+        ("tol",)),
     "gauge": Check(
         lambda rng, ctx, n: 0,  # the gauge direction of edge class 0; draws nothing
         _gauge_evaluate,
-        {"rel_change": 1e-3}),
+        {"rel_change": 1e-3},
+        ("grid", "tol")),
 }
 
 # the pass rule of `qdlab wgz` and of the WGZ acceptance criterion

@@ -179,6 +179,9 @@ def cmd_check(args):
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     chk = checks.CHECKS[args.kind]
+    for flag in ("grid", "tol"):
+        if getattr(args, flag) is not None and flag not in chk.reads:
+            raise ValueError(f"check {args.kind} does not read --{flag}")
     ctx = checks.Context(_params(args), _parse_charges(args.charges), _load_triangulation(args))
     samples = chk.sample(np.random.default_rng(args.seed), ctx, args.samples)
     report = chk.evaluate(ctx, samples, _spec(args.grid, args.tol))

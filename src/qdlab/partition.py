@@ -13,8 +13,8 @@ states all kernel arguments are integer multiples of h = sqrt(N)/M, so each
 tet needs a single (E2-index, E1-index) table.  The table comes from
 `charged.weight_kernel_grid`, which shares the B-sum engine, its truncation
 rule and its tail check with every pointwise kernel value.  It sums the B-sum
-on the M x M core of indices in [0, M) only and reads every other entry from
-its core entry by the two automorphy relations of the kernel.
+on the M x M core only; by the two automorphy relations of the kernel every
+M x M block of the table is that core times a rank-one unimodular phase.
 
 Within one call, tets with equal charges, sign and index ranges share one
 table.  A grid of M/s points per edge is the stride-s subgrid of the M grid,
@@ -22,9 +22,9 @@ so it is contracted straight from the M tables: its index j reads the M-grid
 entry at s j.  The two-grid error estimate reads its M/2 grid this way for
 even M, and a convergence ladder reads every rung that divides its largest.
 Nothing is cached across calls.  Each tet's slot coefficients (+1, +1, -1, -1
-in E1 and in E2) sum to zero, so the integrand depends only on the index
-differences j_c - j_0, and descent makes it periodic in each j_c: the sum over
-j_0 is equal copies of j_0 = 0, the one slice summed (M^(E-1) points, not M^E).
+in E1 and in E2) sum to zero, so the integrand depends only on j_c - j_0, and
+descent makes it periodic in each j_c: the sum is equal copies of the slice
+j_0 = 0 (M^(E-1) points), where each tet is one flat gather from its table.
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ def _tet_tables(X: ShapedTriangulation, M: int, spec: QuadratureSpec) -> list[di
     return [_tet_table(X, t, M, spec, memo) for t in range(len(X.tets))]
 
 
-# grid points per slab of the contraction; one slab when M**(E-1) fits
-_SLAB_POINTS = 4_000_000
+# grid points per slab of the contraction
+_SLAB_POINTS = 2**16
 
 
 def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> complex:
@@ -164,7 +164,8 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
     so its index j reads the M-grid entry at stride * j.  The sum over j_0 is
     n equal copies (zero coefficient sums and descent), so j_0 = 0 is fixed and
     Z = n^-(E-1) times the sum over the other edges, in slabs along edge 1
-    sized by the table grid M whatever the stride.
+    sized by the table grid M whatever the stride.  Each tet is one take from
+    its raveled table at a linear form in the free j_c, over the axes it touches.
     """
     if any(sum(tab["m1"].values()) or sum(tab["m2"].values()) for tab in tables):
         raise TopologyError("tet slot coefficients do not sum to zero; j_0 cannot be fixed")
@@ -172,21 +173,21 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
     if E == 0:
         return 1.0 + 0j
     n = M // stride
-    j = [0, *np.ix_(*[stride * np.arange(n)] * (E - 1))]  # j_0 = 0, open grid for the rest
-
-    def slab_product(sl):
-        out = None
-        for tab in tables:
-            u = sum(v * (j[c][sl] if c == 1 else j[c]) for c, v in tab["m1"].items())
-            w = sum(v * (j[c][sl] if c == 1 else j[c]) for c, v in tab["m2"].items())
-            vals = tab["table"][w - tab["wmin"], u - tab["umin"]]
-            out = vals if out is None else out * vals
-        return out
-
+    js = np.ix_(*[stride * np.arange(n)] * (E - 1))  # j_c on free axis c - 1
     step = max(1, _SLAB_POINTS // M ** max(E - 2, 0))
     total = 0j
     for start in range(0, n if E > 1 else 1, step):
-        total += np.sum(slab_product(slice(start, start + step)))
+        j = [0, *(jc[start:start + step] if c == 0 else jc for c, jc in enumerate(js))]
+        shape, out = np.broadcast_shapes(*map(np.shape, j)), np.ones((), dtype=complex)
+        gathers = []
+        for tab in tables:
+            ncol = tab["table"].shape[1]
+            flat = sum(((tab["m2"][c] * ncol + v) * j[c] for c, v in tab["m1"].items()
+                        if v or tab["m2"][c]), -tab["wmin"] * ncol - tab["umin"])
+            gathers.append(tab["table"].ravel().take(flat))
+        for g in sorted(gathers, key=np.size):  # the small factors first, then in place
+            out = np.multiply(out, g, out=out if out.shape == shape else None)
+        total += np.sum(out)
     return complex(total / n ** (E - 1))
 
 

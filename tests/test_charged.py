@@ -246,6 +246,28 @@ def test_weight_kernel_grid_on_sparse_indices(N):
                 assert grid[j, i] == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("M", [12, 13])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_weight_kernel_grid_spans_periods(N, M):
+    # index ranges two periods and more out on both sides; odd M, and N that
+    # does not divide M, included.  The same entries read at a sparse sample of
+    # rows, which covers fewer blocks, agree bit for bit.
+    p = params(N)
+    h = p.N.sqrt / M
+    us = ws = np.arange(-2 * M - 3, 2 * M + 4)
+    rng = np.random.default_rng(1000 * N + M)
+    for mu in (LcaPoint(0.0, 0), LcaPoint(0.3, 1)):
+        wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p, mu)
+        grid = weight_kernel_grid(wkp, us, ws, M)
+        assert grid.shape == (len(ws), len(us))
+        rows = np.sort(rng.choice(len(ws), 6, replace=False))
+        np.testing.assert_array_equal(weight_kernel_grid(wkp, us, ws[rows], M), grid[rows])
+        corners = [(0, 0), (0, -1), (-1, 0), (-1, -1)]
+        for j, i in corners + list(zip(rng.integers(0, len(ws), 10), rng.integers(0, len(us), 10))):
+            expect = weight_kernel(wkp, LcaPoint(us[i] * h, 0), LcaPoint(ws[j] * h, 0))
+            assert grid[j, i] == pytest.approx(expect, rel=1e-12)
+
+
 def test_pentagon_family_matches_transform():
     p = params(2)
     ch = ChargeTriple(0.5, 0.2, 0.3)

@@ -93,8 +93,23 @@ def test_zero_grid_and_tol_are_rejected(flag, capsys):
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tol_is_rejected(value, capsys):
-    assert run(["check", "inversion", "--samples", "2", "--tol", value]) == 1
-    assert capsys.readouterr().out == ""
+    # descent reads --tol, so QuadratureSpec sees the value and rejects it
+    assert run(["check", "descent", "--samples", "2", "--tol", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tol must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("flag,value", [("grid", "16"), ("tol", "1e-3")])
+@pytest.mark.parametrize("kind", list(checks.CHECKS))
+def test_check_rejects_flags_it_does_not_read(kind, flag, value, capsys):
+    # a kind that does not read --grid or --tol must not accept it silently
+    reads = {"grid": {"pentagon", "gauge"}, "tol": {"pentagon", "descent", "gauge"}}[flag]
+    assert (flag in checks.CHECKS[kind].reads) == (kind in reads)
+    if kind in reads:
+        return
+    assert run(["check", kind, "--samples", "2", f"--{flag}", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"--{flag}" in captured.err and kind in captured.err
 
 
 @pytest.mark.parametrize("k,grid", [(2, 0), (3, 2)])

@@ -115,6 +115,23 @@ def test_pachner_invariance_four_tets_N2():
     assert abs(abs(z4) - abs(z2)) / abs(z2) < 1e-3
 
 
+def _five_tet(N):
+    """The five-tet complex: two 2-3 moves from fig8_3tet.  Its smallest charge is 1/24."""
+    return pachner_23(pachner_23(builtin_census("fig8_3tet", N=N), (0, 2)), (2, 2))
+
+
+def test_pachner_invariance_five_tets_N1():
+    """|Z| at N=1 is invariant under two 2-3 moves, from 3 to 5 tets.
+
+    Andersen-Kashaev (arXiv:1109.6295) prove Pachner invariance for the N=1
+    theory.  M=96 is the first rung of the ladder that agrees: |Z5|/|Z2| - 1 is
+    1.2e-2 at M=64 and 2.8e-4 at M=96.  The grid sums 96^4 points once j_0 is fixed.
+    """
+    z2 = _grid_values(builtin_census("fig8_2tet", N=1), [256], QuadratureSpec(M=256))[0]
+    z5 = _grid_values(_five_tet(1), [96], QuadratureSpec(M=96))[0]
+    assert abs(abs(z5) - abs(z2)) / abs(z2) < 1e-3
+
+
 def _full_grid_sum(X, tables, M, stride):
     """Z as the plain sum over all j in [0, n)^E, no edge fixed."""
     E = len(X.edge_classes)
@@ -128,16 +145,18 @@ def _full_grid_sum(X, tables, M, stride):
     return complex(np.sum(total) / n**E)
 
 
-@pytest.mark.parametrize("M", [16, 32])
 @pytest.mark.parametrize(
-    "name,N", [(name, N) for name in ("fig8_2tet", "fig8_3tet") for N in (1, 2, 3)]
-    + [("four_tet", 1)]
+    "name,N,M", [(name, N, M) for name in ("fig8_2tet", "fig8_3tet") for N in (1, 2, 3)
+                 for M in (16, 32)]
+    + [("four_tet", 1, 16), ("four_tet", 1, 32), ("five_tet", 1, 8), ("five_tet", 1, 16)]
 )
 def test_fixed_edge_matches_full_grid_sum(name, N, M):
     # the integrand depends on j_c - j_0 and is periodic, so fixing j_0 = 0
     # changes Z only by the B-sum truncation that descent rests on
     if name == "four_tet":
         X = pachner_23(builtin_census("fig8_3tet", N=N), (0, 2))
+    elif name == "five_tet":
+        X = _five_tet(N)
     else:
         X = builtin_census(name, N=N)
     tables = _tet_tables(X, M, QuadratureSpec(M=M))
@@ -309,6 +328,15 @@ def test_contraction_in_many_slabs(monkeypatch):
     many = partition_function(X, spec, target=np.inf)
     assert many.Z == pytest.approx(one.Z, rel=1e-13)
     assert many.error_estimate == pytest.approx(one.error_estimate, rel=1e-13)
+    # four tets: edges 1, 2 and 3 are free, and three planes of edge 1 per slab
+    # give 6 slabs at M=16 and 3 on the stride-2 grid, the last one short in both
+    X4 = pachner_23(builtin_census("fig8_3tet", N=1), (0, 2))
+    tables = _tet_tables(X4, 16, QuadratureSpec(M=16))
+    monkeypatch.undo()
+    one4 = [_contract(X4, tables, 16, stride) for stride in (1, 2)]
+    monkeypatch.setattr(qdlab.partition, "_SLAB_POINTS", 3 * 16**2)
+    for stride, z in zip((1, 2), one4):
+        assert _contract(X4, tables, 16, stride) == pytest.approx(z, rel=1e-13)
 
 
 def test_equal_tets_share_one_table():
