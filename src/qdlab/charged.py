@@ -75,8 +75,8 @@ class ChargeTriple:
         return cls(1 / 3, 1 / 3, 1 / 3)
 
 
-def log_psi(charges: ChargeTriple, z, n: int, params: QdParams) -> np.ndarray:
-    """log psi_{A,C}(z, n) modulo 2 pi i, vectorized over z."""
+def log_psi(charges: ChargeTriple, z, n: int | np.ndarray, params: QdParams) -> np.ndarray:
+    """log psi_{A,C}(z, n) modulo 2 pi i; n, an integer or integer array, broadcasts with z."""
     cth = params.theta.c
     rN = params.N.sqrt
     z = np.asarray(z, dtype=complex)
@@ -101,8 +101,10 @@ def _transform_prefactor(charges: ChargeTriple, params: QdParams) -> complex:
     )
 
 
-def log_forward_transform(charges: ChargeTriple, z, n: int, params: QdParams) -> np.ndarray:
-    """log (F psi_{A,C})(z, n) modulo 2 pi i, vectorized over z (closed form)."""
+def log_forward_transform(charges: ChargeTriple, z, n: int | np.ndarray,
+                          params: QdParams) -> np.ndarray:
+    """log (F psi_{A,C})(z, n) mod 2 pi i (closed form); n, an integer or integer array,
+    broadcasts with z."""
     N = params.N.N
     z = np.asarray(z, dtype=complex)
     swapped = ChargeTriple(charges.c, charges.a, charges.b)  # psi_{C,B}
@@ -166,41 +168,31 @@ def charged_identity_residuals(charges: ChargeTriple, samples, params: QdParams)
     f3: conj (F^{-1}psi_{A,C} <.,.>^{-1})(x,n)
         = psi_{B,C}(-x, -n) <x, n> e^{-2 pi i c^2 a b} e^{-pi i (N - 4c^2/N)/12}
 
-    samples: iterable of (x, n).  Also reports f3_composition_max, the f1
-    bridge: the transform table reads the same tilde as psi_{C,B}(x, n) *
-    prefactor.  It is an identity of the code (forward_transform_closed is
-    that closed form), so it vanishes to rounding and tests no q-product.
+    samples: iterable of (x, n), evaluated as one array each of x and n.  Also
+    reports f3_composition_max, the f1 bridge: the transform table reads the same
+    tilde as psi_{C,B}(x, n) * prefactor.  It is an identity of the code
+    (forward_transform_closed is that closed form), so it vanishes to rounding and
+    tests no q-product.
     """
     cth = params.theta.c
     N = params.N.N
     rN = params.N.sqrt
     a, b, c = charges.a / rN, charges.b / rN, charges.c / rN
+    x, n = np.array(list(samples), dtype=float).reshape(-1, 2).T
+    n = n.astype(int) % N
+    g = gaussian_exp(LcaPoint(x, n), params.N)
+    rhs2 = (psi_charged(ChargeTriple(charges.c, charges.b, charges.a), -x, -n, params) * g
+            * np.exp(1j * np.pi * cth**2 * (a + c) ** 2)
+            * np.exp(-1j * np.pi * (N + 2 * cth**2 / N) / 6))
+    f2 = np.abs(np.conj(psi_charged(charges, x, n, params)) - rhs2)
+    tilde = forward_transform_closed(charges, -x, -n, params) / g
+    rhs3 = (psi_charged(ChargeTriple(charges.b, charges.a, charges.c), -x, -n, params) * g
+            * np.exp(-2j * np.pi * cth**2 * a * b)
+            * np.exp(-1j * np.pi * (N - 4 * cth**2 / N) / 12))
+    f3 = np.abs(np.conj(tilde) - rhs3)
     swapped = ChargeTriple(charges.c, charges.a, charges.b)  # psi_{C,B}
     prefactor = _transform_prefactor(charges, params)
-    f2, f3, comp = [], [], []
-    for (x, n) in samples:
-        n = n % N
-        lhs2 = np.conj(psi_charged(charges, x, n, params))
-        rhs2 = (
-            psi_charged(ChargeTriple(charges.c, charges.b, charges.a), -x, (-n) % N, params)
-            * gaussian_exp(LcaPoint(x, n), params.N)
-            * np.exp(1j * np.pi * cth**2 * (a + c) ** 2)
-            * np.exp(-1j * np.pi * (N + 2 * cth**2 / N) / 6)
-        )
-        f2.append(abs(lhs2 - rhs2))
-
-        tilde = forward_transform_closed(charges, -x, (-n) % N, params) / gaussian_exp(
-            LcaPoint(x, n), params.N
-        )
-        lhs3 = np.conj(tilde)
-        rhs3 = (
-            psi_charged(ChargeTriple(charges.b, charges.a, charges.c), -x, (-n) % N, params)
-            * gaussian_exp(LcaPoint(x, n), params.N)
-            * np.exp(-2j * np.pi * cth**2 * a * b)
-            * np.exp(-1j * np.pi * (N - 4 * cth**2 / N) / 12)
-        )
-        f3.append(abs(lhs3 - rhs3))
-        comp.append(abs(tilde - psi_charged(swapped, x, n, params) * prefactor))
+    comp = np.abs(tilde - psi_charged(swapped, x, n, params) * prefactor)
     # np.max keeps a NaN residual, which Python's max can drop
     return {key: float(np.max(vals, initial=0.0))
             for key, vals in (("f2_max", f2), ("f3_max", f3), ("f3_composition_max", comp))}
@@ -225,19 +217,20 @@ _B_TERMS = 400
 
 def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
            grid: bool = False) -> np.ndarray:
-    """S(x, y) = sum_{k=-K-}^{K+} conj(kappa F psi)(y + k b0) conj<k b0> <k b0; mu - x>.
+    """S(x, y) = sum_{k=-K-}^{K+} conj(kappa F psi)(y0 + k b0) conj<j b0> <j b0; mu - x>,
 
-    W(x, y) = <x; -y/2> S(x, y); the prefactor is left to the callers.  K+ and K-
-    follow the decay of F psi at rates C (k -> +inf) and B (k -> -inf), capped at
-    _B_TERMS.  NonConvergent is raised when a term with k >= K+ - N or k <= N - K-
-    exceeds 1e3 * spec.tol times the largest |S|, and when a term or a sum is not
-    finite.  Each block of rows of y times the k of one residue r mod N holds about
-    _BLOCK_POINTS terms, evaluated by one log_forward_transform call at y_i + k b0.
+    the B-sum from the canonical section: y = y0 + yn b0 with y0 = (yr - yn/sqrt(N), 0)
+    and j = k - yn.  W(x, y) = <x; -y/2> S(x, y); the prefactor is left to the callers.
+    K+ and K- follow the decay of F psi at rates C (k -> +inf) and B (k -> -inf),
+    capped at _B_TERMS.  NonConvergent is raised when a term with k >= K+ - N or
+    k <= N - K- exceeds 1e3 * spec.tol times the largest |S|, and when a term or a
+    sum is not finite.  Each block of rows of y times all k holds about _BLOCK_POINTS
+    terms, evaluated by one log_forward_transform call at y0_i + k b0, residues k mod N.
 
     xr, yr are 1-D float arrays and xn, yn 1-D integer arrays reduced mod N.
     Paired (grid False): S(x_i, y_i), each block contracted row by row with
-    its own phases.  Grid: [j, i] -> S(x_i, y_j), each block contracted with
-    the phases of every x by one matmul.
+    its own phases.  Grid (every yn = 0): [j, i] -> S(x_i, y_j), each block
+    contracted with the phases of every x by one matmul.
     """
     spec = spec or QuadratureSpec()
     p, ch = wkp.params, wkp.charges
@@ -255,28 +248,24 @@ def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
             2j * np.pi * (k / rN) * (wkp.mu.x - x) - 2j * np.pi * k * ((wkp.mu.n - n) / N)
         )
 
+    y0 = yr - yn / rN
+    edge = (ks >= Kp - N) | (ks <= N - Km)  # the two tails the check reads
+    step = max(1, _BLOCK_POINTS // len(ks))
+    P = phase(ks[:, None], xr, xn) if grid else None
     total = np.zeros((len(yr), len(xr)) if grid else len(yr), dtype=complex)
     tail = 0.0
-    for v in np.unique(yn):
-        rows = np.flatnonzero(yn == v)
-        for r in np.unique(ks % N):
-            k, n = ks[ks % N == r], (v + r) % N
-            edge = (k >= Kp - N) | (k <= N - Km)  # the two tails the check reads
-            step = max(1, _BLOCK_POINTS // len(k))
-            P = phase(k[:, None], xr, xn) if grid else None
-            for start in range(0, len(rows), step):
-                i = rows[start:start + step]
-                z = yr[i, None] + k / rN
-                terms = np.conj(kap * np.exp(log_forward_transform(ch, z.ravel(), n, p)))
-                if not np.all(np.isfinite(terms)):
-                    raise NonConvergent(f"weight-kernel B-sum term not finite (n={n})")
-                terms = terms.reshape(z.shape)
-                # the phases are unimodular, so |terms| is the size of each summand
-                tail = max(tail, float(np.max(np.abs(terms[:, edge]), initial=0.0)))
-                if grid:
-                    total[i] += terms @ P
-                else:
-                    total[i] += np.einsum("ik,ik->i", terms, phase(k, xr[i, None], xn[i, None]))
+    for start in range(0, len(yr), step):
+        i = slice(start, start + step)
+        terms = np.conj(kap * np.exp(log_forward_transform(ch, y0[i, None] + ks / rN, ks % N, p)))
+        if not np.all(np.isfinite(terms)):
+            raise NonConvergent(f"weight-kernel B-sum term not finite at K=-{Km}..{Kp}")
+        # the phases are unimodular, so |terms| is the size of each summand
+        tail = max(tail, float(np.max(np.abs(terms[:, edge]), initial=0.0)))
+        if grid:
+            total[i] += terms @ P
+        else:
+            P = phase(ks - yn[i, None], xr[i, None], xn[i, None])
+            total[i] += np.einsum("ik,ik->i", terms, P)
     if not np.all(np.isfinite(total)):
         raise NonConvergent(f"weight-kernel B-sum not finite at K=-{Km}..{Kp}")
     if tail > 1e3 * spec.tol * max(float(np.max(np.abs(total), initial=0.0)), 1e-300):

@@ -148,6 +148,8 @@ def cmd_census(args):
 
 def cmd_wgz(args):
     k = args.k
+    if k < 1:
+        raise ValueError(f"--k must be at least 1, got {k}")
     b = _parse_complex(args.b) if args.b else complex(np.sqrt((k + 1j) / 2))
     rng = np.random.default_rng(args.seed)
     rows = [list(rng.uniform(-1, 1, j + 1)) for j in range(k)]

@@ -169,6 +169,8 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
     """
     if any(sum(tab["m1"].values()) or sum(tab["m2"].values()) for tab in tables):
         raise TopologyError("tet slot coefficients do not sum to zero; j_0 cannot be fixed")
+    if not X.is_closed:  # an open X's total weight need not descend
+        raise TopologyError("triangulation has unglued faces; j_0 cannot be fixed")
     E = len(X.edge_classes)
     if E == 0:
         return 1.0 + 0j
@@ -226,13 +228,15 @@ def partition_function(
 
     Raises NonConvergent when Z or the two-grid discrepancy is not finite, or
     when the discrepancy exceeds the target relative error (spec.tol scaled
-    by 1e3 unless target given).
+    by 1e3 unless target given), and ValueError when the target is not positive.
     """
     spec = spec or QuadratureSpec()
     M = spec.M
+    target = target if target is not None else 1e3 * spec.tol
+    if not target > 0:  # written so that NaN fails
+        raise ValueError(f"target must be positive, got {target}")
     z_fine, z_coarse = _grid_values(X, [M, M // 2], spec)
     err = abs(z_fine - z_coarse)
-    target = target if target is not None else 1e3 * spec.tol
     if not np.isfinite(z_fine):
         raise NonConvergent(f"partition value at grid M={M} is not finite: {z_fine}")
     if not err <= target * max(abs(z_fine), 1e-300):

@@ -24,6 +24,7 @@ from .charged import (
     ChargeTriple,
     WeightKernelParams,
     pentagon_family,
+    weight_kernel,
     weight_kernel_many,
 )
 from .errors import Infeasible
@@ -129,37 +130,24 @@ def check_charged_beta_pentagon(
         WeightKernelParams(ch, params, mu) for ch, mu in zip(pc.charges, pc.mus())
     ]
     ts = np.arange(M) * rN / M
-    zr, zn = ts, np.zeros(M, dtype=int)
     residuals = []
     shift_defect = None
     for (x, y, u, v) in samples:
-        w1 = weight_kernel_many(wks[1], [x.x], [x.n], [y.x], [y.n], spec)[0]
-        w3 = weight_kernel_many(wks[3], [u.x], [u.n], [v.x], [v.n], spec)[0]
-        lhs = w1 * w3
+        lhs = weight_kernel(wks[1], x, y, spec) * weight_kernel(wks[3], u, v, spec)
 
-        def integrand(zr, zn):
-            w4 = weight_kernel_many(
-                wks[4], np.full(M, u.x + y.x), np.full(M, u.n + y.n), v.x - zr, v.n - zn, spec
-            )
-            w2 = weight_kernel_many(
-                wks[2],
-                x.x + y.x + u.x + v.x - zr,
-                np.full(M, x.n + y.n + u.n + v.n) - zn,
-                zr,
-                zn,
-                spec,
-            )
-            w0 = weight_kernel_many(
-                wks[0], np.full(M, x.x + v.x), np.full(M, x.n + v.n), y.x - zr, y.n - zn, spec
-            )
+        def integrand(zr, zn):  # scalars and the z grid broadcast in weight_kernel_many
+            w4 = weight_kernel_many(wks[4], u.x + y.x, u.n + y.n, v.x - zr, v.n - zn, spec)
+            w2 = weight_kernel_many(wks[2], x.x + y.x + u.x + v.x - zr,
+                                    x.n + y.n + u.n + v.n - zn, zr, zn, spec)
+            w0 = weight_kernel_many(wks[0], x.x + v.x, x.n + v.n, y.x - zr, y.n - zn, spec)
             return w4 * w2 * w0
 
-        vals = integrand(zr, zn)
+        vals = integrand(ts, 0)
         rhs = complex(np.sum(vals) / M)
         residuals.append(abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
         if shift_defect is None:
             b0 = b_generator(N)
-            shifted = integrand(zr + b0.x, zn + b0.n)
+            shifted = integrand(ts + b0.x, b0.n)
             shift_defect = float(
                 np.max(np.abs(shifted - vals)) / max(np.max(np.abs(vals)), 1e-300)
             )

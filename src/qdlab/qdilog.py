@@ -36,8 +36,8 @@ class QdParams:
     N: Modulus
 
 
-def factor_args(z, n: int, params: QdParams) -> list[np.ndarray]:
-    """Arguments of the N Faddeev factors of D_theta at (z, n)."""
+def factor_args(z, n: int | np.ndarray, params: QdParams) -> list[np.ndarray]:
+    """Arguments of the N Faddeev factors of D_theta at (z, n); integer (array) n broadcasts."""
     t = params.theta.theta
     c = params.theta.c
     N = params.N.N
@@ -49,8 +49,8 @@ def factor_args(z, n: int, params: QdParams) -> list[np.ndarray]:
     return out
 
 
-def log_dtheta(z, n: int, params: QdParams) -> np.ndarray:
-    """log D_theta(z, n) modulo 2 pi i, vectorized over z."""
+def log_dtheta(z, n: int | np.ndarray, params: QdParams) -> np.ndarray:
+    """log D_theta(z, n) modulo 2 pi i; n, an integer or integer array, broadcasts with z."""
     z = np.asarray(z, dtype=complex)
     rows = log_phi_theta(np.stack(factor_args(z, n, params)), params.theta)
     return sum(rows, np.zeros_like(z))  # rows added in factor order, j = 0..N-1

@@ -111,14 +111,14 @@ class ShapedTriangulation:
         seen = set()
         T = len(self.tets)
         for g in self.gluings:
+            if (g.from_tet, g.from_face) == (g.to_tet, g.to_face):  # else "glued twice"
+                raise ValidationError("face glued to itself")
             for (t, f) in ((g.from_tet, g.from_face), (g.to_tet, g.to_face)):
                 if not (0 <= t < T and 0 <= f < 4):
                     raise ValidationError(f"face ({t},{f}) out of range")
                 if (t, f) in seen:
                     raise ValidationError(f"face ({t},{f}) glued twice")
                 seen.add((t, f))
-            if (g.from_tet, g.from_face) == (g.to_tet, g.to_face):
-                raise ValidationError("face glued to itself")
 
     def _edge_classes(self):
         items = [(t, e) for t in range(len(self.tets)) for e in EDGE_PAIRS]

@@ -12,6 +12,7 @@ from qdlab.charged import (
     forward_transform_closed,
     forward_transform_quadrature,
     log_forward_transform,
+    log_psi,
     pentagon_family,
     pentagon_normalization,
     psi_charged,
@@ -27,7 +28,7 @@ from qdlab.lca import (
     gaussian_exp,
     halve,
 )
-from qdlab.qdilog import dtheta
+from qdlab.qdilog import dtheta, log_dtheta
 
 TRIPLES = [ChargeTriple.equal(), ChargeTriple(0.5, 0.2, 0.3), ChargeTriple(0.25, 0.45, 0.3)]
 
@@ -116,8 +117,8 @@ def test_identity_residuals_keep_nan(monkeypatch):
 
     real = charged.psi_charged
 
-    def psi(ch, x, n, p):
-        return complex("nan") if abs(abs(x) - 0.7) < 1e-12 else real(ch, x, n, p)
+    def psi(ch, x, n, p):  # the samples arrive as one array x
+        return np.where(np.abs(np.abs(x) - 0.7) < 1e-12, complex("nan"), real(ch, x, n, p))
 
     monkeypatch.setattr(charged, "psi_charged", psi)
     rep = charged_identity_residuals(ChargeTriple(0.5, 0.2, 0.3), [(0.3, 0), (0.7, 0)], params(1))
@@ -216,6 +217,66 @@ def test_b_sum_length_per_side(monkeypatch):
     monkeypatch.setattr(qdlab.charged, "log_forward_transform", counted)
     weight_kernel(WeightKernelParams(ch, p), LcaPoint(0.1, 0), LcaPoint(0.2, 1), spec)
     assert sum(points) == Kp + Km + 1
+
+
+def test_paired_point_is_one_transform_call(monkeypatch):
+    # the terms of a paired point share their residues k mod N with every other
+    # row, so all of them, of every residue, go to log_forward_transform at once
+    p = params(3)
+    real = qdlab.charged.log_forward_transform
+    calls = []
+
+    def counted(charges, z, *args):
+        calls.append(np.shape(z))
+        return real(charges, z, *args)
+
+    monkeypatch.setattr(qdlab.charged, "log_forward_transform", counted)
+    wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p, LcaPoint(0.3, 1))
+    weight_kernel(wkp, LcaPoint(0.1, 2), LcaPoint(0.2, 1))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_integer_array_residues_match_scalar_calls(N, rng):
+    # the B-sum passes its residues as one (K,) array against a (rows, K) block of z;
+    # each column equals the scalar-n call.  F psi's Gaussian n-part is exp'd on a
+    # numpy scalar there, which can round 1 ulp apart from the array exp.
+    p = params(N)
+    ch = ChargeTriple(0.4, 0.35, 0.25)
+    ks = np.arange(-7, 9)
+    z, n = rng.uniform(-2, 2, (3, 1)) + ks / p.N.sqrt, ks % N
+    dt, ps = log_dtheta(z, n, p), log_psi(ch, z, n, p)
+    ft = np.exp(log_forward_transform(ch, z, n, p))
+    for r in range(N):
+        cols = n == r
+        np.testing.assert_array_equal(dt[:, cols], log_dtheta(z[:, cols], r, p))
+        np.testing.assert_array_equal(ps[:, cols], log_psi(ch, z[:, cols], r, p))
+        np.testing.assert_allclose(ft[:, cols], np.exp(log_forward_transform(ch, z[:, cols], r, p)),
+                                   rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_weight_kernel_many_mixed_residues(N, rng):
+    # one paired call over points of every residue yn equals per-point calls, and
+    # a point with yn != 0, summed from its canonical section, equals its B-orbit
+    # summed from y itself with lca's phases over a doubled window
+    p = params(N)
+    wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p, LcaPoint(0.3, 1))
+    xr, yr = rng.uniform(-1, 1, (2, 8))
+    xn, yn = rng.integers(0, N, (2, 8))
+    yn[:N] = np.arange(N)
+    many = weight_kernel_many(wkp, xr, xn, yr, yn)
+    for i in range(8):
+        one = weight_kernel(wkp, LcaPoint(xr[i], int(xn[i])), LcaPoint(yr[i], int(yn[i])))
+        assert many[i] == pytest.approx(one, rel=1e-13)
+    x, y = LcaPoint(xr[1], int(xn[1])), LcaPoint(yr[1], 1)
+    kap, b0 = pentagon_normalization(wkp.charges, p), b_generator(p.N)
+    brute = 0j
+    for k in range(-300, 301):
+        kb = b0.scale(k)
+        term = np.conj(kap * forward_transform_closed(wkp.charges, y.x + kb.x, y.n + k, p))
+        brute += term * np.conj(gaussian_exp(kb, p.N)) * fourier_kernel(kb, wkp.mu - x, p.N)
+    assert many[1] == pytest.approx(fourier_kernel(x, -halve(y, p.N), p.N) * brute, rel=1e-10)
 
 
 def test_weight_kernel_truncation_stability():

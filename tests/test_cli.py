@@ -120,6 +120,43 @@ def test_wgz_grid_below_k_is_rejected(k, grid, capsys):
     assert captured.out == "" and "--grid" in captured.err and "--k" in captured.err
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_wgz_k_below_1_is_rejected(k, capsys):
+    assert run(["wgz", "--k", k]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--k must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("edit,message", [
+    ("{", "not valid JSON"),
+    ("[1, 2]", "document must be a JSON object"),
+    (lambda d: d.pop("gluings"), "missing fields ['gluings']"),
+    (lambda d: d.update(N=1.5), "N must be an integer"),
+    (lambda d: d["tets"][0].pop("angles"), "tet 0: fields must be sign, angles"),
+    (lambda d: d["tets"][1].update(sign=0), "tet 1: sign must be 1 or -1"),
+    (lambda d: d["tets"][0].update(angles=[0.5, 0.5]), "tet 0: need 3 angles"),
+    (lambda d: d["gluings"][2].pop("vertex_map"), "gluing 2: fields must be from, to, vertex_map"),
+    (lambda d: d["gluings"][0].update(to=[2, 0]), "face (2,0) out of range"),
+    (lambda d: d["gluings"].append(d["gluings"][0]), "face (0,0) glued twice"),
+    (lambda d: d["gluings"][0].update(to=[0, 0]), "face glued to itself"),
+], ids=["invalid-json", "not-object", "missing-field", "N-not-integer", "tet-fields",
+        "tet-sign", "angle-count", "gluing-fields", "face-out-of-range", "glued-twice",
+        "glued-to-itself"])
+def test_rejected_triangulation_document(edit, message, capsys, tmp_path):
+    # each edit of the figure-eight document (or raw text) fails one check of
+    # parse_triangulation or ShapedTriangulation._validate, with its own message;
+    # unknown fields and a bad vertex map have their own tests in test_triangulation
+    if callable(edit):
+        doc = builtin_census("fig8_2tet").to_document()
+        edit(doc)
+        edit = json.dumps(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(edit)
+    assert run(["partition", "--in", str(path), "--grid", "16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and message in captured.err
+
+
 def test_non_finite_value_is_not_printed(capsys):
     # psi is NaN this far out; JSON has no NaN, so the command fails with no output
     assert run(["psi", "--charges", "0.4,0.3,0.3", "--z", "1e300"]) == 1

@@ -33,6 +33,26 @@ def test_empty_triangulation_is_one(theta3):
     assert res.error_estimate == 0.0
 
 
+def test_open_triangulation_is_refused(capsys):
+    # fixing j_0 = 0 needs a total weight that descends; an unglued face breaks that
+    # (single_tet: descent residual 1.6, fixed-j_0 sum far from the full-grid sum)
+    with pytest.raises(TopologyError, match="unglued"):
+        partition_function(builtin_census("single_tet"), QuadratureSpec(M=16))
+    assert run(["partition", "--name", "single_tet", "--grid", "16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unglued" in captured.err
+
+
+@pytest.mark.parametrize("target", ["nan", "0", "-1"])
+def test_target_must_be_positive(target, capsys):
+    # a usage error (exit 1), not a non-convergent sum (exit 2)
+    with pytest.raises(ValueError, match="target"):
+        partition_function(builtin_census("fig8_2tet"), QuadratureSpec(M=16), target=float(target))
+    assert run(["partition", "--grid", "16", "--target", target]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "target must be positive" in captured.err
+
+
 def test_equal_states_collapse_to_kernel_origin():
     # equal edge variables cancel in both alternating combinations
     X = builtin_census("fig8_2tet")
