@@ -244,7 +244,7 @@ def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
     def phase(k, x, n):
         # conj<k b0> = (-1)^k;  <k b0; mu - (x, n)>, one fused exp rather than
         # lca.fourier_kernel, which would move Z in its last bits
-        return (-1.0) ** k * np.exp(
+        return (1 - 2 * (k & 1)) * np.exp(
             2j * np.pi * (k / rN) * (wkp.mu.x - x) - 2j * np.pi * k * ((wkp.mu.n - n) / N)
         )
 

@@ -8,10 +8,11 @@ Both q-products converge geometrically at rate |q| = e^{-2 pi Im(theta^2)}.
 A product (x; q)_inf = prod_j (1 - x q^j) is evaluated as follows.
 - Dead: if Re log x < log(tol (1 - |q|)), then |log (x; q)_inf| <= |x|/(1 - |q|)
   < tol (to first order in |x|), and its log is taken as exactly 0.
-- Live: terms run until |x q^j| < tol.  A term with Re log(x q^j) > 0 is added
-  as a log, since a product of such terms could overflow.  The other terms
-  are multiplied, x q^j updated by one multiplication by q per term, and
-  their product is logged once.
+- Live: a term with Re log(x q^j) > 0 is added as a log, since a product of
+  such terms could overflow.  Then, at |x q^j| <= 1, every element runs the same
+  D = ceil(log tol / log|q|) + 1 terms (the last below tol) in one loop for the
+  batch, x q^j updated by one multiplication by q per term, and the product p is
+  logged once as log|p| + i arg p: near 1, several times faster than complex log.
 So every log is defined only modulo 2 pi i; every caller exponentiates.
 
 For Re z > 0, log_phi_theta runs both products at -z, where they are short, by
@@ -70,9 +71,10 @@ class ThetaParam:
 def _log_pochhammer(lx: np.ndarray, lq: complex, tol: float) -> np.ndarray:
     """log prod_j (1 - e^{lx + j lq}) modulo 2 pi i, to within tol (see the module notes).
 
-    Each element's depth follows its own Re lx, and every product is taken out
-    of place (numpy's in-place complex multiply rounds a lone element unlike a
-    longer run), so a value does not depend on the other points of the batch.
+    After its log-form head every live element runs the same D terms, D from q
+    and tol alone, and every product is taken out of place (numpy's in-place
+    complex multiply rounds a lone element unlike a longer run), so a value does
+    not depend on the other points of the batch.
     """
     lx = np.asarray(lx, dtype=complex)
     if not np.all(np.isfinite(lx)):
@@ -82,19 +84,16 @@ def _log_pochhammer(lx: np.ndarray, lq: complex, tol: float) -> np.ndarray:
     out = np.zeros_like(flat)  # dead elements stay exactly 0
     live = np.flatnonzero(flat.real >= math.log(tol * -math.expm1(decay)))
     x = flat[live]
-    depth = np.maximum(np.ceil((math.log(tol) - x.real) / decay), 1).astype(int) + 1
     head = np.maximum(np.ceil(x.real / -decay), 0).astype(int)  # terms with Re > 0
     for j in range(head.max(initial=0)):
         w = x[head > j] + j * lq
         out[live[head > j]] += w + np.log(np.expm1(-w))  # log(1 - e^w) mod 2 pi i
-    x, depth = x + head * lq, depth - head
-    order = np.argsort(-depth)  # deepest first: the elements taking term j are a prefix
-    e = np.exp(x[order])
-    prod = 1 - e
-    for n in np.searchsorted(-depth[order], -np.arange(1, depth.max(initial=1))):
-        e[:n] = e[:n] * cmath.exp(lq)
-        prod[:n] = prod[:n] * (1 - e[:n])
-    out[live[order]] += np.log(prod)
+    e = np.exp(x + head * lq)  # |e| <= 1 after the head
+    prod, q = 1 - e, cmath.exp(lq)
+    for _ in range(math.ceil(math.log(tol) / decay)):
+        e = e * q
+        prod = prod * (1 - e)
+    out[live] += np.log(np.abs(prod)) + 1j * np.angle(prod)  # = np.log(prod) to rounding, faster
     return out.reshape(lx.shape)
 
 
@@ -109,7 +108,7 @@ def _check_rate(theta: ThetaParam) -> None:
 def log_phi_theta(z, theta: ThetaParam) -> np.ndarray:
     """log Phi_theta(z) modulo 2 pi i, vectorized over z.  No pole check (may return +/-inf).
 
-    A product's depth grows with 2 pi Re(theta z), so Re z > 0 is reflected
+    A product's log-form head grows with 2 pi Re(theta z), so Re z > 0 is reflected
     (see above), per element: batching changes no value; c_theta stays put.
     """
     _check_rate(theta)

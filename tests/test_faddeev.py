@@ -105,7 +105,7 @@ def test_truncation_consistency(theta3, monkeypatch):
 
 
 def test_log_phi_independent_of_batching(theta3):
-    # each point's q-product depth follows its own real part, not the batch's
+    # each point's q-product head follows its own real part, not the batch's
     left = np.linspace(-8, -7, 40) + 0.05j
     right = np.linspace(8, 12, 60) - 0.05j
     together = log_phi_theta(np.concatenate([left, right]), theta3)
@@ -228,6 +228,22 @@ def test_q_products_match_mpmath(mp):
             got = np.exp(_log_pochhammer(lx, lq, tol))
             ref = np.array([complex(_mp_pochhammer(mp, mp.mpc(x), mp.mpc(lq))) for x in lx])
             assert np.max(np.abs(got / ref - 1)) < 1e-12
+
+
+def test_deepest_q_products_match_mpmath(mp):
+    # pi/100 (Im theta^2 = 0.063) converges slowly, near the floor: every live
+    # product runs ceil(log tol / log|q|) + 1 = 95 terms, 8 at pi/3.
+    # Re lx spans the whole live band, where the cut at that depth is felt.
+    tol = qdlab.faddeev._PRODUCT_TOL
+    t = ThetaParam.from_pi_fraction("1/100").theta
+    rng = np.random.default_rng(4)
+    for lq in (2j * np.pi * t**2, -2j * np.pi / t**2):
+        assert math.ceil(math.log(tol) / lq.real) + 1 == 95
+        edge = math.log(tol * -math.expm1(lq.real))
+        lx = rng.uniform(edge, 1, 40) + 1j * rng.uniform(-np.pi, np.pi, 40)
+        got = np.exp(_log_pochhammer(lx, lq, tol))
+        ref = np.array([complex(_mp_pochhammer(mp, mp.mpc(x), mp.mpc(lq))) for x in lx])
+        assert np.max(np.abs(got / ref - 1)) < 1e-12
 
 
 def test_reflection_keeps_pole_guards(thetas):
