@@ -10,7 +10,8 @@ edge class; Z(X) integrates the product of weights over [0, sqrt(N))^edges
 with the mass-1 measure (dt/sqrt(N)) per edge, by periodic trapezoid on M
 points per edge.  Kernel values are memoized on the index grid: for lifted
 states all kernel arguments are integer multiples of h = sqrt(N)/M, so each
-tet needs a single (E2-index, E1-index) table.  The table comes from
+tet needs a single (E2-index, E1-index) table, over the index box of the slice
+j_0 = 0 that the sum reads (below).  The table comes from
 `charged.weight_kernel_grid`, which shares the B-sum engine, its truncation
 rule and its tail check with every pointwise kernel value.  It sums the B-sum
 on the M x M core only; by the two automorphy relations of the kernel every
@@ -29,6 +30,7 @@ j_0 = 0 (M^(E-1) points), where each tet is one flat gather from its table.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,17 +121,19 @@ def descent_residual(
 
 
 def _index_range(coef: dict, M: int) -> tuple[int, int]:
-    """Least and greatest sum of coef[c] * j_c over grid indices 0 <= j_c < M."""
-    return (sum(min(v * (M - 1), 0) for v in coef.values()),
-            sum(max(v * (M - 1), 0) for v in coef.values()))
+    """Least and greatest sum of coef[c] * j_c, 0 <= j_c < M, on the slice j_0 = 0 that
+    _contract sums: only the free classes c != 0 widen the range."""
+    free = [v * (M - 1) for c, v in coef.items() if c]
+    return sum(min(v, 0) for v in free), sum(max(v, 0) for v in free)
 
 
 def _tet_table(X: ShapedTriangulation, t: int, M: int, spec: QuadratureSpec,
                memo: dict | None = None) -> dict:
     """Kernel table of tet t on the index grid, plus its index offsets.
 
-    Index ranges cover all integer combinations of grid indices 0..M-1 with
-    the slot coefficients; entry [w - wmin, u - umin] = W((u h, 0), (w h, 0)).
+    Index ranges cover the box of the slice j_0 = 0 that _contract sums: all
+    integer combinations of free grid indices 0..M-1 with the slot coefficients
+    (_index_range); entry [w - wmin, u - umin] = W((u h, 0), (w h, 0)).
     The table depends only on the tet's charges and sign and on the ranges;
     tets that agree on these share the one array kept in memo.
     """
@@ -163,9 +167,11 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
     Tensor-product periodic trapezoid: the coarse grid has step stride * h,
     so its index j reads the M-grid entry at stride * j.  The sum over j_0 is
     n equal copies (zero coefficient sums and descent), so j_0 = 0 is fixed and
-    Z = n^-(E-1) times the sum over the other edges, in slabs along edge 1
-    sized by the table grid M whatever the stride.  Each tet is one take from
-    its raveled table at a linear form in the free j_c, over the axes it touches.
+    Z = n^-(E-1) times the sum over the other edges, whose box the tables span.
+    Slabs hold about _SLAB_POINTS points of the table grid M whatever the
+    stride: planes of edge 1, or one plane of edge 1 times planes of edge 2
+    once a plane is larger.  Each tet is one take from its raveled table at a
+    linear form in the free j_c, over the axes it touches.
     """
     if any(sum(tab["m1"].values()) or sum(tab["m2"].values()) for tab in tables):
         raise TopologyError("tet slot coefficients do not sum to zero; j_0 cannot be fixed")
@@ -175,11 +181,15 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
     if E == 0:
         return 1.0 + 0j
     n = M // stride
-    js = np.ix_(*[stride * np.arange(n)] * (E - 1))  # j_c on free axis c - 1
-    step = max(1, _SLAB_POINTS // M ** max(E - 2, 0))
+    ax = stride * np.arange(n)
+    # a plane of edge 1 outgrows a slab only at E >= 5 while M <= 256
+    steps = [max(1, _SLAB_POINTS // M ** (E - 2))] if E > 1 else []
+    if E > 2 and M ** (E - 2) > _SLAB_POINTS:
+        steps = [1, max(1, _SLAB_POINTS // M ** (E - 3))]
     total = 0j
-    for start in range(0, n if E > 1 else 1, step):
-        j = [0, *(jc[start:start + step] if c == 0 else jc for c, jc in enumerate(js))]
+    for starts in itertools.product(*[range(0, n, s) for s in steps]):
+        slab = [ax[a:a + s] for a, s in zip(starts, steps)]
+        j = [0, *np.ix_(*slab, *[ax] * (E - 1 - len(steps)))]  # j_c on free axis c - 1
         shape, out = np.broadcast_shapes(*map(np.shape, j)), np.ones((), dtype=complex)
         gathers = []
         for tab in tables:
@@ -239,9 +249,10 @@ def partition_function(
     err = abs(z_fine - z_coarse)
     if not np.isfinite(z_fine):
         raise NonConvergent(f"partition value at grid M={M} is not finite: {z_fine}")
-    if not err <= target * max(abs(z_fine), 1e-300):
+    rel = err / max(abs(z_fine), 1e-300)
+    if not rel <= target:
         raise NonConvergent(
-            f"partition grid M={M} vs {M//2} differs by {err:.3e} (target {target:.1e})"
+            f"partition grid M={M} vs {M//2} differs by {rel:.3e} relative (target {target:.1e})"
         )
     return PartitionResult(z_fine, abs(z_fine), M, err)
 

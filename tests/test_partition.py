@@ -8,7 +8,7 @@ from conftest import params
 
 import qdlab.charged
 import qdlab.partition
-from qdlab.charged import ChargeTriple, WeightKernelParams, weight_kernel
+from qdlab.charged import ChargeTriple, WeightKernelParams, weight_kernel, weight_kernel_grid
 from qdlab.cli import run
 from qdlab.errors import NonConvergent, TopologyError
 from qdlab.lca import CircleVar, LcaPoint, Modulus, QuadratureSpec
@@ -112,6 +112,18 @@ def test_partition_nonconvergent_guard():
         partition_function(X, QuadratureSpec(M=16), target=1e-12)
 
 
+def test_nonconvergent_message_is_relative(capsys):
+    # the message prints the relative discrepancy that is compared with the
+    # target: here 10.3, while the absolute one, 0.127, is below the target 1
+    X = builtin_census("fig8_3tet", N=2)
+    z64, z32 = _grid_values(X, [64, 32], QuadratureSpec(M=64))
+    assert run(["partition", "--name", "fig8_3tet", "--N", "2", "--grid", "64"]) == 2
+    err = capsys.readouterr().err
+    printed = float(err.split("differs by ")[1].split()[0])
+    assert printed == pytest.approx(abs(z64 - z32) / abs(z64), rel=1e-3)
+    assert printed > 1.0 and "(target 1.0e+00)" in err
+
+
 @pytest.mark.parametrize("N", [1, 2])
 def test_pachner_invariance(N):
     X = builtin_census("fig8_2tet", N=N)
@@ -152,8 +164,27 @@ def test_pachner_invariance_five_tets_N1():
     assert abs(abs(z5) - abs(z2)) / abs(z2) < 1e-3
 
 
+def _all_edge_tables(X, M, spec):
+    """Each tet's table over the index box of every j in [0, M)^E, j_0 included.
+
+    _tet_table spans only the slice j_0 = 0; a sum with no edge fixed reads
+    this wider box, built here by the same weight_kernel_grid.
+    """
+    tables = []
+    for t, tet in enumerate(X.tets):
+        m1, m2 = qdlab.partition._tet_coefs(X, t)
+        (umin, umax), (wmin, wmax) = ((sum(min(v * (M - 1), 0) for v in m.values()),
+                                       sum(max(v * (M - 1), 0) for v in m.values()))
+                                      for m in (m1, m2))
+        table = weight_kernel_grid(qdlab.partition._tet_kernel_params(X, t),
+                                   np.arange(umin, umax + 1), np.arange(wmin, wmax + 1), M, spec)
+        tables.append({"table": np.conj(table) if tet.sign < 0 else table,
+                       "umin": umin, "wmin": wmin, "m1": m1, "m2": m2})
+    return tables
+
+
 def _full_grid_sum(X, tables, M, stride):
-    """Z as the plain sum over all j in [0, n)^E, no edge fixed."""
+    """Z as the plain sum over all j in [0, n)^E, no edge fixed, from _all_edge_tables."""
     E = len(X.edge_classes)
     n = M // stride
     js = np.ix_(*[stride * np.arange(n)] * E)
@@ -179,10 +210,11 @@ def test_fixed_edge_matches_full_grid_sum(name, N, M):
         X = _five_tet(N)
     else:
         X = builtin_census(name, N=N)
-    tables = _tet_tables(X, M, QuadratureSpec(M=M))
+    spec = QuadratureSpec(M=M)
+    tables, full = _tet_tables(X, M, spec), _all_edge_tables(X, M, spec)
     for stride in (1, 2):
         z = _contract(X, tables, M, stride)
-        assert z == pytest.approx(_full_grid_sum(X, tables, M, stride), rel=1e-11)
+        assert z == pytest.approx(_full_grid_sum(X, full, M, stride), rel=1e-11)
 
 
 def test_fixed_edge_needs_zero_coefficient_sums(monkeypatch):
@@ -226,7 +258,7 @@ def test_edge_reversal_leaves_Z_unchanged():
     spec = QuadratureSpec()
     M = 64
     base = _grid_values(X, [M], spec)[0]
-    tables_cached = {}
+    tables = _all_edge_tables(X, M, spec)
 
     def z_with_reversal(edge):
         # evaluate by substituting t_e -> sqrt(N) - t_e on the grid
@@ -234,8 +266,7 @@ def test_edge_reversal_leaves_Z_unchanged():
         js = [np.arange(M).reshape((1,) * i + (M,) + (1,) * (E - i - 1)) for i in range(E)]
         js[edge] = (-js[edge]) % M
         total = None
-        for t in range(len(X.tets)):
-            tab = tables_cached.setdefault(t, _tet_table(X, t, M, spec))
+        for tab in tables:
             u = sum(v * js[c] for c, v in tab["m1"].items())
             w = sum(v * js[c] for c, v in tab["m2"].items())
             vals = tab["table"][w - tab["wmin"], u - tab["umin"]]
@@ -357,6 +388,32 @@ def test_contraction_in_many_slabs(monkeypatch):
     monkeypatch.setattr(qdlab.partition, "_SLAB_POINTS", 3 * 16**2)
     for stride, z in zip((1, 2), one4):
         assert _contract(X4, tables, 16, stride) == pytest.approx(z, rel=1e-13)
+    # five tets: one plane of edge 1 (16^3 points) is larger than a slab, so a
+    # slab is one plane of edge 1 times three planes of edge 2: 16 x 6 slabs at
+    # M=16 and 8 x 3 on the stride-2 grid, the last run of edge 2 short in both
+    X5 = _five_tet(1)
+    tables = _tet_tables(X5, 16, QuadratureSpec(M=16))
+    monkeypatch.undo()
+    one5 = [_contract(X5, tables, 16, stride) for stride in (1, 2)]
+    monkeypatch.setattr(qdlab.partition, "_SLAB_POINTS", 3 * 16**2)
+    for stride, z in zip((1, 2), one5):
+        assert _contract(X5, tables, 16, stride) == pytest.approx(z, rel=1e-13)
+
+
+@pytest.mark.parametrize("name, shapes", [
+    ("fig8_2tet", [(16, 31)] * 2),
+    ("fig8_3tet", [(31, 16), (16, 46), (31, 16)]),
+    ("four_tet", [(46, 16), (61, 46), (31, 31), (46, 46)]),
+])
+def test_tables_span_the_fixed_edge_slice(name, shapes):
+    # each table spans the index box of the slice j_0 = 0 that _contract sums,
+    # not the box of all of [0, M)^E: fig8_2tet's would be (31, 61)
+    X = (pachner_23(builtin_census("fig8_3tet"), (0, 2)) if name == "four_tet"
+         else builtin_census(name))
+    tabs = _tet_tables(X, 16, QuadratureSpec(M=16))
+    assert [tab["table"].shape for tab in tabs] == shapes
+    if name == "fig8_3tet":
+        assert tabs[0]["table"] is tabs[2]["table"]
 
 
 def test_equal_tets_share_one_table():
