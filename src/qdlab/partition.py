@@ -168,10 +168,10 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
     so its index j reads the M-grid entry at stride * j.  The sum over j_0 is
     n equal copies (zero coefficient sums and descent), so j_0 = 0 is fixed and
     Z = n^-(E-1) times the sum over the other edges, whose box the tables span.
-    Slabs hold about _SLAB_POINTS points of the table grid M whatever the
-    stride: planes of edge 1, or one plane of edge 1 times planes of edge 2
-    once a plane is larger.  Each tet is one take from its raveled table at a
-    linear form in the free j_c, over the axes it touches.
+    Slabs hold at most _SLAB_POINTS points of the grid M at any E and stride:
+    leading free edges run one index at a time until the remaining planes fit,
+    then the next edge steps by as many planes as fit.  Each tet is one take
+    from its raveled table at a linear form in the free j_c, over its axes.
     """
     if any(sum(tab["m1"].values()) or sum(tab["m2"].values()) for tab in tables):
         raise TopologyError("tet slot coefficients do not sum to zero; j_0 cannot be fixed")
@@ -182,10 +182,8 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
         return 1.0 + 0j
     n = M // stride
     ax = stride * np.arange(n)
-    # a plane of edge 1 outgrows a slab only at E >= 5 while M <= 256
-    steps = [max(1, _SLAB_POINTS // M ** (E - 2))] if E > 1 else []
-    if E > 2 and M ** (E - 2) > _SLAB_POINTS:
-        steps = [1, max(1, _SLAB_POINTS // M ** (E - 3))]
+    r = next((r for r in range(E - 1) if M ** (E - 2 - r) <= _SLAB_POINTS), 0)
+    steps = [1] * r + [max(1, _SLAB_POINTS // M ** (E - 2 - r))] if E > 1 else []
     total = 0j
     for starts in itertools.product(*[range(0, n, s) for s in steps]):
         slab = [ax[a:a + s] for a, s in zip(starts, steps)]

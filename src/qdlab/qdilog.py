@@ -36,23 +36,19 @@ class QdParams:
     N: Modulus
 
 
-def factor_args(z, n: int | np.ndarray, params: QdParams) -> list[np.ndarray]:
-    """Arguments of the N Faddeev factors of D_theta at (z, n); integer (array) n broadcasts."""
-    t = params.theta.theta
-    c = params.theta.c
-    N = params.N.N
+def factor_args(z, n: int | np.ndarray, params: QdParams) -> np.ndarray:
+    """Arguments of the N Faddeev factors of D_theta at (z, n), factor j on row j of the
+    first axis; integer (array) n broadcasts with z."""
+    t, c, N = params.theta.theta, params.theta.c, params.N.N
     z = np.asarray(z, dtype=complex)
-    out = []
-    for j in range(N):
-        frac = ((j + n) % N) / N
-        out.append(z / params.N.sqrt + (1 - 1 / N) * c - 1j / t * (j / N) - 1j * t * frac)
-    return out
+    j = np.arange(N).reshape((N,) + (1,) * max(z.ndim, np.ndim(n)))
+    return z / params.N.sqrt + (1 - 1 / N) * c - 1j / t * (j / N) - 1j * t * (((j + n) % N) / N)
 
 
 def log_dtheta(z, n: int | np.ndarray, params: QdParams) -> np.ndarray:
     """log D_theta(z, n) modulo 2 pi i; n, an integer or integer array, broadcasts with z."""
     z = np.asarray(z, dtype=complex)
-    rows = log_phi_theta(np.stack(factor_args(z, n, params)), params.theta)
+    rows = log_phi_theta(factor_args(z, n, params), params.theta)
     return sum(rows, np.zeros_like(z))  # rows added in factor order, j = 0..N-1
 
 

@@ -58,6 +58,10 @@ def face_vertices(f: int) -> tuple[int, int, int]:
     return tuple(v for v in range(4) if v != f)
 
 
+def _angles(X) -> np.ndarray:  # row t: the angles (a, b, c) of tet t
+    return np.array([(t.angles.a, t.angles.b, t.angles.c) for t in X.tets]).reshape(-1, 3)
+
+
 @dataclass(frozen=True)
 class ShapedTet:
     sign: int
@@ -66,10 +70,6 @@ class ShapedTet:
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise ValueError("tet sign must be +1 or -1")
-
-    def angle_of_edge(self, edge: tuple[int, int]) -> float:
-        slot = ANGLE_SLOT[tuple(sorted(edge))]
-        return (self.angles.a, self.angles.b, self.angles.c)[slot]
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,14 @@ class EdgeClass:
 
 
 class ShapedTriangulation:
-    """Immutable triangulation with derived edge classes and angle sums."""
+    """Immutable triangulation: edge classes with angle sums, the glued (tet, face) set."""
 
     def __init__(self, N: Modulus, theta: ThetaParam, tets, gluings):
         self.N = N
         self.theta = theta
         self.tets: tuple[ShapedTet, ...] = tuple(tets)
         self.gluings: tuple[FaceGluing, ...] = tuple(gluings)
-        self._validate()
+        self.glued_faces: frozenset = self._validate()
         self.edge_classes: tuple[EdgeClass, ...] = self._edge_classes()
         self.edge_of = {
             m: i for i, cls in enumerate(self.edge_classes) for m in cls.members
@@ -119,6 +119,7 @@ class ShapedTriangulation:
                 if (t, f) in seen:
                     raise ValidationError(f"face ({t},{f}) glued twice")
                 seen.add((t, f))
+        return frozenset(seen)
 
     def _edge_classes(self):
         items = [(t, e) for t in range(len(self.tets)) for e in EDGE_PAIRS]
@@ -146,20 +147,13 @@ class ShapedTriangulation:
         groups: dict = {}
         for it in items:
             groups.setdefault(find(it), []).append(it)
+        ang = _angles(self).tolist()
         classes = []
         for members in groups.values():
             members = tuple(sorted(members))
-            s = sum(self.tets[t].angle_of_edge(e) for (t, e) in members)
+            s = sum(ang[t][ANGLE_SLOT[e]] for (t, e) in members)
             classes.append(EdgeClass(members, s))
         return tuple(sorted(classes, key=lambda c: c.members))
-
-    @property
-    def glued_faces(self) -> set:
-        out = set()
-        for g in self.gluings:
-            out.add((g.from_tet, g.from_face))
-            out.add((g.to_tet, g.to_face))
-        return out
 
     @property
     def is_closed(self) -> bool:
@@ -211,29 +205,35 @@ def parse_triangulation(document) -> ShapedTriangulation:
     missing = allowed - set(document)
     if missing:
         raise SchemaError(f"missing fields {sorted(missing)}")
-    if not isinstance(document["N"], int):
+    if type(document["N"]) is not int:  # bool is not a modulus
         raise SchemaError("N must be an integer")
     try:
         theta = ThetaParam.from_pi_fraction(document["theta_arg_over_pi"])
     except (ValueError, OverflowError, TypeError) as e:  # Fraction(inf) overflows
         raise SchemaError(str(e)) from e
+    if not (isinstance(document["tets"], list) and isinstance(document["gluings"], list)):
+        raise SchemaError("tets and gluings must be lists")
     tets = []
     for i, td in enumerate(document["tets"]):
-        if set(td) != {"sign", "angles"}:
+        if not isinstance(td, dict) or set(td) != {"sign", "angles"}:
             raise SchemaError(f"tet {i}: fields must be sign, angles")
         if td["sign"] not in (1, -1):
             raise SchemaError(f"tet {i}: sign must be 1 or -1")
         ang = td["angles"]
-        if len(ang) != 3:
-            raise SchemaError(f"tet {i}: need 3 angles")
+        if not isinstance(ang, list) or len(ang) != 3:
+            raise SchemaError(f"tet {i}: need 3 angles in a list")
         try:
             tets.append(ShapedTet(td["sign"], ChargeTriple(*map(float, ang))))
-        except ValueError as e:
+        except (ValueError, TypeError) as e:  # float(None) is a TypeError
             raise ValidationError(f"tet {i}: {e}") from e
     gluings = []
     for i, gd in enumerate(document["gluings"]):
-        if set(gd) != {"from", "to", "vertex_map"}:
+        if not isinstance(gd, dict) or set(gd) != {"from", "to", "vertex_map"}:
             raise SchemaError(f"gluing {i}: fields must be from, to, vertex_map")
+        for key, size in (("from", 2), ("to", 2), ("vertex_map", 3)):
+            if not (isinstance(gd[key], list) and len(gd[key]) == size
+                    and all(type(v) is int for v in gd[key])):  # bool is not a vertex or face
+                raise SchemaError(f"gluing {i}: {key} must be a list of {size} integers")
         (t, f), (t2, f2) = gd["from"], gd["to"]
         vm = tuple(gd["vertex_map"])
         try:
@@ -427,22 +427,16 @@ def balanced_perturbation(
     resid = direction - ker.T @ (ker @ direction)
     if np.linalg.norm(resid) > 1e-9 * max(np.linalg.norm(direction), 1.0):
         raise ValueError("direction is not in the balance kernel")
-    flat = np.array([(t.angles.a, t.angles.b, t.angles.c) for t in X.tets]).ravel()
-    new = flat + eps * direction
+    new = _angles(X).ravel() + eps * direction
     if np.any(new <= 0):
         raise PositivityViolation("perturbation leaves the positive-angle region")
     return X.with_angles(new.reshape(-1, 3))
 
 
 def positivity_margin(X: ShapedTriangulation, direction: np.ndarray) -> float:
-    """Largest eps with all angles positive along +/- eps * direction."""
-    flat = np.array([(t.angles.a, t.angles.b, t.angles.c) for t in X.tets]).ravel()
-    d = np.asarray(direction, dtype=float)
-    lim = np.inf
-    for f, dd in zip(flat, d):
-        if abs(dd) > 1e-15:
-            lim = min(lim, f / abs(dd))
-    return float(lim)
+    """Largest eps with all angles positive along +/- eps * direction (inf if it is 0)."""
+    d = np.abs(np.asarray(direction, dtype=float))
+    return float(np.min(_angles(X).ravel()[d > 1e-15] / d[d > 1e-15], initial=np.inf))
 
 
 def builtin_census(

@@ -139,9 +139,25 @@ def test_wgz_k_below_1_is_rejected(k, capsys):
     (lambda d: d["gluings"][0].update(to=[2, 0]), "face (2,0) out of range"),
     (lambda d: d["gluings"].append(d["gluings"][0]), "face (0,0) glued twice"),
     (lambda d: d["gluings"][0].update(to=[0, 0]), "face glued to itself"),
+    # JSON of the wrong type names the item in one error line, with no traceback
+    (lambda d: d.update(N=True), "N must be an integer"),
+    (lambda d: d.update(tets=5), "tets and gluings must be lists"),
+    (lambda d: d.update(gluings=5), "tets and gluings must be lists"),
+    (lambda d: d["tets"].__setitem__(0, 5), "tet 0: fields must be sign, angles"),
+    (lambda d: d["tets"][0].update(angles=5), "tet 0: need 3 angles"),
+    (lambda d: d["tets"][1].update(angles=[None, 0.5, 0.5]), "tet 1: float() argument"),
+    (lambda d: d["gluings"].__setitem__(1, 5), "gluing 1: fields must be from, to, vertex_map"),
+    (lambda d: d["gluings"][0].update({"from": 5}), "gluing 0: from must be a list of 2 integers"),
+    (lambda d: d["gluings"][0].update({"from": ["a", 0]}), "gluing 0: from must be a list of 2"),
+    (lambda d: d["gluings"][0].update({"from": [0.5, 0]}), "gluing 0: from must be a list of 2"),
+    (lambda d: d["gluings"][3].update(to=[True, 1]), "gluing 3: to must be a list of 2 integers"),
+    (lambda d: d["gluings"][0].update(vertex_map=5), "gluing 0: vertex_map must be a list of 3"),
+    (lambda d: d["gluings"][0].update(vertex_map=[2, 1, "x"]), "vertex_map must be a list of 3"),
 ], ids=["invalid-json", "not-object", "missing-field", "N-not-integer", "tet-fields",
         "tet-sign", "angle-count", "gluing-fields", "face-out-of-range", "glued-twice",
-        "glued-to-itself"])
+        "glued-to-itself", "N-bool", "tets-not-list", "gluings-not-list", "tet-not-object",
+        "angles-not-list", "angle-null", "gluing-not-object", "from-not-list", "from-not-integer",
+        "from-float", "to-bool", "vertex-map-not-list", "vertex-map-not-integer"])
 def test_rejected_triangulation_document(edit, message, capsys, tmp_path):
     # each edit of the figure-eight document (or raw text) fails one check of
     # parse_triangulation or ShapedTriangulation._validate, with its own message;
@@ -155,6 +171,7 @@ def test_rejected_triangulation_document(edit, message, capsys, tmp_path):
     assert run(["partition", "--in", str(path), "--grid", "16"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:") and message in captured.err
+    assert captured.err.count("\n") == 1  # one error line, no traceback
 
 
 def test_non_finite_value_is_not_printed(capsys):

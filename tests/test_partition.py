@@ -400,6 +400,30 @@ def test_contraction_in_many_slabs(monkeypatch):
         assert _contract(X5, tables, 16, stride) == pytest.approx(z, rel=1e-13)
 
 
+def test_slabs_are_bounded_at_six_edges(monkeypatch):
+    # a 2-3 move on the five-tet gives E = 6, so five edges are free.  A slab of
+    # 24 points at M = 8 runs edges 1, 2 and 3 one index at a time and steps
+    # edge 4 by three planes of edge 5: 8^3 x 3 slabs at stride 1 and 4^3 x 2
+    # at stride 2, each at most 24 points, against the one-slab sums
+    X = pachner_23(_five_tet(1), (2, 2))
+    assert len(X.edge_classes) == 6
+    assert min(min(t.angles.a, t.angles.b, t.angles.c) for t in X.tets) == pytest.approx(1 / 48)
+    tables = _tet_tables(X, 8, QuadratureSpec(M=8))
+    one = [_contract(X, tables, 8, stride) for stride in (1, 2)]
+    shapes, broadcast_shapes = [], np.broadcast_shapes
+
+    def record(*args):
+        shapes.append(broadcast_shapes(*args))
+        return shapes[-1]
+
+    monkeypatch.setattr(np, "broadcast_shapes", record)
+    monkeypatch.setattr(qdlab.partition, "_SLAB_POINTS", 24)
+    for stride, z in zip((1, 2), one):
+        assert _contract(X, tables, 8, stride) == pytest.approx(z, rel=1e-13)
+    assert max(int(np.prod(s)) for s in shapes) == 24
+    assert len(shapes) == 8**3 * 3 + 4**3 * 2
+
+
 @pytest.mark.parametrize("name, shapes", [
     ("fig8_2tet", [(16, 31)] * 2),
     ("fig8_3tet", [(31, 16), (16, 46), (31, 16)]),

@@ -70,6 +70,19 @@ def test_product_structure(theta3):
         )
 
 
+def test_factor_args_rows_match_the_per_factor_formula(rng):
+    # factor j sits on row j as the same floats as the module docstring's formula,
+    # summed term by term for each j, on a B-sum-sized block and on a scalar
+    z = rng.normal(size=(27, 150)) + 1j * rng.normal(size=(27, 150))
+    for N in (1, 2, 3):
+        p = params(N)
+        t, c = p.theta.theta, p.theta.c
+        for zz, n in ((z, 1), (z, rng.integers(0, N, size=150)), (np.asarray(0.3 + 0j), 2)):
+            rows = [zz / p.N.sqrt + (1 - 1 / N) * c - 1j / t * (j / N)
+                    - 1j * t * (((j + n) % N) / N) for j in range(N)]
+            np.testing.assert_array_equal(factor_args(zz, n, p), np.stack(rows))
+
+
 def test_fourier_formula_examples():
     assert fourier_formula_residual(0.2, 0, params(1)) < 1e-6
     assert fourier_formula_residual(0.0, 1, params(2)) < 1e-6

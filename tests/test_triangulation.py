@@ -231,6 +231,16 @@ def test_balanced_perturbation_identity_and_positivity():
         balanced_perturbation(X, d, -margin * 1.01)
 
 
+def test_positivity_margin_is_the_least_ratio(rng):
+    # the least angle / |direction| over the components of the direction that
+    # are not 0, computed one component at a time
+    X = pachner_23(fig8(), FIG8_CANONICAL_FACE)
+    angles = [a for t in X.tets for a in (t.angles.a, t.angles.b, t.angles.c)]
+    for d in (gauge_direction(X, 0), rng.normal(size=9), np.zeros(9)):
+        least = min((a / abs(v) for a, v in zip(angles, d) if abs(v) > 1e-15), default=np.inf)
+        assert positivity_margin(X, d) == least
+
+
 def test_balanced_perturbation_rejects_non_kernel():
     X = fig8()
     bad = np.ones(6)
