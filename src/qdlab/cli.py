@@ -288,7 +288,7 @@ def run(argv=None) -> int:
     except NonConvergent as e:
         print(f"non-convergent: {e}", file=sys.stderr)
         return 2
-    except (QdlabError, ValueError, OSError, ZeroDivisionError) as e:
+    except (QdlabError, ValueError, OSError, ZeroDivisionError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

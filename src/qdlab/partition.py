@@ -5,7 +5,8 @@ edge-variable combinations
 
     E1 = x01 + x23 - x03 - x12,      E2 = x03 + x12 - x02 - x13,
 
-complex-conjugated for negative tets.  States live on the circle A/B, one per
+complex-conjugated for negative tets; per edge class both are differences of
+the triangulation's incidence (_slots).  States live on the circle A/B, one per
 edge class; Z(X) integrates the product of weights over [0, sqrt(N))^edges
 with the mass-1 measure (dt/sqrt(N)) per edge, by periodic trapezoid on M
 points per edge.  Kernel values are memoized on the index grid: for lifted
@@ -22,10 +23,11 @@ table.  A grid of M/s points per edge is the stride-s subgrid of the M grid,
 so it is contracted straight from the M tables: its index j reads the M-grid
 entry at s j.  The two-grid error estimate reads its M/2 grid this way for
 even M, and a convergence ladder reads every rung that divides its largest.
-Nothing is cached across calls.  Each tet's slot coefficients (+1, +1, -1, -1
-in E1 and in E2) sum to zero, so the integrand depends only on j_c - j_0, and
-descent makes it periodic in each j_c: the sum is equal copies of the slice
-j_0 = 0 (M^(E-1) points), where each tet is one flat gather from its table.
+Nothing is cached across calls.  Each tet's slot rows sum to zero (two edges
+at each slot), so the integrand depends only on j_c - j_0, and descent makes it
+periodic in each j_c: the sum is equal copies of the slice j_0 = 0 (M^(E-1)
+points), where each tet is one flat gather from its table.  Where the weight
+does not descend, Z is refused (_contract).
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charged import ChargeTriple, WeightKernelParams, weight_kernel, weight_kernel_grid
+from .charged import WeightKernelParams, weight_kernel, weight_kernel_grid
 from .errors import NonConvergent, TopologyError
 from .lca import LcaPoint, QuadratureSpec, b_generator, lift
 from .qdilog import QdParams
-from .triangulation import EDGE_PAIRS, ShapedTriangulation
+from .triangulation import ShapedTriangulation
 
 __all__ = [
     "boltzmann_weight",
@@ -50,30 +52,22 @@ __all__ = [
     "convergence_report",
 ]
 
-# slot coefficients of (E1, E2) per tet edge
-_E1_COEF = {(0, 1): 1, (2, 3): 1, (0, 3): -1, (1, 2): -1, (0, 2): 0, (1, 3): 0}
-_E2_COEF = {(0, 3): 1, (1, 2): 1, (0, 2): -1, (1, 3): -1, (0, 1): 0, (2, 3): 0}
-
-
 def _tet_kernel_params(X: ShapedTriangulation, t: int) -> WeightKernelParams:
-    ang = X.tets[t].angles
-    return WeightKernelParams(ChargeTriple(ang.a, ang.b, ang.c), QdParams(X.theta, X.N))
+    return WeightKernelParams(X.tets[t].angles, QdParams(X.theta, X.N))
 
 
-def _tet_coefs(X: ShapedTriangulation, t: int) -> tuple[dict, dict]:
-    """The slot rule: {edge class: coefficient} of E1 and of E2 in tet t."""
-    m1, m2 = {}, {}
-    for e in EDGE_PAIRS:
-        c = X.edge_of[(t, e)]
-        m1[c] = m1.get(c, 0) + _E1_COEF[e]
-        m2[c] = m2.get(c, 0) + _E2_COEF[e]
-    return m1, m2
+def _slots(X: ShapedTriangulation) -> np.ndarray:
+    """The slot rule as a (T, 2, E) array: [t, 0, c] and [t, 1, c] are the coefficients
+    of edge class c in E1 and in E2 of tet t.  E1 takes the slot-a edges (01, 23) minus
+    the slot-c edges (03, 12), E2 the slot-c edges minus the slot-b edges (02, 13)."""
+    inc = X.incidence
+    return np.stack([inc[:, 0] - inc[:, 2], inc[:, 2] - inc[:, 1]], axis=1)
 
 
 def _tet_args(X: ShapedTriangulation, t: int, lifts) -> tuple[LcaPoint, LcaPoint]:
     """Kernel arguments (E1, E2) of tet t from per-edge-class lifted states."""
-    return tuple(sum((lifts[c].scale(v) for c, v in m.items()), LcaPoint(0.0, 0))
-                 for m in _tet_coefs(X, t))
+    return tuple(sum((lifts[c].scale(v) for c, v in enumerate(row) if v), LcaPoint(0.0, 0))
+                 for row in _slots(X)[t].tolist())
 
 
 def boltzmann_weight(
@@ -120,26 +114,19 @@ def descent_residual(
     return abs(w1 - w0) / max(abs(w0), 1e-300)
 
 
-def _index_range(coef: dict, M: int) -> tuple[int, int]:
-    """Least and greatest sum of coef[c] * j_c, 0 <= j_c < M, on the slice j_0 = 0 that
-    _contract sums: only the free classes c != 0 widen the range."""
-    free = [v * (M - 1) for c, v in coef.items() if c]
-    return sum(min(v, 0) for v in free), sum(max(v, 0) for v in free)
-
-
 def _tet_table(X: ShapedTriangulation, t: int, M: int, spec: QuadratureSpec,
                memo: dict | None = None) -> dict:
     """Kernel table of tet t on the index grid, plus its index offsets.
 
     Index ranges cover the box of the slice j_0 = 0 that _contract sums: all
-    integer combinations of free grid indices 0..M-1 with the slot coefficients
-    (_index_range); entry [w - wmin, u - umin] = W((u h, 0), (w h, 0)).
-    The table depends only on the tet's charges and sign and on the ranges;
-    tets that agree on these share the one array kept in memo.
+    integer combinations of free grid indices 0..M-1 with the tet's slot row
+    (_slots), whose E1 part gives u and E2 part w; entry [w - wmin, u - umin] =
+    W((u h, 0), (w h, 0)).  The table depends only on the tet's charges and sign
+    and on the ranges; tets that agree on these share the one array kept in memo.
     """
-    m1, m2 = _tet_coefs(X, t)
-    umin, umax = _index_range(m1, M)
-    wmin, wmax = _index_range(m2, M)
+    row = _slots(X)[t]
+    free = row[:, 1:] * (M - 1)  # j_0 = 0 widens no range
+    (umin, wmin), (umax, wmax) = (f(free, 0).sum(axis=1).tolist() for f in (np.minimum, np.maximum))
     tet = X.tets[t]
     key = (tet.angles, tet.sign, umin, umax, wmin, wmax)
     memo = {} if memo is None else memo
@@ -148,7 +135,7 @@ def _tet_table(X: ShapedTriangulation, t: int, M: int, spec: QuadratureSpec,
         ws = np.arange(wmin, wmax + 1)
         table = weight_kernel_grid(_tet_kernel_params(X, t), us, ws, M, spec)
         memo[key] = np.conj(table) if tet.sign < 0 else table
-    return {"table": memo[key], "umin": umin, "wmin": wmin, "m1": m1, "m2": m2}
+    return {"table": memo[key], "umin": umin, "wmin": wmin, "row": row}
 
 
 def _tet_tables(X: ShapedTriangulation, M: int, spec: QuadratureSpec) -> list[dict]:
@@ -165,18 +152,29 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
     """Z on the grid of M // stride points per edge, read from the M-grid tet tables.
 
     Tensor-product periodic trapezoid: the coarse grid has step stride * h,
-    so its index j reads the M-grid entry at stride * j.  The sum over j_0 is
-    n equal copies (zero coefficient sums and descent), so j_0 = 0 is fixed and
-    Z = n^-(E-1) times the sum over the other edges, whose box the tables span.
+    so its index j reads the M-grid entry at stride * j.  A tet has two edges
+    at each angle slot, so its slot rows sum to zero and the integrand depends
+    only on j_c - j_0; descent makes it periodic in each j_c.  So the sum over
+    j_0 is n equal copies, j_0 = 0 is fixed and Z = n^-(E-1) times the sum over
+    the other edges, whose box the tables span.
+    Descent along c: j_c -> j_c + M moves (u, w) of tet t by (m1, m2) blocks,
+    its slot row at c, and so by weight_kernel_grid's block phases multiplies
+    its entry by e^{-pi i N (m1 w - m2 u)/M} (-1)^(N m2 (1 - m1)), conjugated
+    if the tet is negative.  The exponentials cancel over the tets, as the form
+    sum_t sign_t (m1_c m2_d - m2_c m1_d) is zero (Neumann-Zagier); the signs
+    leave (-1)^(N sum_t m2 (1 - m1)), and an odd sum raises TopologyError.
     Slabs hold at most _SLAB_POINTS points of the grid M at any E and stride:
     leading free edges run one index at a time until the remaining planes fit,
     then the next edge steps by as many planes as fit.  Each tet is one take
     from its raveled table at a linear form in the free j_c, over its axes.
     """
-    if any(sum(tab["m1"].values()) or sum(tab["m2"].values()) for tab in tables):
-        raise TopologyError("tet slot coefficients do not sum to zero; j_0 cannot be fixed")
     if not X.is_closed:  # an open X's total weight need not descend
         raise TopologyError("triangulation has unglued faces; j_0 cannot be fixed")
+    slots = _slots(X)
+    odd = np.flatnonzero(X.N.N % 2 * np.sum(slots[:, 1] * (1 - slots[:, 0]), axis=0) % 2)
+    if odd.size:
+        raise TopologyError(f"the total weight does not descend along edge class {odd[0]} "
+                            f"at N={X.N.N}: a B-period of it flips the sign")
     E = len(X.edge_classes)
     if E == 0:
         return 1.0 + 0j
@@ -192,8 +190,9 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
         gathers = []
         for tab in tables:
             ncol = tab["table"].shape[1]
-            flat = sum(((tab["m2"][c] * ncol + v) * j[c] for c, v in tab["m1"].items()
-                        if v or tab["m2"][c]), -tab["wmin"] * ncol - tab["umin"])
+            k = (tab["row"][1] * ncol + tab["row"][0]).tolist()  # flat step of each j_c
+            flat = sum((k[c] * j[c] for c in range(1, E) if k[c]),
+                       -tab["wmin"] * ncol - tab["umin"])
             gathers.append(tab["table"].ravel().take(flat))
         for g in sorted(gathers, key=np.size):  # the small factors first, then in place
             out = np.multiply(out, g, out=out if out.shape == shape else None)

@@ -5,7 +5,9 @@ Conventions.  A tetrahedron has implicit vertex order 0..3; face f is the face
 opposite vertex f, and its three vertices are listed in ascending order.  The
 dihedral angles (a, b, c) sit at the edge pairs (01|23), (02|13), (03|12) and
 sum to 1 in units of pi.  A gluing maps the ascending vertex list of one face
-to vertices of the partner face via vertex_map.
+to vertices of the partner face via vertex_map.  A tet's sign says whether its
+vertex order agrees with the orientation; a negative tet runs its angle slots
+the other way round (gauge_direction).
 
 The 2-3 move realizes the two-tetrahedron side as the boundary tetrahedra
 d3 = (0,1,2,4), d1 = (0,2,3,4) of the bipyramid on labels {0..4} (shared face
@@ -94,7 +96,8 @@ class EdgeClass:
 
 
 class ShapedTriangulation:
-    """Immutable triangulation: edge classes with angle sums, the glued (tet, face) set."""
+    """Immutable triangulation: edge classes with angle sums, the glued (tet, face) set,
+    and the incidence: [t, s, c] counts the edges of tet t at angle slot s in edge class c."""
 
     def __init__(self, N: Modulus, theta: ThetaParam, tets, gluings):
         self.N = N
@@ -106,6 +109,10 @@ class ShapedTriangulation:
         self.edge_of = {
             m: i for i, cls in enumerate(self.edge_classes) for m in cls.members
         }
+        self.incidence = np.zeros((len(self.tets), 3, len(self.edge_classes)), dtype=int)
+        for (t, e), c in self.edge_of.items():
+            self.incidence[t, ANGLE_SLOT[e], c] += 1
+        self.incidence.flags.writeable = False
 
     def _validate(self):
         seen = set()
@@ -217,11 +224,13 @@ def parse_triangulation(document) -> ShapedTriangulation:
     for i, td in enumerate(document["tets"]):
         if not isinstance(td, dict) or set(td) != {"sign", "angles"}:
             raise SchemaError(f"tet {i}: fields must be sign, angles")
-        if td["sign"] not in (1, -1):
+        if type(td["sign"]) is not int or td["sign"] not in (1, -1):  # true is not a sign
             raise SchemaError(f"tet {i}: sign must be 1 or -1")
         ang = td["angles"]
         if not isinstance(ang, list) or len(ang) != 3:
             raise SchemaError(f"tet {i}: need 3 angles in a list")
+        if any(isinstance(v, (str, bool)) for v in ang):  # float() would read these
+            raise SchemaError(f"tet {i}: angles must be numbers")
         try:
             tets.append(ShapedTet(td["sign"], ChargeTriple(*map(float, ang))))
         except (ValueError, TypeError) as e:  # float(None) is a TypeError
@@ -387,32 +396,20 @@ def gauge_direction(X: ShapedTriangulation, edge_index: int) -> np.ndarray:
     """Leading-trailing deformation of one edge class, flattened over angles.
 
     Each incidence of the edge at angle slot s adds +1 to slot s+1 and -1 to
-    slot s+2 (cyclically) of that tetrahedron.  These vectors lie in the
-    balance kernel and span the gauge orbits along which |Z| is constant; the
-    kernel can be strictly larger (genuine shape directions move |Z|).
+    slot s+2 (cyclically) of a positive tetrahedron; a negative one runs its
+    slots the other way round, so there the signs swap.  These vectors lie in
+    the balance kernel and span the gauge orbits along which |Z| is constant;
+    the kernel can be strictly larger (genuine shape directions move |Z|).
     """
-    v = np.zeros(3 * len(X.tets))
-    for (t, e) in X.edge_classes[edge_index].members:
-        s = ANGLE_SLOT[e]
-        v[3 * t + (s + 1) % 3] += 1.0
-        v[3 * t + (s + 2) % 3] -= 1.0
-    return v
+    inc = X.incidence[:, :, edge_index]
+    sign = np.array([t.sign for t in X.tets]).reshape(-1, 1)
+    return (sign * (np.roll(inc, 1, axis=1) - np.roll(inc, -1, axis=1))).ravel().astype(float)
 
 
 def balance_kernel(X: ShapedTriangulation) -> np.ndarray:
     """Basis of angle directions preserving per-tet sums and all edge sums."""
-    T = len(X.tets)
-    rows = []
-    for t in range(T):
-        row = np.zeros(3 * T)
-        row[3 * t : 3 * t + 3] = 1.0
-        rows.append(row)
-    for cls in X.edge_classes:
-        row = np.zeros(3 * T)
-        for (t, e) in cls.members:
-            row[3 * t + ANGLE_SLOT[e]] += 1.0
-        rows.append(row)
-    A = np.array(rows)
+    T, _, E = X.incidence.shape
+    A = np.vstack([np.kron(np.eye(T), np.ones(3)), X.incidence.reshape(3 * T, E).T])
     _, s, vt = np.linalg.svd(A)
     rank = int(np.sum(s > 1e-12 * s[0]))
     return vt[rank:]

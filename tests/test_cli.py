@@ -153,11 +153,17 @@ def test_wgz_k_below_1_is_rejected(k, capsys):
     (lambda d: d["gluings"][3].update(to=[True, 1]), "gluing 3: to must be a list of 2 integers"),
     (lambda d: d["gluings"][0].update(vertex_map=5), "gluing 0: vertex_map must be a list of 3"),
     (lambda d: d["gluings"][0].update(vertex_map=[2, 1, "x"]), "vertex_map must be a list of 3"),
+    (lambda d: d["tets"][1].update(sign=True), "tet 1: sign must be 1 or -1"),
+    (lambda d: d["tets"][0].update(angles=["0.3333333333333333"] * 3), "tet 0: angles must be"),
+    # a modulus past a C long overflows in the B-sum; no smaller N that still
+    # converts is tried, as its arrays would be allocated
+    (lambda d: d.update(N=10**30), "too large to convert"),
 ], ids=["invalid-json", "not-object", "missing-field", "N-not-integer", "tet-fields",
         "tet-sign", "angle-count", "gluing-fields", "face-out-of-range", "glued-twice",
         "glued-to-itself", "N-bool", "tets-not-list", "gluings-not-list", "tet-not-object",
         "angles-not-list", "angle-null", "gluing-not-object", "from-not-list", "from-not-integer",
-        "from-float", "to-bool", "vertex-map-not-list", "vertex-map-not-integer"])
+        "from-float", "to-bool", "vertex-map-not-list", "vertex-map-not-integer", "sign-bool",
+        "angle-string", "N-overflow"])
 def test_rejected_triangulation_document(edit, message, capsys, tmp_path):
     # each edit of the figure-eight document (or raw text) fails one check of
     # parse_triangulation or ShapedTriangulation._validate, with its own message;

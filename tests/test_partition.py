@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import params
+from conftest import EVEN_PERMS, branched_two_tet, params, relabelled_fig8
 
 import qdlab.charged
 import qdlab.partition
@@ -23,7 +23,8 @@ from qdlab.partition import (
     partition_function,
     total_weight,
 )
-from qdlab.triangulation import ShapedTet, ShapedTriangulation, builtin_census, pachner_23
+from qdlab.triangulation import (EDGE_PAIRS, ShapedTet, ShapedTriangulation, builtin_census,
+                                 pachner_23)
 
 
 def test_empty_triangulation_is_one(theta3):
@@ -172,9 +173,9 @@ def _all_edge_tables(X, M, spec):
     """
     tables = []
     for t, tet in enumerate(X.tets):
-        m1, m2 = qdlab.partition._tet_coefs(X, t)
-        (umin, umax), (wmin, wmax) = ((sum(min(v * (M - 1), 0) for v in m.values()),
-                                       sum(max(v * (M - 1), 0) for v in m.values()))
+        m1, m2 = qdlab.partition._slots(X)[t].tolist()
+        (umin, umax), (wmin, wmax) = ((sum(min(v * (M - 1), 0) for v in m),
+                                       sum(max(v * (M - 1), 0) for v in m))
                                       for m in (m1, m2))
         table = weight_kernel_grid(qdlab.partition._tet_kernel_params(X, t),
                                    np.arange(umin, umax + 1), np.arange(wmin, wmax + 1), M, spec)
@@ -190,8 +191,8 @@ def _full_grid_sum(X, tables, M, stride):
     js = np.ix_(*[stride * np.arange(n)] * E)
     total = np.ones((n,) * E, dtype=complex)
     for tab in tables:
-        u = sum(v * js[c] for c, v in tab["m1"].items())
-        w = sum(v * js[c] for c, v in tab["m2"].items())
+        u = sum(v * js[c] for c, v in enumerate(tab["m1"]))
+        w = sum(v * js[c] for c, v in enumerate(tab["m2"]))
         total = total * tab["table"][w - tab["wmin"], u - tab["umin"]]
     return complex(np.sum(total) / n**E)
 
@@ -217,12 +218,69 @@ def test_fixed_edge_matches_full_grid_sum(name, N, M):
         assert z == pytest.approx(_full_grid_sum(X, full, M, stride), rel=1e-11)
 
 
-def test_fixed_edge_needs_zero_coefficient_sums(monkeypatch):
-    coef = dict(qdlab.partition._E1_COEF)
-    coef[(1, 2)] = 0
-    monkeypatch.setattr(qdlab.partition, "_E1_COEF", coef)
-    with pytest.raises(TopologyError):
-        partition_function(builtin_census("fig8_2tet"), QuadratureSpec(M=16), target=np.inf)
+def _slot_documents():
+    X3 = builtin_census("fig8_3tet")
+    X5 = _five_tet(1)
+    return [builtin_census("fig8_2tet"), X3, pachner_23(X3, (0, 2)), X5, pachner_23(X5, (2, 2)),
+            relabelled_fig8((0, 3, 1, 2)), branched_two_tet()]
+
+
+@pytest.mark.parametrize("X", _slot_documents(), ids=["fig8_2tet", "fig8_3tet", "four_tet",
+                         "five_tet", "six_tet", "relabelled", "branched"])
+def test_slot_rows_are_the_edge_formula(X):
+    # E1 = x01 + x23 - x03 - x12 and E2 = x03 + x12 - x02 - x13, summed edge by edge
+    # over each tet's classes, are the incidence differences of _slots
+    e1 = {(0, 1): 1, (2, 3): 1, (0, 3): -1, (1, 2): -1}
+    e2 = {(0, 3): 1, (1, 2): 1, (0, 2): -1, (1, 3): -1}
+    want = np.zeros((len(X.tets), 2, len(X.edge_classes)), dtype=int)
+    for t in range(len(X.tets)):
+        for e in EDGE_PAIRS:
+            want[t, :, X.edge_of[(t, e)]] += (e1.get(e, 0), e2.get(e, 0))
+    slots = qdlab.partition._slots(X)
+    np.testing.assert_array_equal(slots, want)
+    # two edges at each slot: every row sums to 2 - 2 = 0, which lets _contract fix j_0
+    np.testing.assert_array_equal(X.incidence.sum(axis=2), 2)
+    np.testing.assert_array_equal(slots.sum(axis=2), 0)
+    # the descent phases of _contract cancel: the signed form of the slot rows is zero
+    sign = np.array([t.sign for t in X.tets])
+    form = np.einsum("t,tc,td->cd", sign, slots[:, 0], slots[:, 1])
+    np.testing.assert_array_equal(form - form.T, 0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_partition_refuses_where_the_weight_does_not_descend(N):
+    # the 12 even relabellings of tet 1 of fig8_2tet: Z is refused exactly where a
+    # B-period shift moves the total weight; 8 of them fail at odd N
+    rng = np.random.default_rng(N)
+    refused = 0
+    for perm in EVEN_PERMS:
+        X = relabelled_fig8(perm, N)
+        state = tuple(CircleVar(rng.uniform(0, X.N.sqrt)) for _ in X.edge_classes)
+        descends = all(descent_residual(X, state, e, k=N) < 1e-8 for e in range(2))
+        try:
+            partition_function(X, QuadratureSpec(M=8), target=np.inf)
+        except TopologyError as e:
+            assert "does not descend along edge class" in str(e)
+            assert not descends
+            refused += 1
+        else:
+            assert descends
+    assert refused == (0 if N == 2 else 8)
+
+
+@pytest.mark.parametrize("N, code", [(1, 1), (2, 0), (3, 1)])
+def test_partition_cli_on_a_relabelled_fig8(N, code, tmp_path, capsys):
+    # vertex v of tet 1 renamed (0, 3, 1, 2)[v]: the weight descends only at N = 2
+    doc = relabelled_fig8((0, 3, 1, 2), N).to_document()
+    path = tmp_path / "relabelled.json"
+    path.write_text(json.dumps(doc))
+    assert run(["partition", "--in", str(path), "--grid", "128", "--target", "1"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1 and "edge class" in captured.err
+    else:
+        assert json.loads(captured.out)["abs"] == pytest.approx(1.0673394, abs=1e-7)
 
 
 def test_convergence_report(monkeypatch):
@@ -267,8 +325,8 @@ def test_edge_reversal_leaves_Z_unchanged():
         js[edge] = (-js[edge]) % M
         total = None
         for tab in tables:
-            u = sum(v * js[c] for c, v in tab["m1"].items())
-            w = sum(v * js[c] for c, v in tab["m2"].items())
+            u = sum(v * js[c] for c, v in enumerate(tab["m1"]))
+            w = sum(v * js[c] for c, v in enumerate(tab["m2"]))
             vals = tab["table"][w - tab["wmin"], u - tab["umin"]]
             total = vals if total is None else total * vals
         return complex(np.sum(total) / M**2)

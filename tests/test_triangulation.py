@@ -5,10 +5,12 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from conftest import branched_two_tet
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdlab.charged import ChargeTriple
+from qdlab.cli import run
 from qdlab.errors import (
     Infeasible,
     PositivityViolation,
@@ -17,7 +19,10 @@ from qdlab.errors import (
     UnknownName,
     ValidationError,
 )
+from qdlab.lca import QuadratureSpec
+from qdlab.partition import partition_function
 from qdlab.triangulation import (
+    ANGLE_SLOT,
     FIG8_CANONICAL_FACE,
     FaceGluing,
     ShapedTet,
@@ -257,6 +262,60 @@ def test_balance_kernel_rank():
         v = gauge_direction(X, e)
         resid = v - ker.T @ (ker @ v)
         assert np.linalg.norm(resid) < 1e-12
+
+
+def _leading_trailing(X, c):
+    """The gauge direction of edge class c member by member, as for positive tets:
+    +1 at slot s+1 and -1 at slot s+2 of its tet for each incidence at slot s."""
+    v = np.zeros(3 * len(X.tets))
+    for (t, e) in X.edge_classes[c].members:
+        s = ANGLE_SLOT[e]
+        v[3 * t + (s + 1) % 3] += 1.0
+        v[3 * t + (s + 2) % 3] -= 1.0
+    return v
+
+
+def test_gauge_direction_is_the_member_loop():
+    X3 = builtin_census("fig8_3tet")
+    for X in (fig8(), X3, pachner_23(X3, (0, 2))):
+        for c in range(len(X.edge_classes)):
+            np.testing.assert_array_equal(gauge_direction(X, c), _leading_trailing(X, c))
+    # a negative tet runs its slots the other way round, so its signs swap
+    X = branched_two_tet()
+    for c in range(2):
+        np.testing.assert_array_equal(gauge_direction(X, c),
+                                      np.repeat([1, -1], 3) * _leading_trailing(X, c))
+
+
+def test_balance_kernel_is_the_member_loop():
+    # constraint rows built member by member, as before the incidence array, give
+    # the same kernel bit for bit
+    for X in (fig8(), pachner_23(fig8(), FIG8_CANONICAL_FACE), branched_two_tet()):
+        T = len(X.tets)
+        rows = [np.repeat(np.eye(T)[t], 3) for t in range(T)]
+        for cls in X.edge_classes:
+            row = np.zeros(3 * T)
+            for (t, e) in cls.members:
+                row[3 * t + ANGLE_SLOT[e]] += 1.0
+            rows.append(row)
+        _, s, vt = np.linalg.svd(np.array(rows))
+        np.testing.assert_array_equal(balance_kernel(X), vt[int(np.sum(s > 1e-12 * s[0])):])
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_gauge_check_with_a_negative_tet(N, tmp_path, capsys):
+    # tet signs (+1, -1): |Z| stays put along the gauge direction (1.7e-13 at N=1,
+    # 1.9e-6 at N=2), and moves by 0.14 at N=1 along the sign-blind member loop
+    X = branched_two_tet(N)
+    path = tmp_path / "branched.json"
+    path.write_text(json.dumps(X.to_document()))
+    assert run(["check", "gauge", "--in", str(path), "--grid", "128"]) == 0
+    assert json.loads(capsys.readouterr().out)["rel_change"] < 1e-3
+    if N == 1:
+        d = _leading_trailing(X, 0)
+        z0, z1 = (partition_function(Y, QuadratureSpec(M=128), target=1.0).abs
+                  for Y in (X, balanced_perturbation(X, d, positivity_margin(X, d) / 2)))
+        assert abs(z1 - z0) / z0 > 0.1
 
 
 @pytest.mark.parametrize("N", [1, 2])
