@@ -5,8 +5,8 @@ Two kinds of lines:
 - every seed-1 value of the benchmark's three workloads (perfbench/workloads.py,
   imported read-only, at full size), as float.hex of its real and imaginary part;
 - for each command of a fixed list (the CLI commands whose output a refactor
-  must not move, and scripts/gauge_scan.py), its exit code and the sha1 of its
-  stdout and of its stderr.
+  must not move, the refusals of Z, and scripts/gauge_scan.py), its exit code
+  and the sha1 of its stdout and of its stderr.
 
 Run it in two checkouts and diff the outputs; equal files mean the same bits.
 
@@ -14,13 +14,16 @@ Usage: python scripts/fingerprint.py > fingerprint.txt
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]  # this checkout's qdlab
 
 COMMANDS = [
     # the criterion-12 commands
@@ -35,7 +38,15 @@ COMMANDS = [
     ["-m", "qdlab.cli", "pachner"],
     ["-m", "qdlab.cli", "census", "--name", "fig8_2tet"],
     ["scripts/gauge_scan.py", "--grid", "16", "--steps", "3"],
+    # refusals: an open triangulation (exit 1), and fig8_2tet relabelled by RELABEL,
+    # whose weight does not descend at N=1 (exit 1) and does at N=2 (exit 0)
+    ["-m", "qdlab.cli", "partition", "--name", "single_tet", "--grid", "16"],
+    ["-m", "qdlab.cli", "partition", "--in", "{relabelled N=1}", "--grid", "128", "--target", "1"],
+    ["-m", "qdlab.cli", "partition", "--in", "{relabelled N=2}", "--grid", "128", "--target", "1"],
 ]
+
+# vertex v of tet 1 renamed RELABEL[v]: a 3-cycle, an even permutation outside V4
+RELABEL = (0, 3, 1, 2)
 
 
 def _hex(v) -> str:
@@ -44,7 +55,6 @@ def _hex(v) -> str:
 
 
 def workload_lines() -> list[str]:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
 
     lines = []
@@ -55,13 +65,31 @@ def workload_lines() -> list[str]:
     return lines
 
 
+def relabelled_document(N: int) -> dict:
+    """fig8_2tet at level N with tet 1's vertices renamed by RELABEL.  Every gluing
+    goes from tet 0 to tet 1, so each to-face and each vertex_map entry is renamed."""
+    from qdlab.triangulation import builtin_census
+
+    doc = builtin_census("fig8_2tet", N=N).to_document()
+    for g in doc["gluings"]:
+        g["to"][1] = RELABEL[g["to"][1]]
+        g["vertex_map"] = [RELABEL[v] for v in g["vertex_map"]]
+    return doc
+
+
 def command_lines() -> list[str]:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     lines = []
-    for cmd in COMMANDS:
-        proc = subprocess.run([sys.executable, *cmd], cwd=ROOT, env=env, capture_output=True)
-        out, err = (hashlib.sha1(s).hexdigest() for s in (proc.stdout, proc.stderr))
-        lines.append(f"{' '.join(cmd)} | exit {proc.returncode} | out {out} | err {err}")
+    with tempfile.TemporaryDirectory() as tmp:
+        docs = {}
+        for N in (1, 2):
+            docs[f"{{relabelled N={N}}}"] = path = Path(tmp, f"relabelled_N{N}.json")
+            path.write_text(json.dumps(relabelled_document(N)))
+        for cmd in COMMANDS:
+            argv = [str(docs.get(a, a)) for a in cmd]
+            proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True)
+            out, err = (hashlib.sha1(s).hexdigest() for s in (proc.stdout, proc.stderr))
+            lines.append(f"{' '.join(cmd)} | exit {proc.returncode} | out {out} | err {err}")
     return lines
 
 

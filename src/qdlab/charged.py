@@ -37,7 +37,7 @@ import numpy as np
 from .errors import NonConvergent
 from .lca import (STEP, WINDOW, LcaPoint, QuadratureSpec, fourier_kernel, gaussian_exp,
                   haar_simpson, halve_residue, scalar_out)
-from .qdilog import QdParams, log_dtheta
+from .qdilog import QdParams, inversion_constant, log_dtheta
 
 __all__ = [
     "ChargeTriple",
@@ -164,7 +164,7 @@ def charged_identity_residuals(charges: ChargeTriple, samples, params: QdParams)
     """Max residuals of the conjugation identities f2 and f3 over samples.
 
     f2: conj psi_{A,C}(x,n) = psi_{C,A}(-x,-n) <x,n> e^{pi i c^2 (a+c)^2}
-                              e^{-pi i (N + 2 c^2/N)/6}
+                              e^{-pi i (N + 2 c^2/N)/6}   (inversion_constant)
     f3: conj (F^{-1}psi_{A,C} <.,.>^{-1})(x,n)
         = psi_{B,C}(-x, -n) <x, n> e^{-2 pi i c^2 a b} e^{-pi i (N - 4c^2/N)/12}
 
@@ -182,8 +182,7 @@ def charged_identity_residuals(charges: ChargeTriple, samples, params: QdParams)
     n = n.astype(int) % N
     g = gaussian_exp(LcaPoint(x, n), params.N)
     rhs2 = (psi_charged(ChargeTriple(charges.c, charges.b, charges.a), -x, -n, params) * g
-            * np.exp(1j * np.pi * cth**2 * (a + c) ** 2)
-            * np.exp(-1j * np.pi * (N + 2 * cth**2 / N) / 6))
+            * np.exp(1j * np.pi * cth**2 * (a + c) ** 2) * inversion_constant(params))
     f2 = np.abs(np.conj(psi_charged(charges, x, n, params)) - rhs2)
     tilde = forward_transform_closed(charges, -x, -n, params) / g
     rhs3 = (psi_charged(ChargeTriple(charges.b, charges.a, charges.c), -x, -n, params) * g

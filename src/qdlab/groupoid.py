@@ -168,13 +168,13 @@ def lambda_ratio_points(p, q, r, s, lam):
     return (x, y), (xp, yp)
 
 
-def random_point(rng, scale: int = 8) -> RatioPoint:
-    """Random nonzero Gaussian-rational ratio point with small numerators."""
+def random_point(rng) -> RatioPoint:
+    """Random nonzero Gaussian-rational ratio point: numerators in [-8, 8], denominators 1..4."""
 
     def nz():
         while True:
-            re = Fraction(int(rng.integers(-scale, scale + 1)), int(rng.integers(1, 5)))
-            im = Fraction(int(rng.integers(-scale, scale + 1)), int(rng.integers(1, 5)))
+            re = Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 5)))
+            im = Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 5)))
             g = GaussianRational(re, im)
             if not g.is_zero:
                 return g

@@ -27,13 +27,14 @@ Nothing is cached across calls.  Each tet's slot rows sum to zero (two edges
 at each slot), so the integrand depends only on j_c - j_0, and descent makes it
 periodic in each j_c: the sum is equal copies of the slice j_0 = 0 (M^(E-1)
 points), where each tet is one flat gather from its table.  Where the weight
-does not descend, Z is refused (_contract).
+does not descend, Z is refused before any table is built (_require_descent).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,8 +53,8 @@ __all__ = [
     "convergence_report",
 ]
 
-def _tet_kernel_params(X: ShapedTriangulation, t: int) -> WeightKernelParams:
-    return WeightKernelParams(X.tets[t].angles, QdParams(X.theta, X.N))
+def _kernel(X: ShapedTriangulation, tet) -> WeightKernelParams:
+    return WeightKernelParams(tet.angles, QdParams(X.theta, X.N))
 
 
 def _slots(X: ShapedTriangulation) -> np.ndarray:
@@ -64,12 +65,6 @@ def _slots(X: ShapedTriangulation) -> np.ndarray:
     return np.stack([inc[:, 0] - inc[:, 2], inc[:, 2] - inc[:, 1]], axis=1)
 
 
-def _tet_args(X: ShapedTriangulation, t: int, lifts) -> tuple[LcaPoint, LcaPoint]:
-    """Kernel arguments (E1, E2) of tet t from per-edge-class lifted states."""
-    return tuple(sum((lifts[c].scale(v) for c, v in enumerate(row) if v), LcaPoint(0.0, 0))
-                 for row in _slots(X)[t].tolist())
-
-
 def boltzmann_weight(
     X: ShapedTriangulation,
     t: int,
@@ -77,22 +72,21 @@ def boltzmann_weight(
     spec: QuadratureSpec | None = None,
 ) -> complex:
     """Weight of tet t at a state, one CircleVar per edge class (lifted canonically)."""
-    lifts = [lift(s, X.N) for s in state]
-    return _weight_at_lifts(X, t, lifts, spec)
+    return _weight(X, t, [lift(s, X.N) for s in state], spec)
 
 
-def _weight_at_lifts(X, t, lifts, spec=None) -> complex:
-    e1, e2 = _tet_args(X, t, lifts)
-    val = weight_kernel(_tet_kernel_params(X, t), e1, e2, spec)
+def _weight(X: ShapedTriangulation, t: int, lifts, spec) -> complex:
+    """Weight of tet t at lifts, one LcaPoint per edge class: the kernel at (E1, E2),
+    the combinations of the lifts by its slot rows, conjugated if the tet is negative."""
+    e1, e2 = (sum((lifts[c].scale(v) for c, v in enumerate(row) if v), LcaPoint(0.0, 0))
+              for row in _slots(X)[t].tolist())
+    val = weight_kernel(_kernel(X, X.tets[t]), e1, e2, spec)
     return np.conj(val) if X.tets[t].sign < 0 else val
 
 
 def total_weight(X: ShapedTriangulation, lifts, spec: QuadratureSpec | None = None) -> complex:
     """B_X at explicit lifts (one LcaPoint per edge class)."""
-    out = 1.0 + 0j
-    for t in range(len(X.tets)):
-        out *= _weight_at_lifts(X, t, lifts, spec)
-    return out
+    return math.prod((_weight(X, t, lifts, spec) for t in range(len(X.tets))), start=1.0 + 0j)
 
 
 def descent_residual(
@@ -114,34 +108,51 @@ def descent_residual(
     return abs(w1 - w0) / max(abs(w0), 1e-300)
 
 
-def _tet_table(X: ShapedTriangulation, t: int, M: int, spec: QuadratureSpec,
-               memo: dict | None = None) -> dict:
-    """Kernel table of tet t on the index grid, plus its index offsets.
+def _require_descent(X: ShapedTriangulation) -> None:
+    """Raise TopologyError unless the total weight descends to (A/B)^E.
+
+    Z is defined only there.  A tet has two edges at each angle slot, so its
+    slot rows sum to zero and the integrand depends only on j_c - j_0; descent
+    makes it periodic in each j_c, which lets _contract fix j_0 = 0.
+    Descent along c: j_c -> j_c + M moves (u, w) of tet t by (m1, m2) blocks,
+    its slot row at c, and so by weight_kernel_grid's block phases multiplies
+    its entry by e^{-pi i N (m1 w - m2 u)/M} (-1)^(N m2 (1 - m1)), conjugated
+    if the tet is negative.  The exponentials cancel over the tets, as the form
+    sum_t sign_t (m1_c m2_d - m2_c m1_d) is zero (Neumann-Zagier); the signs
+    leave (-1)^(N sum_t m2 (1 - m1)), and an odd sum is refused.
+    """
+    if not X.is_closed:  # an open X's total weight need not descend
+        raise TopologyError("triangulation has unglued faces; j_0 cannot be fixed")
+    slots = _slots(X)
+    odd = np.flatnonzero(X.N.N % 2 * np.sum(slots[:, 1] * (1 - slots[:, 0]), axis=0) % 2)
+    if odd.size:
+        raise TopologyError(f"the total weight does not descend along edge class {odd[0]} "
+                            f"at N={X.N.N}: a B-period of it flips the sign")
+
+
+def _tet_tables(X: ShapedTriangulation, M: int, spec: QuadratureSpec) -> list[dict]:
+    """Each tet's kernel table on the index grid at size M, with its read plan.
 
     Index ranges cover the box of the slice j_0 = 0 that _contract sums: all
     integer combinations of free grid indices 0..M-1 with the tet's slot row
     (_slots), whose E1 part gives u and E2 part w; entry [w - wmin, u - umin] =
-    W((u h, 0), (w h, 0)).  The table depends only on the tet's charges and sign
-    and on the ranges; tets that agree on these share the one array kept in memo.
+    W((u h, 0), (w h, 0)).  So the entry at free indices j_c is table.ravel()[off
+    + sum_c step[c] j_c], step[c] = m2_c ncol + m1_c and off = -wmin ncol - umin.
+    Tets with equal charges, sign and ranges share one array.
     """
-    row = _slots(X)[t]
-    free = row[:, 1:] * (M - 1)  # j_0 = 0 widens no range
-    (umin, wmin), (umax, wmax) = (f(free, 0).sum(axis=1).tolist() for f in (np.minimum, np.maximum))
-    tet = X.tets[t]
-    key = (tet.angles, tet.sign, umin, umax, wmin, wmax)
-    memo = {} if memo is None else memo
-    if key not in memo:
-        us = np.arange(umin, umax + 1)
-        ws = np.arange(wmin, wmax + 1)
-        table = weight_kernel_grid(_tet_kernel_params(X, t), us, ws, M, spec)
-        memo[key] = np.conj(table) if tet.sign < 0 else table
-    return {"table": memo[key], "umin": umin, "wmin": wmin, "row": row}
-
-
-def _tet_tables(X: ShapedTriangulation, M: int, spec: QuadratureSpec) -> list[dict]:
-    """The tables of every tet at grid size M, one array per distinct tet."""
-    memo = {}
-    return [_tet_table(X, t, M, spec, memo) for t in range(len(X.tets))]
+    memo, records = {}, []
+    for tet, row in zip(X.tets, _slots(X)):
+        (umin, wmin), (umax, wmax) = ((f(row[:, 1:], 0).sum(axis=1) * (M - 1)).tolist()
+                                      for f in (np.minimum, np.maximum))  # j_0 = 0 widens no range
+        key = (tet.angles, tet.sign, umin, umax, wmin, wmax)
+        if key not in memo:
+            table = weight_kernel_grid(_kernel(X, tet), np.arange(umin, umax + 1),
+                                       np.arange(wmin, wmax + 1), M, spec)
+            memo[key] = np.conj(table) if tet.sign < 0 else table
+        ncol = umax - umin + 1
+        records.append({"table": memo[key], "step": (row[1] * ncol + row[0]).tolist(),
+                        "off": -wmin * ncol - umin})
+    return records
 
 
 # grid points per slab of the contraction
@@ -152,29 +163,14 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
     """Z on the grid of M // stride points per edge, read from the M-grid tet tables.
 
     Tensor-product periodic trapezoid: the coarse grid has step stride * h,
-    so its index j reads the M-grid entry at stride * j.  A tet has two edges
-    at each angle slot, so its slot rows sum to zero and the integrand depends
-    only on j_c - j_0; descent makes it periodic in each j_c.  So the sum over
-    j_0 is n equal copies, j_0 = 0 is fixed and Z = n^-(E-1) times the sum over
-    the other edges, whose box the tables span.
-    Descent along c: j_c -> j_c + M moves (u, w) of tet t by (m1, m2) blocks,
-    its slot row at c, and so by weight_kernel_grid's block phases multiplies
-    its entry by e^{-pi i N (m1 w - m2 u)/M} (-1)^(N m2 (1 - m1)), conjugated
-    if the tet is negative.  The exponentials cancel over the tets, as the form
-    sum_t sign_t (m1_c m2_d - m2_c m1_d) is zero (Neumann-Zagier); the signs
-    leave (-1)^(N sum_t m2 (1 - m1)), and an odd sum raises TopologyError.
+    so its index j reads the M-grid entry at stride * j.  X descends
+    (_require_descent), so the sum over j_0 is n equal copies, j_0 = 0 is fixed
+    and Z = n^-(E-1) times the sum over the other edges, whose box the tables span.
     Slabs hold at most _SLAB_POINTS points of the grid M at any E and stride:
     leading free edges run one index at a time until the remaining planes fit,
     then the next edge steps by as many planes as fit.  Each tet is one take
-    from its raveled table at a linear form in the free j_c, over its axes.
+    from its raveled table at its read plan (_tet_tables), over its axes.
     """
-    if not X.is_closed:  # an open X's total weight need not descend
-        raise TopologyError("triangulation has unglued faces; j_0 cannot be fixed")
-    slots = _slots(X)
-    odd = np.flatnonzero(X.N.N % 2 * np.sum(slots[:, 1] * (1 - slots[:, 0]), axis=0) % 2)
-    if odd.size:
-        raise TopologyError(f"the total weight does not descend along edge class {odd[0]} "
-                            f"at N={X.N.N}: a B-period of it flips the sign")
     E = len(X.edge_classes)
     if E == 0:
         return 1.0 + 0j
@@ -189,10 +185,7 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
         shape, out = np.broadcast_shapes(*map(np.shape, j)), np.ones((), dtype=complex)
         gathers = []
         for tab in tables:
-            ncol = tab["table"].shape[1]
-            k = (tab["row"][1] * ncol + tab["row"][0]).tolist()  # flat step of each j_c
-            flat = sum((k[c] * j[c] for c in range(1, E) if k[c]),
-                       -tab["wmin"] * ncol - tab["umin"])
+            flat = sum((tab["step"][c] * j[c] for c in range(1, E) if tab["step"][c]), tab["off"])
             gathers.append(tab["table"].ravel().take(flat))
         for g in sorted(gathers, key=np.size):  # the small factors first, then in place
             out = np.multiply(out, g, out=out if out.shape == shape else None)
@@ -203,9 +196,10 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
 def _grid_values(X: ShapedTriangulation, Ms, spec: QuadratureSpec) -> list[complex]:
     """Z at each grid size in Ms by tensor-product periodic trapezoid.
 
-    The tables are built once, at the largest size; a size that divides it is
-    read from them by stride, any other size builds its own.
+    X is refused first unless it descends.  Tables are built once, at the largest
+    size; a size that divides it reads them by stride, any other builds its own.
     """
+    _require_descent(X)
     top = max(Ms)
     tables = _tet_tables(X, top, spec)
     return [_contract(X, tables, top, top // M) if top % M == 0
@@ -220,12 +214,7 @@ class PartitionResult:
     error_estimate: float
 
     def to_document(self) -> dict:
-        return {
-            "Z": [self.Z.real, self.Z.imag],
-            "abs": self.abs,
-            "grid": self.grid,
-            "error_estimate": self.error_estimate,
-        }
+        return {**asdict(self), "Z": [self.Z.real, self.Z.imag]}
 
 
 def partition_function(

@@ -70,7 +70,7 @@ class TestVector:
         return self.components[j % self.k](u)
 
 
-def gauss_poly_vector(coeff_rows, window: float = 8.0) -> TestVector:
+def gauss_poly_vector(coeff_rows) -> TestVector:
     """Components p_j(x) e^{-pi x^2} from rows of polynomial coefficients."""
 
     def make(coeffs):
@@ -79,7 +79,7 @@ def gauss_poly_vector(coeff_rows, window: float = 8.0) -> TestVector:
             -np.pi * np.asarray(x) ** 2
         )
 
-    return TestVector(tuple(make(row) for row in coeff_rows), window)
+    return TestVector(tuple(make(row) for row in coeff_rows))
 
 
 def _msum_range(k: int, window: float) -> int:
@@ -102,7 +102,7 @@ def wgz_forward_at(f: TestVector, k: int, us, vs):
     return np.exp(-1j * np.pi * k * np.outer(us, vs)) * acc
 
 
-def wgz_forward(f: TestVector, k: int, M: int = 256) -> np.ndarray:
+def wgz_forward(f: TestVector, k: int, M: int) -> np.ndarray:
     """W(f) on the grid of [0,1)^2: an (M, M) array with [i, j] = W(f)(i/M, j/M)."""
     grid = np.arange(M) / M
     return wgz_forward_at(f, k, grid, grid)

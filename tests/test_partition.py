@@ -15,7 +15,6 @@ from qdlab.lca import CircleVar, LcaPoint, Modulus, QuadratureSpec
 from qdlab.partition import (
     _contract,
     _grid_values,
-    _tet_table,
     _tet_tables,
     boltzmann_weight,
     convergence_report,
@@ -23,8 +22,8 @@ from qdlab.partition import (
     partition_function,
     total_weight,
 )
-from qdlab.triangulation import (EDGE_PAIRS, ShapedTet, ShapedTriangulation, builtin_census,
-                                 pachner_23)
+from qdlab.triangulation import (EDGE_PAIRS, V4, ShapedTet, ShapedTriangulation,
+                                 builtin_census, pachner_23)
 
 
 def test_empty_triangulation_is_one(theta3):
@@ -168,7 +167,7 @@ def test_pachner_invariance_five_tets_N1():
 def _all_edge_tables(X, M, spec):
     """Each tet's table over the index box of every j in [0, M)^E, j_0 included.
 
-    _tet_table spans only the slice j_0 = 0; a sum with no edge fixed reads
+    _tet_tables spans only the slice j_0 = 0; a sum with no edge fixed reads
     this wider box, built here by the same weight_kernel_grid.
     """
     tables = []
@@ -177,7 +176,7 @@ def _all_edge_tables(X, M, spec):
         (umin, umax), (wmin, wmax) = ((sum(min(v * (M - 1), 0) for v in m),
                                        sum(max(v * (M - 1), 0) for v in m))
                                       for m in (m1, m2))
-        table = weight_kernel_grid(qdlab.partition._tet_kernel_params(X, t),
+        table = weight_kernel_grid(qdlab.partition._kernel(X, tet),
                                    np.arange(umin, umax + 1), np.arange(wmin, wmax + 1), M, spec)
         tables.append({"table": np.conj(table) if tet.sign < 0 else table,
                        "umin": umin, "wmin": wmin, "m1": m1, "m2": m2})
@@ -283,6 +282,32 @@ def test_partition_cli_on_a_relabelled_fig8(N, code, tmp_path, capsys):
         assert json.loads(captured.out)["abs"] == pytest.approx(1.0673394, abs=1e-7)
 
 
+@pytest.mark.parametrize("X", [relabelled_fig8((0, 3, 1, 2), 1), relabelled_fig8((0, 3, 1, 2), 3),
+                               builtin_census("single_tet")],
+                         ids=["relabelled-N1", "relabelled-N3", "single_tet"])
+def test_refusal_comes_before_any_table(X, monkeypatch):
+    # the descent gate runs before the first table, so no kernel grid is built
+    def no_table(*args):
+        raise AssertionError("a table was built before the refusal")
+
+    monkeypatch.setattr(qdlab.partition, "weight_kernel_grid", no_table)
+    with pytest.raises(TopologyError):
+        partition_function(X, QuadratureSpec(M=16), target=1.0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_klein_four_relabellings_keep_Z(N):
+    # renaming tet 1's vertices by an element of V4 permutes its edges within
+    # each slot, so the slot rule, and with it every bit of Z, is unchanged
+    X = builtin_census("fig8_2tet", N=N)
+    spec = QuadratureSpec(M=16)
+    z = _grid_values(X, [16], spec)
+    for p in V4:
+        Y = relabelled_fig8(p, N)
+        np.testing.assert_array_equal(qdlab.partition._slots(Y), qdlab.partition._slots(X))
+        assert _grid_values(Y, [16], spec) == z
+
+
 def test_convergence_report(monkeypatch):
     X = builtin_census("fig8_2tet")
     rows = convergence_report(X, (32, 64, 128))
@@ -373,12 +398,13 @@ def test_tet_table_matches_pointwise_kernel():
     for N in (2, 3):
         X = builtin_census("fig8_3tet", N=N)
         h = X.N.sqrt / M
-        for t in range(len(X.tets)):
-            tab = _tet_table(X, t, M, spec)
+        for t, tab in enumerate(_tet_tables(X, M, spec)):
             wkp = WeightKernelParams(X.tets[t].angles, params(N))
             rows, cols = tab["table"].shape
+            # off = -wmin cols - umin with umin <= 0 <= umax, so divmod recovers both
+            wmin, umin = (-v for v in divmod(tab["off"], cols))
             for i, j in [(0, 0), (rows - 1, cols - 1), (rows // 2, cols // 3), (rows // 3, cols - 1)]:
-                u, w = j + tab["umin"], i + tab["wmin"]
+                u, w = j + umin, i + wmin
                 expect = weight_kernel(wkp, LcaPoint(u * h, 0), LcaPoint(w * h, 0), spec)
                 if X.tets[t].sign < 0:
                     expect = np.conj(expect)
@@ -406,9 +432,9 @@ def test_tet_table_truncation_is_checked(theta3, charges, want):
         with pytest.raises(NonConvergent):
             weight_kernel(wkp, LcaPoint(0.1, 0), LcaPoint(0.2, 0), spec)
         with pytest.raises(NonConvergent):
-            _tet_table(X, 0, 16, spec)
+            _tet_tables(X, 16, spec)
         return
-    table = _tet_table(X, 0, 16, spec)["table"]
+    table = _tet_tables(X, 16, spec)[0]["table"]
     got = (weight_kernel(wkp, LcaPoint(0.1, 0), LcaPoint(0.2, 0), spec), table[0, 0], table[30, 30])
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -505,8 +531,11 @@ def test_equal_tets_share_one_table():
     tabs = _tet_tables(X, 16, spec)
     assert tabs[0]["table"] is tabs[2]["table"]
     assert tabs[1]["table"] is not tabs[0]["table"]
+    # a second call keeps its own memo: new arrays with the same entries
+    again = _tet_tables(X, 16, spec)
     for t in (0, 2):
-        np.testing.assert_array_equal(tabs[t]["table"], _tet_table(X, t, 16, spec)["table"])
+        assert again[t]["table"] is not tabs[t]["table"]
+        np.testing.assert_array_equal(again[t]["table"], tabs[t]["table"])
 
 
 @pytest.fixture
@@ -534,7 +563,7 @@ def test_b_sum_raises_on_nan_term(nan_transform):
         weight_kernel(wkp, LcaPoint(0.1, 0), LcaPoint(0.2, 1))
     nan_transform.clear()
     with pytest.raises(NonConvergent):
-        _tet_table(X, 0, 16, QuadratureSpec(M=16))
+        _tet_tables(X, 16, QuadratureSpec(M=16))
 
 
 def test_partition_raises_on_nan_term(nan_transform, capsys):
