@@ -4,9 +4,10 @@
 Two kinds of lines:
 - every seed-1 value of the benchmark's three workloads (perfbench/workloads.py,
   imported read-only, at full size), as float.hex of its real and imaginary part;
-- for each command of a fixed list (the CLI commands whose output a refactor
-  must not move, the refusals of Z, and scripts/gauge_scan.py), its exit code
-  and the sha1 of its stdout and of its stderr.
+- for each command of a fixed list (every CLI subcommand, each exit path: 0, 1
+  for the refusals, 3 for a failed check, and scripts/gauge_scan.py), its exit
+  code and the sha1 of its stdout and of its stderr, and for the --out run the
+  sha1 of the file it wrote.
 
 Run it in two checkouts and diff the outputs; equal files mean the same bits.
 
@@ -43,6 +44,26 @@ COMMANDS = [
     ["-m", "qdlab.cli", "partition", "--name", "single_tet", "--grid", "16"],
     ["-m", "qdlab.cli", "partition", "--in", "{relabelled N=1}", "--grid", "128", "--target", "1"],
     ["-m", "qdlab.cli", "partition", "--in", "{relabelled N=2}", "--grid", "128", "--target", "1"],
+    # the other subcommands, and the failed-check exit 3 of wgz and check
+    ["-m", "qdlab.cli", "phi", "--z", "-0.3,0.2"],
+    ["-m", "qdlab.cli", "dtheta", "--N", "3", "--z", "0.4", "--n", "1"],
+    ["-m", "qdlab.cli", "gamma", "--N", "2"],
+    ["-m", "qdlab.cli", "psi", "--N", "2", "--charges", "0.4,0.35,0.25", "--z", "0.3", "--n", "1"],
+    ["-m", "qdlab.cli", "kernel", "--N", "1", "--charges", "0.4,0.35,0.25", "--x", "0.1,0",
+     "--y", "0.2,0"],
+    ["-m", "qdlab.cli", "wgz", "--k", "3", "--grid", "240"],
+    ["-m", "qdlab.cli", "wgz", "--k", "2", "--grid", "3"],
+    ["-m", "qdlab.cli", "check", "charged", "--N", "2", "--samples", "5"],
+    ["-m", "qdlab.cli", "check", "fourier", "--N", "2", "--samples", "3"],
+    ["-m", "qdlab.cli", "check", "pentagon", "--N", "1", "--grid", "8", "--samples", "2"],
+    ["-m", "qdlab.cli", "check", "descent", "--in", "{relabelled N=1}"],
+    # a report written with --out (its file's sha1 follows), the gauge check of an open
+    # triangulation (exit 1), and --N beside --in, which the document fixes (exit 1)
+    ["-m", "qdlab.cli", "partition", "--name", "fig8_2tet", "--grid", "64", "--target", "1.0",
+     "--out", "{out}"],
+    ["-m", "qdlab.cli", "check", "gauge", "--name", "single_tet", "--grid", "16"],
+    ["-m", "qdlab.cli", "partition", "--in", "{relabelled N=2}", "--N", "2", "--grid", "128",
+     "--target", "1"],
 ]
 
 # vertex v of tet 1 renamed RELABEL[v]: a 3-cycle, an even permutation outside V4
@@ -81,15 +102,18 @@ def command_lines() -> list[str]:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        docs = {}
+        paths = {"{out}": Path(tmp, "out.json")}  # placeholder -> file
         for N in (1, 2):
-            docs[f"{{relabelled N={N}}}"] = path = Path(tmp, f"relabelled_N{N}.json")
+            paths[f"{{relabelled N={N}}}"] = path = Path(tmp, f"relabelled_N{N}.json")
             path.write_text(json.dumps(relabelled_document(N)))
         for cmd in COMMANDS:
-            argv = [str(docs.get(a, a)) for a in cmd]
+            argv = [str(paths.get(a, a)) for a in cmd]
             proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True)
             out, err = (hashlib.sha1(s).hexdigest() for s in (proc.stdout, proc.stderr))
-            lines.append(f"{' '.join(cmd)} | exit {proc.returncode} | out {out} | err {err}")
+            line = f"{' '.join(cmd)} | exit {proc.returncode} | out {out} | err {err}"
+            if "{out}" in cmd:
+                line += f" | file {hashlib.sha1(paths['{out}'].read_bytes()).hexdigest()}"
+            lines.append(line)
     return lines
 
 

@@ -83,10 +83,12 @@ def _groupoid_evaluate(ctx: Context, samples, spec) -> dict:
 
 
 def _gauge_evaluate(ctx: Context, edge: int, spec) -> dict:
+    """|Z| at X and at X moved by half the positivity margin along one gauge direction.
+    Z of X comes first, so an X that Z refuses is refused before a direction is taken."""
     X = ctx.X
+    z0 = partition.partition_function(X, spec, target=1.0)
     d = triangulation.gauge_direction(X, edge)
     Xp = triangulation.balanced_perturbation(X, d, triangulation.positivity_margin(X, d) / 2)
-    z0 = partition.partition_function(X, spec, target=1.0)
     z1 = partition.partition_function(Xp, spec, target=1.0)
     return {"abs_base": z0.abs, "abs_perturbed": z1.abs,
             "rel_change": abs(z0.abs - z1.abs) / z0.abs}

@@ -1,10 +1,11 @@
 """Command-line surface: evaluation and verification subcommands with JSON I/O.
 
-Each subcommand takes only the flags its command reads; `qdlab <command>
---help` lists them.  Exit codes: 0 success, 1 usage or validation error,
-2 numerical non-convergence, 3 failed check.  Complex numbers serialize as
-[re, im]; angles are accepted as rational multiples of pi ("1/3").
-Identical command lines produce byte-identical JSON.
+Each subcommand takes only the flags its command reads; `qdlab <command> --help` lists them.
+A command returns its report and `run` writes it.  Exit codes: 0 success, 1 usage or
+validation error, 2 numerical non-convergence, 3 failed check, exactly when the printed
+report has "pass": false.  A document read with --in fixes N and theta, so --N and
+--theta-arg are refused beside it.  Complex numbers serialize as [re, im]; angles are
+accepted as rational multiples of pi ("1/3").  Identical command lines produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -89,28 +90,24 @@ def _load_triangulation(args) -> ShapedTriangulation:
 def cmd_phi(args):
     th = _theta(args)
     z = _parse_complex(args.z)
-    _emit({"value": _c(phi_theta(z, th)), "phi_zero": _c(phi_zero(th))}, args)
-    return 0
+    return {"value": _c(phi_theta(z, th)), "phi_zero": _c(phi_zero(th))}
 
 
 def cmd_dtheta(args):
     p = _params(args)
     v = qdilog.dtheta(_parse_complex(args.z), args.n, p)
-    _emit({"value": _c(v)}, args)
-    return 0
+    return {"value": _c(v)}
 
 
 def cmd_gamma(args):
-    _emit({"value": _c(gauss_gamma(Modulus(args.N)))}, args)
-    return 0
+    return {"value": _c(gauss_gamma(Modulus(args.N)))}
 
 
 def cmd_psi(args):
     p = _params(args)
     ch = _parse_charges(args.charges)
     v = charged.psi_charged(ch, _parse_complex(args.z), args.n, p)
-    _emit({"value": _c(v)}, args)
-    return 0
+    return {"value": _c(v)}
 
 
 def cmd_kernel(args):
@@ -119,8 +116,7 @@ def cmd_kernel(args):
     mu = _parse_point(args.mu) if args.mu else LcaPoint(0.0, 0)
     wkp = charged.WeightKernelParams(ch, p, mu)
     v = charged.weight_kernel(wkp, _parse_point(args.x), _parse_point(args.y), _spec(tol=args.tol))
-    _emit({"value": _c(v)}, args)
-    return 0
+    return {"value": _c(v)}
 
 
 def cmd_partition(args):
@@ -129,21 +125,18 @@ def cmd_partition(args):
     res = partition.partition_function(X, spec, target=args.target)
     doc = res.to_document()
     doc["params"] = {"N": X.N.N, "grid": spec.M, "tets": len(X.tets)}
-    _emit(doc, args)
-    return 0
+    return doc
 
 
 def cmd_pachner(args):
     X = _load_triangulation(args)
     face = tuple(int(v) for v in args.face.split(","))
     Y = pachner_23(X, face)
-    _emit(Y.to_document(), args)
-    return 0
+    return Y.to_document()
 
 
 def cmd_census(args):
-    _emit(builtin_census(args.name, N=args.N, theta_arg_over_pi=args.theta_arg).to_document(), args)
-    return 0
+    return builtin_census(args.name, N=args.N, theta_arg_over_pi=args.theta_arg).to_document()
 
 
 def cmd_wgz(args):
@@ -173,8 +166,7 @@ def cmd_wgz(args):
     report = {"k": k, "round_trip_sup_error": round_trip, "quasi_periodicity_residual": qp,
               "commutation_phases": comm}
     ok = checks.passes(report, checks.WGZ_LIMITS)
-    _emit({**report, "pass": ok}, args)
-    return 0 if ok else 3
+    return {**report, "pass": ok}
 
 
 def cmd_check(args):
@@ -188,8 +180,7 @@ def cmd_check(args):
     samples = chk.sample(np.random.default_rng(args.seed), ctx, args.samples)
     report = chk.evaluate(ctx, samples, _spec(args.grid, args.tol))
     ok = checks.passes(report, chk.limits)
-    _emit({**report, "pass": ok}, args)
-    return 0 if ok else 3
+    return {**report, "pass": ok}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,9 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
                triangulation=False):
         """Add to p the shared flags its command reads, and --out."""
         if theta:
-            p.add_argument("--theta-arg", default="1/3", help="theta = e^{i pi p/q}")
+            p.add_argument("--theta-arg", default=None, help="theta = e^{i pi p/q}, default 1/3")
         if modulus:
-            p.add_argument("--N", type=int, default=1)
+            p.add_argument("--N", type=int, default=None, help="level N, default 1")
         if grid:
             p.add_argument("--grid", type=int, default=None, help="grid points M")
         if tol:
@@ -284,7 +275,14 @@ def run(argv=None) -> int:
     except SystemExit as e:  # argparse exits 0 after --help and 2 on a usage error
         return 1 if e.code else 0
     try:
-        return args.func(args)
+        if getattr(args, "inp", None) and (args.N, args.theta_arg) != (None, None):
+            raise ValueError("--in fixes N and theta; drop --N and --theta-arg")
+        for flag, default in (("N", 1), ("theta_arg", "1/3")):
+            if getattr(args, flag, default) is None:
+                setattr(args, flag, default)
+        payload = args.func(args)
+        _emit(payload, args)
+        return 3 if payload.get("pass") is False else 0
     except NonConvergent as e:
         print(f"non-convergent: {e}", file=sys.stderr)
         return 2

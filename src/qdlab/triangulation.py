@@ -89,15 +89,9 @@ class FaceGluing:
             )
 
 
-@dataclass(frozen=True)
-class EdgeClass:
-    members: tuple[tuple[int, tuple[int, int]], ...]  # (tet index, edge pair)
-    angle_sum: float
-
-
 class ShapedTriangulation:
-    """Immutable triangulation: edge classes with angle sums, the glued (tet, face) set,
-    and the incidence: [t, s, c] counts the edges of tet t at angle slot s in edge class c."""
+    """Immutable triangulation: the glued (tet, face) set, edge classes as sorted (tet, edge pair)
+    tuples, the incidence [t, s, c] (edges of tet t at slot s in class c) and its angle_sums."""
 
     def __init__(self, N: Modulus, theta: ThetaParam, tets, gluings):
         self.N = N
@@ -105,14 +99,14 @@ class ShapedTriangulation:
         self.tets: tuple[ShapedTet, ...] = tuple(tets)
         self.gluings: tuple[FaceGluing, ...] = tuple(gluings)
         self.glued_faces: frozenset = self._validate()
-        self.edge_classes: tuple[EdgeClass, ...] = self._edge_classes()
-        self.edge_of = {
-            m: i for i, cls in enumerate(self.edge_classes) for m in cls.members
-        }
+        self.edge_classes: tuple[tuple, ...] = self._edge_classes()
         self.incidence = np.zeros((len(self.tets), 3, len(self.edge_classes)), dtype=int)
-        for (t, e), c in self.edge_of.items():
-            self.incidence[t, ANGLE_SLOT[e], c] += 1
+        for c, members in enumerate(self.edge_classes):
+            for t, e in members:
+                self.incidence[t, ANGLE_SLOT[e], c] += 1
         self.incidence.flags.writeable = False
+        self.angle_sums = (_angles(self)[:, :, None] * self.incidence).sum(axis=(0, 1))
+        self.angle_sums.flags.writeable = False
 
     def _validate(self):
         seen = set()
@@ -154,20 +148,14 @@ class ShapedTriangulation:
         groups: dict = {}
         for it in items:
             groups.setdefault(find(it), []).append(it)
-        ang = _angles(self).tolist()
-        classes = []
-        for members in groups.values():
-            members = tuple(sorted(members))
-            s = sum(ang[t][ANGLE_SLOT[e]] for (t, e) in members)
-            classes.append(EdgeClass(members, s))
-        return tuple(sorted(classes, key=lambda c: c.members))
+        return tuple(sorted(tuple(sorted(members)) for members in groups.values()))
 
     @property
     def is_closed(self) -> bool:
         return len(self.glued_faces) == 4 * len(self.tets)
 
     def is_balanced(self, tol: float = 1e-12) -> bool:
-        return all(abs(c.angle_sum - 2.0) <= tol for c in self.edge_classes)
+        return bool(np.all(np.abs(self.angle_sums - 2.0) <= tol))
 
     def with_angles(self, angle_rows) -> "ShapedTriangulation":
         tets = tuple(
@@ -359,13 +347,13 @@ def pachner_32(X: ShapedTriangulation, edge_index: int) -> ShapedTriangulation:
     labeled by _THREE, the edge at labels (1,3), glued by _label_gluings) and
     rebuilds the two-tet side.
     """
-    cls = X.edge_classes[edge_index]
-    if len(cls.members) != 3:
+    members = X.edge_classes[edge_index]
+    if len(members) != 3:
         raise TopologyError("edge class does not have valence 3")
-    tets_around = sorted({t for (t, _) in cls.members})
+    tets_around = sorted({t for (t, _) in members})
     if len(tets_around) != 3:
         raise TopologyError("valence-3 edge must touch three distinct tets")
-    found = set(cls.members)
+    found = set(members)
     for ks in permutations(tets_around):
         old = list(zip(ks, _THREE))
         axis = {(t, (labs.index(1), labs.index(3))) for t, labs in old}  # the edge (1,3)
@@ -407,7 +395,7 @@ def gauge_direction(X: ShapedTriangulation, edge_index: int) -> np.ndarray:
 
 
 def balance_kernel(X: ShapedTriangulation) -> np.ndarray:
-    """Basis of angle directions preserving per-tet sums and all edge sums."""
+    """Basis of angle directions preserving per-tet sums and all edge sums (X.angle_sums)."""
     T, _, E = X.incidence.shape
     A = np.vstack([np.kron(np.eye(T), np.ones(3)), X.incidence.reshape(3 * T, E).T])
     _, s, vt = np.linalg.svd(A)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import relabelled_fig8
+
 from qdlab import checks
 from qdlab.cli import run
 from qdlab.triangulation import builtin_census
@@ -285,11 +287,57 @@ def test_check_gauge(capsys):
     assert code == 0 and doc["pass"]
 
 
-def test_check_failing_exit_code(capsys):
-    # M=8 is far too coarse for the beta-pentagon integral: residual about 0.38
-    code, doc = invoke(["check", "pentagon", "--N", "1", "--grid", "8", "--samples", "2"], capsys)
+@pytest.mark.parametrize("args", [
+    ["check", "pentagon", "--N", "1", "--grid", "8", "--samples", "2"],
+    ["check", "descent", "--samples", "3", "--in", 1],
+    ["check", "descent", "--samples", "3", "--in", 3],
+], ids=["pentagon-coarse-grid", "descent-relabelled-N1", "descent-relabelled-N3"])
+def test_check_failing_exit_code(args, capsys, tmp_path):
+    # M=8 is far too coarse for the beta-pentagon integral: residual about 0.38.
+    # fig8_2tet with tet 1 relabelled by (0, 3, 1, 2), read with --in at level N, does
+    # not descend at N = 1, 3: residual 2.0 (1.1e-13 at N = 2, where it descends)
+    if args[-2] == "--in":
+        path = tmp_path / "relabelled.json"
+        path.write_text(json.dumps(relabelled_fig8((0, 3, 1, 2), args[-1]).to_document()))
+        args = [*args[:-1], str(path)]
+    code, doc = invoke(args, capsys)
     assert code == 3
     assert doc["pass"] is False and doc["max_residual"] > 1e-4
+
+
+@pytest.mark.parametrize("args,code", [
+    (["partition", "--name", "fig8_2tet", "--grid", "16", "--target", "1"], 0),
+    (["check", "pentagon", "--N", "1", "--grid", "8", "--samples", "2"], 3),
+    (["wgz", "--k", "2", "--grid", "3"], 3),
+], ids=["partition", "check-failing", "wgz-failing"])
+def test_out_writes_the_printed_report(args, code, capsys, tmp_path):
+    # --out moves the report that stdout would get into the file, and keeps the exit code
+    assert run(args) == code
+    printed = capsys.readouterr().out
+    path = tmp_path / "report.json"
+    assert run([*args, "--out", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("command", [["partition", "--grid", "64"], ["pachner"],
+                                     ["check", "descent", "--samples", "1"]],
+                         ids=["partition", "pachner", "check"])
+@pytest.mark.parametrize("flag,value", [("--N", "2"), ("--theta-arg", "1/4")])
+def test_in_refuses_level_and_theta_flags(command, flag, value, capsys, tmp_path):
+    # the document fixes N and theta, so a flag beside --in would be ignored: refuse it
+    path = tmp_path / "fig8.json"
+    path.write_text(json.dumps(builtin_census("fig8_2tet").to_document()))
+    assert run([*command, "--in", str(path)]) == 0
+    capsys.readouterr()
+    assert run([*command, "--in", str(path), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1 and "--N" in captured.err and "--theta-arg" in captured.err
+    # without --in the flag still applies, and N = 0 is still refused
+    assert run([*command, flag, value]) == 0
+    assert run([*command, "--N", "0"]) == 1
+    capsys.readouterr()
 
 
 def test_nan_residual_fails_its_check():

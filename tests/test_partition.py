@@ -22,7 +22,7 @@ from qdlab.partition import (
     partition_function,
     total_weight,
 )
-from qdlab.triangulation import (EDGE_PAIRS, V4, ShapedTet, ShapedTriangulation,
+from qdlab.triangulation import (V4, ShapedTet, ShapedTriangulation,
                                  builtin_census, pachner_23)
 
 
@@ -38,9 +38,10 @@ def test_open_triangulation_is_refused(capsys):
     # (single_tet: descent residual 1.6, fixed-j_0 sum far from the full-grid sum)
     with pytest.raises(TopologyError, match="unglued"):
         partition_function(builtin_census("single_tet"), QuadratureSpec(M=16))
-    assert run(["partition", "--name", "single_tet", "--grid", "16"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "unglued" in captured.err
+    for command in (["partition"], ["check", "gauge"]):
+        assert run([*command, "--name", "single_tet", "--grid", "16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unglued" in captured.err
 
 
 @pytest.mark.parametrize("target", ["nan", "0", "-1"])
@@ -232,9 +233,9 @@ def test_slot_rows_are_the_edge_formula(X):
     e1 = {(0, 1): 1, (2, 3): 1, (0, 3): -1, (1, 2): -1}
     e2 = {(0, 3): 1, (1, 2): 1, (0, 2): -1, (1, 3): -1}
     want = np.zeros((len(X.tets), 2, len(X.edge_classes)), dtype=int)
-    for t in range(len(X.tets)):
-        for e in EDGE_PAIRS:
-            want[t, :, X.edge_of[(t, e)]] += (e1.get(e, 0), e2.get(e, 0))
+    for c, members in enumerate(X.edge_classes):
+        for t, e in members:
+            want[t, :, c] += (e1.get(e, 0), e2.get(e, 0))
     slots = qdlab.partition._slots(X)
     np.testing.assert_array_equal(slots, want)
     # two edges at each slot: every row sums to 2 - 2 = 0, which lets _contract fix j_0
