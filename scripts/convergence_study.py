@@ -12,7 +12,6 @@ Usage: python scripts/convergence_study.py [--N 1] [--theta-arg 1/3] [--ladder 1
 import argparse
 import time
 
-from qdlab.lca import QuadratureSpec
 from qdlab.partition import convergence_report
 from qdlab.triangulation import builtin_census, pachner_23
 
@@ -25,7 +24,6 @@ def main():
     args = ap.parse_args()
 
     ladder = [int(v) for v in args.ladder.split(",")]
-    spec = QuadratureSpec()
     fig8_3tet = builtin_census("fig8_3tet", N=args.N, theta_arg_over_pi=args.theta_arg)
     complexes = {
         "fig8_2tet": builtin_census("fig8_2tet", N=args.N, theta_arg_over_pi=args.theta_arg),
@@ -35,7 +33,7 @@ def main():
     finest = {}
     for name, X in complexes.items():
         t0 = time.time()
-        rows = convergence_report(X, ladder, spec)
+        rows = convergence_report(X, ladder)
         dt = time.time() - t0
         print(f"\n{name}  (N={args.N}, theta = e^(i pi {args.theta_arg}), {dt:.1f}s)")
         print(f"  {'M':>5}  {'Re Z':>18}  {'Im Z':>18}  {'delta':>10}")

@@ -64,6 +64,13 @@ COMMANDS = [
     ["-m", "qdlab.cli", "check", "gauge", "--name", "single_tet", "--grid", "16"],
     ["-m", "qdlab.cli", "partition", "--in", "{relabelled N=2}", "--N", "2", "--grid", "128",
      "--target", "1"],
+    # a kernel whose B-sum tails decay slowly (charge 0.05 on C), --name beside --in
+    # (exit 1), and a check kind that reads no triangulation given --name (exit 1)
+    ["-m", "qdlab.cli", "kernel", "--N", "5", "--charges", "0.05,0.9,0.05", "--x", "0.1,0",
+     "--y", "0.2,0"],
+    ["-m", "qdlab.cli", "partition", "--in", "{relabelled N=2}", "--name", "single_tet",
+     "--grid", "16"],
+    ["-m", "qdlab.cli", "check", "inversion", "--name", "nonexistent", "--samples", "2"],
 ]
 
 # vertex v of tet 1 renamed RELABEL[v]: a 3-cycle, an even permutation outside V4

@@ -26,18 +26,42 @@ is its automorphic descent
 quasi-periodic in both arguments under B-shifts.  Every kernel value, paired
 (`weight_kernel_many`) or on a grid (`weight_kernel_grid`, for the per-tet
 tables of the partition function), comes from one B-sum engine, `_b_sum`.
+
+The B-sum's tails are geometric with period 2N.  F psi_{A,C}(z, n) is
+e^{pi i z^2} e^{2 pi i c_th C z/sqrt(N)} / D_theta(-z - s, -n) times factors of
+period N in n, with s = c_th (B + C)/sqrt(N).  Term k of the sum sits at
+z = y0 + k/sqrt(N), n = k mod N, so k -> k + 2N moves z by 2 sqrt(N) and keeps n.
+- Right (k -> +inf): every Faddeev factor of D is dead and unreflected, so D = 1
+  exactly (faddeev.live_radius).  log F psi moves by 4 pi i sqrt(N) z + 4 pi i N
+  + 4 pi i c_th C, which is 4 pi i sqrt(N) y0 + 4 pi i c_th C modulo 2 pi i.
+- Left (k -> -inf): every factor is dead and reflected, log Phi(a) =
+  pi i a^2 + 2 log Phi(0).  The factor offsets o_j of D_theta (qdilog.factor_args)
+  sum to (N - 1)(c_th - i (theta + 1/theta)/2) = 0 over j, so
+  log D(w, m) = pi i w^2 + (period N in m), and log F psi is -2 pi i c_th B z/sqrt(N)
+  plus terms of period N.  It moves by 4 pi i c_th B under k -> k - 2N.
+- The phases conj<k b0> <k b0; mu - x> move by e^{+-4 pi i sqrt(N) (mu_x - x)}.
+With c_th = i cos(arg theta), each summand of conj(kappa F psi) times its phase is
+multiplied over one period by
+
+    R+ = e^{-4 pi cos(arg theta) C} e^{4 pi i sqrt(N) (mu_x - x - y0)}   (k -> k + 2N),
+    R- = e^{-4 pi cos(arg theta) B} e^{-4 pi i sqrt(N) (mu_x - x)}        (k -> k - 2N),
+
+both inside the unit circle.  `_b_sum` reads R off F psi itself, not off this
+formula, and sums each tail as its 2N seed terms over 1 - R.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergent
-from .lca import (STEP, WINDOW, LcaPoint, QuadratureSpec, fourier_kernel, gaussian_exp,
-                  haar_simpson, halve_residue, scalar_out)
-from .qdilog import QdParams, inversion_constant, log_dtheta
+from .faddeev import live_radius
+from .lca import (STEP, WINDOW, LcaPoint, fourier_kernel, gaussian_exp, haar_simpson,
+                  halve_residue, scalar_out)
+from .qdilog import QdParams, factor_args, inversion_constant, log_dtheta
 
 __all__ = [
     "ChargeTriple",
@@ -209,35 +233,54 @@ class WeightKernelParams:
 # Transform points per block of the B-sum: bounds the memory of one block
 # whatever the number of kernel points or of B-terms.
 _BLOCK_POINTS = 4096
-# Hard cap on each side K+, K- of the B-sum; a sum that reaches it with a tail
-# above tolerance raises NonConvergent.
-_B_TERMS = 400
 
 
-def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
-           grid: bool = False) -> np.ndarray:
-    """S(x, y) = sum_{k=-K-}^{K+} conj(kappa F psi)(y0 + k b0) conj<j b0> <j b0; mu - x>,
+def _band(wkp: WeightKernelParams, y0: np.ndarray) -> tuple[int, int]:
+    """(k0, k1) such that F psi(y0 + k b0) runs no live q-product for k < k0 or k > k1,
+    at every y0 given.
+
+    F psi_{A,C}(z, n) holds 1/D_theta(-z - s, -n), s = c_th (B + C)/sqrt(N) (log_psi of
+    psi_{C,B}), and factor j of that D has argument o[j, n] - z/sqrt(N) with
+    o = factor_args(-s, -n).  At z = y0 + k/sqrt(N) its real part o.real - y0/sqrt(N) - k/N
+    moves with k and its imaginary part does not, so faddeev.live_radius of o.imag bounds
+    the live k.  One more k on each side keeps the rounding of the edge out.
+    """
+    p, ch = wkp.params, wkp.charges
+    N, rN = p.N.N, p.N.sqrt
+    o = factor_args(-p.theta.c * (ch.b + ch.c) / rN, -np.arange(N) % N, p)
+    r = live_radius(o.imag, p.theta)
+    return (math.floor(N * (np.min(o.real - r) - np.max(y0) / rN)) - 1,
+            math.ceil(N * (np.max(o.real + r) - np.min(y0) / rN)) + 1)
+
+
+def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, grid: bool = False) -> np.ndarray:
+    """S(x, y) = sum_{k in Z} conj(kappa F psi)(y0 + k b0) conj<j b0> <j b0; mu - x>,
 
     the B-sum from the canonical section: y = y0 + yn b0 with y0 = (yr - yn/sqrt(N), 0)
     and j = k - yn.  W(x, y) = <x; -y/2> S(x, y); the prefactor is left to the callers.
-    K+ and K- follow the decay of F psi at rates C (k -> +inf) and B (k -> -inf),
-    capped at _B_TERMS.  NonConvergent is raised when a term with k >= K+ - N or
-    k <= N - K- exceeds 1e3 * spec.tol times the largest |S|, and when a term or a
-    sum is not finite.  Each block of rows of y times all k holds about _BLOCK_POINTS
-    terms, evaluated by one log_forward_transform call at y0_i + k b0, residues k mod N.
+    F psi is evaluated only on the band k0..k1 of _band, where a q-product is live, and
+    on 2N seed shifts on each side of it.  Past the band every summand X_k is
+    geometric with period 2N (see the module notes), X_{k+2N} = R+ X_k on the right
+    and X_{k-2N} = R- X_k on the left, so each tail is sum_seeds X_k / (1 - R).  R is
+    read off F psi itself, one period apart at one more shift per side, times the phase
+    ratio e^{+-4 pi i sqrt(N) (mu_x - x)}.  The sum is exact up to the q-products' own
+    tolerance.  NonConvergent is raised when |R| >= 1, or when a term or a sum is not
+    finite.  Each block of rows of y times all k holds about _BLOCK_POINTS terms,
+    evaluated by one log_forward_transform call at y0_i + k b0, residues k mod N.
+    The band grows like N; past _BLOCK_POINTS shifts a block is one row, evaluated
+    in pieces of _BLOCK_POINTS shifts.
 
     xr, yr are 1-D float arrays and xn, yn 1-D integer arrays reduced mod N.
     Paired (grid False): S(x_i, y_i), each block contracted row by row with
     its own phases.  Grid (every yn = 0): [j, i] -> S(x_i, y_j), each block
-    contracted with the phases of every x by one matmul.
+    contracted with the phases of every x by matmuls.
     """
-    spec = spec or QuadratureSpec()
     p, ch = wkp.params, wkp.charges
     N, rN = p.N.N, p.N.sqrt
-    rate = 2 * np.pi * p.theta.c.imag / N  # per k and per unit charge
-    Kp, Km = (min(int(np.ceil(-np.log(spec.tol * 1e-3) / (rate * r))) + 4 * N, _B_TERMS)
-              for r in (ch.c, ch.b))
-    ks = np.arange(-Km, Kp + 1)
+    y0 = yr - yn / rN
+    k0, k1 = _band(wkp, y0)
+    ks = np.arange(k0 - 2 * N - 1, k1 + 2 * N + 2)  # ratio, 2N seeds, band, 2N seeds, ratio
+    band, left, right = slice(2 * N + 1, -2 * N - 1), slice(1, 2 * N + 1), slice(-2 * N - 1, -1)
     kap = pentagon_normalization(ch, p)
 
     def phase(k, x, n):
@@ -247,45 +290,49 @@ def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, spec: QuadratureSpec | None,
             2j * np.pi * (k / rN) * (wkp.mu.x - x) - 2j * np.pi * k * ((wkp.mu.n - n) / N)
         )
 
-    y0 = yr - yn / rN
-    edge = (ks >= Kp - N) | (ks <= N - Km)  # the two tails the check reads
+    turn = np.exp(4j * np.pi * rN * (wkp.mu.x - xr))  # phase ratio of k -> k + 2N
     step = max(1, _BLOCK_POINTS // len(ks))
     P = phase(ks[:, None], xr, xn) if grid else None
     total = np.zeros((len(yr), len(xr)) if grid else len(yr), dtype=complex)
-    tail = 0.0
     for start in range(0, len(yr), step):
         i = slice(start, start + step)
-        terms = np.conj(kap * np.exp(log_forward_transform(ch, y0[i, None] + ks / rN, ks % N, p)))
+        z = y0[i, None] + ks / rN  # one row when the band alone is longer than a block
+        logs = np.concatenate([log_forward_transform(ch, z[:, c:c + _BLOCK_POINTS],
+                                                     ks[c:c + _BLOCK_POINTS] % N, p)
+                               for c in range(0, len(ks), _BLOCK_POINTS)], axis=1)
+        terms = np.conj(kap * np.exp(logs))
         if not np.all(np.isfinite(terms)):
-            raise NonConvergent(f"weight-kernel B-sum term not finite at K=-{Km}..{Kp}")
-        # the phases are unimodular, so |terms| is the size of each summand
-        tail = max(tail, float(np.max(np.abs(terms[:, edge]), initial=0.0)))
+            raise NonConvergent(f"weight-kernel B-sum term not finite at k={k0}..{k1}")
+        # the ratio of F psi one period apart, past the band on each side
+        up = np.conj(np.exp(logs[:, -1] - logs[:, -2 * N - 1]))
+        down = np.conj(np.exp(logs[:, 0] - logs[:, 2 * N]))
+        if not np.all(np.maximum(np.abs(up), np.abs(down)) < 1):
+            raise NonConvergent(f"weight-kernel B-sum tail not geometric at k={k0}..{k1}")
         if grid:
-            total[i] += terms @ P
+            total[i] += (terms[:, band] @ P[band]
+                         + terms[:, right] @ P[right] / (1 - up[:, None] * turn)
+                         + terms[:, left] @ P[left] / (1 - down[:, None] / turn))
         else:
-            P = phase(ks - yn[i, None], xr[i, None], xn[i, None])
-            total[i] += np.einsum("ik,ik->i", terms, P)
+            X = terms * phase(ks - yn[i, None], xr[i, None], xn[i, None])
+            total[i] += (X[:, band].sum(axis=1) + X[:, right].sum(axis=1) / (1 - up * turn[i])
+                         + X[:, left].sum(axis=1) / (1 - down / turn[i]))
     if not np.all(np.isfinite(total)):
-        raise NonConvergent(f"weight-kernel B-sum not finite at K=-{Km}..{Kp}")
-    if tail > 1e3 * spec.tol * max(float(np.max(np.abs(total), initial=0.0)), 1e-300):
-        raise NonConvergent(f"weight-kernel B-sum tail {tail:.2e} too large at K=-{Km}..{Kp}")
+        raise NonConvergent(f"weight-kernel B-sum not finite at k={k0}..{k1}")
     return total
 
 
-def weight_kernel_many(wkp: WeightKernelParams, xr, xn, yr, yn,
-                       spec: QuadratureSpec | None = None) -> np.ndarray:
+def weight_kernel_many(wkp: WeightKernelParams, xr, xn, yr, yn) -> np.ndarray:
     """W_{A,C;mu} at parallel (broadcast) arrays of points x = (xr, xn), y = (yr, yn)."""
     N = wkp.params.N.N
     xr, xn, yr, yn = np.broadcast_arrays(np.asarray(xr, dtype=float), np.asarray(xn, dtype=int) % N,
                                          np.asarray(yr, dtype=float), np.asarray(yn, dtype=int) % N)
-    total = _b_sum(wkp, xr.ravel(), xn.ravel(), yr.ravel(), yn.ravel(), spec).reshape(xr.shape)
+    total = _b_sum(wkp, xr.ravel(), xn.ravel(), yr.ravel(), yn.ravel()).reshape(xr.shape)
     # <x; -y/2> with the halving convention of lca.halve, fused like the phases of _b_sum
     hyn = halve_residue(yn, N)
     return np.exp(-2j * np.pi * xr * (yr / 2)) * np.exp(2j * np.pi * (xn * hyn) / N) * total
 
 
-def weight_kernel_grid(wkp: WeightKernelParams, us, ws, M: int,
-                       spec: QuadratureSpec | None = None) -> np.ndarray:
+def weight_kernel_grid(wkp: WeightKernelParams, us, ws, M: int) -> np.ndarray:
     """W_{A,C;mu}((u_i h, 0), (w_j h, 0)) at every pair, as an array indexed [j, i].
 
     us and ws are integer indices of the grid of step h = sqrt(N)/M.  The B-sum
@@ -294,7 +341,7 @@ def weight_kernel_grid(wkp: WeightKernelParams, us, ws, M: int,
     leaves every phase e^{-2 pi i k u/M} unchanged, and w -> w + M maps term k
     to term k + N, so S(u, w + qM) = lambda(u)^q S(u, w) with
     lambda(u) = (-1)^N e^{2 pi i sqrt(N) (u h - mu_x)}.  Every entry carries the
-    truncation error of its core entry.  With u = u0 + aM, w = w0 + qM and
+    rounding of its core entry.  With u = u0 + aM, w = w0 + qM and
     0 <= u0, w0 < M, the block (q, a) of entries <u h; -w h/2> lambda(u)^q S(u0, w0)
     is the phased core T0 = S e^{-pi i N u0 w0/M^2} times e^{-pi i N a w0/M}
     e^{pi i N q u0/M} (-1)^(N q (1 - a)) e^{-2 pi i q sqrt(N) mu_x}, each phase one
@@ -305,7 +352,7 @@ def weight_kernel_grid(wkp: WeightKernelParams, us, ws, M: int,
     N, h = p.N.N, p.N.sqrt / M
     us, ws = np.asarray(us, dtype=int), np.asarray(ws, dtype=int)
     core = np.arange(M)
-    S = _b_sum(wkp, core * h, 0 * core, core * h, 0 * core, spec, grid=True)
+    S = _b_sum(wkp, core * h, 0 * core, core * h, 0 * core, grid=True)
     a, q = (np.arange(v.min() // M, v.max() // M + 1)[:, None] for v in (us, ws))  # block indices
 
     def root(k, d):  # e^{pi i k/d} for integer k
@@ -319,7 +366,6 @@ def weight_kernel_grid(wkp: WeightKernelParams, us, ws, M: int,
     return (T0a * qa[:, None, :]).reshape(len(q) * M, -1)[ws - q[0, 0] * M]
 
 
-def weight_kernel(wkp: WeightKernelParams, x: LcaPoint, y: LcaPoint,
-                  spec: QuadratureSpec | None = None) -> complex:
+def weight_kernel(wkp: WeightKernelParams, x: LcaPoint, y: LcaPoint) -> complex:
     """W_{A,C;mu}(x, y) at a single pair of points of A_N."""
-    return complex(weight_kernel_many(wkp, x.x, x.n, y.x, y.n, spec))
+    return complex(weight_kernel_many(wkp, x.x, x.n, y.x, y.n))

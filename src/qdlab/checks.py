@@ -3,7 +3,8 @@
 CHECKS maps a check kind to its seeded sampler `sample(rng, ctx, n)`, its
 evaluator `evaluate(ctx, samples, spec)` returning a JSON-ready report dict,
 its limits {report key: strict upper bound}, and `reads`, the flags among
-"grid" and "tol" that its evaluator reads (the CLI rejects the others).
+"grid", "in" and "name" that it reads.  The CLI rejects the others and `--tol`,
+which no kind reads; it builds the triangulation X only for a kind that reads it.
 `qdlab check <kind>` and the acceptance tests both go through this table.  ctx
 is a Context holding the QdParams, the charges or the triangulation X that the
 check reads.
@@ -112,7 +113,7 @@ CHECKS: dict[str, Check] = {
         lambda ctx, sam, spec: pentagon.check_charged_beta_pentagon(
             _PENTAGON_CHARGES, sam, ctx.params, spec),
         {"max_residual": 1e-4},
-        ("grid", "tol")),
+        ("grid",)),
     "faddeev-type": Check(
         lambda rng, ctx, n: [tuple(LcaPoint(*xm) for xm in _residues(rng, ctx, 2, -0.6, 0.6))
                              for _ in range(n)],
@@ -127,15 +128,15 @@ CHECKS: dict[str, Check] = {
         lambda rng, ctx, n: [tuple(CircleVar(rng.uniform(0, ctx.X.N.sqrt))
                                    for _ in ctx.X.edge_classes) for _ in range(n)],
         lambda ctx, sam, spec: {"max_residual": _worst(
-            partition.descent_residual(ctx.X, st, e, k=ctx.X.N.N, spec=spec)
+            partition.descent_residual(ctx.X, st, e, k=ctx.X.N.N)
             for st in sam for e in range(len(ctx.X.edge_classes)))},
         {"max_residual": 1e-8},
-        ("tol",)),
+        ("in", "name")),
     "gauge": Check(
         lambda rng, ctx, n: 0,  # the gauge direction of edge class 0; draws nothing
         _gauge_evaluate,
         {"rel_change": 1e-3},
-        ("grid", "tol")),
+        ("grid", "in", "name")),
 }
 
 # the pass rule of `qdlab wgz` and of the WGZ acceptance criterion

@@ -3,9 +3,10 @@
 Each subcommand takes only the flags its command reads; `qdlab <command> --help` lists them.
 A command returns its report and `run` writes it.  Exit codes: 0 success, 1 usage or
 validation error, 2 numerical non-convergence, 3 failed check, exactly when the printed
-report has "pass": false.  A document read with --in fixes N and theta, so --N and
---theta-arg are refused beside it.  Complex numbers serialize as [re, im]; angles are
-accepted as rational multiples of pi ("1/3").  Identical command lines produce byte-identical JSON.
+report has "pass": false.  A document read with --in fixes the triangulation, N and
+theta, so --name, --N and --theta-arg are refused beside it.  Complex numbers serialize
+as [re, im]; angles are accepted as rational multiples of pi ("1/3").  Identical command
+lines produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -53,10 +54,9 @@ def _params(args) -> QdParams:
     return QdParams(_theta(args), Modulus(args.N))
 
 
-def _spec(grid: int | None = None, tol: float | None = None) -> QuadratureSpec:
-    """The default QuadratureSpec, with M and tol replaced where a flag gave them."""
-    kw = {"M": grid, "tol": tol}
-    return QuadratureSpec(**{k: v for k, v in kw.items() if v is not None})
+def _spec(grid: int | None) -> QuadratureSpec:
+    """The default QuadratureSpec, with M replaced where --grid gave it."""
+    return QuadratureSpec() if grid is None else QuadratureSpec(M=grid)
 
 
 def _parse_complex(text: str) -> complex:
@@ -84,7 +84,7 @@ def _load_triangulation(args) -> ShapedTriangulation:
     if args.inp:
         with open(args.inp) as fh:
             return parse_triangulation(fh.read())
-    return builtin_census(args.name, N=args.N, theta_arg_over_pi=args.theta_arg)
+    return builtin_census(args.name or "fig8_2tet", N=args.N, theta_arg_over_pi=args.theta_arg)
 
 
 def cmd_phi(args):
@@ -115,13 +115,13 @@ def cmd_kernel(args):
     ch = _parse_charges(args.charges)
     mu = _parse_point(args.mu) if args.mu else LcaPoint(0.0, 0)
     wkp = charged.WeightKernelParams(ch, p, mu)
-    v = charged.weight_kernel(wkp, _parse_point(args.x), _parse_point(args.y), _spec(tol=args.tol))
+    v = charged.weight_kernel(wkp, _parse_point(args.x), _parse_point(args.y))
     return {"value": _c(v)}
 
 
 def cmd_partition(args):
     X = _load_triangulation(args)
-    spec = _spec(args.grid, args.tol)
+    spec = _spec(args.grid)
     res = partition.partition_function(X, spec, target=args.target)
     doc = res.to_document()
     doc["params"] = {"N": X.N.N, "grid": spec.M, "tets": len(X.tets)}
@@ -173,12 +173,14 @@ def cmd_check(args):
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     chk = checks.CHECKS[args.kind]
-    for flag in ("grid", "tol"):
-        if getattr(args, flag) is not None and flag not in chk.reads:
+    given = {"grid": args.grid, "tol": args.tol, "in": args.inp, "name": args.name}
+    for flag, value in given.items():
+        if value is not None and flag not in chk.reads:
             raise ValueError(f"check {args.kind} does not read --{flag}")
-    ctx = checks.Context(_params(args), _parse_charges(args.charges), _load_triangulation(args))
+    X = _load_triangulation(args) if "name" in chk.reads else None
+    ctx = checks.Context(_params(args), _parse_charges(args.charges), X)
     samples = chk.sample(np.random.default_rng(args.seed), ctx, args.samples)
-    report = chk.evaluate(ctx, samples, _spec(args.grid, args.tol))
+    report = chk.evaluate(ctx, samples, _spec(args.grid))
     ok = checks.passes(report, chk.limits)
     return {**report, "pass": ok}
 
@@ -187,8 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qdlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, theta=True, modulus=True, grid=False, tol=False, seed=False,
-               triangulation=False):
+    def common(p, theta=True, modulus=True, grid=False, seed=False, triangulation=False):
         """Add to p the shared flags its command reads, and --out."""
         if theta:
             p.add_argument("--theta-arg", default=None, help="theta = e^{i pi p/q}, default 1/3")
@@ -196,14 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--N", type=int, default=None, help="level N, default 1")
         if grid:
             p.add_argument("--grid", type=int, default=None, help="grid points M")
-        if tol:
-            p.add_argument("--tol", type=float, default=None)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write JSON here instead of stdout")
         if triangulation:
             p.add_argument("--in", dest="inp", default=None, help="triangulation document")
-            p.add_argument("--name", default="fig8_2tet")
+            p.add_argument("--name", default=None, help="built-in triangulation, default fig8_2tet")
 
     p = sub.add_parser("phi", help="evaluate Faddeev's quantum dilogarithm")
     common(p, modulus=False)
@@ -228,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("kernel", help="evaluate the two-variable weight kernel")
-    common(p, tol=True)
+    common(p)
     p.add_argument("--charges", required=True)
     p.add_argument("--x", required=True, help="point of A_N as xr,n")
     p.add_argument("--y", required=True)
@@ -236,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("partition", help="state-integral partition function")
-    common(p, grid=True, tol=True, triangulation=True)
+    common(p, grid=True, triangulation=True)
     p.add_argument("--target", type=float, default=1.0, help="relative two-grid target")
     p.set_defaults(func=cmd_partition)
 
@@ -258,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a verification and report pass/fail JSON")
     p.add_argument("kind", choices=list(checks.CHECKS))
-    common(p, grid=True, tol=True, seed=True, triangulation=True)
+    common(p, grid=True, seed=True, triangulation=True)
+    p.add_argument("--tol", type=float, default=None, help="read by no kind; refused")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--charges", default="0.5,0.2,0.3")
     p.set_defaults(func=cmd_check)
@@ -275,8 +275,9 @@ def run(argv=None) -> int:
     except SystemExit as e:  # argparse exits 0 after --help and 2 on a usage error
         return 1 if e.code else 0
     try:
-        if getattr(args, "inp", None) and (args.N, args.theta_arg) != (None, None):
-            raise ValueError("--in fixes N and theta; drop --N and --theta-arg")
+        if getattr(args, "inp", None) and (args.N, args.theta_arg, args.name) != (None, None, None):
+            raise ValueError("--in fixes the triangulation, N and theta; "
+                             "drop --name, --N and --theta-arg")
         for flag, default in (("N", 1), ("theta_arg", "1/3")):
             if getattr(args, flag, default) is None:
                 setattr(args, flag, default)

@@ -68,6 +68,11 @@ class ThetaParam:
         return (self.theta**2).imag
 
 
+def _dead_bound(decay: float, tol: float) -> float:
+    """log(tol (1 - |q|)) for |q| = e^decay: a q-product with Re log x below it is dead."""
+    return math.log(tol * -math.expm1(decay))
+
+
 def _log_pochhammer(lx: np.ndarray, lq: complex, tol: float) -> np.ndarray:
     """log prod_j (1 - e^{lx + j lq}) modulo 2 pi i, to within tol (see the module notes).
 
@@ -82,7 +87,7 @@ def _log_pochhammer(lx: np.ndarray, lq: complex, tol: float) -> np.ndarray:
     decay = lq.real  # = -2 pi Im theta^2 < 0
     flat = lx.ravel()
     out = np.zeros_like(flat)  # dead elements stay exactly 0
-    live = np.flatnonzero(flat.real >= math.log(tol * -math.expm1(decay)))
+    live = np.flatnonzero(flat.real >= _dead_bound(decay, tol))
     x = flat[live]
     head = np.maximum(np.ceil(x.real / -decay), 0).astype(int)  # terms with Re > 0
     for j in range(head.max(initial=0)):
@@ -95,6 +100,21 @@ def _log_pochhammer(lx: np.ndarray, lq: complex, tol: float) -> np.ndarray:
         prod = prod * (1 - e)
     out[live] += np.log(np.abs(prod)) + 1j * np.angle(prod)  # = np.log(prod) to rounding, faster
     return out.reshape(lx.shape)
+
+
+def live_radius(im, theta: ThetaParam) -> np.ndarray:
+    """r(v) such that both q-products of log_phi_theta at s + i v are dead when |s| > r(v).
+
+    With arg theta = phi, after the reflection the products run at w = u + i v' with
+    u = -|s| and |v'| = |v|, and Re log x is 2 pi (u cos phi - v' sin phi - sin phi cos phi)
+    for the numerator and 2 pi (u cos phi + v' sin phi - sin phi cos phi) for the
+    denominator; both have decay -2 pi Im theta^2.  Both lie below the dead bound b when
+    2 pi (cos phi u + sin phi |v| - sin phi cos phi) < b.  So log Phi is exactly 0 for
+    s < -r(v) and exactly pi i z^2 + 2 log Phi(0) for s > r(v).
+    """
+    cos, sin = theta.theta.real, theta.theta.imag
+    bound = _dead_bound(-2 * np.pi * theta.im_theta_sq, _PRODUCT_TOL) / (2 * np.pi)
+    return (sin * np.abs(im) - sin * cos - bound) / cos
 
 
 def _check_rate(theta: ThetaParam) -> None:

@@ -71,11 +71,11 @@ STEP = 1 / 64
 
 @dataclass
 class QuadratureSpec:
-    """The two numerical choices of the A/B integrals and B-sums.
+    """The two numerical choices of the A/B integrals.
 
     M:    grid points per circle direction (periodic trapezoid).
-    tol:  target relative tolerance; it sets each side's B-sum length and
-          tail check, and the default two-grid target of partition_function.
+    tol:  target relative tolerance; 1e3 tol is the default two-grid target of
+          partition_function.
     """
 
     M: int = 128

@@ -13,8 +13,8 @@ points per edge.  Kernel values are memoized on the index grid: for lifted
 states all kernel arguments are integer multiples of h = sqrt(N)/M, so each
 tet needs a single (E2-index, E1-index) table, over the index box of the slice
 j_0 = 0 that the sum reads (below).  The table comes from
-`charged.weight_kernel_grid`, which shares the B-sum engine, its truncation
-rule and its tail check with every pointwise kernel value.  It sums the B-sum
+`charged.weight_kernel_grid`, which shares the B-sum engine and its closed-form
+tails with every pointwise kernel value.  It sums the B-sum
 on the M x M core only; by the two automorphy relations of the kernel every
 M x M block of the table is that core times a rank-one unimodular phase.
 
@@ -69,24 +69,23 @@ def boltzmann_weight(
     X: ShapedTriangulation,
     t: int,
     state: tuple,
-    spec: QuadratureSpec | None = None,
 ) -> complex:
     """Weight of tet t at a state, one CircleVar per edge class (lifted canonically)."""
-    return _weight(X, t, [lift(s, X.N) for s in state], spec)
+    return _weight(X, t, [lift(s, X.N) for s in state])
 
 
-def _weight(X: ShapedTriangulation, t: int, lifts, spec) -> complex:
+def _weight(X: ShapedTriangulation, t: int, lifts) -> complex:
     """Weight of tet t at lifts, one LcaPoint per edge class: the kernel at (E1, E2),
     the combinations of the lifts by its slot rows, conjugated if the tet is negative."""
     e1, e2 = (sum((lifts[c].scale(v) for c, v in enumerate(row) if v), LcaPoint(0.0, 0))
               for row in _slots(X)[t].tolist())
-    val = weight_kernel(_kernel(X, X.tets[t]), e1, e2, spec)
+    val = weight_kernel(_kernel(X, X.tets[t]), e1, e2)
     return np.conj(val) if X.tets[t].sign < 0 else val
 
 
-def total_weight(X: ShapedTriangulation, lifts, spec: QuadratureSpec | None = None) -> complex:
+def total_weight(X: ShapedTriangulation, lifts) -> complex:
     """B_X at explicit lifts (one LcaPoint per edge class)."""
-    return math.prod((_weight(X, t, lifts, spec) for t in range(len(X.tets))), start=1.0 + 0j)
+    return math.prod((_weight(X, t, lifts) for t in range(len(X.tets))), start=1.0 + 0j)
 
 
 def descent_residual(
@@ -94,17 +93,16 @@ def descent_residual(
     state: tuple,
     edge: int,
     k: int = 1,
-    spec: QuadratureSpec | None = None,
 ) -> float:
     """Relative change of B_X when one edge lift is moved by k B-generators.
 
     Vanishing residuals certify that the total weight descends to A/B^edges.
     """
     lifts = [lift(s, X.N) for s in state]
-    w0 = total_weight(X, lifts, spec)
+    w0 = total_weight(X, lifts)
     shifted = list(lifts)
     shifted[edge] = shifted[edge] + b_generator(X.N).scale(k)
-    w1 = total_weight(X, shifted, spec)
+    w1 = total_weight(X, shifted)
     return abs(w1 - w0) / max(abs(w0), 1e-300)
 
 
@@ -130,7 +128,7 @@ def _require_descent(X: ShapedTriangulation) -> None:
                             f"at N={X.N.N}: a B-period of it flips the sign")
 
 
-def _tet_tables(X: ShapedTriangulation, M: int, spec: QuadratureSpec) -> list[dict]:
+def _tet_tables(X: ShapedTriangulation, M: int) -> list[dict]:
     """Each tet's kernel table on the index grid at size M, with its read plan.
 
     Index ranges cover the box of the slice j_0 = 0 that _contract sums: all
@@ -147,7 +145,7 @@ def _tet_tables(X: ShapedTriangulation, M: int, spec: QuadratureSpec) -> list[di
         key = (tet.angles, tet.sign, umin, umax, wmin, wmax)
         if key not in memo:
             table = weight_kernel_grid(_kernel(X, tet), np.arange(umin, umax + 1),
-                                       np.arange(wmin, wmax + 1), M, spec)
+                                       np.arange(wmin, wmax + 1), M)
             memo[key] = np.conj(table) if tet.sign < 0 else table
         ncol = umax - umin + 1
         records.append({"table": memo[key], "step": (row[1] * ncol + row[0]).tolist(),
@@ -193,7 +191,7 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
     return complex(total / n ** (E - 1))
 
 
-def _grid_values(X: ShapedTriangulation, Ms, spec: QuadratureSpec) -> list[complex]:
+def _grid_values(X: ShapedTriangulation, Ms) -> list[complex]:
     """Z at each grid size in Ms by tensor-product periodic trapezoid.
 
     X is refused first unless it descends.  Tables are built once, at the largest
@@ -201,9 +199,9 @@ def _grid_values(X: ShapedTriangulation, Ms, spec: QuadratureSpec) -> list[compl
     """
     _require_descent(X)
     top = max(Ms)
-    tables = _tet_tables(X, top, spec)
+    tables = _tet_tables(X, top)
     return [_contract(X, tables, top, top // M) if top % M == 0
-            else _contract(X, _tet_tables(X, M, spec), M) for M in Ms]
+            else _contract(X, _tet_tables(X, M), M) for M in Ms]
 
 
 @dataclass
@@ -231,7 +229,7 @@ def partition_function(
     target = target if target is not None else 1e3 * spec.tol
     if not target > 0:  # written so that NaN fails
         raise ValueError(f"target must be positive, got {target}")
-    z_fine, z_coarse = _grid_values(X, [M, M // 2], spec)
+    z_fine, z_coarse = _grid_values(X, [M, M // 2])
     err = abs(z_fine - z_coarse)
     if not np.isfinite(z_fine):
         raise NonConvergent(f"partition value at grid M={M} is not finite: {z_fine}")
@@ -243,14 +241,13 @@ def partition_function(
     return PartitionResult(z_fine, abs(z_fine), M, err)
 
 
-def convergence_report(X: ShapedTriangulation, Ms, spec: QuadratureSpec | None = None):
+def convergence_report(X: ShapedTriangulation, Ms):
     """Successive grid values and differences over a ladder of at least 3 sizes."""
-    spec = spec or QuadratureSpec()
     Ms = [int(M) for M in Ms]
     if len(Ms) < 3:
         raise ValueError("ladder needs at least 3 grid sizes")
     if min(Ms) < 8:
         raise ValueError(f"grid sizes must be at least 8, as QuadratureSpec.M: {Ms}")
-    zs = _grid_values(X, Ms, spec)
+    zs = _grid_values(X, Ms)
     return [{"M": M, "Z": [z.real, z.imag], "delta": abs(z - zs[i - 1]) if i else None}
             for i, (M, z) in enumerate(zip(Ms, zs))]

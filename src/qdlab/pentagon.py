@@ -133,13 +133,13 @@ def check_charged_beta_pentagon(
     residuals = []
     shift_defect = None
     for (x, y, u, v) in samples:
-        lhs = weight_kernel(wks[1], x, y, spec) * weight_kernel(wks[3], u, v, spec)
+        lhs = weight_kernel(wks[1], x, y) * weight_kernel(wks[3], u, v)
 
         def integrand(zr, zn):  # scalars and the z grid broadcast in weight_kernel_many
-            w4 = weight_kernel_many(wks[4], u.x + y.x, u.n + y.n, v.x - zr, v.n - zn, spec)
+            w4 = weight_kernel_many(wks[4], u.x + y.x, u.n + y.n, v.x - zr, v.n - zn)
             w2 = weight_kernel_many(wks[2], x.x + y.x + u.x + v.x - zr,
-                                    x.n + y.n + u.n + v.n - zn, zr, zn, spec)
-            w0 = weight_kernel_many(wks[0], x.x + v.x, x.n + v.n, y.x - zr, y.n - zn, spec)
+                                    x.n + y.n + u.n + v.n - zn, zr, zn)
+            w0 = weight_kernel_many(wks[0], x.x + v.x, x.n + v.n, y.x - zr, y.n - zn)
             return w4 * w2 * w0
 
         vals = integrand(ts, 0)

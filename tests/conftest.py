@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from qdlab.charged import ChargeTriple
+from qdlab.charged import ChargeTriple, forward_transform_closed, pentagon_normalization
 from qdlab.faddeev import ThetaParam
-from qdlab.lca import Modulus
+from qdlab.lca import LcaPoint, Modulus, b_generator, fourier_kernel, gaussian_exp, halve
 from qdlab.qdilog import QdParams
 from qdlab.triangulation import FaceGluing, ShapedTet, ShapedTriangulation, builtin_census
 
@@ -29,6 +29,17 @@ def rng():
 
 def params(N: int, frac: str = "1/3") -> QdParams:
     return QdParams(ThetaParam.from_pi_fraction(frac), Modulus(N))
+
+
+def brute_kernel(wkp, x: LcaPoint, y: LcaPoint, K: int) -> complex:
+    """W(x, y) as <x; -y/2> times its B-orbit sum over j = -K..K, term by term from lca's
+    characters: conj(kappa F psi)(y + j b0) conj<j b0> <j b0; mu - x>."""
+    p = wkp.params
+    jb = b_generator(p.N).scale(np.arange(-K, K + 1))
+    terms = np.conj(pentagon_normalization(wkp.charges, p)
+                    * forward_transform_closed(wkp.charges, y.x + jb.x, y.n + jb.n, p))
+    phases = np.conj(gaussian_exp(jb, p.N)) * fourier_kernel(jb, wkp.mu - x, p.N)
+    return complex(fourier_kernel(x, -halve(y, p.N), p.N) * np.sum(terms * phases))
 
 
 # the even permutations of the vertices 0..3 of a tet

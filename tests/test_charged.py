@@ -5,6 +5,8 @@ import pytest
 from conftest import params
 
 import qdlab.charged
+import qdlab.faddeev
+import qdlab.qdilog
 from qdlab.charged import (
     ChargeTriple,
     WeightKernelParams,
@@ -22,7 +24,6 @@ from qdlab.charged import (
 )
 from qdlab.lca import (
     LcaPoint,
-    QuadratureSpec,
     b_generator,
     fourier_kernel,
     gaussian_exp,
@@ -197,16 +198,51 @@ def test_forward_transform_decay_rates(N, frac):
         assert (log_abs(-40.0) - log_abs(-60.0)) / 20 == pytest.approx(unit * ch.b, rel=1e-3)
 
 
+@pytest.mark.parametrize("A", [0.05, 0.4, 0.9])
+@pytest.mark.parametrize("frac", ["1/3", "1/4", "1/5"])
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_band_matches_the_dead_mask(N, frac, A, monkeypatch):
+    # past the band of _band every q-product of every Faddeev factor of F psi is
+    # dead by _log_pochhammer's own mask (its log exactly 0), and every factor is on
+    # one side: reflected (Re > 0) on the left, not on the right.  Inside, a product
+    # is live within N + 1 shifts of each end, so the band is not wider than that.
+    p = params(N, frac)
+    wkp = WeightKernelParams(ChargeTriple(A, (1 - A) / 3, 2 * (1 - A) / 3), p)
+    y0 = np.array([-1.3, 0.0, 0.7])
+    k0, k1 = qdlab.charged._band(wkp, y0)
+    real_product, real_phi = qdlab.faddeev._log_pochhammer, qdlab.qdilog.log_phi_theta
+    live, args = [], []
+
+    def product(lx, lq, tol):
+        out = real_product(lx, lq, tol)
+        live[-1] |= bool(np.any(out != 0))
+        return out
+
+    def phi(z, theta):
+        args.append(np.asarray(z))
+        return real_phi(z, theta)
+
+    monkeypatch.setattr(qdlab.faddeev, "_log_pochhammer", product)
+    monkeypatch.setattr(qdlab.qdilog, "log_phi_theta", phi)
+    ks = np.arange(k0 - 4 * N - 1, k1 + 4 * N + 2)
+    for k in ks:
+        live.append(False)
+        log_forward_transform(wkp.charges, y0 + k / p.N.sqrt, k % N, p)
+    live = np.array(live)
+    assert not np.any(live[(ks < k0) | (ks > k1)])
+    assert np.all(np.concatenate([a.real.ravel() for a, k in zip(args, ks) if k < k0]) > 0)
+    assert np.all(np.concatenate([a.real.ravel() for a, k in zip(args, ks) if k > k1]) <= 0)
+    assert ks[live].min() <= k0 + N + 1 and ks[live].max() >= k1 - N - 1
+
+
 def test_b_sum_length_per_side(monkeypatch):
-    # K+ = ceil(-log(1e-3 tol)/r_C) + 4N on the right and K- the same with B on
-    # the left, r = 2 pi Im(c_th) charge/N: K+ = 173 and K- = 36 here, both below
-    # the cap, so one paired point costs K+ + K- + 1 transform points
-    N, spec = 2, QuadratureSpec()
+    # a paired point costs its band, 2N seed shifts on each side and one ratio
+    # shift per side.  The band is where a q-product is live; C and B set only how
+    # fast the tails decay, and the tails are summed in closed form, so with A fixed
+    # the cost is the same for C = 0.125 and for C = 0.7 (210 points when each side
+    # was summed term by term to 1e-14 at C = 0.125)
+    N = 2
     p = params(N)
-    ch = ChargeTriple(0.1417, 0.7333, 0.125)
-    Kp, Km = (int(np.ceil(-np.log(1e-3 * spec.tol) / (2 * np.pi * p.theta.c.imag * r / N))) + 4 * N
-              for r in (ch.c, ch.b))
-    assert (Kp, Km) == (173, 36)
     real = qdlab.charged.log_forward_transform
     points = []
 
@@ -215,8 +251,12 @@ def test_b_sum_length_per_side(monkeypatch):
         return real(charges, z, *args)
 
     monkeypatch.setattr(qdlab.charged, "log_forward_transform", counted)
-    weight_kernel(WeightKernelParams(ch, p), LcaPoint(0.1, 0), LcaPoint(0.2, 1), spec)
-    assert sum(points) == Kp + Km + 1
+    for C in (0.125, 0.7):
+        wkp = WeightKernelParams(ChargeTriple(0.1417, 0.8583 - C, C), p)
+        k0, k1 = qdlab.charged._band(wkp, np.array([0.2 - 1 / p.N.sqrt]))
+        points.clear()
+        weight_kernel(wkp, LcaPoint(0.1, 0), LcaPoint(0.2, 1))
+        assert sum(points) == (k1 - k0 + 1) + 4 * N + 2 == 61
 
 
 def test_paired_point_is_one_transform_call(monkeypatch):
@@ -234,6 +274,21 @@ def test_paired_point_is_one_transform_call(monkeypatch):
     wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p, LcaPoint(0.3, 1))
     weight_kernel(wkp, LcaPoint(0.1, 2), LcaPoint(0.2, 1))
     assert len(calls) == 1
+
+
+def test_band_longer_than_a_block_is_evaluated_in_pieces(monkeypatch):
+    # the band grows like N; with blocks of 16 points a band of about 60 shifts
+    # is one row at a time, in pieces of 16 shifts.  A transform value does not
+    # depend on its batch, so the paired values are the same bits; the grid's
+    # matmuls of other shapes may round apart.
+    p = params(2)
+    wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p, LcaPoint(0.3, 1))
+    paired = (wkp, [0.1, -0.4], [0, 1], [0.2, 0.9], [1, 0])
+    grid = (wkp, np.arange(-3, 9), np.arange(-2, 7), 8)
+    whole = weight_kernel_many(*paired), weight_kernel_grid(*grid)
+    monkeypatch.setattr(qdlab.charged, "_BLOCK_POINTS", 16)
+    np.testing.assert_array_equal(weight_kernel_many(*paired), whole[0])
+    np.testing.assert_allclose(weight_kernel_grid(*grid), whole[1], rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -279,14 +334,31 @@ def test_weight_kernel_many_mixed_residues(N, rng):
     assert many[1] == pytest.approx(fourier_kernel(x, -halve(y, p.N), p.N) * brute, rel=1e-10)
 
 
-def test_weight_kernel_truncation_stability():
-    # doubling the truncation cap leaves the kernel unchanged
-    p = params(2)
-    wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p)
-    x, y = LcaPoint(0.3, 0), LcaPoint(-0.2, 0)
-    a = weight_kernel(wkp, x, y, QuadratureSpec(tol=1e-9))
-    b = weight_kernel(wkp, x, y, QuadratureSpec(tol=1e-13))
-    assert abs(a - b) / abs(b) < 1e-10
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_b_sum_tails_are_geometric(N):
+    # ten periods past the band on each side, one period of 2N shifts multiplies
+    # the summand X_j = conj(kappa F psi)(y + j b0) conj<j b0> <j b0; mu - x> by
+    # R+ = e^{-4 pi cos(arg theta) C} e^{4 pi i sqrt(N) (mu_x - x - y0)} on the right
+    # and by R- = e^{-4 pi cos(arg theta) B} e^{-4 pi i sqrt(N) (mu_x - x)} on the
+    # left, y0 = yr - yn/sqrt(N): the ratios that _b_sum sums each tail with
+    p = params(N)
+    ch = ChargeTriple(0.4, 0.35, 0.25)
+    wkp = WeightKernelParams(ch, p, LcaPoint(0.3, 1))
+    x, y = LcaPoint(0.3, 1 % N), LcaPoint(-0.2, 1 % N)
+    rN, cos = p.N.sqrt, p.theta.theta.real
+    y0 = y.x - y.n / rN
+    k0, k1 = qdlab.charged._band(wkp, np.array([y0]))
+    kap, b0 = pentagon_normalization(ch, p), b_generator(p.N)
+
+    def summand(k):  # term k of the sum from the canonical section is j = k - yn
+        jb = b0.scale(k - y.n)
+        return (np.conj(kap * forward_transform_closed(ch, y.x + jb.x, y.n + jb.n, p))
+                * np.conj(gaussian_exp(jb, p.N)) * fourier_kernel(jb, wkp.mu - x, p.N))
+
+    right = np.exp(-4 * np.pi * cos * ch.c + 4j * np.pi * rN * (wkp.mu.x - x.x - y0))
+    left = np.exp(-4 * np.pi * cos * ch.b - 4j * np.pi * rN * (wkp.mu.x - x.x))
+    for k, step, ratio in ((k1 + 1 + 20 * N, 2 * N, right), (k0 - 1 - 20 * N, -2 * N, left)):
+        assert summand(k + step) / summand(k) == pytest.approx(ratio, rel=1e-10)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])

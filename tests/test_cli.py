@@ -11,6 +11,7 @@ import pytest
 
 from conftest import relabelled_fig8
 
+import qdlab.cli
 from qdlab import checks
 from qdlab.cli import run
 from qdlab.triangulation import builtin_census
@@ -88,30 +89,44 @@ def test_non_finite_document_is_rejected(command, theta, angle, capsys, tmp_path
 
 @pytest.mark.parametrize("flag", ["--grid", "--tol"])
 def test_zero_grid_and_tol_are_rejected(flag, capsys):
-    # 0 is a value, not a missing option: QuadratureSpec must see and reject it
+    # 0 is a value, not a missing option: QuadratureSpec must see and reject it.
+    # partition reads no tolerance (its two-grid target is --target), so --tol is
+    # not one of its flags
     assert run(["partition", "--name", "fig8_2tet", flag, "0"]) == 1
-    assert capsys.readouterr().out == ""
-
-
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_tol_is_rejected(value, capsys):
-    # descent reads --tol, so QuadratureSpec sees the value and rejects it
-    assert run(["check", "descent", "--samples", "2", "--tol", value]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "tol must be positive and finite" in captured.err
+    assert captured.out == ""
+    assert ("M must be at least 8" if flag == "--grid" else "unrecognized arguments: --tol 0"
+            ) in captured.err
 
 
-@pytest.mark.parametrize("flag,value", [("grid", "16"), ("tol", "1e-3")])
+@pytest.mark.parametrize("flag,value", [("grid", "16"), ("tol", "1e-3"), ("name", "nonexistent"),
+                                        ("in", "missing.json")])
 @pytest.mark.parametrize("kind", list(checks.CHECKS))
 def test_check_rejects_flags_it_does_not_read(kind, flag, value, capsys):
-    # a kind that does not read --grid or --tol must not accept it silently
-    reads = {"grid": {"pentagon", "gauge"}, "tol": {"pentagon", "descent", "gauge"}}[flag]
+    # a kind that does not read a flag must not accept it silently; no kind reads
+    # --tol, and only descent and gauge read a triangulation.  The refusal comes
+    # before the triangulation is built, so the name and the path are not looked up.
+    reads = {"grid": {"pentagon", "gauge"}, "tol": set(), "name": {"descent", "gauge"},
+             "in": {"descent", "gauge"}}[flag]
     assert (flag in checks.CHECKS[kind].reads) == (kind in reads)
     if kind in reads:
         return
     assert run(["check", kind, "--samples", "2", f"--{flag}", value]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and f"--{flag}" in captured.err and kind in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_check_builds_a_triangulation_only_for_kinds_that_read_one(monkeypatch, capsys):
+    loaded = []
+    real = qdlab.cli._load_triangulation
+    monkeypatch.setattr(qdlab.cli, "_load_triangulation",
+                        lambda args: loaded.append(args.kind) or real(args))
+    assert run(["check", "inversion", "--samples", "2"]) == 0
+    assert run(["check", "descent", "--samples", "1"]) == 0
+    assert loaded == ["descent"]
+    assert run(["check", "descent", "--samples", "1", "--name", "nonexistent"]) == 1
+    assert "unknown census entry" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k,grid", [(2, 0), (3, 2)])
@@ -157,9 +172,10 @@ def test_wgz_k_below_1_is_rejected(k, capsys):
     (lambda d: d["gluings"][0].update(vertex_map=[2, 1, "x"]), "vertex_map must be a list of 3"),
     (lambda d: d["tets"][1].update(sign=True), "tet 1: sign must be 1 or -1"),
     (lambda d: d["tets"][0].update(angles=["0.3333333333333333"] * 3), "tet 0: angles must be"),
-    # a modulus past a C long overflows in the B-sum; no smaller N that still
-    # converts is tried, as its arrays would be allocated
-    (lambda d: d.update(N=10**30), "too large to convert"),
+    # numpy refuses an array of the N factor offsets that the B-sum's band is
+    # read from; no smaller N that numpy accepts is tried, as its arrays would be
+    # allocated
+    (lambda d: d.update(N=10**30), "Maximum allowed size exceeded"),
 ], ids=["invalid-json", "not-object", "missing-field", "N-not-integer", "tet-fields",
         "tet-sign", "angle-count", "gluing-fields", "face-out-of-range", "glued-twice",
         "glued-to-itself", "N-bool", "tets-not-list", "gluings-not-list", "tet-not-object",
@@ -338,6 +354,19 @@ def test_in_refuses_level_and_theta_flags(command, flag, value, capsys, tmp_path
     assert run([*command, flag, value]) == 0
     assert run([*command, "--N", "0"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["partition", "--grid", "16"], ["pachner"],
+                                     ["check", "descent", "--samples", "1"]],
+                         ids=["partition", "pachner", "check"])
+def test_in_refuses_name(command, capsys, tmp_path):
+    # the document is the triangulation, so a --name beside --in would be ignored
+    path = tmp_path / "fig8.json"
+    path.write_text(json.dumps(builtin_census("fig8_2tet").to_document()))
+    assert run([*command, "--in", str(path), "--name", "single_tet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1 and "--name" in captured.err
 
 
 def test_nan_residual_fails_its_check():

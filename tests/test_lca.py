@@ -36,6 +36,13 @@ def test_quadrature_spec_rejects(kw, error):
         QuadratureSpec(**kw)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tol_is_rejected(value):
+    # tol is partition_function's default two-grid target; no CLI flag sets it
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        QuadratureSpec(tol=float(value))
+
+
 def test_gaussian_exp_examples():
     assert gaussian_exp(LcaPoint(0, 0), Modulus(5)) == 1
     assert abs(gaussian_exp(LcaPoint(1, 0), Modulus(1)) - (-1)) < 1e-15

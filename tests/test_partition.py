@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import EVEN_PERMS, branched_two_tet, params, relabelled_fig8
+from conftest import EVEN_PERMS, branched_two_tet, brute_kernel, params, relabelled_fig8
 
 import qdlab.charged
 import qdlab.partition
@@ -117,7 +117,7 @@ def test_nonconvergent_message_is_relative(capsys):
     # the message prints the relative discrepancy that is compared with the
     # target: here 10.3, while the absolute one, 0.127, is below the target 1
     X = builtin_census("fig8_3tet", N=2)
-    z64, z32 = _grid_values(X, [64, 32], QuadratureSpec(M=64))
+    z64, z32 = _grid_values(X, [64, 32])
     assert run(["partition", "--name", "fig8_3tet", "--N", "2", "--grid", "64"]) == 2
     err = capsys.readouterr().err
     printed = float(err.split("differs by ")[1].split()[0])
@@ -143,8 +143,8 @@ def test_pachner_invariance_four_tets_N2():
     """
     X2 = builtin_census("fig8_2tet", N=2)
     X4 = pachner_23(builtin_census("fig8_3tet", N=2), (0, 2))
-    z2 = _grid_values(X2, [256], QuadratureSpec(M=256))[0]
-    z4 = _grid_values(X4, [192], QuadratureSpec(M=192))[0]
+    z2 = _grid_values(X2, [256])[0]
+    z4 = _grid_values(X4, [192])[0]
     assert abs(abs(z4) - abs(z2)) / abs(z2) < 1e-3
 
 
@@ -160,12 +160,12 @@ def test_pachner_invariance_five_tets_N1():
     theory.  M=96 is the first rung of the ladder that agrees: |Z5|/|Z2| - 1 is
     1.2e-2 at M=64 and 2.8e-4 at M=96.  The grid sums 96^4 points once j_0 is fixed.
     """
-    z2 = _grid_values(builtin_census("fig8_2tet", N=1), [256], QuadratureSpec(M=256))[0]
-    z5 = _grid_values(_five_tet(1), [96], QuadratureSpec(M=96))[0]
+    z2 = _grid_values(builtin_census("fig8_2tet", N=1), [256])[0]
+    z5 = _grid_values(_five_tet(1), [96])[0]
     assert abs(abs(z5) - abs(z2)) / abs(z2) < 1e-3
 
 
-def _all_edge_tables(X, M, spec):
+def _all_edge_tables(X, M):
     """Each tet's table over the index box of every j in [0, M)^E, j_0 included.
 
     _tet_tables spans only the slice j_0 = 0; a sum with no edge fixed reads
@@ -178,7 +178,7 @@ def _all_edge_tables(X, M, spec):
                                        sum(max(v * (M - 1), 0) for v in m))
                                       for m in (m1, m2))
         table = weight_kernel_grid(qdlab.partition._kernel(X, tet),
-                                   np.arange(umin, umax + 1), np.arange(wmin, wmax + 1), M, spec)
+                                   np.arange(umin, umax + 1), np.arange(wmin, wmax + 1), M)
         tables.append({"table": np.conj(table) if tet.sign < 0 else table,
                        "umin": umin, "wmin": wmin, "m1": m1, "m2": m2})
     return tables
@@ -211,8 +211,7 @@ def test_fixed_edge_matches_full_grid_sum(name, N, M):
         X = _five_tet(N)
     else:
         X = builtin_census(name, N=N)
-    spec = QuadratureSpec(M=M)
-    tables, full = _tet_tables(X, M, spec), _all_edge_tables(X, M, spec)
+    tables, full = _tet_tables(X, M), _all_edge_tables(X, M)
     for stride in (1, 2):
         z = _contract(X, tables, M, stride)
         assert z == pytest.approx(_full_grid_sum(X, full, M, stride), rel=1e-11)
@@ -301,12 +300,11 @@ def test_klein_four_relabellings_keep_Z(N):
     # renaming tet 1's vertices by an element of V4 permutes its edges within
     # each slot, so the slot rule, and with it every bit of Z, is unchanged
     X = builtin_census("fig8_2tet", N=N)
-    spec = QuadratureSpec(M=16)
-    z = _grid_values(X, [16], spec)
+    z = _grid_values(X, [16])
     for p in V4:
         Y = relabelled_fig8(p, N)
         np.testing.assert_array_equal(qdlab.partition._slots(Y), qdlab.partition._slots(X))
-        assert _grid_values(Y, [16], spec) == z
+        assert _grid_values(Y, [16]) == z
 
 
 def test_convergence_report(monkeypatch):
@@ -324,25 +322,23 @@ def test_convergence_report(monkeypatch):
             convergence_report(X, bad)
     # 32 is read from the M=64 tables by stride 2; 24 does not divide 64 and
     # builds its own; each rung matches a direct build at its own grid
-    spec = QuadratureSpec()
     built = []
     real = qdlab.partition._tet_tables
     monkeypatch.setattr(qdlab.partition, "_tet_tables",
-                        lambda X, M, spec: built.append(M) or real(X, M, spec))
-    rows = convergence_report(X, (24, 32, 64), spec)
+                        lambda X, M: built.append(M) or real(X, M))
+    rows = convergence_report(X, (24, 32, 64))
     assert sorted(built) == [24, 64]
     monkeypatch.undo()
     for r in rows:
-        assert complex(*r["Z"]) == pytest.approx(_grid_values(X, [r["M"]], spec)[0], rel=1e-12)
+        assert complex(*r["Z"]) == pytest.approx(_grid_values(X, [r["M"]])[0], rel=1e-12)
 
 
 def test_edge_reversal_leaves_Z_unchanged():
     # reversing an edge circle is a change of variables fixing the grid
     X = builtin_census("fig8_2tet")
-    spec = QuadratureSpec()
     M = 64
-    base = _grid_values(X, [M], spec)[0]
-    tables = _all_edge_tables(X, M, spec)
+    base = _grid_values(X, [M])[0]
+    tables = _all_edge_tables(X, M)
 
     def z_with_reversal(edge):
         # evaluate by substituting t_e -> sqrt(N) - t_e on the grid
@@ -395,18 +391,17 @@ def test_tet_table_matches_pointwise_kernel():
     # the pointwise path of the B-sum give the same values; the corners of each
     # table lie up to two periods outside the core, and at N=3, N does not divide M
     M = 16
-    spec = QuadratureSpec(M=M)
     for N in (2, 3):
         X = builtin_census("fig8_3tet", N=N)
         h = X.N.sqrt / M
-        for t, tab in enumerate(_tet_tables(X, M, spec)):
+        for t, tab in enumerate(_tet_tables(X, M)):
             wkp = WeightKernelParams(X.tets[t].angles, params(N))
             rows, cols = tab["table"].shape
             # off = -wmin cols - umin with umin <= 0 <= umax, so divmod recovers both
             wmin, umin = (-v for v in divmod(tab["off"], cols))
             for i, j in [(0, 0), (rows - 1, cols - 1), (rows // 2, cols // 3), (rows // 3, cols - 1)]:
                 u, w = j + umin, i + wmin
-                expect = weight_kernel(wkp, LcaPoint(u * h, 0), LcaPoint(w * h, 0), spec)
+                expect = weight_kernel(wkp, LcaPoint(u * h, 0), LcaPoint(w * h, 0))
                 if X.tets[t].sign < 0:
                     expect = np.conj(expect)
                 assert tab["table"][i, j] == pytest.approx(expect, rel=1e-12)
@@ -417,27 +412,29 @@ def test_tet_table_matches_pointwise_kernel():
     ((0.475, 0.05, 0.475), None),
     ((0.475, 0.475, 0.05), None),
     # W((0.1, 0), (0.2, 0)) and the table entries [0, 0] and [30, 30] of the
-    # sum over k = -400..400
+    # sum over k = -400..400, from before the tails were summed in closed form
     ((0.05, 0.475, 0.475), (0.7923974491314545 + 1.7012240234258045j,
                             0.6100782727582019 + 1.4744542095767674j,
                             32.135484131704246 + 2.9276006376445043j)),
 ], ids=["a-c-small", "b-small", "c-small", "a-small"])
 def test_tet_table_truncation_is_checked(theta3, charges, want):
-    # a charge 0.05 on C (right side) or B (left side) needs K ~ 1047 B-terms on
-    # that side, past the cap of 400: both paths must raise.  A sets no side.
+    # a charge 0.05 on C (right side) or B (left side) makes F psi decay so slowly
+    # there that its terms stay above 1e-14 for about 1,000 B-shifts, past the 400
+    # that a term-by-term sum used to reach.  The tails are summed in closed form, so
+    # the paired path and the table both match a brute sum over k = -3000..3000.
+    # A sets no side.
     ch = ChargeTriple(*charges)
     X = ShapedTriangulation(Modulus(5), theta3, [ShapedTet(1, ch)], [])
-    spec = QuadratureSpec(M=16)
     wkp = WeightKernelParams(ch, params(5))
-    if want is None:
-        with pytest.raises(NonConvergent):
-            weight_kernel(wkp, LcaPoint(0.1, 0), LcaPoint(0.2, 0), spec)
-        with pytest.raises(NonConvergent):
-            _tet_tables(X, 16, spec)
-        return
-    table = _tet_tables(X, 16, spec)[0]["table"]
-    got = (weight_kernel(wkp, LcaPoint(0.1, 0), LcaPoint(0.2, 0), spec), table[0, 0], table[30, 30])
-    assert got == pytest.approx(want, rel=1e-12)
+    tab = _tet_tables(X, 16)[0]
+    wmin, umin = (-v for v in divmod(tab["off"], tab["table"].shape[1]))
+    h = X.N.sqrt / 16
+    points = [(LcaPoint(0.1, 0), LcaPoint(0.2, 0))] + [
+        (LcaPoint((i + umin) * h, 0), LcaPoint((i + wmin) * h, 0)) for i in (0, 30)]
+    got = (weight_kernel(wkp, *points[0]), tab["table"][0, 0], tab["table"][30, 30])
+    assert got == pytest.approx([brute_kernel(wkp, x, y, 3000) for x, y in points], rel=1e-10)
+    if want is not None:
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("M", [32, 33])
@@ -447,8 +444,8 @@ def test_partition_function_matches_direct_grids(M):
     X = builtin_census("fig8_3tet", N=2)
     spec = QuadratureSpec(M=M)
     res = partition_function(X, spec, target=np.inf)
-    z_fine = _grid_values(X, [M], spec)[0]
-    z_coarse = _grid_values(X, [M // 2], spec)[0]
+    z_fine = _grid_values(X, [M])[0]
+    z_coarse = _grid_values(X, [M // 2])[0]
     assert res.Z == pytest.approx(z_fine, rel=1e-12)
     assert res.error_estimate == pytest.approx(abs(z_fine - z_coarse), rel=1e-12)
 
@@ -467,7 +464,7 @@ def test_contraction_in_many_slabs(monkeypatch):
     # four tets: edges 1, 2 and 3 are free, and three planes of edge 1 per slab
     # give 6 slabs at M=16 and 3 on the stride-2 grid, the last one short in both
     X4 = pachner_23(builtin_census("fig8_3tet", N=1), (0, 2))
-    tables = _tet_tables(X4, 16, QuadratureSpec(M=16))
+    tables = _tet_tables(X4, 16)
     monkeypatch.undo()
     one4 = [_contract(X4, tables, 16, stride) for stride in (1, 2)]
     monkeypatch.setattr(qdlab.partition, "_SLAB_POINTS", 3 * 16**2)
@@ -477,7 +474,7 @@ def test_contraction_in_many_slabs(monkeypatch):
     # slab is one plane of edge 1 times three planes of edge 2: 16 x 6 slabs at
     # M=16 and 8 x 3 on the stride-2 grid, the last run of edge 2 short in both
     X5 = _five_tet(1)
-    tables = _tet_tables(X5, 16, QuadratureSpec(M=16))
+    tables = _tet_tables(X5, 16)
     monkeypatch.undo()
     one5 = [_contract(X5, tables, 16, stride) for stride in (1, 2)]
     monkeypatch.setattr(qdlab.partition, "_SLAB_POINTS", 3 * 16**2)
@@ -493,7 +490,7 @@ def test_slabs_are_bounded_at_six_edges(monkeypatch):
     X = pachner_23(_five_tet(1), (2, 2))
     assert len(X.edge_classes) == 6
     assert min(min(t.angles.a, t.angles.b, t.angles.c) for t in X.tets) == pytest.approx(1 / 48)
-    tables = _tet_tables(X, 8, QuadratureSpec(M=8))
+    tables = _tet_tables(X, 8)
     one = [_contract(X, tables, 8, stride) for stride in (1, 2)]
     shapes, broadcast_shapes = [], np.broadcast_shapes
 
@@ -519,7 +516,7 @@ def test_tables_span_the_fixed_edge_slice(name, shapes):
     # not the box of all of [0, M)^E: fig8_2tet's would be (31, 61)
     X = (pachner_23(builtin_census("fig8_3tet"), (0, 2)) if name == "four_tet"
          else builtin_census(name))
-    tabs = _tet_tables(X, 16, QuadratureSpec(M=16))
+    tabs = _tet_tables(X, 16)
     assert [tab["table"].shape for tab in tabs] == shapes
     if name == "fig8_3tet":
         assert tabs[0]["table"] is tabs[2]["table"]
@@ -528,12 +525,11 @@ def test_tables_span_the_fixed_edge_slice(name, shapes):
 def test_equal_tets_share_one_table():
     # tets 0 and 2 of fig8_3tet have equal charges, sign and index ranges
     X = builtin_census("fig8_3tet", N=2)
-    spec = QuadratureSpec(M=16)
-    tabs = _tet_tables(X, 16, spec)
+    tabs = _tet_tables(X, 16)
     assert tabs[0]["table"] is tabs[2]["table"]
     assert tabs[1]["table"] is not tabs[0]["table"]
     # a second call keeps its own memo: new arrays with the same entries
-    again = _tet_tables(X, 16, spec)
+    again = _tet_tables(X, 16)
     for t in (0, 2):
         assert again[t]["table"] is not tabs[t]["table"]
         np.testing.assert_array_equal(again[t]["table"], tabs[t]["table"])
@@ -564,7 +560,7 @@ def test_b_sum_raises_on_nan_term(nan_transform):
         weight_kernel(wkp, LcaPoint(0.1, 0), LcaPoint(0.2, 1))
     nan_transform.clear()
     with pytest.raises(NonConvergent):
-        _tet_tables(X, 16, QuadratureSpec(M=16))
+        _tet_tables(X, 16)
 
 
 def test_partition_raises_on_nan_term(nan_transform, capsys):
@@ -580,8 +576,8 @@ def test_partition_raises_on_nan_table(monkeypatch):
     # the guard of partition_function itself, behind the B-sum's own guard
     real = qdlab.partition.weight_kernel_grid
 
-    def poisoned(wkp, us, ws, M, spec):
-        out = real(wkp, us, ws, M, spec)
+    def poisoned(wkp, us, ws, M):
+        out = real(wkp, us, ws, M)
         out[list(ws).index(0), list(us).index(0)] = np.nan  # the entry at equal states
         return out
 
