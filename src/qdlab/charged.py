@@ -24,8 +24,13 @@ is its automorphic descent
     W_{A,C;mu}(x, y) = <x; -y/2> sum_{b in B} H_{A,C}(-y-b) conj<b> <b; mu - x>,
 
 quasi-periodic in both arguments under B-shifts.  Every kernel value, paired
-(`weight_kernel_many`) or on a grid (`weight_kernel_grid`, for the per-tet
-tables of the partition function), comes from one B-sum engine, `_b_sum`.
+(`weight_kernel_rows`, `weight_kernel_many`) or on a grid (`weight_kernel_grid`,
+for the per-tet tables of the partition function), comes from one B-sum engine
+in two stages.  `_rows` evaluates F psi once per set of points y, at their
+section points y0 = yr - yn/sqrt(N); x enters only the phases, which `_b_sum`
+contracts the rows with.  A B-shift y + s b0 has the same y0 and section offset
+yn + s, so it reads the same rows: `weight_kernel_rows` returns W(x, y + s b0)
+for every x and integer s from one evaluation of F psi.
 
 The B-sum's tails are geometric with period 2N.  F psi_{A,C}(z, n) is
 e^{pi i z^2} e^{2 pi i c_th C z/sqrt(N)} / D_theta(-z - s, -n) times factors of
@@ -46,8 +51,8 @@ multiplied over one period by
     R+ = e^{-4 pi cos(arg theta) C} e^{4 pi i sqrt(N) (mu_x - x - y0)}   (k -> k + 2N),
     R- = e^{-4 pi cos(arg theta) B} e^{-4 pi i sqrt(N) (mu_x - x)}        (k -> k - 2N),
 
-both inside the unit circle.  `_b_sum` reads R off F psi itself, not off this
-formula, and sums each tail as its 2N seed terms over 1 - R.
+both inside the unit circle.  `_rows` reads R off F psi itself, not off this
+formula, and `_b_sum` sums each tail as its 2N seed terms over 1 - R.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ __all__ = [
     "pentagon_family",
     "weight_kernel",
     "weight_kernel_many",
+    "weight_kernel_rows",
     "weight_kernel_grid",
 ]
 
@@ -253,35 +259,66 @@ def _band(wkp: WeightKernelParams, y0: np.ndarray) -> tuple[int, int]:
             math.ceil(N * (np.max(o.real + r) - np.min(y0) / rN)) + 1)
 
 
-def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, grid: bool = False) -> np.ndarray:
-    """S(x, y) = sum_{k in Z} conj(kappa F psi)(y0 + k b0) conj<j b0> <j b0; mu - x>,
+def _blocks(rows: int, shifts: int):
+    """Row slices of about _BLOCK_POINTS terms each; one row when the shifts alone fill a block."""
+    step = max(1, _BLOCK_POINTS // shifts)
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
-    the B-sum from the canonical section: y = y0 + yn b0 with y0 = (yr - yn/sqrt(N), 0)
-    and j = k - yn.  W(x, y) = <x; -y/2> S(x, y); the prefactor is left to the callers.
-    F psi is evaluated only on the band k0..k1 of _band, where a q-product is live, and
-    on 2N seed shifts on each side of it.  Past the band every summand X_k is
-    geometric with period 2N (see the module notes), X_{k+2N} = R+ X_k on the right
-    and X_{k-2N} = R- X_k on the left, so each tail is sum_seeds X_k / (1 - R).  R is
-    read off F psi itself, one period apart at one more shift per side, times the phase
-    ratio e^{+-4 pi i sqrt(N) (mu_x - x)}.  The sum is exact up to the q-products' own
-    tolerance.  NonConvergent is raised when |R| >= 1, or when a term or a sum is not
-    finite.  Each block of rows of y times all k holds about _BLOCK_POINTS terms,
-    evaluated by one log_forward_transform call at y0_i + k b0, residues k mod N.
-    The band grows like N; past _BLOCK_POINTS shifts a block is one row, evaluated
-    in pieces of _BLOCK_POINTS shifts.
 
-    xr, yr are 1-D float arrays and xn, yn 1-D integer arrays reduced mod N.
-    Paired (grid False): S(x_i, y_i), each block contracted row by row with
-    its own phases.  Grid (every yn = 0): [j, i] -> S(x_i, y_j), each block
-    contracted with the phases of every x by matmuls.
+def _rows(wkp: WeightKernelParams, y0: np.ndarray) -> tuple:
+    """Stage one of the B-sum: (ks, T, up, down) with T[i, k] = conj(kappa F psi)(y0_i + k b0)
+    at every shift k the sum reads, and up, down the ratios of F psi one period apart past
+    the band on each side.
+
+    F psi is evaluated only on the band k0..k1 of _band, where a q-product is live, on 2N
+    seed shifts on each side, and on one ratio shift per side (see the module notes).
+    NonConvergent is raised when a term is not finite or |up| or |down| >= 1.  Each block
+    of rows times all k, about _BLOCK_POINTS terms, is one log_forward_transform call at
+    y0_i + k b0, residues k mod N; past _BLOCK_POINTS shifts (the band grows like N) a
+    block is one row, evaluated in pieces of _BLOCK_POINTS shifts.
     """
     p, ch = wkp.params, wkp.charges
     N, rN = p.N.N, p.N.sqrt
-    y0 = yr - yn / rN
     k0, k1 = _band(wkp, y0)
     ks = np.arange(k0 - 2 * N - 1, k1 + 2 * N + 2)  # ratio, 2N seeds, band, 2N seeds, ratio
-    band, left, right = slice(2 * N + 1, -2 * N - 1), slice(1, 2 * N + 1), slice(-2 * N - 1, -1)
     kap = pentagon_normalization(ch, p)
+    terms = np.empty((len(y0), len(ks)), dtype=complex)
+    up, down = np.empty(len(y0), dtype=complex), np.empty(len(y0), dtype=complex)
+    for i in _blocks(len(y0), len(ks)):
+        z = y0[i, None] + ks / rN  # one row when the band alone is longer than a block
+        logs = np.concatenate([log_forward_transform(ch, z[:, c:c + _BLOCK_POINTS],
+                                                     ks[c:c + _BLOCK_POINTS] % N, p)
+                               for c in range(0, len(ks), _BLOCK_POINTS)], axis=1)
+        terms[i] = np.conj(kap * np.exp(logs))
+        if not np.all(np.isfinite(terms[i])):
+            raise NonConvergent(f"weight-kernel B-sum term not finite at k={k0}..{k1}")
+        # the ratio of F psi one period apart, past the band on each side
+        up[i] = np.conj(np.exp(logs[:, -1] - logs[:, -2 * N - 1]))
+        down[i] = np.conj(np.exp(logs[:, 0] - logs[:, 2 * N]))
+        if not np.all(np.maximum(np.abs(up[i]), np.abs(down[i])) < 1):
+            raise NonConvergent(f"weight-kernel B-sum tail not geometric at k={k0}..{k1}")
+    return ks, terms, up, down
+
+
+def _b_sum(wkp: WeightKernelParams, rows: tuple, xr, xn, off=None) -> np.ndarray:
+    """Stage two of the B-sum: S(x, y) = sum_k T[i, k] conj<j b0> <j b0; mu - x>, j = k - off_i,
+    the sum at y = (y0_i, 0) + off_i b0 from the rows (ks, T, up, down) of _rows.
+
+    W(x, y) = <x; -y/2> S(x, y); the prefactor is left to the callers.  Past the band the
+    summand is geometric with period 2N, so each tail is sum_seeds X_k / (1 - R), with
+    R = up or down times the phase ratio e^{+-4 pi i sqrt(N) (mu_x - x)}, which no offset
+    changes.  The sum is exact up to the q-products' own tolerance; NonConvergent is
+    raised when it is not finite.  Blocks of rows are those of _rows.
+
+    xr is a 1-D float array and xn a 1-D integer array reduced mod N.  Paired (off a 1-D
+    integer array): S(x_i, y_i), each block contracted row by row with its own phases.
+    Grid (off None, every offset 0): [j, i] -> S(x_i, y_j), each block contracted with
+    the phases of every x by matmuls.
+    """
+    ks, terms, up, down = rows
+    p = wkp.params
+    N, rN = p.N.N, p.N.sqrt
+    band, left, right = slice(2 * N + 1, -2 * N - 1), slice(1, 2 * N + 1), slice(-2 * N - 1, -1)
 
     def phase(k, x, n):
         # conj<k b0> = (-1)^k;  <k b0; mu - (x, n)>, one fused exp rather than
@@ -291,45 +328,52 @@ def _b_sum(wkp: WeightKernelParams, xr, xn, yr, yn, grid: bool = False) -> np.nd
         )
 
     turn = np.exp(4j * np.pi * rN * (wkp.mu.x - xr))  # phase ratio of k -> k + 2N
-    step = max(1, _BLOCK_POINTS // len(ks))
+    grid = off is None
     P = phase(ks[:, None], xr, xn) if grid else None
-    total = np.zeros((len(yr), len(xr)) if grid else len(yr), dtype=complex)
-    for start in range(0, len(yr), step):
-        i = slice(start, start + step)
-        z = y0[i, None] + ks / rN  # one row when the band alone is longer than a block
-        logs = np.concatenate([log_forward_transform(ch, z[:, c:c + _BLOCK_POINTS],
-                                                     ks[c:c + _BLOCK_POINTS] % N, p)
-                               for c in range(0, len(ks), _BLOCK_POINTS)], axis=1)
-        terms = np.conj(kap * np.exp(logs))
-        if not np.all(np.isfinite(terms)):
-            raise NonConvergent(f"weight-kernel B-sum term not finite at k={k0}..{k1}")
-        # the ratio of F psi one period apart, past the band on each side
-        up = np.conj(np.exp(logs[:, -1] - logs[:, -2 * N - 1]))
-        down = np.conj(np.exp(logs[:, 0] - logs[:, 2 * N]))
-        if not np.all(np.maximum(np.abs(up), np.abs(down)) < 1):
-            raise NonConvergent(f"weight-kernel B-sum tail not geometric at k={k0}..{k1}")
+    total = np.zeros((len(terms), len(xr)) if grid else len(terms), dtype=complex)
+    for i in _blocks(len(terms), len(ks)):
         if grid:
-            total[i] += (terms[:, band] @ P[band]
-                         + terms[:, right] @ P[right] / (1 - up[:, None] * turn)
-                         + terms[:, left] @ P[left] / (1 - down[:, None] / turn))
+            total[i] += (terms[i, band] @ P[band]
+                         + terms[i, right] @ P[right] / (1 - up[i, None] * turn)
+                         + terms[i, left] @ P[left] / (1 - down[i, None] / turn))
         else:
-            X = terms * phase(ks - yn[i, None], xr[i, None], xn[i, None])
-            total[i] += (X[:, band].sum(axis=1) + X[:, right].sum(axis=1) / (1 - up * turn[i])
-                         + X[:, left].sum(axis=1) / (1 - down / turn[i]))
+            X = terms[i] * phase(ks - off[i, None], xr[i, None], xn[i, None])
+            total[i] += (X[:, band].sum(axis=1) + X[:, right].sum(axis=1) / (1 - up[i] * turn[i])
+                         + X[:, left].sum(axis=1) / (1 - down[i] / turn[i]))
     if not np.all(np.isfinite(total)):
-        raise NonConvergent(f"weight-kernel B-sum not finite at k={k0}..{k1}")
+        raise NonConvergent(f"weight-kernel B-sum not finite at k={ks[band][0]}..{ks[band][-1]}")
     return total
+
+
+def weight_kernel_rows(wkp: WeightKernelParams, yr, yn):
+    """W_{A,C;mu}(., y) at the points y = (yr, yn) (broadcast), from one evaluation of F psi.
+
+    Returns W(xr, xn, shift=0), the kernel at x = (xr, xn), broadcast to the shape of y,
+    and y + shift b0, for an integer shift.  F psi is evaluated once, by _rows at the
+    section points y0 = yr - yn/sqrt(N) of y.  A B-shift y + s b0 has the same y0 and
+    section offset yn + s, so every shift reads the same rows; only the phases and the
+    prefactor <x; -(y + s b0)/2> move.  Nothing is kept past the returned function.
+    """
+    N, rN = wkp.params.N.N, wkp.params.N.sqrt
+    yr, yn = np.broadcast_arrays(np.asarray(yr, dtype=float), np.asarray(yn, dtype=int) % N)
+    rows = _rows(wkp, (yr - yn / rN).ravel())
+
+    def W(xr, xn, shift: int = 0) -> np.ndarray:
+        xr = np.broadcast_to(np.asarray(xr, dtype=float), yr.shape)
+        xn = np.broadcast_to(np.asarray(xn, dtype=int) % N, yr.shape)
+        total = _b_sum(wkp, rows, xr.ravel(), xn.ravel(), (yn + shift).ravel()).reshape(yr.shape)
+        # <x; -y/2> with the halving convention of lca.halve, fused like the phases of _b_sum
+        hyn = halve_residue((yn + shift) % N, N)
+        return (np.exp(-2j * np.pi * xr * ((yr + shift / rN) / 2))
+                * np.exp(2j * np.pi * (xn * hyn) / N) * total)
+
+    return W
 
 
 def weight_kernel_many(wkp: WeightKernelParams, xr, xn, yr, yn) -> np.ndarray:
     """W_{A,C;mu} at parallel (broadcast) arrays of points x = (xr, xn), y = (yr, yn)."""
-    N = wkp.params.N.N
-    xr, xn, yr, yn = np.broadcast_arrays(np.asarray(xr, dtype=float), np.asarray(xn, dtype=int) % N,
-                                         np.asarray(yr, dtype=float), np.asarray(yn, dtype=int) % N)
-    total = _b_sum(wkp, xr.ravel(), xn.ravel(), yr.ravel(), yn.ravel()).reshape(xr.shape)
-    # <x; -y/2> with the halving convention of lca.halve, fused like the phases of _b_sum
-    hyn = halve_residue(yn, N)
-    return np.exp(-2j * np.pi * xr * (yr / 2)) * np.exp(2j * np.pi * (xn * hyn) / N) * total
+    xr, xn, yr, yn = np.broadcast_arrays(xr, xn, yr, yn)
+    return weight_kernel_rows(wkp, yr, yn)(xr, xn)
 
 
 def weight_kernel_grid(wkp: WeightKernelParams, us, ws, M: int) -> np.ndarray:
@@ -352,7 +396,7 @@ def weight_kernel_grid(wkp: WeightKernelParams, us, ws, M: int) -> np.ndarray:
     N, h = p.N.N, p.N.sqrt / M
     us, ws = np.asarray(us, dtype=int), np.asarray(ws, dtype=int)
     core = np.arange(M)
-    S = _b_sum(wkp, core * h, 0 * core, core * h, 0 * core, grid=True)
+    S = _b_sum(wkp, _rows(wkp, core * h), core * h, 0 * core)
     a, q = (np.arange(v.min() // M, v.max() // M + 1)[:, None] for v in (us, ws))  # block indices
 
     def root(k, d):  # e^{pi i k/d} for integer k

@@ -13,6 +13,8 @@ identity of the weight kernels over A/B:
 
 with the kernel offsets mu_0 = mu_1 = alpha, mu_2 = alpha + beta,
 mu_3 = mu_4 = beta.  Both hold with constant exactly 1 in this normalization.
+The integrand's kernels are read off rows of F psi (charged.weight_kernel_rows),
+built once per y-set: W_2's once per check, W_4's and W_0's once per sample.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .charged import (
     WeightKernelParams,
     pentagon_family,
     weight_kernel,
-    weight_kernel_many,
+    weight_kernel_rows,
 )
 from .errors import Infeasible
 from .lca import (STEP, WINDOW, LcaPoint, QuadratureSpec, b_generator, fourier_kernel,
@@ -121,6 +123,12 @@ def check_charged_beta_pentagon(
     z = (t, 0).  Also reports the pointwise B-shift invariance defect of the
     integrand at the first sample (exact for odd N; genuinely nonzero for
     even N, where not every element is divisible by 2).
+
+    Each kernel's y-set has its F psi evaluated once: W_2's y is z itself, the
+    same at every sample, and W_4's and W_0's are fixed within a sample.  The
+    shifted integrand at z + b0 moves those y by -b0, +b0 and -b0, a section
+    offset on the same rows, so S samples at M points cost (2S + 1) M rows of
+    F psi, against (3S + 3) M when each kernel was evaluated afresh.
     """
     spec = spec or QuadratureSpec()
     N = params.N
@@ -130,26 +138,28 @@ def check_charged_beta_pentagon(
         WeightKernelParams(ch, params, mu) for ch, mu in zip(pc.charges, pc.mus())
     ]
     ts = np.arange(M) * rN / M
+    b0 = b_generator(N)
+    w2 = weight_kernel_rows(wks[2], ts, 0)  # W_2's y is z itself, the same at every sample
+
+    def integrand(x, y, u, v, shifts) -> list:
+        """The integrand at z = (t, 0) + s b0 of the grid for each s of shifts: y -/+ s b0
+        on the rows of W_2 and of this sample's W_4 and W_0, which die with the call."""
+        w4 = weight_kernel_rows(wks[4], v.x - ts, v.n)
+        w0 = weight_kernel_rows(wks[0], y.x - ts, y.n)
+        return [w4(u.x + y.x, u.n + y.n, -s)
+                * w2(x.x + y.x + u.x + v.x - (ts + s * b0.x), x.n + y.n + u.n + v.n - s * b0.n, s)
+                * w0(x.x + v.x, x.n + v.n, -s) for s in shifts]
+
     residuals = []
     shift_defect = None
     for (x, y, u, v) in samples:
         lhs = weight_kernel(wks[1], x, y) * weight_kernel(wks[3], u, v)
-
-        def integrand(zr, zn):  # scalars and the z grid broadcast in weight_kernel_many
-            w4 = weight_kernel_many(wks[4], u.x + y.x, u.n + y.n, v.x - zr, v.n - zn)
-            w2 = weight_kernel_many(wks[2], x.x + y.x + u.x + v.x - zr,
-                                    x.n + y.n + u.n + v.n - zn, zr, zn)
-            w0 = weight_kernel_many(wks[0], x.x + v.x, x.n + v.n, y.x - zr, y.n - zn)
-            return w4 * w2 * w0
-
-        vals = integrand(ts, 0)
+        vals, *shifted = integrand(x, y, u, v, (0, 1) if shift_defect is None else (0,))
         rhs = complex(np.sum(vals) / M)
         residuals.append(abs(lhs - rhs) / (abs(lhs) + abs(rhs)))
-        if shift_defect is None:
-            b0 = b_generator(N)
-            shifted = integrand(ts + b0.x, b0.n)
+        if shifted:
             shift_defect = float(
-                np.max(np.abs(shifted - vals)) / max(np.max(np.abs(vals)), 1e-300)
+                np.max(np.abs(shifted[0] - vals)) / max(np.max(np.abs(vals)), 1e-300)
             )
     # np.max keeps a NaN residual, which Python's max can drop
     return {"max_residual": float(np.max(residuals)), "integrand_b_shift_defect": shift_defect}

@@ -21,6 +21,7 @@ from qdlab.charged import (
     weight_kernel,
     weight_kernel_grid,
     weight_kernel_many,
+    weight_kernel_rows,
 )
 from qdlab.lca import (
     LcaPoint,
@@ -332,6 +333,27 @@ def test_weight_kernel_many_mixed_residues(N, rng):
         term = np.conj(kap * forward_transform_closed(wkp.charges, y.x + kb.x, y.n + k, p))
         brute += term * np.conj(gaussian_exp(kb, p.N)) * fourier_kernel(kb, wkp.mu - x, p.N)
     assert many[1] == pytest.approx(fourier_kernel(x, -halve(y, p.N), p.N) * brute, rel=1e-10)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_kernel_rows_read_b_shifts_as_section_offsets(N, rng):
+    # W(x, y + s b0) from the rows of F psi at y equals a fresh kernel at
+    # (yr + s/sqrt(N), yn + s).  The fresh kernel reduces yn + s mod N, so where it
+    # wraps (every s at N=1, yn=0 with s < 0) its section point sits sqrt(N) away
+    # from that of the rows, and the two sums share no evaluation point.  Both round
+    # like a sum of terms of order max|W|, so the tolerance is relative to that: at
+    # N=2 a point with |W| = 0.018 differs by 1.9e-15, 1.0e-13 of itself
+    p = params(N)
+    wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p, LcaPoint(0.3, 1))
+    xr, yr = rng.uniform(-1, 1, (2, 2 * N + 1))
+    xn = rng.integers(0, N, 2 * N + 1)
+    yn = np.arange(2 * N + 1) % N  # every residue, 0 among them
+    W = weight_kernel_rows(wkp, yr, yn)
+    np.testing.assert_array_equal(W(xr, xn), weight_kernel_many(wkp, xr, xn, yr, yn))
+    for s in (-2, -1, 1, 2):
+        expect = weight_kernel_many(wkp, xr, xn, yr + s / p.N.sqrt, yn + s)
+        np.testing.assert_allclose(W(xr, xn, s), expect, rtol=0,
+                                   atol=1e-13 * np.abs(expect).max())
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])

@@ -139,17 +139,37 @@ def test_faddeev_type_keeps_nan(rng):
 
 
 def test_beta_pentagon_keeps_nan(rng, monkeypatch):
-    # kernel values turn NaN after the five calls of the first sample
+    # kernel values turn NaN after the first sample's integrand, whose kernels read the
+    # first three sets of rows: W_2's, shared by every sample, then W_4's and W_0's
     from qdlab import pentagon
 
-    real, calls = pentagon.weight_kernel_many, []
+    real, calls = pentagon.weight_kernel_rows, []
 
-    def kernel(*args):
+    def rows(*args):
         calls.append(args)
-        out = real(*args)
-        return out if len(calls) <= 5 else out * np.nan
+        W = real(*args)
+        return W if len(calls) <= 3 else (lambda *a: W(*a) * np.nan)
 
-    monkeypatch.setattr(pentagon, "weight_kernel_many", kernel)
+    monkeypatch.setattr(pentagon, "weight_kernel_rows", rows)
     rep = check_charged_beta_pentagon(PentagonCharges.solve(EQUAL, T3), _samples(rng, 1, 2),
                                       params(1), QuadratureSpec(M=32))
     assert np.isnan(rep["max_residual"])
+
+
+def test_beta_pentagon_evaluates_f_psi_once_per_kernel_and_y_set(rng, monkeypatch):
+    # W_2's rows of F psi serve every sample; W_4's and W_0's serve their sample and,
+    # at the first, the B-shifted integrand.  So S samples at M points cost (2S + 1) M
+    # rows, plus one row for each of the two left-side kernels of a sample
+    from qdlab import charged
+
+    real, rows = charged.log_forward_transform, []
+
+    def counted(charges, z, *args):
+        rows.append(np.shape(z)[0])
+        return real(charges, z, *args)
+
+    monkeypatch.setattr(charged, "log_forward_transform", counted)
+    S, M = 3, 32
+    check_charged_beta_pentagon(PentagonCharges.solve(EQUAL, T3), _samples(rng, 2, S),
+                                params(2), QuadratureSpec(M=M))
+    assert sum(rows) == (2 * S + 1) * M + 2 * S
