@@ -3,8 +3,8 @@
 CHECKS maps a check kind to its seeded sampler `sample(rng, ctx, n)`, its
 evaluator `evaluate(ctx, samples, spec)` returning a JSON-ready report dict,
 its limits {report key: strict upper bound}, and `reads`, the flags among
-"grid", "in" and "name" that it reads.  The CLI rejects the others and `--tol`,
-which no kind reads; it builds the triangulation X only for a kind that reads it.
+"grid", "in" and "name" that it reads.  The CLI rejects the others, and builds
+the triangulation X only for a kind that reads it.
 `qdlab check <kind>` and the acceptance tests both go through this table.  ctx
 is a Context holding the QdParams, the charges or the triangulation X that the
 check reads.
@@ -83,14 +83,19 @@ def _groupoid_evaluate(ctx: Context, samples, spec) -> dict:
     return {k: {kk: vv for kk, vv in r.items() if kk != "witness"} for k, r in reps.items()}
 
 
+# the gauge check's limit on the relative change of |Z|, and the target of each Z it
+# reads: a Z is refused only when its error could decide the check
+_GAUGE_LIMIT = 1e-3
+
+
 def _gauge_evaluate(ctx: Context, edge: int, spec) -> dict:
     """|Z| at X and at X moved by half the positivity margin along one gauge direction.
     Z of X comes first, so an X that Z refuses is refused before a direction is taken."""
     X = ctx.X
-    z0 = partition.partition_function(X, spec, target=1.0)
+    z0 = partition.partition_function(X, spec, target=_GAUGE_LIMIT)
     d = triangulation.gauge_direction(X, edge)
     Xp = triangulation.balanced_perturbation(X, d, triangulation.positivity_margin(X, d) / 2)
-    z1 = partition.partition_function(Xp, spec, target=1.0)
+    z1 = partition.partition_function(Xp, spec, target=_GAUGE_LIMIT)
     return {"abs_base": z0.abs, "abs_perturbed": z1.abs,
             "rel_change": abs(z0.abs - z1.abs) / z0.abs}
 
@@ -135,7 +140,7 @@ CHECKS: dict[str, Check] = {
     "gauge": Check(
         lambda rng, ctx, n: 0,  # the gauge direction of edge class 0; draws nothing
         _gauge_evaluate,
-        {"rel_change": 1e-3},
+        {"rel_change": _GAUGE_LIMIT},
         ("grid", "in", "name")),
 }
 

@@ -3,16 +3,18 @@
 Each subcommand takes only the flags its command reads; `qdlab <command> --help` lists them.
 A command returns its report and `run` writes it.  Exit codes: 0 success, 1 usage or
 validation error, 2 numerical non-convergence, 3 failed check, exactly when the printed
-report has "pass": false.  A document read with --in fixes the triangulation, N and
-theta, so --name, --N and --theta-arg are refused beside it.  Complex numbers serialize
-as [re, im]; angles are accepted as rational multiples of pi ("1/3").  Identical command
-lines produce byte-identical JSON.
+report has "pass": false.  partition's --target bounds the estimated error of Z relative
+to |Z| (partition.partition_function) and must be finite.  A document read with --in
+fixes the triangulation, N and theta, so --name, --N and --theta-arg are refused beside
+it.  Complex numbers serialize as [re, im]; angles are accepted as rational multiples of
+pi ("1/3").  Identical command lines produce byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -57,6 +59,15 @@ def _params(args) -> QdParams:
 def _spec(grid: int | None) -> QuadratureSpec:
     """The default QuadratureSpec, with M replaced where --grid gave it."""
     return QuadratureSpec() if grid is None else QuadratureSpec(M=grid)
+
+
+def _finite(text: str) -> float:
+    """A finite float for argparse: an inf target would let an inf error estimate into
+    the report, which JSON cannot hold."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def _parse_complex(text: str) -> complex:
@@ -173,7 +184,7 @@ def cmd_check(args):
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     chk = checks.CHECKS[args.kind]
-    given = {"grid": args.grid, "tol": args.tol, "in": args.inp, "name": args.name}
+    given = {"grid": args.grid, "in": args.inp, "name": args.name}
     for flag, value in given.items():
         if value is not None and flag not in chk.reads:
             raise ValueError(f"check {args.kind} does not read --{flag}")
@@ -236,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="state-integral partition function")
     common(p, grid=True, triangulation=True)
-    p.add_argument("--target", type=float, default=1.0, help="relative two-grid target")
+    p.add_argument("--target", type=_finite, default=partition.TARGET,
+                   help="bound on the estimated error of Z relative to |Z|, default %(default)g")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("pachner", help="apply the 2-3 move and print the new document")
@@ -258,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a verification and report pass/fail JSON")
     p.add_argument("kind", choices=list(checks.CHECKS))
     common(p, grid=True, seed=True, triangulation=True)
-    p.add_argument("--tol", type=float, default=None, help="read by no kind; refused")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--charges", default="0.5,0.2,0.3")
     p.set_defaults(func=cmd_check)

@@ -15,6 +15,7 @@ Conventions, fixed once here and used by every other module:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,21 +72,16 @@ STEP = 1 / 64
 
 @dataclass
 class QuadratureSpec:
-    """The two numerical choices of the A/B integrals.
-
-    M:    grid points per circle direction (periodic trapezoid).
-    tol:  target relative tolerance; 1e3 tol is the default two-grid target of
-          partition_function.
-    """
+    """The numerical choice of the A/B integrals: M grid points per circle direction
+    (periodic trapezoid).  The accuracy asked of Z is partition_function's target."""
 
     M: int = 128
-    tol: float = 1e-11
 
     def __post_init__(self):
+        if not isinstance(self.M, numbers.Integral):
+            raise ValueError(f"M must be an integer, got {self.M!r}")
         if self.M < 8:
             raise ValueError("M must be at least 8")
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
 
 
 def b_generator(N: Modulus) -> LcaPoint:

@@ -21,8 +21,8 @@ M x M block of the table is that core times a rank-one unimodular phase.
 Within one call, tets with equal charges, sign and index ranges share one
 table.  A grid of M/s points per edge is the stride-s subgrid of the M grid,
 so it is contracted straight from the M tables: its index j reads the M-grid
-entry at s j.  The two-grid error estimate reads its M/2 grid this way for
-even M, and a convergence ladder reads every rung that divides its largest.
+entry at s j.  The error estimate reads its M/2 and M/4 grids this way where
+they divide M, and a convergence ladder reads every rung that divides its largest.
 Nothing is cached across calls.  Each tet's slot rows sum to zero (two edges
 at each slot), so the integrand depends only on j_c - j_0, and descent makes it
 periodic in each j_c: the sum is equal copies of the slice j_0 = 0 (M^(E-1)
@@ -50,6 +50,7 @@ __all__ = [
     "descent_residual",
     "partition_function",
     "PartitionResult",
+    "TARGET",
     "convergence_report",
 ]
 
@@ -156,6 +157,13 @@ def _tet_tables(X: ShapedTriangulation, M: int) -> list[dict]:
 # grid points per slab of the contraction
 _SLAB_POINTS = 2**16
 
+# the default bound on the estimated error of Z relative to |Z|
+TARGET = 1e-8
+
+# the relative floor of the error estimate: where Z has converged to rounding
+# (fig8_2tet and fig8_3tet at N <= 3), |Z_M - Z_2M| reaches at most 1.2e-13 |Z|
+_ROUNDOFF = 1e-12
+
 
 def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> complex:
     """Z on the grid of M // stride points per edge, read from the M-grid tet tables.
@@ -215,30 +223,50 @@ class PartitionResult:
         return {**asdict(self), "Z": [self.Z.real, self.Z.imag]}
 
 
-def partition_function(
-    X: ShapedTriangulation, spec: QuadratureSpec | None = None, target: float | None = None
-) -> PartitionResult:
-    """Z(X) with an M-versus-M/2 error estimate.
+def _error_estimate(z: complex, z2: complex, z4: complex) -> float:
+    """The error of Z_M extrapolated from Z_M, Z_{M/2} and Z_{M/4}.
 
-    Raises NonConvergent when Z or the two-grid discrepancy is not finite, or
-    when the discrepancy exceeds the target relative error (spec.tol scaled
-    by 1e3 unless target given), and ValueError when the target is not positive.
+    The periodic trapezoid converges geometrically, err(M) ~ C rho^M (Trefethen and
+    Weideman, SIAM Rev. 56 (2014) 385).  With d0 = |Z_{M/2} - Z_{M/4}| ~ C s and
+    d1 = |Z_M - Z_{M/2}| ~ C s^2, where s = rho^{M/4}, err(M) ~ C s^4 = d1^3 / d0^2.
+    Where Z has converged, d1 is rounding and extrapolating it means nothing, so the
+    estimate is floored at _ROUNDOFF |Z|, and a d1 at or below the floor reads as
+    the floor.  A ladder that does not contract above it (d1 >= d0) reads as inf.
+    """
+    d0, d1 = abs(z2 - z4), abs(z - z2)
+    floor = _ROUNDOFF * abs(z)
+    if d1 <= floor:
+        return floor
+    if d1 >= d0:
+        return math.inf
+    return max(d1**3 / d0**2, floor)
+
+
+def partition_function(
+    X: ShapedTriangulation, spec: QuadratureSpec | None = None, target: float = TARGET
+) -> PartitionResult:
+    """Z(X) on the grid of spec.M points per edge, with an extrapolated error estimate.
+
+    The estimate (_error_estimate) reads Z at M, M // 2 and M // 4 through
+    _grid_values, by stride from the M tables where they divide M.
+    Raises NonConvergent when Z is not finite, or when the estimate exceeds target
+    relative to |Z| (an inf estimate meets only target = inf), and ValueError when
+    the target is not positive.
     """
     spec = spec or QuadratureSpec()
     M = spec.M
-    target = target if target is not None else 1e3 * spec.tol
     if not target > 0:  # written so that NaN fails
         raise ValueError(f"target must be positive, got {target}")
-    z_fine, z_coarse = _grid_values(X, [M, M // 2])
-    err = abs(z_fine - z_coarse)
-    if not np.isfinite(z_fine):
-        raise NonConvergent(f"partition value at grid M={M} is not finite: {z_fine}")
-    rel = err / max(abs(z_fine), 1e-300)
+    zs = _grid_values(X, [M, M // 2, M // 4])
+    z = zs[0]
+    if not np.isfinite(z):
+        raise NonConvergent(f"partition value at grid M={M} is not finite: {z}")
+    err = _error_estimate(*zs)
+    rel = err / max(abs(z), 1e-300)
     if not rel <= target:
-        raise NonConvergent(
-            f"partition grid M={M} vs {M//2} differs by {rel:.3e} relative (target {target:.1e})"
-        )
-    return PartitionResult(z_fine, abs(z_fine), M, err)
+        raise NonConvergent(f"partition grid M={M}: the error estimated from grids {M}, "
+                            f"{M // 2}, {M // 4} is {rel:.3e} relative (target {target:.1e})")
+    return PartitionResult(z, abs(z), M, err)
 
 
 def convergence_report(X: ShapedTriangulation, Ms):

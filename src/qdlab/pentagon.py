@@ -42,6 +42,11 @@ __all__ = [
     "check_faddeev_type",
 ]
 
+# the narrowest feasibility interval for a0 taken as nonempty: each charge carries an
+# absolute rounding of order eps (b = 1 - a - c), so a narrower float interval can be
+# empty in exact arithmetic, and its midpoint leaves a charge of order eps
+_INTERVAL_FLOOR = 4 * np.finfo(float).eps
+
 
 def solve_pentagon_charges(
     t1: ChargeTriple, t3: ChargeTriple, free: float | None = None
@@ -53,12 +58,13 @@ def solve_pentagon_charges(
         a1 = a0 + a2,  a3 = a2 + a4,  c1 = c0 + a4,  c3 = a0 + c4,  c2 = c1 + c3,
 
     all components positive.  The free parameter is a0 (feasibility-interval
-    midpoint by default); raises Infeasible when the interval is empty.
+    midpoint by default); raises Infeasible when the interval is no wider than
+    _INTERVAL_FLOOR.
     """
     lo = max(0.0, t1.a - t3.a, t3.c - t1.b)
     hi = min(t1.a, t3.c, t1.c + t1.a - t3.a)
-    if not lo < hi:
-        raise Infeasible(f"empty feasibility interval [{lo}, {hi}] for a0")
+    if not hi - lo > _INTERVAL_FLOOR:
+        raise Infeasible(f"feasibility interval [{lo}, {hi}] for a0 is empty up to rounding")
     a0 = 0.5 * (lo + hi) if free is None else float(free)
     if not lo < a0 < hi:
         raise Infeasible(f"free parameter {a0} outside ({lo}, {hi})")

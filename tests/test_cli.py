@@ -90,8 +90,8 @@ def test_non_finite_document_is_rejected(command, theta, angle, capsys, tmp_path
 @pytest.mark.parametrize("flag", ["--grid", "--tol"])
 def test_zero_grid_and_tol_are_rejected(flag, capsys):
     # 0 is a value, not a missing option: QuadratureSpec must see and reject it.
-    # partition reads no tolerance (its two-grid target is --target), so --tol is
-    # not one of its flags
+    # No command reads a tolerance (partition's accuracy is --target), so --tol is
+    # a usage error
     assert run(["partition", "--name", "fig8_2tet", flag, "0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -103,9 +103,10 @@ def test_zero_grid_and_tol_are_rejected(flag, capsys):
                                         ("in", "missing.json")])
 @pytest.mark.parametrize("kind", list(checks.CHECKS))
 def test_check_rejects_flags_it_does_not_read(kind, flag, value, capsys):
-    # a kind that does not read a flag must not accept it silently; no kind reads
-    # --tol, and only descent and gauge read a triangulation.  The refusal comes
-    # before the triangulation is built, so the name and the path are not looked up.
+    # a kind that does not read a flag must not accept it silently; only descent and
+    # gauge read a triangulation.  The refusal comes before the triangulation is
+    # built, so the name and the path are not looked up.  No kind reads a tolerance,
+    # so --tol is not a flag of check at all: a usage error
     reads = {"grid": {"pentagon", "gauge"}, "tol": set(), "name": {"descent", "gauge"},
              "in": {"descent", "gauge"}}[flag]
     assert (flag in checks.CHECKS[kind].reads) == (kind in reads)
@@ -113,6 +114,9 @@ def test_check_rejects_flags_it_does_not_read(kind, flag, value, capsys):
         return
     assert run(["check", kind, "--samples", "2", f"--{flag}", value]) == 1
     captured = capsys.readouterr()
+    if flag == "tol":
+        assert captured.out == "" and f"unrecognized arguments: --tol {value}" in captured.err
+        return
     assert captured.out == "" and f"--{flag}" in captured.err and kind in captured.err
     assert captured.err.count("\n") == 1
 
@@ -336,7 +340,7 @@ def test_out_writes_the_printed_report(args, code, capsys, tmp_path):
     assert path.read_bytes() == printed.encode()
 
 
-@pytest.mark.parametrize("command", [["partition", "--grid", "64"], ["pachner"],
+@pytest.mark.parametrize("command", [["partition", "--grid", "128"], ["pachner"],
                                      ["check", "descent", "--samples", "1"]],
                          ids=["partition", "pachner", "check"])
 @pytest.mark.parametrize("flag,value", [("--N", "2"), ("--theta-arg", "1/4")])

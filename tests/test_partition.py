@@ -22,15 +22,17 @@ from qdlab.partition import (
     partition_function,
     total_weight,
 )
-from qdlab.triangulation import (V4, ShapedTet, ShapedTriangulation,
-                                 builtin_census, pachner_23)
+from qdlab.triangulation import (V4, ShapedTet, ShapedTriangulation, balanced_perturbation,
+                                 builtin_census, gauge_direction, pachner_23,
+                                 positivity_margin)
 
 
 def test_empty_triangulation_is_one(theta3):
     X = ShapedTriangulation(Modulus(1), theta3, [], [])
     res = partition_function(X, QuadratureSpec(M=16))
     assert res.Z == 1.0
-    assert res.error_estimate == 0.0
+    # every grid gives 1 exactly, so the estimate is the rounding floor
+    assert res.error_estimate == qdlab.partition._ROUNDOFF
 
 
 def test_open_triangulation_is_refused(capsys):
@@ -44,14 +46,20 @@ def test_open_triangulation_is_refused(capsys):
         assert captured.out == "" and "unglued" in captured.err
 
 
-@pytest.mark.parametrize("target", ["nan", "0", "-1"])
+@pytest.mark.parametrize("target", ["nan", "0", "-1", "inf"])
 def test_target_must_be_positive(target, capsys):
-    # a usage error (exit 1), not a non-convergent sum (exit 2)
-    with pytest.raises(ValueError, match="target"):
-        partition_function(builtin_census("fig8_2tet"), QuadratureSpec(M=16), target=float(target))
+    # a usage error (exit 1), not a non-convergent sum (exit 2).  The library takes
+    # target=inf (no bound), but the CLI's --target must be finite: an inf estimate
+    # would reach the report, which JSON cannot hold
+    if target != "inf":
+        with pytest.raises(ValueError, match="target must be positive"):
+            partition_function(builtin_census("fig8_2tet"), QuadratureSpec(M=16),
+                               target=float(target))
     assert run(["partition", "--grid", "16", "--target", target]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "target must be positive" in captured.err
+    assert captured.out == ""
+    assert ("argument --target: must be finite" if target in ("nan", "inf")
+            else "target must be positive") in captured.err
 
 
 def test_equal_states_collapse_to_kernel_origin():
@@ -107,6 +115,43 @@ def test_partition_value_stable():
     assert res.error_estimate < 1e-6
 
 
+def _gauge_moved(X):
+    """X moved by half its positivity margin along the gauge direction of edge class 0."""
+    d = gauge_direction(X, 0)
+    return balanced_perturbation(X, d, positivity_margin(X, d) / 2)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["fig8_2tet", "fig8_3tet", "fig8_2tet-gauge-moved"])
+def test_error_estimate_covers_the_next_grid(shape, N):
+    # the extrapolated estimate at M bounds |Z_M - Z_2M|, at M=128 where the error is
+    # above rounding (fig8_2tet N=2: 2.9e-11 against 1.4e-11, fig8_3tet N=3: 1.3e-5
+    # against 3.3e-6) and at M=256, where the rounding floor carries it
+    X = builtin_census(shape.split("-")[0], N=N)
+    if shape.endswith("gauge-moved"):
+        X = _gauge_moved(X)
+    res = [partition_function(X, QuadratureSpec(M=M), target=np.inf) for M in (128, 256)]
+    z512 = _grid_values(X, [512])[0]
+    assert res[0].error_estimate >= abs(res[0].Z - res[1].Z)
+    assert res[1].error_estimate >= abs(res[1].Z - z512)
+
+
+def test_error_estimate_of_a_ladder_that_does_not_contract():
+    # fig8_2tet with tet 1 relabelled by (1, 0, 3, 2) descends at N=1, but its Z at
+    # M=8, 4, 2 does not contract: the estimate is inf, which only target=inf meets
+    X = relabelled_fig8((1, 0, 3, 2), 1)
+    with pytest.raises(NonConvergent, match="is inf relative"):
+        partition_function(X, QuadratureSpec(M=8), target=1.0)
+    assert partition_function(X, QuadratureSpec(M=8), target=np.inf).error_estimate == np.inf
+
+
+def test_default_target_accepts_a_converged_Z():
+    # the default target bounds the extrapolated error, not the last grid step:
+    # at N=2, M=128 the estimate is 2.9e-11 relative, the step |Z_128 - Z_64| 1.4e-4
+    res = partition_function(builtin_census("fig8_2tet", N=2), QuadratureSpec(M=128))
+    assert res.error_estimate < 1e-10 * res.abs
+
+
 def test_partition_nonconvergent_guard():
     X = builtin_census("fig8_2tet")
     with pytest.raises(NonConvergent):
@@ -114,15 +159,18 @@ def test_partition_nonconvergent_guard():
 
 
 def test_nonconvergent_message_is_relative(capsys):
-    # the message prints the relative discrepancy that is compared with the
-    # target: here 10.3, while the absolute one, 0.127, is below the target 1
+    # the message prints the relative error estimate that is compared with the
+    # target: here 3.3e-2, while the absolute one, 4.0e-4, is below the target 1e-2
     X = builtin_census("fig8_3tet", N=2)
-    z64, z32 = _grid_values(X, [64, 32])
-    assert run(["partition", "--name", "fig8_3tet", "--N", "2", "--grid", "64"]) == 2
+    z64, z32, z16 = _grid_values(X, [64, 32, 16])
+    d0, d1 = abs(z32 - z16), abs(z64 - z32)
+    assert run(["partition", "--name", "fig8_3tet", "--N", "2", "--grid", "64",
+                "--target", "1e-2"]) == 2
     err = capsys.readouterr().err
-    printed = float(err.split("differs by ")[1].split()[0])
-    assert printed == pytest.approx(abs(z64 - z32) / abs(z64), rel=1e-3)
-    assert printed > 1.0 and "(target 1.0e+00)" in err
+    printed = float(err.split(" is ")[1].split()[0])
+    assert d1 < d0 and d1**3 / d0**2 < 1e-2
+    assert printed == pytest.approx(d1**3 / d0**2 / abs(z64), rel=1e-3)
+    assert printed > 1e-2 and "grids 64, 32, 16" in err and "(target 1.0e-02)" in err
 
 
 @pytest.mark.parametrize("N", [1, 2])
@@ -439,15 +487,16 @@ def test_tet_table_truncation_is_checked(theta3, charges, want):
 
 @pytest.mark.parametrize("M", [32, 33])
 def test_partition_function_matches_direct_grids(M):
-    # even M reads the M/2 grid from the M tables by stride, odd M builds the
-    # M//2 tables; these grids are too coarse for any target, so none is set
+    # M=32 reads the M/2 and M/4 grids from the M tables by stride, M=33 builds the
+    # M//2 and M//4 tables; these grids are too coarse for any target, so none is set
     X = builtin_census("fig8_3tet", N=2)
     spec = QuadratureSpec(M=M)
     res = partition_function(X, spec, target=np.inf)
-    z_fine = _grid_values(X, [M])[0]
-    z_coarse = _grid_values(X, [M // 2])[0]
-    assert res.Z == pytest.approx(z_fine, rel=1e-12)
-    assert res.error_estimate == pytest.approx(abs(z_fine - z_coarse), rel=1e-12)
+    z, z2, z4 = (_grid_values(X, [m])[0] for m in (M, M // 2, M // 4))
+    d0, d1 = abs(z2 - z4), abs(z - z2)
+    assert res.Z == pytest.approx(z, rel=1e-12)
+    assert d1 < d0  # the ladder contracts, so the estimate extrapolates
+    assert res.error_estimate == pytest.approx(d1**3 / d0**2, rel=1e-12)
 
 
 def test_contraction_in_many_slabs(monkeypatch):

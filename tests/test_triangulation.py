@@ -352,6 +352,20 @@ def _feasible_moves(X):
     return out
 
 
+def test_a_move_whose_interval_is_empty_in_exact_arithmetic_is_refused():
+    # the second move solves the charges from t1 = (1/12, 1/12, 5/6) and t3 = (1/6,
+    # 2/3, 1/6): the interval for a0 is [1/12, 1/12] exactly, 4.2e-17 wide in floats.
+    # Accepted, it left a tet with charges (1.4e-17, 1.1e-16, 1 - 1e-16), where the
+    # kernel B-sum meets a zero of the Faddeev function
+    Y = pachner_23(builtin_census("fig8_3tet"), (1, 2))
+    with pytest.raises(Infeasible, match="empty up to rounding"):
+        pachner_23(Y, (0, 2))
+    # the walk helper skips it; the two moves it keeps have charges of at least 1/24
+    moves = _feasible_moves(Y)
+    charges = [c for Z in moves for t in Z.tets for c in (t.angles.a, t.angles.b, t.angles.c)]
+    assert len(moves) == 2 and min(charges) == pytest.approx(1 / 24)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from([1, 2]), st.integers(min_value=3, max_value=4), st.data())
 def test_random_pachner_chains(N, depth, data):
