@@ -27,9 +27,10 @@ quasi-periodic in both arguments under B-shifts.  Every kernel value, paired
 (`weight_kernel_rows`, `weight_kernel_many`) or on a grid (`weight_kernel_grid`,
 for the per-tet tables of the partition function), comes from one B-sum engine
 in two stages.  `_rows` evaluates F psi once per set of points y, at their
-section points y0 = yr - yn/sqrt(N); x enters only the phases, which `_b_sum`
-contracts the rows with.  A B-shift y + s b0 has the same y0 and section offset
-yn + s, so it reads the same rows: `weight_kernel_rows` returns W(x, y + s b0)
+section points y0 = yr - yn/sqrt(N), in tiles of at most `_BLOCK_POINTS` Faddeev
+points per tile (a transform point holds N); x enters only the phases, which
+`_b_sum` contracts the rows with.  A B-shift y + s b0 has the same y0 and section
+offset yn + s, so it reads the same rows: `weight_kernel_rows` returns W(x, y + s b0)
 for every x and integer s from one evaluation of F psi.
 
 The B-sum's tails are geometric with period 2N.  F psi_{A,C}(z, n) is
@@ -57,6 +58,7 @@ formula, and `_b_sum` sums each tail as its 2N seed terms over 1 - R.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -227,18 +229,38 @@ def charged_identity_residuals(charges: ChargeTriple, samples, params: QdParams)
             for key, vals in (("f2_max", f2), ("f3_max", f3), ("f3_composition_max", comp))}
 
 
+# Faddeev points per tile of the B-sum.  Over A_N a transform point holds N Faddeev
+# factors (qdilog.log_dtheta), so a tile of rows x shifts is N * rows * shifts points;
+# this bounds the memory of one log_forward_transform call whatever the number of kernel
+# points, of shifts or N.  It also keeps every q-product batch below the 16,384 complex
+# values (256 KiB) past which numpy computes prod * (1 - e) in place, which rounds
+# differently, so a value does not depend on its tile.
+_BLOCK_POINTS = 4096
+
+# The largest N the B-sum takes.  A tile can split the rows and the shifts but not the N
+# factors of one transform point, so it holds at most _BLOCK_POINTS Faddeev points only
+# while N <= _BLOCK_POINTS.  The band grows like N: _rows reads 829, 8,242 and 27,462
+# shifts at N = 30, 300 and 1000, the same for every charge triple, about 27.5 N shifts
+# and so 27.5 N^2 Faddeev points per row.  At the limit one row is 27.5 * 4096^2 = 4.6e8
+# points, about 190 times the row of an N = 300 kernel value (about 1 s on a 2-core box).
+_MAX_N = _BLOCK_POINTS
+
+
 @dataclass(frozen=True)
 class WeightKernelParams:
-    """Charges, automorphy offset mu, and the ambient QdParams of one kernel."""
+    """Charges, automorphy offset mu, and the ambient QdParams of one kernel.
+
+    Every B-sum takes one, so an N above _MAX_N is refused here, by name.
+    """
 
     charges: ChargeTriple
     params: QdParams
     mu: LcaPoint = LcaPoint(0.0, 0)
 
-
-# Transform points per block of the B-sum: bounds the memory of one block
-# whatever the number of kernel points or of B-terms.
-_BLOCK_POINTS = 4096
+    def __post_init__(self):
+        if self.params.N.N > _MAX_N:
+            raise ValueError(f"N = {self.params.N.N} is too large for the weight kernel's "
+                             f"B-sum, which takes N <= {_MAX_N}")
 
 
 def _band(wkp: WeightKernelParams, y0: np.ndarray) -> tuple[int, int]:
@@ -250,19 +272,18 @@ def _band(wkp: WeightKernelParams, y0: np.ndarray) -> tuple[int, int]:
     o = factor_args(-s, -n).  At z = y0 + k/sqrt(N) its real part o.real - y0/sqrt(N) - k/N
     moves with k and its imaginary part does not, so faddeev.live_radius of o.imag bounds
     the live k.  One more k on each side keeps the rounding of the edge out.
+
+    o is affine in j and m = (j + n) mod N, and live_radius is convex in o.imag, so
+    o.real - r is concave and o.real + r convex: their extremes over every factor and
+    residue sit at the corners j, m in {0, N - 1}, which the residues -n = 0, 1, -1 reach.
+    So o holds 3N arguments, not N^2.
     """
     p, ch = wkp.params, wkp.charges
     N, rN = p.N.N, p.N.sqrt
-    o = factor_args(-p.theta.c * (ch.b + ch.c) / rN, -np.arange(N) % N, p)
+    o = factor_args(-p.theta.c * (ch.b + ch.c) / rN, np.array([0, 1, -1]) % N, p)
     r = live_radius(o.imag, p.theta)
     return (math.floor(N * (np.min(o.real - r) - np.max(y0) / rN)) - 1,
             math.ceil(N * (np.max(o.real + r) - np.min(y0) / rN)) + 1)
-
-
-def _blocks(rows: int, shifts: int):
-    """Row slices of about _BLOCK_POINTS terms each; one row when the shifts alone fill a block."""
-    step = max(1, _BLOCK_POINTS // shifts)
-    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def _rows(wkp: WeightKernelParams, y0: np.ndarray) -> tuple:
@@ -272,31 +293,29 @@ def _rows(wkp: WeightKernelParams, y0: np.ndarray) -> tuple:
 
     F psi is evaluated only on the band k0..k1 of _band, where a q-product is live, on 2N
     seed shifts on each side, and on one ratio shift per side (see the module notes).
-    NonConvergent is raised when a term is not finite or |up| or |down| >= 1.  Each block
-    of rows times all k, about _BLOCK_POINTS terms, is one log_forward_transform call at
-    y0_i + k b0, residues k mod N; past _BLOCK_POINTS shifts (the band grows like N) a
-    block is one row, evaluated in pieces of _BLOCK_POINTS shifts.
+    NonConvergent is raised when a term is not finite or |up| or |down| >= 1.  F psi is
+    evaluated in tiles of rows of y0 times a slice of shifts, at most _BLOCK_POINTS Faddeev
+    points per tile (N per transform point), each one log_forward_transform call at
+    y0_i + k b0 with residues k mod N.
     """
     p, ch = wkp.params, wkp.charges
     N, rN = p.N.N, p.N.sqrt
     k0, k1 = _band(wkp, y0)
     ks = np.arange(k0 - 2 * N - 1, k1 + 2 * N + 2)  # ratio, 2N seeds, band, 2N seeds, ratio
-    kap = pentagon_normalization(ch, p)
-    terms = np.empty((len(y0), len(ks)), dtype=complex)
-    up, down = np.empty(len(y0), dtype=complex), np.empty(len(y0), dtype=complex)
-    for i in _blocks(len(y0), len(ks)):
-        z = y0[i, None] + ks / rN  # one row when the band alone is longer than a block
-        logs = np.concatenate([log_forward_transform(ch, z[:, c:c + _BLOCK_POINTS],
-                                                     ks[c:c + _BLOCK_POINTS] % N, p)
-                               for c in range(0, len(ks), _BLOCK_POINTS)], axis=1)
-        terms[i] = np.conj(kap * np.exp(logs))
-        if not np.all(np.isfinite(terms[i])):
-            raise NonConvergent(f"weight-kernel B-sum term not finite at k={k0}..{k1}")
-        # the ratio of F psi one period apart, past the band on each side
-        up[i] = np.conj(np.exp(logs[:, -1] - logs[:, -2 * N - 1]))
-        down[i] = np.conj(np.exp(logs[:, 0] - logs[:, 2 * N]))
-        if not np.all(np.maximum(np.abs(up[i]), np.abs(down[i])) < 1):
-            raise NonConvergent(f"weight-kernel B-sum tail not geometric at k={k0}..{k1}")
+    shifts = max(1, _BLOCK_POINTS // N)
+    rows = max(1, _BLOCK_POINTS // (N * min(shifts, len(ks))))
+    logs = np.empty((len(y0), len(ks)), dtype=complex)
+    for r, c in itertools.product(range(0, len(y0), rows), range(0, len(ks), shifts)):
+        i, k = slice(r, r + rows), slice(c, c + shifts)
+        logs[i, k] = log_forward_transform(ch, y0[i, None] + ks[k] / rN, ks[k] % N, p)
+    terms = np.conj(pentagon_normalization(ch, p) * np.exp(logs))
+    if not np.all(np.isfinite(terms)):
+        raise NonConvergent(f"weight-kernel B-sum term not finite at k={k0}..{k1}")
+    # the ratio of F psi one period apart, past the band on each side
+    up = np.conj(np.exp(logs[:, -1] - logs[:, -2 * N - 1]))
+    down = np.conj(np.exp(logs[:, 0] - logs[:, 2 * N]))
+    if not np.all(np.maximum(np.abs(up), np.abs(down)) < 1):
+        raise NonConvergent(f"weight-kernel B-sum tail not geometric at k={k0}..{k1}")
     return ks, terms, up, down
 
 
@@ -308,12 +327,13 @@ def _b_sum(wkp: WeightKernelParams, rows: tuple, xr, xn, off=None) -> np.ndarray
     summand is geometric with period 2N, so each tail is sum_seeds X_k / (1 - R), with
     R = up or down times the phase ratio e^{+-4 pi i sqrt(N) (mu_x - x)}, which no offset
     changes.  The sum is exact up to the q-products' own tolerance; NonConvergent is
-    raised when it is not finite.  Blocks of rows are those of _rows.
+    raised when it is not finite.  All rows are contracted in one statement per branch;
+    its temporaries are the size of T, or of the result on a grid.
 
     xr is a 1-D float array and xn a 1-D integer array reduced mod N.  Paired (off a 1-D
-    integer array): S(x_i, y_i), each block contracted row by row with its own phases.
-    Grid (off None, every offset 0): [j, i] -> S(x_i, y_j), each block contracted with
-    the phases of every x by matmuls.
+    integer array): S(x_i, y_i), each row contracted with its own phases.  Grid (off None,
+    every offset 0): [j, i] -> S(x_i, y_j), the rows contracted with the phases of every
+    x by matmuls.
     """
     ks, terms, up, down = rows
     p = wkp.params
@@ -328,18 +348,15 @@ def _b_sum(wkp: WeightKernelParams, rows: tuple, xr, xn, off=None) -> np.ndarray
         )
 
     turn = np.exp(4j * np.pi * rN * (wkp.mu.x - xr))  # phase ratio of k -> k + 2N
-    grid = off is None
-    P = phase(ks[:, None], xr, xn) if grid else None
-    total = np.zeros((len(terms), len(xr)) if grid else len(terms), dtype=complex)
-    for i in _blocks(len(terms), len(ks)):
-        if grid:
-            total[i] += (terms[i, band] @ P[band]
-                         + terms[i, right] @ P[right] / (1 - up[i, None] * turn)
-                         + terms[i, left] @ P[left] / (1 - down[i, None] / turn))
-        else:
-            X = terms[i] * phase(ks - off[i, None], xr[i, None], xn[i, None])
-            total[i] += (X[:, band].sum(axis=1) + X[:, right].sum(axis=1) / (1 - up[i] * turn[i])
-                         + X[:, left].sum(axis=1) / (1 - down[i] / turn[i]))
+    if off is None:
+        P = phase(ks[:, None], xr, xn)
+        total = (terms[:, band] @ P[band]
+                 + terms[:, right] @ P[right] / (1 - up[:, None] * turn)
+                 + terms[:, left] @ P[left] / (1 - down[:, None] / turn))
+    else:
+        X = terms * phase(ks - off[:, None], xr[:, None], xn[:, None])
+        total = (X[:, band].sum(axis=1) + X[:, right].sum(axis=1) / (1 - up * turn)
+                 + X[:, left].sum(axis=1) / (1 - down / turn))
     if not np.all(np.isfinite(total)):
         raise NonConvergent(f"weight-kernel B-sum not finite at k={ks[band][0]}..{ks[band][-1]}")
     return total

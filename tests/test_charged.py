@@ -1,5 +1,7 @@
 """Charged dilogarithms: transforms, conjugation identities, weight kernels."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import params
@@ -277,19 +279,55 @@ def test_paired_point_is_one_transform_call(monkeypatch):
     assert len(calls) == 1
 
 
-def test_band_longer_than_a_block_is_evaluated_in_pieces(monkeypatch):
-    # the band grows like N; with blocks of 16 points a band of about 60 shifts
-    # is one row at a time, in pieces of 16 shifts.  A transform value does not
-    # depend on its batch, so the paired values are the same bits; the grid's
-    # matmuls of other shapes may round apart.
-    p = params(2)
-    wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p, LcaPoint(0.3, 1))
-    paired = (wkp, [0.1, -0.4], [0, 1], [0.2, 0.9], [1, 0])
-    grid = (wkp, np.arange(-3, 9), np.arange(-2, 7), 8)
-    whole = weight_kernel_many(*paired), weight_kernel_grid(*grid)
-    monkeypatch.setattr(qdlab.charged, "_BLOCK_POINTS", 16)
-    np.testing.assert_array_equal(weight_kernel_many(*paired), whole[0])
-    np.testing.assert_allclose(weight_kernel_grid(*grid), whole[1], rtol=1e-13, atol=0)
+def test_band_longer_than_a_tile_keeps_its_bits(monkeypatch):
+    # the band grows like N; with tiles of 16 Faddeev points a row is cut into
+    # slices of 16 // N shifts.  A transform value does not depend on its tile,
+    # and _b_sum contracts every row at once whatever the tiles, so the paired
+    # and the grid values are the same bits.
+    for N in (1, 2, 3, 5):
+        p = params(N)
+        wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p, LcaPoint(0.3, 1))
+        paired = (wkp, [0.1, -0.4], [0, 1], [0.2, 0.9], [1, 0])
+        grid = (wkp, np.arange(-3, 9), np.arange(-2, 7), 8)
+        whole = weight_kernel_many(*paired), weight_kernel_grid(*grid)
+        with monkeypatch.context() as m:
+            m.setattr(qdlab.charged, "_BLOCK_POINTS", 16)
+            np.testing.assert_array_equal(weight_kernel_many(*paired), whole[0])
+            np.testing.assert_array_equal(weight_kernel_grid(*grid), whole[1])
+
+
+@pytest.mark.parametrize("N", [4, 7, 12])
+def test_band_edges_sit_at_the_corner_factors(N, rng):
+    # _band reads 3N factor arguments; the extremes over all N^2 of them, every
+    # factor j at every residue, give the same band
+    p = params(N)
+    for _ in range(5):
+        a, b = rng.uniform(0.05, 0.45, 2)
+        ch = ChargeTriple(a, b, 1 - a - b)
+        y0 = rng.uniform(-3, 3, 3)
+        o = qdlab.qdilog.factor_args(-p.theta.c * (ch.b + ch.c) / p.N.sqrt, -np.arange(N) % N, p)
+        r = qdlab.faddeev.live_radius(o.imag, p.theta)
+        lo, hi = np.min(o.real - r), np.max(o.real + r)
+        assert qdlab.charged._band(WeightKernelParams(ch, p), y0) == (
+            math.floor(N * (lo - np.max(y0) / p.N.sqrt)) - 1,
+            math.ceil(N * (hi - np.min(y0) / p.N.sqrt)) + 1)
+
+
+def test_every_faddeev_call_of_a_kernel_value_fits_a_tile(monkeypatch):
+    # over A_N a transform point holds N Faddeev factors, so a B-sum tile is
+    # counted in Faddeev points: at N=50 a row of about 1,400 shifts would be
+    # 69,000 points in one call
+    p = params(50)
+    real, sizes = qdlab.qdilog.log_phi_theta, []
+
+    def counted(z, theta):
+        sizes.append(np.size(z))
+        return real(z, theta)
+
+    monkeypatch.setattr(qdlab.qdilog, "log_phi_theta", counted)
+    weight_kernel(WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p),
+                  LcaPoint(0.1, 0), LcaPoint(0.2, 0))
+    assert sizes and max(sizes) <= qdlab.charged._BLOCK_POINTS
 
 
 @pytest.mark.parametrize("N", [2, 3])

@@ -176,10 +176,8 @@ def test_wgz_k_below_1_is_rejected(k, capsys):
     (lambda d: d["gluings"][0].update(vertex_map=[2, 1, "x"]), "vertex_map must be a list of 3"),
     (lambda d: d["tets"][1].update(sign=True), "tet 1: sign must be 1 or -1"),
     (lambda d: d["tets"][0].update(angles=["0.3333333333333333"] * 3), "tet 0: angles must be"),
-    # numpy refuses an array of the N factor offsets that the B-sum's band is
-    # read from; no smaller N that numpy accepts is tried, as its arrays would be
-    # allocated
-    (lambda d: d.update(N=10**30), "Maximum allowed size exceeded"),
+    # the weight kernel's B-sum refuses an N above charged._MAX_N by name
+    (lambda d: d.update(N=10**30), f"N = {10**30} is too large"),
 ], ids=["invalid-json", "not-object", "missing-field", "N-not-integer", "tet-fields",
         "tet-sign", "angle-count", "gluing-fields", "face-out-of-range", "glued-twice",
         "glued-to-itself", "N-bool", "tets-not-list", "gluings-not-list", "tet-not-object",
@@ -396,6 +394,16 @@ def test_dtheta_psi_kernel_commands(capsys):
         capsys,
     )
     assert code == 0
+
+
+def test_kernel_refuses_an_n_too_large_for_the_b_sum(capsys):
+    # at N = 10**12 the band's arrays would need terabytes; the kernel says why
+    code = run(["kernel", "--N", str(10**12), "--charges", "0.4,0.35,0.25",
+                "--x", "0.1,0", "--y", "0.2,0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: N = {10**12} is too large")
+    assert captured.err.count("\n") == 1  # one error line, no traceback
 
 
 @pytest.mark.parametrize("command, flags", [
