@@ -71,6 +71,12 @@ COMMANDS = [
     ["-m", "qdlab.cli", "partition", "--in", "{relabelled N=2}", "--name", "single_tet",
      "--grid", "16"],
     ["-m", "qdlab.cli", "check", "inversion", "--name", "nonexistent", "--samples", "2"],
+    # an N too large for D_theta's tiles, refused by name (exit 1), and gamma, whose
+    # closed form takes any N (exit 0)
+    ["-m", "qdlab.cli", "dtheta", "--N", "1000000000000", "--z", "0.4", "--n", "1"],
+    ["-m", "qdlab.cli", "psi", "--N", "1000000000000", "--charges", "0.4,0.35,0.25",
+     "--z", "0.3"],
+    ["-m", "qdlab.cli", "gamma", "--N", "1000000000000"],
 ]
 
 # vertex v of tet 1 renamed RELABEL[v]: a 3-cycle, an even permutation outside V4

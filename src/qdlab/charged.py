@@ -27,10 +27,10 @@ quasi-periodic in both arguments under B-shifts.  Every kernel value, paired
 (`weight_kernel_rows`, `weight_kernel_many`) or on a grid (`weight_kernel_grid`,
 for the per-tet tables of the partition function), comes from one B-sum engine
 in two stages.  `_rows` evaluates F psi once per set of points y, at their
-section points y0 = yr - yn/sqrt(N), in tiles of at most `_BLOCK_POINTS` Faddeev
-points per tile (a transform point holds N); x enters only the phases, which
-`_b_sum` contracts the rows with.  A B-shift y + s b0 has the same y0 and section
-offset yn + s, so it reads the same rows: `weight_kernel_rows` returns W(x, y + s b0)
+section points y0 = yr - yn/sqrt(N), in one log_forward_transform call, whose
+memory qdilog.log_dtheta bounds; x enters only the phases, which `_b_sum`
+contracts the rows with.  A B-shift y + s b0 has the same y0 and section offset
+yn + s, so it reads the same rows: `weight_kernel_rows` returns W(x, y + s b0)
 for every x and integer s from one evaluation of F psi.
 
 The B-sum's tails are geometric with period 2N.  F psi_{A,C}(z, n) is
@@ -58,7 +58,6 @@ formula, and `_b_sum` sums each tail as its 2N seed terms over 1 - R.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -108,12 +107,14 @@ class ChargeTriple:
 
 
 def log_psi(charges: ChargeTriple, z, n: int | np.ndarray, params: QdParams) -> np.ndarray:
-    """log psi_{A,C}(z, n) modulo 2 pi i; n, an integer or integer array, broadcasts with z."""
+    """log psi_{A,C}(z, n) modulo 2 pi i; n is an integer or an integer array along the last
+    axis of z (qdilog.log_dtheta)."""
     cth = params.theta.c
     rN = params.N.sqrt
     z = np.asarray(z, dtype=complex)
-    shift = cth * (charges.a + charges.c) / rN
-    return -2j * np.pi * cth * (charges.a / rN) * z - log_dtheta(z - shift, n, params)
+    # log D first, so that fewer whole-array temporaries live at once
+    log_d = log_dtheta(z - cth * (charges.a + charges.c) / rN, n, params)
+    return -2j * np.pi * cth * (charges.a / rN) * z - log_d
 
 
 def psi_charged(charges: ChargeTriple, z, n: int, params: QdParams):
@@ -135,19 +136,13 @@ def _transform_prefactor(charges: ChargeTriple, params: QdParams) -> complex:
 
 def log_forward_transform(charges: ChargeTriple, z, n: int | np.ndarray,
                           params: QdParams) -> np.ndarray:
-    """log (F psi_{A,C})(z, n) mod 2 pi i (closed form); n, an integer or integer array,
-    broadcasts with z."""
-    N = params.N.N
+    """log (F psi_{A,C})(z, n) mod 2 pi i (closed form); n is an integer or an integer array
+    along the last axis of z."""
     z = np.asarray(z, dtype=complex)
-    swapped = ChargeTriple(charges.c, charges.a, charges.b)  # psi_{C,B}
-    lg = 1j * np.pi * z**2 + np.log(
-        gaussian_exp(LcaPoint(0.0, n), params.N)
-    )  # log <z, n> with the n-part separated
-    return (
-        lg
-        + log_psi(swapped, -z, (-n) % N, params)
-        + np.log(_transform_prefactor(charges, params))
-    )
+    # psi_{C,B} before the Gaussian, so that fewer whole-array temporaries live at once
+    lp = log_psi(ChargeTriple(charges.c, charges.a, charges.b), -z, (-n) % params.N.N, params)
+    lg = 1j * np.pi * z**2 + np.log(gaussian_exp(LcaPoint(0.0, n), params.N))  # log <z, n>
+    return lg + lp + np.log(_transform_prefactor(charges, params))
 
 
 def forward_transform_closed(charges: ChargeTriple, z, n: int, params: QdParams):
@@ -229,38 +224,13 @@ def charged_identity_residuals(charges: ChargeTriple, samples, params: QdParams)
             for key, vals in (("f2_max", f2), ("f3_max", f3), ("f3_composition_max", comp))}
 
 
-# Faddeev points per tile of the B-sum.  Over A_N a transform point holds N Faddeev
-# factors (qdilog.log_dtheta), so a tile of rows x shifts is N * rows * shifts points;
-# this bounds the memory of one log_forward_transform call whatever the number of kernel
-# points, of shifts or N.  It also keeps every q-product batch below the 16,384 complex
-# values (256 KiB) past which numpy computes prod * (1 - e) in place, which rounds
-# differently, so a value does not depend on its tile.
-_BLOCK_POINTS = 4096
-
-# The largest N the B-sum takes.  A tile can split the rows and the shifts but not the N
-# factors of one transform point, so it holds at most _BLOCK_POINTS Faddeev points only
-# while N <= _BLOCK_POINTS.  The band grows like N: _rows reads 829, 8,242 and 27,462
-# shifts at N = 30, 300 and 1000, the same for every charge triple, about 27.5 N shifts
-# and so 27.5 N^2 Faddeev points per row.  At the limit one row is 27.5 * 4096^2 = 4.6e8
-# points, about 190 times the row of an N = 300 kernel value (about 1 s on a 2-core box).
-_MAX_N = _BLOCK_POINTS
-
-
 @dataclass(frozen=True)
 class WeightKernelParams:
-    """Charges, automorphy offset mu, and the ambient QdParams of one kernel.
-
-    Every B-sum takes one, so an N above _MAX_N is refused here, by name.
-    """
+    """Charges, automorphy offset mu, and the ambient QdParams of one kernel."""
 
     charges: ChargeTriple
     params: QdParams
     mu: LcaPoint = LcaPoint(0.0, 0)
-
-    def __post_init__(self):
-        if self.params.N.N > _MAX_N:
-            raise ValueError(f"N = {self.params.N.N} is too large for the weight kernel's "
-                             f"B-sum, which takes N <= {_MAX_N}")
 
 
 def _band(wkp: WeightKernelParams, y0: np.ndarray) -> tuple[int, int]:
@@ -294,20 +264,14 @@ def _rows(wkp: WeightKernelParams, y0: np.ndarray) -> tuple:
     F psi is evaluated only on the band k0..k1 of _band, where a q-product is live, on 2N
     seed shifts on each side, and on one ratio shift per side (see the module notes).
     NonConvergent is raised when a term is not finite or |up| or |down| >= 1.  F psi is
-    evaluated in tiles of rows of y0 times a slice of shifts, at most _BLOCK_POINTS Faddeev
-    points per tile (N per transform point), each one log_forward_transform call at
-    y0_i + k b0 with residues k mod N.
+    one log_forward_transform call at y0_i + k b0, with the residues k mod N along the
+    last axis.
     """
     p, ch = wkp.params, wkp.charges
     N, rN = p.N.N, p.N.sqrt
     k0, k1 = _band(wkp, y0)
     ks = np.arange(k0 - 2 * N - 1, k1 + 2 * N + 2)  # ratio, 2N seeds, band, 2N seeds, ratio
-    shifts = max(1, _BLOCK_POINTS // N)
-    rows = max(1, _BLOCK_POINTS // (N * min(shifts, len(ks))))
-    logs = np.empty((len(y0), len(ks)), dtype=complex)
-    for r, c in itertools.product(range(0, len(y0), rows), range(0, len(ks), shifts)):
-        i, k = slice(r, r + rows), slice(c, c + shifts)
-        logs[i, k] = log_forward_transform(ch, y0[i, None] + ks[k] / rN, ks[k] % N, p)
+    logs = log_forward_transform(ch, y0[:, None] + ks / rN, ks % N, p)
     terms = np.conj(pentagon_normalization(ch, p) * np.exp(logs))
     if not np.all(np.isfinite(terms)):
         raise NonConvergent(f"weight-kernel B-sum term not finite at k={k0}..{k1}")

@@ -17,6 +17,13 @@ So every log is defined only modulo 2 pi i; every caller exponentiates.
 
 For Re z > 0, log_phi_theta runs both products at -z, where they are short, by
 the inversion relation of Phi: log Phi(z) = pi i z^2 + 2 log Phi(0) - log Phi(-z).
+
+A value does not depend on its batch only while the batch is short.  From 16,384
+complex elements (256 KiB) numpy reuses a temporary operand of a complex multiply
+as its output, and the in-place product rounds differently: `prod * (1 - e)` in
+_log_pochhammer and `2 pi t (w + c)` in log_phi_theta are two such products.
+qdilog.log_dtheta evaluates every D_theta in tiles below that size; a direct
+log_phi_theta call on a longer array may move values in their last bits.
 """
 
 from __future__ import annotations
@@ -78,8 +85,10 @@ def _log_pochhammer(lx: np.ndarray, lq: complex, tol: float) -> np.ndarray:
 
     After its log-form head every live element runs the same D terms, D from q
     and tol alone, and every product is taken out of place (numpy's in-place
-    complex multiply rounds a lone element unlike a longer run), so a value does
-    not depend on the other points of the batch.
+    complex multiply rounds a lone element unlike a longer run).  So a value does
+    not depend on the other points of a batch of fewer than 16,384 live elements;
+    from that size numpy reuses the temporary 1 - e as the output of
+    prod * (1 - e), in place, which rounds differently (see the module notes).
     """
     lx = np.asarray(lx, dtype=complex)
     if not np.all(np.isfinite(lx)):
@@ -129,7 +138,8 @@ def log_phi_theta(z, theta: ThetaParam) -> np.ndarray:
     """log Phi_theta(z) modulo 2 pi i, vectorized over z.  No pole check (may return +/-inf).
 
     A product's log-form head grows with 2 pi Re(theta z), so Re z > 0 is reflected
-    (see above), per element: batching changes no value; c_theta stays put.
+    (see above), per element; c_theta stays put.  Batching changes no value below
+    16,384 points (see above).
     """
     _check_rate(theta)
     shape = np.shape(z)

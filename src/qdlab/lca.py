@@ -144,10 +144,20 @@ def scalar_out(z, vals):
 
 
 def gauss_gamma(N: Modulus) -> complex:
-    """gamma = integral_A <x> dx, regularized: Fresnel factor times a Gauss sum."""
-    n = np.arange(N.N)
-    s = np.sum(np.exp(-1j * np.pi * n * (n + N.N) / N.N))
-    return np.exp(1j * np.pi / 4) * s / N.sqrt
+    """gamma = integral_A <x> dx, regularized: the Fresnel factor e^{i pi/4} times the
+    Gauss sum N^{-1/2} S, S = sum_{n=0}^{N-1} e^{-pi i n(n + N)/N}, in closed form
+    gamma = e^{i pi N/4}.
+
+    S is a quadratic Gauss sum sum_{n mod c} e^{pi i (a n^2 + b n)/c} with a = -1, b = -N,
+    c = N, and ac + b = -2N is even.  Landsberg-Schaar reciprocity (in its form with a
+    linear term, Berndt-Evans-Williams, Gauss and Jacobi Sums, Thm 1.2.2) gives
+    S = |c/a|^{1/2} e^{pi i (|ac| - b^2)/(4ac)} sum_{n mod |a|} e^{-pi i (c n^2 + b n)/a}
+      = sqrt(N) e^{pi i (N^2 - N)/(4N)} = sqrt(N) e^{pi i (N - 1)/4},
+    the last sum having the one term n = 0.  So gamma = e^{pi i/4} e^{pi i (N - 1)/4},
+    which depends on N mod 8 only: reducing N first keeps the phase exact for any N.
+    The direct sum matches it to rounding (test_lca).
+    """
+    return np.exp(1j * np.pi * (N.N % 8) / 4)
 
 
 def lift(c: CircleVar, N: Modulus) -> LcaPoint:

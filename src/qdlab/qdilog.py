@@ -4,10 +4,20 @@ D_theta(x,n) = prod_{j=0}^{N-1} Phi_theta( x/sqrt(N) + (1 - 1/N) c
                                            - i theta^{-1} j/N - i theta {(j+n)/N} )
 
 together with the inversion relation and the Fourier transformation formula.
+
+D_theta is where the Faddeev work and memory are made: a point of A_N holds N
+Faddeev factors, so log_dtheta evaluates every D_theta in tiles of at most
+_TILE_POINTS Faddeev points.  It views z as rows times its last axis, along which
+n, an integer or an integer array, runs; a tile is some rows times a slice of that
+axis, and one log_phi_theta call.  The residues stay a vector along the last axis,
+so factor_args computes them per column, not per point.  A tile cannot split the N
+factors of one point, so QdParams refuses an N above _TILE_POINTS, by name.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +37,34 @@ __all__ = [
 ]
 
 
+# Faddeev points per tile of log_dtheta.  A point of A_N holds N Faddeev factors, so a
+# tile of rows x columns of z is N * rows * columns points; this bounds the memory of one
+# log_phi_theta call whatever the size of z or N.  It also keeps every q-product batch
+# below the 16,384 complex values (256 KiB) from which numpy multiplies in place
+# (faddeev._log_pochhammer), so a value does not depend on its tile.
+#
+# It is also the largest N that QdParams takes.  A tile can split the points of z but not
+# the N factors of one point, so it holds at most _TILE_POINTS Faddeev points only while
+# N <= _TILE_POINTS.  The work of the weight kernel's B-sum grows faster: its band reads
+# 829, 8,242 and 27,462 shifts at N = 30, 300 and 1000 (charged._band), the same for
+# every charge triple, about 27.5 N shifts and so 27.5 N^2 Faddeev points per row.  At the
+# limit one row is 27.5 * 4096^2 = 4.6e8 points, about 190 times the row of an N = 300
+# kernel value (about 1 s on a 2-core box).
+_TILE_POINTS = 4096
+
+
 @dataclass(frozen=True)
 class QdParams:
-    """theta and the modulus N.  The residue epsilon = (0, M) of order two is 0 for every N:
-    the paper determines M = 0 unless 8 | N and leaves the 8 | N case open."""
+    """theta and the modulus N <= _TILE_POINTS.  The residue epsilon = (0, M) of order two
+    is 0 for every N: the paper determines M = 0 unless 8 | N and leaves the 8 | N case open."""
 
     theta: ThetaParam
     N: Modulus
+
+    def __post_init__(self):
+        if self.N.N > _TILE_POINTS:
+            raise ValueError(f"N = {self.N.N} is too large: D_theta evaluates its N Faddeev "
+                             f"factors in tiles of at most {_TILE_POINTS}, so N <= {_TILE_POINTS}")
 
 
 def factor_args(z, n: int | np.ndarray, params: QdParams) -> np.ndarray:
@@ -46,10 +77,26 @@ def factor_args(z, n: int | np.ndarray, params: QdParams) -> np.ndarray:
 
 
 def log_dtheta(z, n: int | np.ndarray, params: QdParams) -> np.ndarray:
-    """log D_theta(z, n) modulo 2 pi i; n, an integer or integer array, broadcasts with z."""
+    """log D_theta(z, n) modulo 2 pi i; n is an integer or an integer array along the last
+    axis of z.
+
+    z is viewed as rows x its last axis, of length L, and evaluated in tiles of
+    max(1, min(_TILE_POINTS // N, L)) columns x max(1, _TILE_POINTS // (N columns)) rows,
+    at most _TILE_POINTS Faddeev points each (see the module notes).  Each tile is one
+    log_phi_theta call, its N factors added in order, j = 0..N-1.
+    """
+    N = params.N.N
     z = np.asarray(z, dtype=complex)
-    rows = log_phi_theta(factor_args(z, n, params), params.theta)
-    return sum(rows, np.zeros_like(z))  # rows added in factor order, j = 0..N-1
+    grid = z.reshape(math.prod(z.shape[:-1]), z.shape[-1] if z.ndim else 1)
+    n = np.broadcast_to(n, grid.shape[1:])
+    cols = max(1, min(_TILE_POINTS // N, grid.shape[1]))
+    rows = max(1, _TILE_POINTS // (N * cols))
+    out = np.empty_like(grid)
+    for r, c in itertools.product(range(0, grid.shape[0], rows), range(0, grid.shape[1], cols)):
+        i, k = slice(r, r + rows), slice(c, c + cols)
+        factors = log_phi_theta(factor_args(grid[i, k], n[k], params), params.theta)
+        out[i, k] = sum(factors, np.zeros_like(grid[i, k]))
+    return out.reshape(z.shape)
 
 
 def dtheta(z, n: int, params: QdParams):

@@ -280,8 +280,8 @@ def test_paired_point_is_one_transform_call(monkeypatch):
 
 
 def test_band_longer_than_a_tile_keeps_its_bits(monkeypatch):
-    # the band grows like N; with tiles of 16 Faddeev points a row is cut into
-    # slices of 16 // N shifts.  A transform value does not depend on its tile,
+    # the band grows like N; with tiles of 16 Faddeev points log_dtheta cuts a row
+    # into slices of 16 // N shifts.  A transform value does not depend on its tile,
     # and _b_sum contracts every row at once whatever the tiles, so the paired
     # and the grid values are the same bits.
     for N in (1, 2, 3, 5):
@@ -291,7 +291,7 @@ def test_band_longer_than_a_tile_keeps_its_bits(monkeypatch):
         grid = (wkp, np.arange(-3, 9), np.arange(-2, 7), 8)
         whole = weight_kernel_many(*paired), weight_kernel_grid(*grid)
         with monkeypatch.context() as m:
-            m.setattr(qdlab.charged, "_BLOCK_POINTS", 16)
+            m.setattr(qdlab.qdilog, "_TILE_POINTS", 16)
             np.testing.assert_array_equal(weight_kernel_many(*paired), whole[0])
             np.testing.assert_array_equal(weight_kernel_grid(*grid), whole[1])
 
@@ -314,10 +314,10 @@ def test_band_edges_sit_at_the_corner_factors(N, rng):
 
 
 def test_every_faddeev_call_of_a_kernel_value_fits_a_tile(monkeypatch):
-    # over A_N a transform point holds N Faddeev factors, so a B-sum tile is
-    # counted in Faddeev points: at N=50 a row of about 1,400 shifts would be
-    # 69,000 points in one call
-    p = params(50)
+    # over A_N a point of D_theta holds N Faddeev factors, so log_dtheta's tile is
+    # counted in Faddeev points: at N=50 a B-sum row of about 1,400 shifts would be
+    # 69,000 points in one call, and the Fourier transform of D_theta at N=2 sends
+    # 9,578 contour points, 19,156 Faddeev points
     real, sizes = qdlab.qdilog.log_phi_theta, []
 
     def counted(z, theta):
@@ -325,9 +325,11 @@ def test_every_faddeev_call_of_a_kernel_value_fits_a_tile(monkeypatch):
         return real(z, theta)
 
     monkeypatch.setattr(qdlab.qdilog, "log_phi_theta", counted)
-    weight_kernel(WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p),
+    weight_kernel(WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), params(50)),
                   LcaPoint(0.1, 0), LcaPoint(0.2, 0))
-    assert sizes and max(sizes) <= qdlab.charged._BLOCK_POINTS
+    qdlab.qdilog.fourier_transform_dtheta(0.35, 1, params(2))
+    forward_transform_quadrature(ChargeTriple(0.4, 0.35, 0.25), 0.3, 1, params(3))
+    assert sizes and max(sizes) <= qdlab.qdilog._TILE_POINTS
 
 
 @pytest.mark.parametrize("N", [2, 3])

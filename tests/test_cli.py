@@ -176,7 +176,7 @@ def test_wgz_k_below_1_is_rejected(k, capsys):
     (lambda d: d["gluings"][0].update(vertex_map=[2, 1, "x"]), "vertex_map must be a list of 3"),
     (lambda d: d["tets"][1].update(sign=True), "tet 1: sign must be 1 or -1"),
     (lambda d: d["tets"][0].update(angles=["0.3333333333333333"] * 3), "tet 0: angles must be"),
-    # the weight kernel's B-sum refuses an N above charged._MAX_N by name
+    # QdParams refuses an N above qdilog._TILE_POINTS by name
     (lambda d: d.update(N=10**30), f"N = {10**30} is too large"),
 ], ids=["invalid-json", "not-object", "missing-field", "N-not-integer", "tet-fields",
         "tet-sign", "angle-count", "gluing-fields", "face-out-of-range", "glued-twice",
@@ -396,10 +396,15 @@ def test_dtheta_psi_kernel_commands(capsys):
     assert code == 0
 
 
-def test_kernel_refuses_an_n_too_large_for_the_b_sum(capsys):
-    # at N = 10**12 the band's arrays would need terabytes; the kernel says why
-    code = run(["kernel", "--N", str(10**12), "--charges", "0.4,0.35,0.25",
-                "--x", "0.1,0", "--y", "0.2,0"])
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--charges", "0.4,0.35,0.25", "--x", "0.1,0", "--y", "0.2,0"],
+    ["dtheta", "--z", "0.4", "--n", "1"],
+    ["psi", "--charges", "0.4,0.35,0.25", "--z", "0.3"],
+], ids=["kernel", "dtheta", "psi"])
+def test_kernel_refuses_an_n_too_large_for_the_b_sum(argv, capsys):
+    # at N = 10**12 the N Faddeev factors of one point of D_theta would need
+    # terabytes; QdParams says why, for every command that evaluates D_theta
+    code = run(argv + ["--N", str(10**12)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith(f"error: N = {10**12} is too large")

@@ -116,10 +116,12 @@ def test_gauss_gamma():
     assert abs(gauss_gamma(Modulus(1)) - np.exp(1j * np.pi / 4)) < 1e-15
     # N=2 by hand: e^{i pi/4} (1 + i)/sqrt 2 = i
     assert abs(gauss_gamma(Modulus(2)) - 1j) < 1e-14
-    for N in range(1, 9):
-        assert abs(abs(gauss_gamma(Modulus(N))) - 1) < 1e-12
-    for N in (1, 2, 3):  # gamma = e^{i pi N/4}
-        assert abs(gauss_gamma(Modulus(N)) - np.exp(1j * np.pi * N / 4)) < 1e-12
+    for N in range(1, 17):  # the closed form against the direct Gauss sum
+        n = np.arange(N)
+        gauss_sum = np.sum(np.exp(-1j * np.pi * n * (n + N) / N))
+        direct = np.exp(1j * np.pi / 4) * gauss_sum / np.sqrt(N)
+        assert abs(gauss_gamma(Modulus(N)) - direct) < 1e-12
+    assert gauss_gamma(Modulus(10**12)) == 1  # N = 0 mod 8, with no N-term sum
 
 
 def test_weil_decomposition():

@@ -5,7 +5,9 @@ import pytest
 from conftest import params
 
 from qdlab.faddeev import phi_theta
+from qdlab.lca import STEP
 from qdlab.qdilog import (
+    _contour_delta,
     dtheta,
     factor_args,
     fourier_formula_residual,
@@ -13,6 +15,7 @@ from qdlab.qdilog import (
     fourier_formula_rhs,
     inversion_constant,
     inversion_residual,
+    log_dtheta,
 )
 
 
@@ -108,3 +111,23 @@ def test_fourier_formula_window_convergence():
 def test_inversion_constant_unimodular():
     for N in (1, 2, 3, 5):
         assert abs(abs(inversion_constant(params(N))) - 1) < 1e-14
+
+
+def test_long_contour_keeps_the_bits_of_short_chunks():
+    # the contour of fourier_transform_dtheta at N=2 holds 9,578 points, 19,156
+    # Faddeev factors.  In one log_phi_theta call numpy would multiply in place past
+    # 16,384 values and move 2,287 of them in their last bits; log_dtheta's tiles keep
+    # every value equal to the same points evaluated 2,048 at a time
+    p = params(2)
+    delta, h = _contour_delta(p), STEP / 4
+    z = np.arange(-14, 26 / (2 * np.pi * delta) + h / 2, h) + 1j * delta
+    assert len(z) == 9578
+    chunks = [log_dtheta(z[i:i + 2048], 1, p) for i in range(0, len(z), 2048)]
+    np.testing.assert_array_equal(log_dtheta(z, 1, p), np.concatenate(chunks))
+
+
+def test_n_up_to_a_tile_is_taken():
+    # at N = 4096 the factors of one point of D_theta fill one tile; N = 4097 would not fit
+    assert np.isfinite(log_dtheta(0.4, 1, params(4096)))
+    with pytest.raises(ValueError, match="N = 4097 is too large"):
+        params(4097)
