@@ -77,6 +77,9 @@ COMMANDS = [
     ["-m", "qdlab.cli", "psi", "--N", "1000000000000", "--charges", "0.4,0.35,0.25",
      "--z", "0.3"],
     ["-m", "qdlab.cli", "gamma", "--N", "1000000000000"],
+    # flags a check kind does not read, usage errors of `qdlab check <kind>` (exit 1)
+    ["-m", "qdlab.cli", "check", "groupoid", "--N", "5000", "--samples", "2"],
+    ["-m", "qdlab.cli", "check", "inversion", "--charges", "0.9,0.05,0.05", "--samples", "2"],
 ]
 
 # vertex v of tet 1 renamed RELABEL[v]: a 3-cycle, an even permutation outside V4

@@ -2,12 +2,14 @@
 
 CHECKS maps a check kind to its seeded sampler `sample(rng, ctx, n)`, its
 evaluator `evaluate(ctx, samples, spec)` returning a JSON-ready report dict,
-its limits {report key: strict upper bound}, and `reads`, the flags among
-"grid", "in" and "name" that it reads.  The CLI rejects the others, and builds
-the triangulation X only for a kind that reads it.
-`qdlab check <kind>` and the acceptance tests both go through this table.  ctx
-is a Context holding the QdParams, the charges or the triangulation X that the
-check reads.
+its limits {report key: strict upper bound}, and `reads`, every flag among
+"N", "theta-arg", "charges", "grid", "in" and "name" that the kind reads.
+`qdlab check <kind>` takes exactly those flags, beside --samples, --seed and
+--out, so any other is a usage error.  `qdlab check <kind>` and the acceptance
+tests both go through this table.  ctx is a Context holding only what the
+evaluator reads: the QdParams of a kind that evaluates D_theta, the charges of
+`charged`, and the triangulation X of `descent` and `gauge`, whose N and theta
+are X's own.
 """
 
 from __future__ import annotations
@@ -104,26 +106,30 @@ CHECKS: dict[str, Check] = {
     "inversion": Check(
         lambda rng, ctx, n: _residues(rng, ctx, n, -2.5, 2.5),
         _max_residual(qdilog.inversion_residual),
-        {"max_residual": 1e-9}),
+        {"max_residual": 1e-9},
+        ("N", "theta-arg")),
     "fourier": Check(
         _fourier_sample,
         _max_residual(qdilog.fourier_formula_residual),
-        {"max_residual": 1e-6}),
+        {"max_residual": 1e-6},
+        ("N", "theta-arg")),
     "charged": Check(
         lambda rng, ctx, n: _residues(rng, ctx, n, -2.0, 2.0),
         _charged_evaluate,
-        {"f1_closed_vs_quadrature": 1e-6, "f2_max": 1e-8, "f3_max": 1e-8}),
+        {"f1_closed_vs_quadrature": 1e-6, "f2_max": 1e-8, "f3_max": 1e-8},
+        ("N", "theta-arg", "charges")),
     "pentagon": Check(
         _pentagon_sample,
         lambda ctx, sam, spec: pentagon.check_charged_beta_pentagon(
             _PENTAGON_CHARGES, sam, ctx.params, spec),
         {"max_residual": 1e-4},
-        ("grid",)),
+        ("N", "theta-arg", "grid")),
     "faddeev-type": Check(
         lambda rng, ctx, n: [tuple(LcaPoint(*xm) for xm in _residues(rng, ctx, 2, -0.6, 0.6))
                              for _ in range(n)],
         lambda ctx, sam, spec: pentagon.check_faddeev_type(_PENTAGON_CHARGES, sam, ctx.params),
-        {"max_residual": 1e-4}),
+        {"max_residual": 1e-4},
+        ("N", "theta-arg")),
     "groupoid": Check(
         lambda rng, ctx, n: tuple([tuple(groupoid.random_point(rng) for _ in range(size))
                                    for _ in range(n)] for size in (3, 2)),
@@ -136,12 +142,12 @@ CHECKS: dict[str, Check] = {
             partition.descent_residual(ctx.X, st, e, k=ctx.X.N.N)
             for st in sam for e in range(len(ctx.X.edge_classes)))},
         {"max_residual": 1e-8},
-        ("in", "name")),
+        ("N", "theta-arg", "in", "name")),
     "gauge": Check(
         lambda rng, ctx, n: 0,  # the gauge direction of edge class 0; draws nothing
         _gauge_evaluate,
         {"rel_change": _GAUGE_LIMIT},
-        ("grid", "in", "name")),
+        ("N", "theta-arg", "grid", "in", "name")),
 }
 
 # the pass rule of `qdlab wgz` and of the WGZ acceptance criterion

@@ -1,13 +1,16 @@
 """Command-line surface: evaluation and verification subcommands with JSON I/O.
 
 Each subcommand takes only the flags its command reads; `qdlab <command> --help` lists them.
-A command returns its report and `run` writes it.  Exit codes: 0 success, 1 usage or
-validation error, 2 numerical non-convergence, 3 failed check, exactly when the printed
-report has "pass": false.  partition's --target bounds the estimated error of Z relative
-to |Z| (partition.partition_function) and must be finite.  A document read with --in
-fixes the triangulation, N and theta, so --name, --N and --theta-arg are refused beside
-it.  Complex numbers serialize as [re, im]; angles are accepted as rational multiples of
-pi ("1/3").  Identical command lines produce byte-identical JSON.
+Each check kind is a subcommand of its own, `qdlab check <kind>`, whose flags are the ones
+its checks.Check.reads names, with --samples, --seed and --out.  Any other flag is a usage
+error of the (sub)command it was given to.  A command returns its report and `run` writes
+it.  Exit codes: 0 success, 1 usage or validation error, 2 numerical non-convergence, 3
+failed check, exactly when the printed report has "pass": false.  partition's --target
+bounds the estimated error of Z relative to |Z| (partition.partition_function) and must
+be finite.  A document read with --in fixes the triangulation, N and theta, so --name,
+--N and --theta-arg are refused beside it.  Complex numbers serialize as [re, im]; angles
+are accepted as rational multiples of pi ("1/3").  Identical command lines produce
+byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -59,6 +62,20 @@ def _params(args) -> QdParams:
 def _spec(grid: int | None) -> QuadratureSpec:
     """The default QuadratureSpec, with M replaced where --grid gave it."""
     return QuadratureSpec() if grid is None else QuadratureSpec(M=grid)
+
+
+# the flags common() adds, under the names a command or Check.reads gives them, in --help
+# order; --charges is here with the default of `check charged`
+_SHARED_FLAGS = {
+    "theta-arg": {"help": "theta = e^{i pi p/q}, default 1/3"},
+    "N": {"type": int, "help": "level N, default 1"},
+    "grid": {"type": int, "help": "grid points M"},
+    "seed": {"type": int, "default": 0},
+    "out": {"help": "write JSON here instead of stdout"},
+    "in": {"dest": "inp", "help": "triangulation document"},
+    "name": {"help": "built-in triangulation, default fig8_2tet"},
+    "charges": {"default": "0.5,0.2,0.3", "help": "a,b,c summing to 1, default %(default)s"},
+}
 
 
 def _finite(text: str) -> float:
@@ -184,14 +201,11 @@ def cmd_check(args):
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     chk = checks.CHECKS[args.kind]
-    given = {"grid": args.grid, "in": args.inp, "name": args.name}
-    for flag, value in given.items():
-        if value is not None and flag not in chk.reads:
-            raise ValueError(f"check {args.kind} does not read --{flag}")
-    X = _load_triangulation(args) if "name" in chk.reads else None
-    ctx = checks.Context(_params(args), _parse_charges(args.charges), X)
+    X = _load_triangulation(args) if "in" in chk.reads else None  # X holds its N and theta
+    ctx = checks.Context(_params(args) if X is None and "N" in chk.reads else None,
+                         _parse_charges(args.charges) if "charges" in chk.reads else None, X)
     samples = chk.sample(np.random.default_rng(args.seed), ctx, args.samples)
-    report = chk.evaluate(ctx, samples, _spec(args.grid))
+    report = chk.evaluate(ctx, samples, _spec(args.grid) if "grid" in chk.reads else None)
     ok = checks.passes(report, chk.limits)
     return {**report, "pass": ok}
 
@@ -200,45 +214,38 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qdlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, theta=True, modulus=True, grid=False, seed=False, triangulation=False):
-        """Add to p the shared flags its command reads, and --out."""
-        if theta:
-            p.add_argument("--theta-arg", default=None, help="theta = e^{i pi p/q}, default 1/3")
-        if modulus:
-            p.add_argument("--N", type=int, default=None, help="level N, default 1")
-        if grid:
-            p.add_argument("--grid", type=int, default=None, help="grid points M")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        if triangulation:
-            p.add_argument("--in", dest="inp", default=None, help="triangulation document")
-            p.add_argument("--name", default=None, help="built-in triangulation, default fig8_2tet")
+    def common(p, *reads):
+        """Add to p the shared flags its command reads, named without their dashes, and
+        --out.  A flag that p does not take is reported in p's usage (run)."""
+        for flag, kwargs in _SHARED_FLAGS.items():
+            if flag in (*reads, "out"):
+                p.add_argument(f"--{flag}", **kwargs)
+        p.set_defaults(parser=p)
 
     p = sub.add_parser("phi", help="evaluate Faddeev's quantum dilogarithm")
-    common(p, modulus=False)
+    common(p, "theta-arg")
     p.add_argument("--z", required=True, help="complex as re,im")
     p.set_defaults(func=cmd_phi)
 
     p = sub.add_parser("dtheta", help="evaluate D_theta(x, n) over R x Z/N")
-    common(p)
+    common(p, "theta-arg", "N")
     p.add_argument("--z", required=True)
     p.add_argument("--n", type=int, default=0)
     p.set_defaults(func=cmd_dtheta)
 
     p = sub.add_parser("gamma", help="the Gaussian-integral constant of A_N")
-    common(p, theta=False)
+    common(p, "N")
     p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("psi", help="evaluate the charged function psi_{A,C}")
-    common(p)
+    common(p, "theta-arg", "N")
     p.add_argument("--charges", required=True, help="a,b,c summing to 1")
     p.add_argument("--z", required=True)
     p.add_argument("--n", type=int, default=0)
     p.set_defaults(func=cmd_psi)
 
     p = sub.add_parser("kernel", help="evaluate the two-variable weight kernel")
-    common(p)
+    common(p, "theta-arg", "N")
     p.add_argument("--charges", required=True)
     p.add_argument("--x", required=True, help="point of A_N as xr,n")
     p.add_argument("--y", required=True)
@@ -246,33 +253,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("partition", help="state-integral partition function")
-    common(p, grid=True, triangulation=True)
+    common(p, "theta-arg", "N", "grid", "in", "name")
     p.add_argument("--target", type=_finite, default=partition.TARGET,
                    help="bound on the estimated error of Z relative to |Z|, default %(default)g")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("pachner", help="apply the 2-3 move and print the new document")
-    common(p, triangulation=True)
+    common(p, "theta-arg", "N", "in", "name")
     p.add_argument("--face", default=f"{FIG8_CANONICAL_FACE[0]},{FIG8_CANONICAL_FACE[1]}")
     p.set_defaults(func=cmd_pachner)
 
     p = sub.add_parser("census", help="emit a built-in triangulation document")
-    common(p)
+    common(p, "theta-arg", "N")
     p.add_argument("--name", required=True)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("wgz", help="Weil-Gel'fand-Zak round-trip and commutation report")
-    common(p, theta=False, modulus=False, grid=True, seed=True)
+    common(p, "grid", "seed")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--b", default=None, help="level parameter b as re,im (2 Re b^2 = k)")
     p.set_defaults(func=cmd_wgz)
 
-    p = sub.add_parser("check", help="run a verification and report pass/fail JSON")
-    p.add_argument("kind", choices=list(checks.CHECKS))
-    common(p, grid=True, seed=True, triangulation=True)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--charges", default="0.5,0.2,0.3")
-    p.set_defaults(func=cmd_check)
+    kinds = sub.add_parser("check", help="run a verification and report pass/fail JSON"
+                           ).add_subparsers(dest="kind", required=True)
+    for kind, chk in checks.CHECKS.items():
+        p = kinds.add_parser(kind)
+        common(p, "seed", *chk.reads)
+        p.add_argument("--samples", type=int, default=20)
+        p.set_defaults(func=cmd_check)
     return ap
 
 
@@ -282,7 +290,9 @@ def run(argv=None) -> int:
         if re.fullmatch(r"--(?!help$)\w[\w-]*", argv[i - 1]) and re.match(r"-\.?\d", argv[i]):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
-        args = build_parser().parse_args(argv)
+        args, unread = build_parser().parse_known_args(argv)
+        if unread:  # the command's own parser refuses them, so its usage names the command
+            args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as e:  # argparse exits 0 after --help and 2 on a usage error
         return 1 if e.code else 0
     try:

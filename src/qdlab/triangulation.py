@@ -47,7 +47,7 @@ from .errors import (
 )
 from .faddeev import ThetaParam
 from .lca import Modulus
-from .pentagon import solve_pentagon_charges
+from .pentagon import pentagon_residuals, solve_pentagon_charges
 
 EDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # angle slot (0=a, 1=b, 2=c) carried by each edge pair; opposite edges agree
@@ -366,17 +366,15 @@ def pachner_32(X: ShapedTriangulation, edge_index: int) -> ShapedTriangulation:
     sign = X.tets[k0].sign
     if not (X.tets[k2].sign == X.tets[k4].sign == sign):
         raise TopologyError("three-tet signs disagree")
-    a1 = q0.a + q2.a
-    c1 = q0.c + q4.a
-    a3 = q2.a + q4.a
-    c3 = q0.a + q4.c
-    if abs(q2.c - (c1 + c3)) > 1e-9:
-        raise Infeasible("charges around the edge do not satisfy the transfer equations")
+    a1, c1 = q0.a + q2.a, q0.c + q4.a
+    a3, c3 = q2.a + q4.a, q0.a + q4.c
     try:
         t1 = ChargeTriple(a1, 1 - a1 - c1, c1)
         t3 = ChargeTriple(a3, 1 - a3 - c3, c3)
     except ValueError as e:
         raise Infeasible(str(e)) from e
+    if pentagon_residuals([q0, t1, q2, t3, q4]) > 1e-9:  # c2 = c1 + c3 is the one left open
+        raise Infeasible("charges around the edge do not satisfy the transfer equations")
     return _rewire(X, old, _TWO, [ShapedTet(sign, t3), ShapedTet(sign, t1)])
 
 

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,36 +100,55 @@ def test_zero_grid_and_tol_are_rejected(flag, capsys):
             ) in captured.err
 
 
-@pytest.mark.parametrize("flag,value", [("grid", "16"), ("tol", "1e-3"), ("name", "nonexistent"),
+@pytest.mark.parametrize("flag,value", [("N", "5000"), ("theta-arg", "1/2"),
+                                        ("charges", "0.9,0.05,0.05"), ("grid", "16"),
+                                        ("tol", "1e-3"), ("name", "nonexistent"),
                                         ("in", "missing.json")])
 @pytest.mark.parametrize("kind", list(checks.CHECKS))
 def test_check_rejects_flags_it_does_not_read(kind, flag, value, capsys):
-    # a kind that does not read a flag must not accept it silently; only descent and
-    # gauge read a triangulation.  The refusal comes before the triangulation is
-    # built, so the name and the path are not looked up.  No kind reads a tolerance,
-    # so --tol is not a flag of check at all: a usage error
-    reads = {"grid": {"pentagon", "gauge"}, "tol": set(), "name": {"descent", "gauge"},
-             "in": {"descent", "gauge"}}[flag]
+    # a kind that does not read a flag must not accept it silently.  `check <kind>`
+    # takes exactly the flags of Check.reads, so any other is a usage error of
+    # `qdlab check <kind>`, refused before anything is built: the name and the path
+    # are not looked up, and an N too large for D_theta is not reached.  No kind
+    # reads a tolerance
+    reads = {"N": set(checks.CHECKS) - {"groupoid"}, "theta-arg": set(checks.CHECKS) - {"groupoid"},
+             "charges": {"charged"}, "grid": {"pentagon", "gauge"}, "tol": set(),
+             "name": {"descent", "gauge"}, "in": {"descent", "gauge"}}[flag]
     assert (flag in checks.CHECKS[kind].reads) == (kind in reads)
     if kind in reads:
         return
     assert run(["check", kind, "--samples", "2", f"--{flag}", value]) == 1
     captured = capsys.readouterr()
-    if flag == "tol":
-        assert captured.out == "" and f"unrecognized arguments: --tol {value}" in captured.err
-        return
-    assert captured.out == "" and f"--{flag}" in captured.err and kind in captured.err
-    assert captured.err.count("\n") == 1
+    assert captured.out == "" and captured.err.startswith(f"usage: qdlab check {kind} ")
+    assert captured.err.endswith(
+        f"\nqdlab check {kind}: error: unrecognized arguments: --{flag} {value}\n")
+
+
+@pytest.mark.parametrize("kind", list(checks.CHECKS))
+def test_check_help_lists_the_flags_it_reads(kind, capsys):
+    assert run(["check", kind, "--help"]) == 0
+    listed = set(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M))
+    reads = (*checks.CHECKS[kind].reads, "samples", "seed", "out")
+    assert listed == {f"--{flag}" for flag in reads}
 
 
 def test_check_builds_a_triangulation_only_for_kinds_that_read_one(monkeypatch, capsys):
-    loaded = []
-    real = qdlab.cli._load_triangulation
-    monkeypatch.setattr(qdlab.cli, "_load_triangulation",
-                        lambda args: loaded.append(args.kind) or real(args))
+    # a triangulation for descent and gauge, the QdParams for a kind that evaluates
+    # D_theta, and the charge triple for charged
+    built = []
+    for name in ("_load_triangulation", "_params", "_parse_charges"):
+        real = getattr(qdlab.cli, name)
+        monkeypatch.setattr(qdlab.cli, name, lambda *a, name=name, real=real:
+                            built.append(name) or real(*a))
+    assert run(["check", "groupoid", "--samples", "2"]) == 0
+    assert built == []
     assert run(["check", "inversion", "--samples", "2"]) == 0
+    assert built == ["_params"]
+    assert run(["check", "charged", "--samples", "1"]) == 0
+    assert built == ["_params", "_params", "_parse_charges"]
+    built.clear()
     assert run(["check", "descent", "--samples", "1"]) == 0
-    assert loaded == ["descent"]
+    assert built == ["_load_triangulation"]
     assert run(["check", "descent", "--samples", "1", "--name", "nonexistent"]) == 1
     assert "unknown census entry" in capsys.readouterr().err
 

@@ -219,6 +219,19 @@ def test_pachner_32_rejects_wrong_edge():
         pachner_32(Y, idx)
 
 
+def test_pachner_32_refuses_charges_off_the_transfer_equations():
+    # q2's c moved off c1 + c3 by 1e-6, with b compensating: each tet is still a
+    # charge triple, but no two-tet side has these three as its 2-3 move
+    Y = pachner_23(fig8(), FIG8_CANONICAL_FACE)
+    idx = next(i for i, c in enumerate(Y.edge_classes) if len(c) == 3)
+    q2 = Y.tets[-2].angles
+    tets = [*Y.tets[:-2], ShapedTet(Y.tets[-2].sign, ChargeTriple(q2.a, q2.b - 1e-6, q2.c + 1e-6)),
+            Y.tets[-1]]
+    moved = ShapedTriangulation(Y.N, Y.theta, tets, Y.gluings)
+    with pytest.raises(Infeasible, match="do not satisfy the transfer equations"):
+        pachner_32(moved, idx)
+
+
 def test_balanced_perturbation_identity_and_positivity():
     X = fig8()
     d = gauge_direction(X, 0)
