@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Print a fingerprint of what this checkout computes, for a bit-for-bit diff.
 
-Two kinds of lines:
+Three kinds of lines:
 - every seed-1 value of the benchmark's three workloads (perfbench/workloads.py,
   imported read-only, at full size), as float.hex of its real and imaginary part;
 - for each command of a fixed list (every CLI subcommand, each exit path: 0, 1
   for the refusals, 3 for a failed check, and scripts/gauge_scan.py), its exit
   code and the sha1 of its stdout and of its stderr, and for the --out run the
-  sha1 of the file it wrote.
+  sha1 of the file it wrote;
+- last, Z of the five-tet complex (two 2-3 moves from fig8_3tet) at N=1 on the
+  M=64 grid, whose contraction runs its leading free edge one index at a time.
 
 Run it in two checkouts and diff the outputs; equal files mean the same bits.
 
@@ -16,6 +18,7 @@ Usage: python scripts/fingerprint.py > fingerprint.txt
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -133,8 +136,17 @@ def command_lines() -> list[str]:
     return lines
 
 
+def five_tet_line() -> str:
+    from qdlab.lca import QuadratureSpec
+    from qdlab.partition import partition_function
+    from qdlab.triangulation import builtin_census, pachner_23
+
+    X = pachner_23(pachner_23(builtin_census("fig8_3tet", N=1), (0, 2)), (2, 2))
+    return f"five-tet N=1 M=64 | Z | {_hex(partition_function(X, QuadratureSpec(M=64), math.inf).Z)}"
+
+
 def main():
-    print("\n".join(workload_lines() + command_lines()))
+    print("\n".join(workload_lines() + command_lines() + [five_tet_line()]))
 
 
 if __name__ == "__main__":

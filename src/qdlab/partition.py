@@ -26,8 +26,9 @@ they divide M, and a convergence ladder reads every rung that divides its larges
 Nothing is cached across calls.  Each tet's slot rows sum to zero (two edges
 at each slot), so the integrand depends only on j_c - j_0, and descent makes it
 periodic in each j_c: the sum is equal copies of the slice j_0 = 0 (M^(E-1)
-points), where each tet is one flat gather from its table.  Where the weight
-does not descend, Z is refused before any table is built (_require_descent).
+points), where each tet reads its table through one strided view, which
+numpy's constructor bounds-checks against the table.  Where the weight does
+not descend, Z is refused before any table is built (_require_descent).
 """
 
 from __future__ import annotations
@@ -174,27 +175,33 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
     and Z = n^-(E-1) times the sum over the other edges, whose box the tables span.
     Slabs hold at most _SLAB_POINTS points of the grid M at any E and stride:
     leading free edges run one index at a time until the remaining planes fit,
-    then the next edge steps by as many planes as fit.  Each tet is one take
-    from its raveled table at its read plan (_tet_tables), over its axes.
+    then the next edge steps by as many planes as fit.  A tet's read plan
+    (_tet_tables) is affine in the free j_c, so it reads each slab as a strided
+    view of its table, size 1 on the axes it does not touch: no index array, no
+    copy.  np.ndarray(buffer=...) checks the view's extent against the table,
+    negative strides included, and raises ValueError on a read past either end.
+    The product is allocated in C order, so np.sum adds in the pairwise order of
+    a gathered product, not that of a strided view, and Z keeps its bits.
     """
     E = len(X.edge_classes)
     if E == 0:
         return 1.0 + 0j
     n = M // stride
-    ax = stride * np.arange(n)
     r = next((r for r in range(E - 1) if M ** (E - 2 - r) <= _SLAB_POINTS), 0)
     steps = [1] * r + [max(1, _SLAB_POINTS // M ** (E - 2 - r))] if E > 1 else []
+    steps += [n] * (E - 1 - len(steps))  # free axis c - 1 runs edge c; the rest in one piece
     total = 0j
-    for starts in itertools.product(*[range(0, n, s) for s in steps]):
-        slab = [ax[a:a + s] for a, s in zip(starts, steps)]
-        j = [0, *np.ix_(*slab, *[ax] * (E - 1 - len(steps)))]  # j_c on free axis c - 1
-        shape, out = np.broadcast_shapes(*map(np.shape, j)), np.ones((), dtype=complex)
-        gathers = []
+    for first in itertools.product(*[range(0, n, s) for s in steps]):
+        sizes = [min(s, n - a) for a, s in zip(first, steps)]
+        views = []
         for tab in tables:
-            flat = sum((tab["step"][c] * j[c] for c in range(1, E) if tab["step"][c]), tab["off"])
-            gathers.append(tab["table"].ravel().take(flat))
-        for g in sorted(gathers, key=np.size):  # the small factors first, then in place
-            out = np.multiply(out, g, out=out if out.shape == shape else None)
+            table, step = tab["table"], [stride * s for s in tab["step"][1:]]
+            base = tab["off"] + sum(s * a for s, a in zip(step, first))
+            views.append(np.ndarray([k if s else 1 for s, k in zip(step, sizes)], table.dtype,
+                                    table, base * table.itemsize, [s * table.itemsize for s in step]))
+        shape, out = np.broadcast_shapes(*map(np.shape, views)), np.ones((), dtype=complex)
+        for g in sorted(views, key=np.size):  # the small factors first, then in place
+            out = np.multiply(out, g, out=out if out.shape == shape else None, order="C")
         total += np.sum(out)
     return complex(total / n ** (E - 1))
 

@@ -1,6 +1,8 @@
 """Boltzmann weights and the state integral: descent, stability, invariances."""
 
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -553,6 +555,73 @@ def test_slabs_are_bounded_at_six_edges(monkeypatch):
         assert _contract(X, tables, 8, stride) == pytest.approx(z, rel=1e-13)
     assert max(int(np.prod(s)) for s in shapes) == 24
     assert len(shapes) == 8**3 * 3 + 4**3 * 2
+
+
+def _take_contract(X, tables, M, stride=1):
+    """_contract as one take per tet from an int64 index array: the reference for the views."""
+    E, n = len(X.edge_classes), M // stride
+    ax, slab_points = stride * np.arange(n), qdlab.partition._SLAB_POINTS
+    r = next((r for r in range(E - 1) if M ** (E - 2 - r) <= slab_points), 0)
+    steps = [1] * r + [max(1, slab_points // M ** (E - 2 - r))]
+    total = 0j
+    for starts in itertools.product(*[range(0, n, s) for s in steps]):
+        slab = [ax[a:a + s] for a, s in zip(starts, steps)]
+        j = [0, *np.ix_(*slab, *[ax] * (E - 1 - len(steps)))]
+        shape, out = np.broadcast_shapes(*map(np.shape, j)), np.ones((), dtype=complex)
+        gathers = [tab["table"].ravel().take(sum((tab["step"][c] * j[c] for c in range(1, E)
+                                                  if tab["step"][c]), tab["off"]))
+                   for tab in tables]
+        for g in sorted(gathers, key=np.size):
+            out = np.multiply(out, g, out=out if out.shape == shape else None)
+        total += np.sum(out)
+    return complex(total / n ** (E - 1))
+
+
+def _contraction_complex(name):
+    if name == "four_tet":
+        return pachner_23(builtin_census("fig8_3tet", N=1), (0, 2))
+    return _five_tet(1) if name == "five_tet" else builtin_census(name, N=2)
+
+
+@pytest.mark.parametrize("name", ["fig8_3tet", "four_tet", "five_tet"])
+@pytest.mark.parametrize("stride", [1, 2, 4])
+@pytest.mark.parametrize("slab", ["default", "short"])
+def test_strided_views_keep_the_bits_of_the_gathers(monkeypatch, name, stride, slab):
+    # each tet reads its table through a strided view, not a take; the C-order
+    # product keeps numpy's pairwise sum order, so Z is bit-identical.  "short"
+    # gives three planes of the last slab edge per slab: many slabs, a short last one
+    X = _contraction_complex(name)
+    E, M = len(X.edge_classes), 16
+    tables = _tet_tables(X, M)
+    if slab == "short":
+        monkeypatch.setattr(qdlab.partition, "_SLAB_POINTS", 3 * M ** (E - 3))
+    assert _contract(X, tables, M, stride) == _take_contract(X, tables, M, stride)
+
+
+def test_contraction_allocates_one_slab_product():
+    # the four-tet at M=96 runs in slabs of 7 x 96 x 96 points: the views copy
+    # nothing, so the traced peak is one slab product (1.25 MB), where per-tet
+    # gathers and their int64 index arrays took 4.58 MB
+    X = pachner_23(builtin_census("fig8_3tet", N=1), (0, 2))
+    tables = _tet_tables(X, 96)
+    tracemalloc.start()
+    try:
+        _contract(X, tables, 96)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * np.dtype(complex).itemsize * qdlab.partition._SLAB_POINTS
+
+
+@pytest.mark.parametrize("rows", [-1, 1])
+def test_contraction_refuses_a_read_past_the_table(rows):
+    # one record's plan moved one table row past either end: numpy's bounds check
+    # on the view raises, where a take would have wrapped a negative index
+    X = pachner_23(builtin_census("fig8_3tet", N=1), (0, 2))
+    tables = _tet_tables(X, 16)
+    bad = {**tables[1], "off": tables[1]["off"] + rows * tables[1]["table"].shape[1]}
+    with pytest.raises(ValueError):
+        _contract(X, [*tables[:1], bad, *tables[2:]], 16)
 
 
 @pytest.mark.parametrize("name, shapes", [
