@@ -26,12 +26,19 @@ is its automorphic descent
 quasi-periodic in both arguments under B-shifts.  Every kernel value, paired
 (`weight_kernel_rows`, `weight_kernel_many`) or on a grid (`weight_kernel_grid`,
 for the per-tet tables of the partition function), comes from one B-sum engine
-in two stages.  `_rows` evaluates F psi once per set of points y, at their
-section points y0 = yr - yn/sqrt(N), in one log_forward_transform call, whose
-memory qdilog.log_dtheta bounds; x enters only the phases, which `_b_sum`
-contracts the rows with.  A B-shift y + s b0 has the same y0 and section offset
-yn + s, so it reads the same rows: `weight_kernel_rows` returns W(x, y + s b0)
-for every x and integer s from one evaluation of F psi.
+in three stages, at the section points y0 = yr - yn/sqrt(N) of a set of points y.
+- `_dtheta_rows` evaluates D_theta(-z - c_th (B + C)/sqrt(N), -n), the one factor
+  of F psi_{A,C}(z, n) that runs q-products, on the band of shifts the sum reads,
+  in one qdilog.log_dtheta call, whose memory that function bounds.  It reads the
+  charges through the float B + C alone, so `weight_kernel_cores` evaluates it once
+  per value of B + C, and every kernel with that value reads the same rows.
+- `_rows` adds the rest of log F psi (log_forward_transform, given those rows),
+  applies kappa, conj and exp, and reads the tail ratios.
+- `_b_sum` contracts the rows with the phases of x, which enters nowhere else.
+The paired and the grid values run the same float operations in the same order,
+so sharing the rows keeps every bit.  A B-shift y + s b0 has the same y0 and section
+offset yn + s, so it reads the same rows: `weight_kernel_rows` returns
+W(x, y + s b0) for every x and integer s from one evaluation of F psi.
 
 The B-sum's tails are geometric with period 2N.  F psi_{A,C}(z, n) is
 e^{pi i z^2} e^{2 pi i c_th C z/sqrt(N)} / D_theta(-z - s, -n) times factors of
@@ -82,6 +89,7 @@ __all__ = [
     "weight_kernel",
     "weight_kernel_many",
     "weight_kernel_rows",
+    "weight_kernel_cores",
     "weight_kernel_grid",
 ]
 
@@ -106,14 +114,23 @@ class ChargeTriple:
         return cls(1 / 3, 1 / 3, 1 / 3)
 
 
-def log_psi(charges: ChargeTriple, z, n: int | np.ndarray, params: QdParams) -> np.ndarray:
+def _log_d(s: float, z, n: int | np.ndarray, params: QdParams) -> np.ndarray:
+    """log D_theta(z - c_th s/sqrt(N), n), the one factor of psi_{A,C} that runs q-products;
+    it reads the charges through s = A + C alone."""
+    return log_dtheta(z - params.theta.c * s / params.N.sqrt, n, params)
+
+
+def log_psi(charges: ChargeTriple, z, n: int | np.ndarray, params: QdParams,
+            log_d=None) -> np.ndarray:
     """log psi_{A,C}(z, n) modulo 2 pi i; n is an integer or an integer array along the last
-    axis of z (qdilog.log_dtheta)."""
+    axis of z (qdilog.log_dtheta).  log_d, if given, is _log_d(A + C, z, n) already
+    evaluated."""
     cth = params.theta.c
     rN = params.N.sqrt
     z = np.asarray(z, dtype=complex)
     # log D first, so that fewer whole-array temporaries live at once
-    log_d = log_dtheta(z - cth * (charges.a + charges.c) / rN, n, params)
+    if log_d is None:
+        log_d = _log_d(charges.a + charges.c, z, n, params)
     return -2j * np.pi * cth * (charges.a / rN) * z - log_d
 
 
@@ -135,12 +152,15 @@ def _transform_prefactor(charges: ChargeTriple, params: QdParams) -> complex:
 
 
 def log_forward_transform(charges: ChargeTriple, z, n: int | np.ndarray,
-                          params: QdParams) -> np.ndarray:
+                          params: QdParams, log_d=None) -> np.ndarray:
     """log (F psi_{A,C})(z, n) mod 2 pi i (closed form); n is an integer or an integer array
-    along the last axis of z."""
+    along the last axis of z.  log_d, if given, is log D_theta(-z - c_th (B + C)/sqrt(N), -n)
+    = _log_d(B + C, -z, -n), the factor of psi_{C,B}(-z, -n) that runs q-products, already
+    evaluated: every charge triple with the same float B + C shares it."""
     z = np.asarray(z, dtype=complex)
     # psi_{C,B} before the Gaussian, so that fewer whole-array temporaries live at once
-    lp = log_psi(ChargeTriple(charges.c, charges.a, charges.b), -z, (-n) % params.N.N, params)
+    lp = log_psi(ChargeTriple(charges.c, charges.a, charges.b), -z, (-n) % params.N.N, params,
+                 log_d)
     lg = 1j * np.pi * z**2 + np.log(gaussian_exp(LcaPoint(0.0, n), params.N))  # log <z, n>
     return lg + lp + np.log(_transform_prefactor(charges, params))
 
@@ -233,9 +253,9 @@ class WeightKernelParams:
     mu: LcaPoint = LcaPoint(0.0, 0)
 
 
-def _band(wkp: WeightKernelParams, y0: np.ndarray) -> tuple[int, int]:
-    """(k0, k1) such that F psi(y0 + k b0) runs no live q-product for k < k0 or k > k1,
-    at every y0 given.
+def _band(p: QdParams, bc: float, y0: np.ndarray) -> tuple[int, int]:
+    """(k0, k1) such that F psi_{A,C}(y0 + k b0) runs no live q-product for k < k0 or
+    k > k1, at every y0 given, for every charge triple with B + C = bc.
 
     F psi_{A,C}(z, n) holds 1/D_theta(-z - s, -n), s = c_th (B + C)/sqrt(N) (log_psi of
     psi_{C,B}), and factor j of that D has argument o[j, n] - z/sqrt(N) with
@@ -248,30 +268,45 @@ def _band(wkp: WeightKernelParams, y0: np.ndarray) -> tuple[int, int]:
     residue sit at the corners j, m in {0, N - 1}, which the residues -n = 0, 1, -1 reach.
     So o holds 3N arguments, not N^2.
     """
-    p, ch = wkp.params, wkp.charges
     N, rN = p.N.N, p.N.sqrt
-    o = factor_args(-p.theta.c * (ch.b + ch.c) / rN, np.array([0, 1, -1]) % N, p)
+    o = factor_args(-p.theta.c * bc / rN, np.array([0, 1, -1]) % N, p)
     r = live_radius(o.imag, p.theta)
     return (math.floor(N * (np.min(o.real - r) - np.max(y0) / rN)) - 1,
             math.ceil(N * (np.max(o.real + r) - np.min(y0) / rN)) + 1)
 
 
-def _rows(wkp: WeightKernelParams, y0: np.ndarray) -> tuple:
-    """Stage one of the B-sum: (ks, T, up, down) with T[i, k] = conj(kappa F psi)(y0_i + k b0)
-    at every shift k the sum reads, and up, down the ratios of F psi one period apart past
-    the band on each side.
+def _dtheta_rows(p: QdParams, bc: float, y0: np.ndarray) -> tuple:
+    """Stage one of the B-sum: (ks, L) with L[i, k] = log D_theta(-z - c_th bc/sqrt(N), -k)
+    at z = y0_i + k b0, every shift k the sum reads, for every charge triple with B + C = bc.
 
-    F psi is evaluated only on the band k0..k1 of _band, where a q-product is live, on 2N
-    seed shifts on each side, and on one ratio shift per side (see the module notes).
-    NonConvergent is raised when a term is not finite or |up| or |down| >= 1.  F psi is
-    one log_forward_transform call at y0_i + k b0, with the residues k mod N along the
-    last axis.
+    That D is the one factor of F psi_{A,C}(z, k) that runs q-products, and it reads the
+    charges through B + C alone (log_forward_transform), so kernels whose charges share
+    the float B + C share these rows.  The shifts are the band k0..k1 of _band, where a
+    q-product is live, 2N seed shifts on each side and one ratio shift per side (see the
+    module notes); L is one log_dtheta call, with the residues -k mod N along the last axis.
+    """
+    N, rN = p.N.N, p.N.sqrt
+    k0, k1 = _band(p, bc, y0)
+    ks = np.arange(k0 - 2 * N - 1, k1 + 2 * N + 2)  # ratio, 2N seeds, band, 2N seeds, ratio
+    z = np.asarray(y0[:, None] + ks / rN, dtype=complex)
+    return ks, _log_d(bc, -z, (-ks) % N, p)
+
+
+def _rows(wkp: WeightKernelParams, y0: np.ndarray, d_rows: tuple | None = None) -> tuple:
+    """Stage two of the B-sum: (ks, T, up, down) with T[i, k] = conj(kappa F psi)(y0_i + k b0)
+    at every shift k of the D_theta rows (ks, L) of _dtheta_rows, and up, down the ratios of
+    F psi one period apart past the band on each side.
+
+    d_rows are the rows of this kernel's B + C at these y0, evaluated here when not given.
+    F psi is one log_forward_transform call that reads L, with the residues k mod N along
+    the last axis.  NonConvergent is raised when a term is not finite or |up| or
+    |down| >= 1.
     """
     p, ch = wkp.params, wkp.charges
     N, rN = p.N.N, p.N.sqrt
-    k0, k1 = _band(wkp, y0)
-    ks = np.arange(k0 - 2 * N - 1, k1 + 2 * N + 2)  # ratio, 2N seeds, band, 2N seeds, ratio
-    logs = log_forward_transform(ch, y0[:, None] + ks / rN, ks % N, p)
+    ks, log_d = _dtheta_rows(p, ch.b + ch.c, y0) if d_rows is None else d_rows
+    logs = log_forward_transform(ch, y0[:, None] + ks / rN, ks % N, p, log_d)
+    k0, k1 = ks[2 * N + 1], ks[-2 * N - 2]
     terms = np.conj(pentagon_normalization(ch, p) * np.exp(logs))
     if not np.all(np.isfinite(terms)):
         raise NonConvergent(f"weight-kernel B-sum term not finite at k={k0}..{k1}")
@@ -284,7 +319,7 @@ def _rows(wkp: WeightKernelParams, y0: np.ndarray) -> tuple:
 
 
 def _b_sum(wkp: WeightKernelParams, rows: tuple, xr, xn, off=None) -> np.ndarray:
-    """Stage two of the B-sum: S(x, y) = sum_k T[i, k] conj<j b0> <j b0; mu - x>, j = k - off_i,
+    """Stage three of the B-sum: S(x, y) = sum_k T[i, k] conj<j b0> <j b0; mu - x>, j = k - off_i,
     the sum at y = (y0_i, 0) + off_i b0 from the rows (ks, T, up, down) of _rows.
 
     W(x, y) = <x; -y/2> S(x, y); the prefactor is left to the callers.  Past the band the
@@ -357,11 +392,30 @@ def weight_kernel_many(wkp: WeightKernelParams, xr, xn, yr, yn) -> np.ndarray:
     return weight_kernel_rows(wkp, yr, yn)(xr, xn)
 
 
-def weight_kernel_grid(wkp: WeightKernelParams, us, ws, M: int) -> np.ndarray:
+def weight_kernel_cores(wkps, M: int) -> list[np.ndarray]:
+    """The M x M B-sum core S[w, u] = S((u h, 0), (w h, 0)), 0 <= u, w < M, of
+    weight_kernel_grid for each kernel of wkps, h = sqrt(N)/M.
+
+    D_theta is evaluated once per QdParams and float B + C: the kernels that share them
+    read the same rows of _dtheta_rows, which live only within this call.  Each core has
+    the bits of the kernel's own, as its rows are the same floats.
+    """
+    cores = {}
+    for p, bc in dict.fromkeys((w.params, w.charges.b + w.charges.c) for w in wkps):
+        y0 = np.arange(M) * (p.N.sqrt / M)
+        d_rows = _dtheta_rows(p, bc, y0)
+        for w in wkps:
+            if (w.params, w.charges.b + w.charges.c) == (p, bc):
+                cores[w] = _b_sum(w, _rows(w, y0, d_rows), y0, np.zeros(M, dtype=int))
+    return [cores[w] for w in wkps]
+
+
+def weight_kernel_grid(wkp: WeightKernelParams, us, ws, M: int, core=None) -> np.ndarray:
     """W_{A,C;mu}((u_i h, 0), (w_j h, 0)) at every pair, as an array indexed [j, i].
 
     us and ws are integer indices of the grid of step h = sqrt(N)/M.  The B-sum
-    S of _b_sum is evaluated only on the M x M core 0 <= u, w < M and extended
+    S of _b_sum is evaluated only on the M x M core 0 <= u, w < M (weight_kernel_cores,
+    or core, if given) and extended
     by two automorphy relations, identities of the infinite sum: u -> u + M
     leaves every phase e^{-2 pi i k u/M} unchanged, and w -> w + M maps term k
     to term k + N, so S(u, w + qM) = lambda(u)^q S(u, w) with
@@ -374,21 +428,23 @@ def weight_kernel_grid(wkp: WeightKernelParams, us, ws, M: int) -> np.ndarray:
     that cover us, ws, and us, ws are gathered from them.
     """
     p = wkp.params
-    N, h = p.N.N, p.N.sqrt / M
+    N = p.N.N
     us, ws = np.asarray(us, dtype=int), np.asarray(ws, dtype=int)
-    core = np.arange(M)
-    S = _b_sum(wkp, _rows(wkp, core * h), core * h, 0 * core)
+    S = weight_kernel_cores([wkp], M)[0] if core is None else core
+    u0 = np.arange(M)
     a, q = (np.arange(v.min() // M, v.max() // M + 1)[:, None] for v in (us, ws))  # block indices
 
     def root(k, d):  # e^{pi i k/d} for integer k
         return np.exp(1j * np.pi * (k % (2 * d)) / d)
 
     cols = us - a[0, 0] * M  # of the flattened (a, u0) axis
-    T0 = S * root(-N * core[:, None] * core, M * M)
-    T0a = (T0[:, None, :] * root(-N * a * core, M).T[:, :, None]).reshape(M, -1)[:, cols]
-    qa = (root(N * q[..., None] * core, M) * (1 - 2 * (N * q * (1 - a.T) % 2))[..., None]
+    qa = (root(N * q[..., None] * u0, M) * (1 - 2 * (N * q * (1 - a.T) % 2))[..., None]
           * np.exp(-2j * np.pi * q[..., None] * p.N.sqrt * wkp.mu.x)).reshape(len(q), -1)[:, cols]
-    return (T0a * qa[:, None, :]).reshape(len(q) * M, -1)[ws - q[0, 0] * M]
+    # T0, then its columns a of phases, then the blocks: each step frees the last
+    T = S * root(-N * u0[:, None] * u0, M * M)
+    T = (T[:, None, :] * root(-N * a * u0, M).T[:, :, None]).reshape(M, -1)[:, cols]
+    T = (T * qa[:, None, :]).reshape(len(q) * M, -1)
+    return T[ws - q[0, 0] * M]
 
 
 def weight_kernel(wkp: WeightKernelParams, x: LcaPoint, y: LcaPoint) -> complex:

@@ -19,10 +19,13 @@ on the M x M core only; by the two automorphy relations of the kernel every
 M x M block of the table is that core times a rank-one unimodular phase.
 
 Within one call, tets with equal charges, sign and index ranges share one
-table.  A grid of M/s points per edge is the stride-s subgrid of the M grid,
-so it is contracted straight from the M tables: its index j reads the M-grid
-entry at s j.  The error estimate reads its M/2 and M/4 grids this way where
-they divide M, and a convergence ladder reads every rung that divides its largest.
+table, tets with equal charges share one core, and D_theta, the B-sum's one
+costly factor, is evaluated once per float b + c (charged.weight_kernel_cores):
+fig8_3tet's three tets read one band, the four-tet's four read two.  A grid of
+M/s points per edge is the stride-s subgrid of the M grid, so it is contracted
+straight from the M tables: its index j reads the M-grid entry at s j.  The
+error estimate reads its M/2 and M/4 grids this way where they divide M, and a
+convergence ladder reads every rung that divides its largest.
 Nothing is cached across calls.  Each tet's slot rows sum to zero (two edges
 at each slot), so the integrand depends only on j_c - j_0, and descent makes it
 periodic in each j_c: the sum is equal copies of the slice j_0 = 0 (M^(E-1)
@@ -39,7 +42,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .charged import WeightKernelParams, weight_kernel, weight_kernel_grid
+from .charged import WeightKernelParams, weight_kernel, weight_kernel_cores, weight_kernel_grid
 from .errors import NonConvergent, TopologyError
 from .lca import LcaPoint, QuadratureSpec, b_generator, lift
 from .qdilog import QdParams
@@ -138,16 +141,20 @@ def _tet_tables(X: ShapedTriangulation, M: int) -> list[dict]:
     (_slots), whose E1 part gives u and E2 part w; entry [w - wmin, u - umin] =
     W((u h, 0), (w h, 0)).  So the entry at free indices j_c is table.ravel()[off
     + sum_c step[c] j_c], step[c] = m2_c ncol + m1_c and off = -wmin ncol - umin.
-    Tets with equal charges, sign and ranges share one array.
+    Tets with equal charges, sign and ranges share one array.  The M x M B-sum cores
+    come first, one per charge triple, from weight_kernel_cores, which evaluates D_theta
+    once per float b + c and drops those rows before any table is built.
     """
+    kernels = {tet.angles: _kernel(X, tet) for tet in X.tets}
+    cores = dict(zip(kernels, weight_kernel_cores(list(kernels.values()), M)))
     memo, records = {}, []
     for tet, row in zip(X.tets, _slots(X)):
         (umin, wmin), (umax, wmax) = ((f(row[:, 1:], 0).sum(axis=1) * (M - 1)).tolist()
                                       for f in (np.minimum, np.maximum))  # j_0 = 0 widens no range
         key = (tet.angles, tet.sign, umin, umax, wmin, wmax)
         if key not in memo:
-            table = weight_kernel_grid(_kernel(X, tet), np.arange(umin, umax + 1),
-                                       np.arange(wmin, wmax + 1), M)
+            table = weight_kernel_grid(kernels[tet.angles], np.arange(umin, umax + 1),
+                                       np.arange(wmin, wmax + 1), M, cores[tet.angles])
             memo[key] = np.conj(table) if tet.sign < 0 else table
         ncol = umax - umin + 1
         records.append({"table": memo[key], "step": (row[1] * ncol + row[0]).tolist(),

@@ -64,3 +64,12 @@ def branched_two_tet(N: int = 1) -> ShapedTriangulation:
                FaceGluing(0, 2, 1, 0, (1, 2, 3)), FaceGluing(0, 3, 1, 1, (0, 2, 3))]
     return ShapedTriangulation(Modulus(N), ThetaParam.from_pi_fraction("1/3"),
                                [ShapedTet(1, third), ShapedTet(-1, third)], gluings)
+
+
+def renumbered(X: ShapedTriangulation, order) -> ShapedTriangulation:
+    """X with its tets renumbered: new tet i is old tet order[i], and every FaceGluing's
+    tet indices are remapped to match."""
+    new = {old: i for i, old in enumerate(order)}
+    gluings = [FaceGluing(new[g.from_tet], g.from_face, new[g.to_tet], g.to_face, g.vertex_map)
+               for g in X.gluings]
+    return ShapedTriangulation(X.N, X.theta, [X.tets[t] for t in order], gluings)

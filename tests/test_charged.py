@@ -212,7 +212,7 @@ def test_band_matches_the_dead_mask(N, frac, A, monkeypatch):
     p = params(N, frac)
     wkp = WeightKernelParams(ChargeTriple(A, (1 - A) / 3, 2 * (1 - A) / 3), p)
     y0 = np.array([-1.3, 0.0, 0.7])
-    k0, k1 = qdlab.charged._band(wkp, y0)
+    k0, k1 = qdlab.charged._band(p, wkp.charges.b + wkp.charges.c, y0)
     real_product, real_phi = qdlab.faddeev._log_pochhammer, qdlab.qdilog.log_phi_theta
     live, args = [], []
 
@@ -238,45 +238,55 @@ def test_band_matches_the_dead_mask(N, frac, A, monkeypatch):
     assert ks[live].min() <= k0 + N + 1 and ks[live].max() >= k1 - N - 1
 
 
+def _record_z(monkeypatch) -> dict:
+    """Record the z of every call of the D_theta stage (charged.log_dtheta) and of the
+    transform (charged.log_forward_transform), by name."""
+    seen = {"log_dtheta": [], "log_forward_transform": []}
+    real_d, real_f = qdlab.charged.log_dtheta, qdlab.charged.log_forward_transform
+
+    def log_dtheta(z, *args):
+        seen["log_dtheta"].append(np.asarray(z))
+        return real_d(z, *args)
+
+    def log_forward_transform(charges, z, *args):
+        seen["log_forward_transform"].append(np.asarray(z))
+        return real_f(charges, z, *args)
+
+    monkeypatch.setattr(qdlab.charged, "log_dtheta", log_dtheta)
+    monkeypatch.setattr(qdlab.charged, "log_forward_transform", log_forward_transform)
+    return seen
+
+
 def test_b_sum_length_per_side(monkeypatch):
     # a paired point costs its band, 2N seed shifts on each side and one ratio
     # shift per side.  The band is where a q-product is live; C and B set only how
     # fast the tails decay, and the tails are summed in closed form, so with A fixed
     # the cost is the same for C = 0.125 and for C = 0.7 (210 points when each side
-    # was summed term by term to 1e-14 at C = 0.125)
+    # was summed term by term to 1e-14 at C = 0.125).  The D_theta stage and the
+    # rest of the transform both see every point once.
     N = 2
     p = params(N)
-    real = qdlab.charged.log_forward_transform
-    points = []
-
-    def counted(charges, z, *args):
-        points.append(np.size(z))
-        return real(charges, z, *args)
-
-    monkeypatch.setattr(qdlab.charged, "log_forward_transform", counted)
+    seen = _record_z(monkeypatch)
     for C in (0.125, 0.7):
         wkp = WeightKernelParams(ChargeTriple(0.1417, 0.8583 - C, C), p)
-        k0, k1 = qdlab.charged._band(wkp, np.array([0.2 - 1 / p.N.sqrt]))
-        points.clear()
+        k0, k1 = qdlab.charged._band(p, wkp.charges.b + wkp.charges.c,
+                                     np.array([0.2 - 1 / p.N.sqrt]))
+        for zs in seen.values():
+            zs.clear()
         weight_kernel(wkp, LcaPoint(0.1, 0), LcaPoint(0.2, 1))
-        assert sum(points) == (k1 - k0 + 1) + 4 * N + 2 == 61
+        for zs in seen.values():
+            assert sum(z.size for z in zs) == (k1 - k0 + 1) + 4 * N + 2 == 61
 
 
 def test_paired_point_is_one_transform_call(monkeypatch):
     # the terms of a paired point share their residues k mod N with every other
-    # row, so all of them, of every residue, go to log_forward_transform at once
+    # row, so all of them, of every residue, go to log_forward_transform at once,
+    # and their D_theta factors to log_dtheta at once
     p = params(3)
-    real = qdlab.charged.log_forward_transform
-    calls = []
-
-    def counted(charges, z, *args):
-        calls.append(np.shape(z))
-        return real(charges, z, *args)
-
-    monkeypatch.setattr(qdlab.charged, "log_forward_transform", counted)
+    seen = _record_z(monkeypatch)
     wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p, LcaPoint(0.3, 1))
     weight_kernel(wkp, LcaPoint(0.1, 2), LcaPoint(0.2, 1))
-    assert len(calls) == 1
+    assert [len(zs) for zs in seen.values()] == [1, 1]
 
 
 def test_band_longer_than_a_tile_keeps_its_bits(monkeypatch):
@@ -308,7 +318,7 @@ def test_band_edges_sit_at_the_corner_factors(N, rng):
         o = qdlab.qdilog.factor_args(-p.theta.c * (ch.b + ch.c) / p.N.sqrt, -np.arange(N) % N, p)
         r = qdlab.faddeev.live_radius(o.imag, p.theta)
         lo, hi = np.min(o.real - r), np.max(o.real + r)
-        assert qdlab.charged._band(WeightKernelParams(ch, p), y0) == (
+        assert qdlab.charged._band(p, ch.b + ch.c, y0) == (
             math.floor(N * (lo - np.max(y0) / p.N.sqrt)) - 1,
             math.ceil(N * (hi - np.min(y0) / p.N.sqrt)) + 1)
 
@@ -409,7 +419,7 @@ def test_b_sum_tails_are_geometric(N):
     x, y = LcaPoint(0.3, 1 % N), LcaPoint(-0.2, 1 % N)
     rN, cos = p.N.sqrt, p.theta.theta.real
     y0 = y.x - y.n / rN
-    k0, k1 = qdlab.charged._band(wkp, np.array([y0]))
+    k0, k1 = qdlab.charged._band(p, ch.b + ch.c, np.array([y0]))
     kap, b0 = pentagon_normalization(ch, p), b_generator(p.N)
 
     def summand(k):  # term k of the sum from the canonical section is j = k - yn

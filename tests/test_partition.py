@@ -6,7 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import EVEN_PERMS, branched_two_tet, brute_kernel, params, relabelled_fig8
+from conftest import (EVEN_PERMS, branched_two_tet, brute_kernel, params, relabelled_fig8,
+                      renumbered)
 
 import qdlab.charged
 import qdlab.partition
@@ -336,10 +337,12 @@ def test_partition_cli_on_a_relabelled_fig8(N, code, tmp_path, capsys):
                                builtin_census("single_tet")],
                          ids=["relabelled-N1", "relabelled-N3", "single_tet"])
 def test_refusal_comes_before_any_table(X, monkeypatch):
-    # the descent gate runs before the first table, so no kernel grid is built
+    # the descent gate runs before the first table, so no B-sum core and no kernel
+    # grid is built
     def no_table(*args):
         raise AssertionError("a table was built before the refusal")
 
+    monkeypatch.setattr(qdlab.partition, "weight_kernel_cores", no_table)
     monkeypatch.setattr(qdlab.partition, "weight_kernel_grid", no_table)
     with pytest.raises(TopologyError):
         partition_function(X, QuadratureSpec(M=16), target=1.0)
@@ -653,6 +656,86 @@ def test_equal_tets_share_one_table():
         np.testing.assert_array_equal(again[t]["table"], tabs[t]["table"])
 
 
+def _four_tet(N):
+    return pachner_23(builtin_census("fig8_3tet", N=N), (0, 2))
+
+
+@pytest.mark.parametrize("name,bands", [("fig8_3tet", 1), ("four_tet", 2), ("five_tet", 3)])
+def test_dtheta_runs_once_per_b_plus_c(name, bands, monkeypatch):
+    # D_theta reads the charges through b + c alone, so _tet_tables evaluates it on
+    # the B-sum band once per float b + c: 3, 4 and 5 tets, 1, 2 and 3 bands
+    X = {"fig8_3tet": builtin_census("fig8_3tet"), "four_tet": _four_tet(1),
+         "five_tet": _five_tet(1)}[name]
+    real, calls = qdlab.charged.log_dtheta, []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(qdlab.charged, "log_dtheta", counted)
+    _tet_tables(X, 16)
+    assert len({t.angles.b + t.angles.c for t in X.tets}) == len(calls) == bands
+
+
+@pytest.mark.parametrize("name,N", [("fig8_3tet", 1), ("fig8_3tet", 2), ("fig8_3tet", 3),
+                                    ("four_tet", 1), ("five_tet", 1)])
+def test_shared_dtheta_rows_keep_every_table_bit(name, N):
+    # a table read off its group's shared D_theta rows has the bits of the tet's own
+    # weight_kernel_grid, which evaluates D_theta for that tet alone
+    X = {"fig8_3tet": builtin_census("fig8_3tet", N=N), "four_tet": _four_tet(N),
+         "five_tet": _five_tet(N)}[name]
+    M = 32
+    for tet, row, tab in zip(X.tets, qdlab.partition._slots(X), _tet_tables(X, M)):
+        # the box of the slice j_0 = 0: edge 0 reads index 0 only
+        (umin, umax), (wmin, wmax) = ((sum(min(v * (M - 1), 0) for v in m[1:]),
+                                       sum(max(v * (M - 1), 0) for v in m[1:]))
+                                      for m in row.tolist())
+        own = weight_kernel_grid(qdlab.partition._kernel(X, tet), np.arange(umin, umax + 1),
+                                 np.arange(wmin, wmax + 1), M)
+        np.testing.assert_array_equal(tab["table"], np.conj(own) if tet.sign < 0 else own)
+
+
+@pytest.mark.parametrize("name", ["fig8_3tet", "four_tet"])
+def test_tet_order_keeps_Z(name):
+    # renumbering the tets moves the edge classes, the fixed edge j_0, the slab order
+    # and the order in which D_theta bands are shared, but not Z beyond rounding
+    X = builtin_census("fig8_3tet", N=2) if name == "fig8_3tet" else _four_tet(2)
+    z = _grid_values(X, [64])[0]
+    for order in itertools.permutations(range(len(X.tets))):
+        zo = _grid_values(renumbered(X, order), [64])[0]
+        assert abs(zo - z) <= 1e-12 * abs(z), order
+
+
+@pytest.fixture
+def nan_dtheta_rows(monkeypatch):
+    """Put one NaN into the D_theta rows of every charged._dtheta_rows call."""
+    real, calls = qdlab.charged._dtheta_rows, []
+
+    def poisoned(*args):
+        ks, log_d = real(*args)
+        log_d[len(log_d) // 2, len(ks) // 2] = np.nan
+        calls.append(1)
+        return ks, log_d
+
+    monkeypatch.setattr(qdlab.charged, "_dtheta_rows", poisoned)
+    return calls
+
+
+def test_nan_in_shared_dtheta_rows_is_refused(nan_dtheta_rows, capsys):
+    # fig8_3tet's three tets share b + c, so all read one poisoned band.  The NaN
+    # meets finite imaginary parts on its way to exp, which numpy warns of; the
+    # warning is silenced so that the B-sum's own guard is what refuses it
+    X = builtin_census("fig8_3tet")
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonConvergent):
+            _tet_tables(X, 16)
+        assert len(nan_dtheta_rows) == 1
+        with pytest.raises(NonConvergent):
+            partition_function(X, QuadratureSpec(M=16), target=1.0)
+        assert run(["partition", "--name", "fig8_3tet", "--grid", "16", "--target", "1.0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.fixture
 def nan_transform(monkeypatch):
     """Put one NaN into the first output of charged.log_forward_transform."""
@@ -694,8 +777,8 @@ def test_partition_raises_on_nan_table(monkeypatch):
     # the guard of partition_function itself, behind the B-sum's own guard
     real = qdlab.partition.weight_kernel_grid
 
-    def poisoned(wkp, us, ws, M):
-        out = real(wkp, us, ws, M)
+    def poisoned(wkp, us, ws, M, core):
+        out = real(wkp, us, ws, M, core)
         out[list(ws).index(0), list(us).index(0)] = np.nan  # the entry at equal states
         return out
 
