@@ -120,11 +120,11 @@ def _log_d(s: float, z, n: int | np.ndarray, params: QdParams) -> np.ndarray:
     return log_dtheta(z - params.theta.c * s / params.N.sqrt, n, params)
 
 
-def log_psi(charges: ChargeTriple, z, n: int | np.ndarray, params: QdParams,
+def log_psi(charges: ChargeTriple, z, n: int | np.ndarray | None, params: QdParams,
             log_d=None) -> np.ndarray:
     """log psi_{A,C}(z, n) modulo 2 pi i; n is an integer or an integer array along the last
     axis of z (qdilog.log_dtheta).  log_d, if given, is _log_d(A + C, z, n) already
-    evaluated."""
+    evaluated, and n is not read."""
     cth = params.theta.c
     rN = params.N.sqrt
     z = np.asarray(z, dtype=complex)
@@ -159,8 +159,8 @@ def log_forward_transform(charges: ChargeTriple, z, n: int | np.ndarray,
     evaluated: every charge triple with the same float B + C shares it."""
     z = np.asarray(z, dtype=complex)
     # psi_{C,B} before the Gaussian, so that fewer whole-array temporaries live at once
-    lp = log_psi(ChargeTriple(charges.c, charges.a, charges.b), -z, (-n) % params.N.N, params,
-                 log_d)
+    lp = log_psi(ChargeTriple(charges.c, charges.a, charges.b), -z,
+                 None if log_d is not None else (-n) % params.N.N, params, log_d)
     lg = 1j * np.pi * z**2 + np.log(gaussian_exp(LcaPoint(0.0, n), params.N))  # log <z, n>
     return lg + lp + np.log(_transform_prefactor(charges, params))
 
@@ -300,19 +300,21 @@ def _rows(wkp: WeightKernelParams, y0: np.ndarray, d_rows: tuple | None = None) 
     d_rows are the rows of this kernel's B + C at these y0, evaluated here when not given.
     F psi is one log_forward_transform call that reads L, with the residues k mod N along
     the last axis.  NonConvergent is raised when a term is not finite or |up| or
-    |down| >= 1.
+    |down| >= 1; numpy's warnings on a NaN or an overflow in exp are silenced, as these
+    checks refuse the value.
     """
     p, ch = wkp.params, wkp.charges
     N, rN = p.N.N, p.N.sqrt
     ks, log_d = _dtheta_rows(p, ch.b + ch.c, y0) if d_rows is None else d_rows
     logs = log_forward_transform(ch, y0[:, None] + ks / rN, ks % N, p, log_d)
     k0, k1 = ks[2 * N + 1], ks[-2 * N - 2]
-    terms = np.conj(pentagon_normalization(ch, p) * np.exp(logs))
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms = np.conj(pentagon_normalization(ch, p) * np.exp(logs))
+        # the ratio of F psi one period apart, past the band on each side
+        up = np.conj(np.exp(logs[:, -1] - logs[:, -2 * N - 1]))
+        down = np.conj(np.exp(logs[:, 0] - logs[:, 2 * N]))
     if not np.all(np.isfinite(terms)):
         raise NonConvergent(f"weight-kernel B-sum term not finite at k={k0}..{k1}")
-    # the ratio of F psi one period apart, past the band on each side
-    up = np.conj(np.exp(logs[:, -1] - logs[:, -2 * N - 1]))
-    down = np.conj(np.exp(logs[:, 0] - logs[:, 2 * N]))
     if not np.all(np.maximum(np.abs(up), np.abs(down)) < 1):
         raise NonConvergent(f"weight-kernel B-sum tail not geometric at k={k0}..{k1}")
     return ks, terms, up, down
@@ -330,9 +332,11 @@ def _b_sum(wkp: WeightKernelParams, rows: tuple, xr, xn, off=None) -> np.ndarray
     its temporaries are the size of T, or of the result on a grid.
 
     xr is a 1-D float array and xn a 1-D integer array reduced mod N.  Paired (off a 1-D
-    integer array): S(x_i, y_i), each row contracted with its own phases.  Grid (off None,
-    every offset 0): [j, i] -> S(x_i, y_j), the rows contracted with the phases of every
-    x by matmuls.
+    integer array): S(x_i, y_i), each row contracted with its own phases.  xr, xn and off
+    each hold one value or one per row, and the phases and the ratio turn are built on
+    their broadcast shape, so a scalar x and offset give one row of phases, which numpy
+    broadcasts over T.  Grid (off None, every offset 0): [j, i] -> S(x_i, y_j), the rows
+    contracted with the phases of every x by matmuls.
     """
     ks, terms, up, down = rows
     p = wkp.params
@@ -368,18 +372,23 @@ def weight_kernel_rows(wkp: WeightKernelParams, yr, yn):
     and y + shift b0, for an integer shift.  F psi is evaluated once, by _rows at the
     section points y0 = yr - yn/sqrt(N) of y.  A B-shift y + s b0 has the same y0 and
     section offset yn + s, so every shift reads the same rows; only the phases and the
-    prefactor <x; -(y + s b0)/2> move.  Nothing is kept past the returned function.
+    prefactor <x; -(y + s b0)/2> move.  They are built on the broadcast shape of x, yn and
+    the shift, not of y: a scalar x and residue yn give one row of phases (_b_sum).
+    Nothing is kept past the returned function.
     """
     N, rN = wkp.params.N.N, wkp.params.N.sqrt
-    yr, yn = np.broadcast_arrays(np.asarray(yr, dtype=float), np.asarray(yn, dtype=int) % N)
-    rows = _rows(wkp, (yr - yn / rN).ravel())
+    yr, yn = np.asarray(yr, dtype=float), np.asarray(yn, dtype=int) % N
+    shape = np.broadcast_shapes(yr.shape, yn.shape)
+    rows = _rows(wkp, np.broadcast_to(yr - yn / rN, shape).ravel())
+
+    def per_row(a):  # one value, or one per row of F psi
+        return a.reshape(1) if a.size == 1 else np.broadcast_to(a, shape).ravel()
 
     def W(xr, xn, shift: int = 0) -> np.ndarray:
-        xr = np.broadcast_to(np.asarray(xr, dtype=float), yr.shape)
-        xn = np.broadcast_to(np.asarray(xn, dtype=int) % N, yr.shape)
-        total = _b_sum(wkp, rows, xr.ravel(), xn.ravel(), (yn + shift).ravel()).reshape(yr.shape)
+        xr, xn, off = np.asarray(xr, dtype=float), np.asarray(xn, dtype=int) % N, yn + shift
+        total = _b_sum(wkp, rows, per_row(xr), per_row(xn), per_row(off)).reshape(shape)
         # <x; -y/2> with the halving convention of lca.halve, fused like the phases of _b_sum
-        hyn = halve_residue((yn + shift) % N, N)
+        hyn = halve_residue(off % N, N)
         return (np.exp(-2j * np.pi * xr * ((yr + shift / rN) / 2))
                 * np.exp(2j * np.pi * (xn * hyn) / N) * total)
 

@@ -9,7 +9,10 @@ A product (x; q)_inf = prod_j (1 - x q^j) is evaluated as follows.
 - Dead: if Re log x < log(tol (1 - |q|)), then |log (x; q)_inf| <= |x|/(1 - |q|)
   < tol (to first order in |x|), and its log is taken as exactly 0.
 - Live: a term with Re log(x q^j) > 0 is added as a log, since a product of
-  such terms could overflow.  Then, at |x q^j| <= 1, every element runs the same
+  such terms could overflow.  This head is taken only over the elements with
+  Re log x > 0.  After the reflection below, log_phi_theta passes such an element
+  only for |Im z| > cos(arg theta), so elsewhere the head costs one comparison.
+  Then, at |x q^j| <= 1, every element runs the same
   D = ceil(log tol / log|q|) + 1 terms (the last below tol) in one loop for the
   batch, x q^j updated by one multiplication by q per term, and the product p is
   logged once as log|p| + i arg p: near 1, several times faster than complex log.
@@ -83,7 +86,8 @@ def _dead_bound(decay: float, tol: float) -> float:
 def _log_pochhammer(lx: np.ndarray, lq: complex, tol: float) -> np.ndarray:
     """log prod_j (1 - e^{lx + j lq}) modulo 2 pi i, to within tol (see the module notes).
 
-    After its log-form head every live element runs the same D terms, D from q
+    The log-form head is taken only over the elements with Re lx > 0, the only ones
+    that have a head term.  After it every live element runs the same D terms, D from q
     and tol alone, and every product is taken out of place (numpy's in-place
     complex multiply rounds a lone element unlike a longer run).  So a value does
     not depend on the other points of a batch of fewer than 16,384 live elements;
@@ -98,11 +102,13 @@ def _log_pochhammer(lx: np.ndarray, lq: complex, tol: float) -> np.ndarray:
     out = np.zeros_like(flat)  # dead elements stay exactly 0
     live = np.flatnonzero(flat.real >= _dead_bound(decay, tol))
     x = flat[live]
-    head = np.maximum(np.ceil(x.real / -decay), 0).astype(int)  # terms with Re > 0
+    pos = np.flatnonzero(x.real > 0)  # only these have a head
+    head = np.ceil(x.real[pos] / -decay).astype(int)  # terms with Re > 0
     for j in range(head.max(initial=0)):
-        w = x[head > j] + j * lq
-        out[live[head > j]] += w + np.log(np.expm1(-w))  # log(1 - e^w) mod 2 pi i
-    e = np.exp(x + head * lq)  # |e| <= 1 after the head
+        w = x[pos[head > j]] + j * lq
+        out[live[pos[head > j]]] += w + np.log(np.expm1(-w))  # log(1 - e^w) mod 2 pi i
+    x[pos] += head * lq
+    e = np.exp(x)  # |e| <= 1 after the head
     prod, q = 1 - e, cmath.exp(lq)
     for _ in range(math.ceil(math.log(tol) / decay)):
         e = e * q
@@ -150,7 +156,8 @@ def log_phi_theta(z, theta: ThetaParam) -> np.ndarray:
     num = _log_pochhammer(2 * np.pi * t * (w + c), 2j * np.pi * t**2, _PRODUCT_TOL)
     den = _log_pochhammer(2 * np.pi / t * (w - c), -2j * np.pi / t**2, _PRODUCT_TOL)
     two_log_phi0 = -1j * np.pi * (1 + 2 * c**2) / 6  # phi_zero's exponent, doubled
-    return np.where(flip, 1j * np.pi * z**2 + two_log_phi0 - (num - den), num - den).reshape(shape)
+    log_phi = num - den
+    return np.where(flip, 1j * np.pi * z**2 + two_log_phi0 - log_phi, log_phi).reshape(shape)
 
 
 def nearest_pole(z: complex, theta: ThetaParam) -> tuple[complex, float]:

@@ -76,21 +76,23 @@ def boltzmann_weight(
     state: tuple,
 ) -> complex:
     """Weight of tet t at a state, one CircleVar per edge class (lifted canonically)."""
-    return _weight(X, t, [lift(s, X.N) for s in state])
+    return _weight(X, t, [lift(s, X.N) for s in state], _slots(X))
 
 
-def _weight(X: ShapedTriangulation, t: int, lifts) -> complex:
+def _weight(X: ShapedTriangulation, t: int, lifts, slots: np.ndarray) -> complex:
     """Weight of tet t at lifts, one LcaPoint per edge class: the kernel at (E1, E2),
-    the combinations of the lifts by its slot rows, conjugated if the tet is negative."""
+    the combinations of the lifts by its slot rows (slots = _slots(X)), conjugated if
+    the tet is negative."""
     e1, e2 = (sum((lifts[c].scale(v) for c, v in enumerate(row) if v), LcaPoint(0.0, 0))
-              for row in _slots(X)[t].tolist())
+              for row in slots[t].tolist())
     val = weight_kernel(_kernel(X, X.tets[t]), e1, e2)
     return np.conj(val) if X.tets[t].sign < 0 else val
 
 
 def total_weight(X: ShapedTriangulation, lifts) -> complex:
     """B_X at explicit lifts (one LcaPoint per edge class)."""
-    return math.prod((_weight(X, t, lifts) for t in range(len(X.tets))), start=1.0 + 0j)
+    slots = _slots(X)
+    return math.prod((_weight(X, t, lifts, slots) for t in range(len(X.tets))), start=1.0 + 0j)
 
 
 def descent_residual(

@@ -407,6 +407,22 @@ def test_kernel_rows_read_b_shifts_as_section_offsets(N, rng):
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("s", [-1, 0, 1])
+def test_kernel_rows_scalar_x_and_residue_keep_the_bits(N, s, rng):
+    # a scalar x and yn give one row of phases, broadcast over the rows of F psi:
+    # every value keeps the bits of the same call with full arrays
+    p = params(N)
+    wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p, LcaPoint(0.3, 1))
+    M = 16
+    yr = rng.uniform(-1, 1, M)
+    xr, xn, yn = rng.uniform(-1, 1), int(rng.integers(0, N)), N - 1
+    got = weight_kernel_rows(wkp, yr, yn)(xr, xn, s)
+    full = weight_kernel_rows(wkp, yr, np.full(M, yn))(np.full(M, xr), np.full(M, xn), s)
+    assert got.shape == full.shape == (M,)
+    assert np.array_equal(got, full)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
 def test_b_sum_tails_are_geometric(N):
     # ten periods past the band on each side, one period of 2N shifts multiplies
     # the summand X_j = conj(kappa F psi)(y + j b0) conj<j b0> <j b0; mu - x> by

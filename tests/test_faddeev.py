@@ -230,6 +230,22 @@ def test_q_products_match_mpmath(mp):
             assert np.max(np.abs(got / ref - 1)) < 1e-12
 
 
+@pytest.mark.parametrize("frac", ORACLE_FRACTIONS)
+def test_q_product_head_keeps_each_element_alone(frac):
+    # a batch that mixes Re lx > 0, where the log-form head runs, with Re lx <= 0,
+    # dead and live, gives every element the bits it has alone
+    tol = qdlab.faddeev._PRODUCT_TOL
+    t = ThetaParam.from_pi_fraction(frac).theta
+    rng = np.random.default_rng(7)
+    for lq in (2j * np.pi * t**2, -2j * np.pi / t**2):
+        edge = math.log(tol * -math.expm1(lq.real))
+        lx = rng.uniform(edge - 2, 12, 200) + 1j * rng.uniform(-np.pi, np.pi, 200)
+        assert np.any(lx.real > -lq.real) and np.any(lx.real <= 0) and np.any(lx.real < edge)
+        got = _log_pochhammer(lx, lq, tol)
+        alone = np.array([_log_pochhammer(lx[i:i + 1], lq, tol)[0] for i in range(lx.size)])
+        assert np.array_equal(got, alone)
+
+
 def test_deepest_q_products_match_mpmath(mp):
     # pi/100 (Im theta^2 = 0.063) converges slowly, near the floor: every live
     # product runs ceil(log tol / log|q|) + 1 = 95 terms, 8 at pi/3.

@@ -3,6 +3,7 @@
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -722,11 +723,13 @@ def nan_dtheta_rows(monkeypatch):
 
 
 def test_nan_in_shared_dtheta_rows_is_refused(nan_dtheta_rows, capsys):
-    # fig8_3tet's three tets share b + c, so all read one poisoned band.  The NaN
-    # meets finite imaginary parts on its way to exp, which numpy warns of; the
-    # warning is silenced so that the B-sum's own guard is what refuses it
+    # fig8_3tet's three tets share b + c, so all read one poisoned band, and the
+    # B-sum's own guard refuses it.  The NaN meets finite imaginary parts on its
+    # way to exp, where numpy would warn; warnings are raised as errors, so the
+    # refusal must come from the guard and not from a warning
     X = builtin_census("fig8_3tet")
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonConvergent):
             _tet_tables(X, 16)
         assert len(nan_dtheta_rows) == 1
