@@ -419,41 +419,39 @@ def weight_kernel_cores(wkps, M: int) -> list[np.ndarray]:
     return [cores[w] for w in wkps]
 
 
-def weight_kernel_grid(wkp: WeightKernelParams, us, ws, M: int, core=None) -> np.ndarray:
-    """W_{A,C;mu}((u_i h, 0), (w_j h, 0)) at every pair, as an array indexed [j, i].
+def weight_kernel_grid(wkp: WeightKernelParams, core: np.ndarray, a_blocks,
+                       q_blocks) -> np.ndarray:
+    """W_{A,C;mu}((u h, 0), (w h, 0)) on whole M x M blocks of the index grid of step
+    h = sqrt(N)/M, from the kernel's B-sum core S[w0, u0] (weight_kernel_cores), M = len(core).
 
-    us and ws are integer indices of the grid of step h = sqrt(N)/M.  The B-sum
-    S of _b_sum is evaluated only on the M x M core 0 <= u, w < M (weight_kernel_cores,
-    or core, if given) and extended
-    by two automorphy relations, identities of the infinite sum: u -> u + M
+    a_blocks and q_blocks are ranges of consecutive block indices, first a0 and q0.  The
+    block (q, a) holds u = aM + u0, w = qM + w0, 0 <= u0, w0 < M, and the array returned
+    is indexed [(q - q0) M + w0, (a - a0) M + u0].  Only the core is summed; the blocks
+    come from two automorphy relations, identities of the infinite sum: u -> u + M
     leaves every phase e^{-2 pi i k u/M} unchanged, and w -> w + M maps term k
     to term k + N, so S(u, w + qM) = lambda(u)^q S(u, w) with
     lambda(u) = (-1)^N e^{2 pi i sqrt(N) (u h - mu_x)}.  Every entry carries the
-    rounding of its core entry.  With u = u0 + aM, w = w0 + qM and
-    0 <= u0, w0 < M, the block (q, a) of entries <u h; -w h/2> lambda(u)^q S(u0, w0)
-    is the phased core T0 = S e^{-pi i N u0 w0/M^2} times e^{-pi i N a w0/M}
+    rounding of its core entry.  The block (q, a) of entries <u h; -w h/2> lambda(u)^q
+    S(u0, w0) is the phased core T0 = S e^{-pi i N u0 w0/M^2} times e^{-pi i N a w0/M}
     e^{pi i N q u0/M} (-1)^(N q (1 - a)) e^{-2 pi i q sqrt(N) mu_x}, each phase one
-    exp of an exact integer numerator.  One broadcast product builds the blocks
-    that cover us, ws, and us, ws are gathered from them.
+    exp of an exact integer numerator.  One broadcast product writes every block.
     """
     p = wkp.params
-    N = p.N.N
-    us, ws = np.asarray(us, dtype=int), np.asarray(ws, dtype=int)
-    S = weight_kernel_cores([wkp], M)[0] if core is None else core
+    N, M = p.N.N, len(core)
     u0 = np.arange(M)
-    a, q = (np.arange(v.min() // M, v.max() // M + 1)[:, None] for v in (us, ws))  # block indices
+    a, q = (np.asarray(v)[:, None] for v in (a_blocks, q_blocks))
 
     def root(k, d):  # e^{pi i k/d} for integer k
         return np.exp(1j * np.pi * (k % (2 * d)) / d)
 
-    cols = us - a[0, 0] * M  # of the flattened (a, u0) axis
     qa = (root(N * q[..., None] * u0, M) * (1 - 2 * (N * q * (1 - a.T) % 2))[..., None]
-          * np.exp(-2j * np.pi * q[..., None] * p.N.sqrt * wkp.mu.x)).reshape(len(q), -1)[:, cols]
+          * np.exp(-2j * np.pi * q[..., None] * p.N.sqrt * wkp.mu.x)).reshape(len(q), -1)
     # T0, then its columns a of phases, then the blocks: each step frees the last
-    T = S * root(-N * u0[:, None] * u0, M * M)
-    T = (T[:, None, :] * root(-N * a * u0, M).T[:, :, None]).reshape(M, -1)[:, cols]
-    T = (T * qa[:, None, :]).reshape(len(q) * M, -1)
-    return T[ws - q[0, 0] * M]
+    T = core * root(-N * u0[:, None] * u0, M * M)
+    T = (T[:, None, :] * root(-N * a * u0, M).T[:, :, None]).reshape(M, -1)
+    out = np.empty((len(q) * M, len(a) * M), dtype=complex)
+    np.multiply(T, qa[:, None, :], out=out.reshape(len(q), M, -1))
+    return out
 
 
 def weight_kernel(wkp: WeightKernelParams, x: LcaPoint, y: LcaPoint) -> complex:

@@ -79,8 +79,10 @@ _SHARED_FLAGS = {
 
 
 def _finite(text: str) -> float:
-    """A finite float for argparse: an inf target would let an inf error estimate into
-    the report, which JSON cannot hold."""
+    """A finite float, for --target and for each number of --z, --b, --x, --y and --mu.
+    An inf target would let an inf error estimate into the report, which JSON cannot
+    hold, and a NaN or inf point would reach numpy and end in a warning or an error that
+    does not name it.  argparse reports the refusal as a usage error, run as one line."""
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text}")
@@ -88,7 +90,7 @@ def _finite(text: str) -> float:
 
 
 def _parse_complex(text: str) -> complex:
-    parts = [float(v) for v in text.split(",")]
+    parts = [_finite(v) for v in text.split(",")]
     if len(parts) > 2:
         raise ValueError(f"a complex number is re or re,im, got {text!r}")
     return complex(*parts)
@@ -98,7 +100,7 @@ def _parse_point(text: str) -> LcaPoint:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"a point of A_N is xr,n, got {text!r}")
-    return LcaPoint(float(parts[0]), int(parts[1]))
+    return LcaPoint(_finite(parts[0]), int(parts[1]))
 
 
 def _parse_charges(text: str) -> charged.ChargeTriple:
@@ -308,7 +310,8 @@ def run(argv=None) -> int:
     except NonConvergent as e:
         print(f"non-convergent: {e}", file=sys.stderr)
         return 2
-    except (QdlabError, ValueError, OSError, ZeroDivisionError, OverflowError) as e:
+    except (QdlabError, ValueError, argparse.ArgumentTypeError, OSError, ZeroDivisionError,
+            OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

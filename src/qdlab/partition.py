@@ -11,10 +11,10 @@ edge class; Z(X) integrates the product of weights over [0, sqrt(N))^edges
 with the mass-1 measure (dt/sqrt(N)) per edge, by periodic trapezoid on M
 points per edge.  Kernel values are memoized on the index grid: for lifted
 states all kernel arguments are integer multiples of h = sqrt(N)/M, so each
-tet needs a single (E2-index, E1-index) table, over the index box of the slice
-j_0 = 0 that the sum reads (below).  The table comes from
-`charged.weight_kernel_grid`, which shares the B-sum engine and its closed-form
-tails with every pointwise kernel value.  It sums the B-sum
+tet needs a single (E2-index, E1-index) table: the whole M x M blocks that
+cover the index box of the slice j_0 = 0 that the sum reads (below).  The
+table comes from `charged.weight_kernel_grid`, which shares the B-sum engine
+and its closed-form tails with every pointwise kernel value.  It sums the B-sum
 on the M x M core only; by the two automorphy relations of the kernel every
 M x M block of the table is that core times a rank-one unimodular phase.
 
@@ -29,9 +29,10 @@ convergence ladder reads every rung that divides its largest.
 Nothing is cached across calls.  Each tet's slot rows sum to zero (two edges
 at each slot), so the integrand depends only on j_c - j_0, and descent makes it
 periodic in each j_c: the sum is equal copies of the slice j_0 = 0 (M^(E-1)
-points), where each tet reads its table through one strided view, which
-numpy's constructor bounds-checks against the table.  Where the weight does
-not descend, Z is refused before any table is built (_require_descent).
+points).  A tet's read plan is affine in the free j_c, so it is one strided
+view of its table, built once and bounds-checked by numpy's constructor, and
+every slab and coarse grid is a basic slice of that view.  Where the weight
+does not descend, Z is refused before any table is built (_require_descent).
 """
 
 from __future__ import annotations
@@ -135,33 +136,40 @@ def _require_descent(X: ShapedTriangulation) -> None:
                             f"at N={X.N.N}: a B-period of it flips the sign")
 
 
-def _tet_tables(X: ShapedTriangulation, M: int) -> list[dict]:
-    """Each tet's kernel table on the index grid at size M, with its read plan.
+def _tet_tables(X: ShapedTriangulation, M: int) -> list[np.ndarray]:
+    """Each tet's kernel table on the index grid at size M, read through one strided view.
 
-    Index ranges cover the box of the slice j_0 = 0 that _contract sums: all
-    integer combinations of free grid indices 0..M-1 with the tet's slot row
-    (_slots), whose E1 part gives u and E2 part w; entry [w - wmin, u - umin] =
-    W((u h, 0), (w h, 0)).  So the entry at free indices j_c is table.ravel()[off
-    + sum_c step[c] j_c], step[c] = m2_c ncol + m1_c and off = -wmin ncol - umin.
-    Tets with equal charges, sign and ranges share one array.  The M x M B-sum cores
-    come first, one per charge triple, from weight_kernel_cores, which evaluates D_theta
-    once per float b + c and drops those rows before any table is built.
+    The table is the whole-block array of weight_kernel_grid over the blocks that the
+    slice j_0 = 0 reads: u and w run over all integer combinations of free grid indices
+    0..M-1 with the tet's slot row (_slots), its E1 part giving u and its E2 part w, and
+    the blocks a0..a1 and q0..q1 are those of the extreme u and w.  Entry
+    [w - q0 M, u - a0 M] = W((u h, 0), (w h, 0)), so with ncol columns the entry at free
+    indices j_c is table.ravel()[sum_c step[c] j_c - (q0 ncol + a0) M], step[c] =
+    m2_c ncol + m1_c.  The view is that read plan: view[j_1, ..., j_{E-1}] is that entry,
+    with size M on each free edge the tet touches and 1 on the others.  numpy's
+    constructor checks the view's extent against the table, negative strides included,
+    and raises ValueError on a read past either end.  Tets with equal charges, sign and
+    blocks share one array.  The M x M B-sum cores come first, one per charge triple,
+    from weight_kernel_cores, which evaluates D_theta once per float b + c and drops
+    those rows before any table is built.
     """
     kernels = {tet.angles: _kernel(X, tet) for tet in X.tets}
     cores = dict(zip(kernels, weight_kernel_cores(list(kernels.values()), M)))
-    memo, records = {}, []
+    memo, views = {}, []
     for tet, row in zip(X.tets, _slots(X)):
-        (umin, wmin), (umax, wmax) = ((f(row[:, 1:], 0).sum(axis=1) * (M - 1)).tolist()
-                                      for f in (np.minimum, np.maximum))  # j_0 = 0 widens no range
-        key = (tet.angles, tet.sign, umin, umax, wmin, wmax)
+        (a0, q0), (a1, q1) = ((f(row[:, 1:], 0).sum(axis=1) * (M - 1) // M).tolist()
+                              for f in (np.minimum, np.maximum))  # j_0 = 0 widens no range
+        key = (tet.angles, tet.sign, a0, a1, q0, q1)
         if key not in memo:
-            table = weight_kernel_grid(kernels[tet.angles], np.arange(umin, umax + 1),
-                                       np.arange(wmin, wmax + 1), M, cores[tet.angles])
+            table = weight_kernel_grid(kernels[tet.angles], cores[tet.angles],
+                                       range(a0, a1 + 1), range(q0, q1 + 1))
             memo[key] = np.conj(table) if tet.sign < 0 else table
-        ncol = umax - umin + 1
-        records.append({"table": memo[key], "step": (row[1] * ncol + row[0]).tolist(),
-                        "off": -wmin * ncol - umin})
-    return records
+        table = memo[key]
+        ncol, step = table.shape[1], (row[1, 1:] * table.shape[1] + row[0, 1:]).tolist()
+        views.append(np.ndarray([M if s else 1 for s in step], table.dtype, table,
+                                -(q0 * ncol + a0) * M * table.itemsize,
+                                [s * table.itemsize for s in step]))
+    return views
 
 
 # grid points per slab of the contraction
@@ -184,13 +192,13 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
     and Z = n^-(E-1) times the sum over the other edges, whose box the tables span.
     Slabs hold at most _SLAB_POINTS points of the grid M at any E and stride:
     leading free edges run one index at a time until the remaining planes fit,
-    then the next edge steps by as many planes as fit.  A tet's read plan
-    (_tet_tables) is affine in the free j_c, so it reads each slab as a strided
-    view of its table, size 1 on the axes it does not touch: no index array, no
-    copy.  np.ndarray(buffer=...) checks the view's extent against the table,
-    negative strides included, and raises ValueError on a read past either end.
-    The product is allocated in C order, so np.sum adds in the pairwise order of
-    a gathered product, not that of a strided view, and Z keeps its bits.
+    then the next edge steps by as many planes as fit.  tables are the views of
+    _tet_tables, and each tet reads a slab as the basic slice
+    slice(stride a, stride (a + s), stride) of its view on every free edge it
+    touches, a the slab's first index and s its length there: no index array, no
+    copy, and no read that the view's own bounds check has not covered.  The
+    product is allocated in C order, so np.sum adds in the pairwise order of a
+    gathered product, not that of a strided view, and Z keeps its bits.
     """
     E = len(X.edge_classes)
     if E == 0:
@@ -201,13 +209,9 @@ def _contract(X: ShapedTriangulation, tables: list, M: int, stride: int = 1) -> 
     steps += [n] * (E - 1 - len(steps))  # free axis c - 1 runs edge c; the rest in one piece
     total = 0j
     for first in itertools.product(*[range(0, n, s) for s in steps]):
-        sizes = [min(s, n - a) for a, s in zip(first, steps)]
-        views = []
-        for tab in tables:
-            table, step = tab["table"], [stride * s for s in tab["step"][1:]]
-            base = tab["off"] + sum(s * a for s, a in zip(step, first))
-            views.append(np.ndarray([k if s else 1 for s, k in zip(step, sizes)], table.dtype,
-                                    table, base * table.itemsize, [s * table.itemsize for s in step]))
+        cut = [slice(stride * a, stride * (a + s), stride) for a, s in zip(first, steps)]
+        views = [v[tuple(c if k > 1 else slice(None) for c, k in zip(cut, v.shape))]
+                 for v in tables]
         shape, out = np.broadcast_shapes(*map(np.shape, views)), np.ones((), dtype=complex)
         for g in sorted(views, key=np.size):  # the small factors first, then in place
             out = np.multiply(out, g, out=out if out.shape == shape else None, order="C")

@@ -1,6 +1,7 @@
 """Charged dilogarithms: transforms, conjugation identities, weight kernels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,10 +22,12 @@ from qdlab.charged import (
     pentagon_normalization,
     psi_charged,
     weight_kernel,
+    weight_kernel_cores,
     weight_kernel_grid,
     weight_kernel_many,
     weight_kernel_rows,
 )
+from qdlab.errors import NonConvergent
 from qdlab.lca import (
     LcaPoint,
     b_generator,
@@ -298,12 +301,14 @@ def test_band_longer_than_a_tile_keeps_its_bits(monkeypatch):
         p = params(N)
         wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p, LcaPoint(0.3, 1))
         paired = (wkp, [0.1, -0.4], [0, 1], [0.2, 0.9], [1, 0])
-        grid = (wkp, np.arange(-3, 9), np.arange(-2, 7), 8)
-        whole = weight_kernel_many(*paired), weight_kernel_grid(*grid)
+        blocks = range(-1, 2), range(-1, 1)
+        whole = (weight_kernel_many(*paired),
+                 weight_kernel_grid(wkp, weight_kernel_cores([wkp], 8)[0], *blocks))
         with monkeypatch.context() as m:
             m.setattr(qdlab.qdilog, "_TILE_POINTS", 16)
             np.testing.assert_array_equal(weight_kernel_many(*paired), whole[0])
-            np.testing.assert_array_equal(weight_kernel_grid(*grid), whole[1])
+            np.testing.assert_array_equal(
+                weight_kernel_grid(wkp, weight_kernel_cores([wkp], 8)[0], *blocks), whole[1])
 
 
 @pytest.mark.parametrize("N", [4, 7, 12])
@@ -449,44 +454,76 @@ def test_b_sum_tails_are_geometric(N):
         assert summand(k + step) / summand(k) == pytest.approx(ratio, rel=1e-10)
 
 
+@pytest.mark.parametrize("side", [0, -1], ids=["left", "right"])
+def test_b_sum_refuses_a_tail_that_is_not_geometric(side, monkeypatch):
+    # the outermost D_theta entry of one side lowered by 50: log F psi there rises by
+    # 50, so the ratio read one period in has modulus above 1, and the tail's closed
+    # form is refused, not summed, with no numpy warning on the way
+    real = qdlab.charged._dtheta_rows
+
+    def grown(*args):
+        ks, log_d = real(*args)
+        log_d[:, side] -= 50
+        return ks, log_d
+
+    monkeypatch.setattr(qdlab.charged, "_dtheta_rows", grown)
+    wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), params(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonConvergent, match="tail not geometric"):
+            weight_kernel(wkp, LcaPoint(0.1, 0), LcaPoint(0.2, 1))
+
+
+def _grid_entries(wkp, grid, a0, q0, M, us, ws):
+    """The entries of a whole-block grid from blocks a0 and q0 on at indices (us, ws),
+    and the pointwise kernel there, each as an array."""
+    h = wkp.params.N.sqrt / M
+    us, ws = np.asarray(us), np.asarray(ws)
+    return (grid[ws - q0 * M, us - a0 * M],
+            weight_kernel_many(wkp, us * h, 0, ws * h, 0))
+
+
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_weight_kernel_grid_on_sparse_indices(N):
-    # indices outside the core [0, M) come from the automorphy relations; the
-    # rows w = -40 and 61 lie an odd number q of periods out, so both the sign
+    # blocks outside the core come from the automorphy relations; the rows
+    # w = -40 and 61 lie an odd number q of periods out, so both the sign
     # (-1)^(N q) (N odd) and the mu_x phase of lambda(u)^q are exercised
     p = params(N)
     M = 16
-    h = p.N.sqrt / M
     us, ws = np.array([-7, 0, 3]), np.array([-40, 2, 5, 61])
     for mu in (LcaPoint(0.0, 0), LcaPoint(0.3, 1)):
         wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p, mu)
-        grid = weight_kernel_grid(wkp, us, ws, M)
-        for j, w in enumerate(ws):
-            for i, u in enumerate(us):
-                expect = weight_kernel(wkp, LcaPoint(u * h, 0), LcaPoint(w * h, 0))
-                assert grid[j, i] == pytest.approx(expect, rel=1e-12)
+        grid = weight_kernel_grid(wkp, weight_kernel_cores([wkp], M)[0], range(-1, 1),
+                                  range(-3, 4))
+        assert grid.shape == (7 * M, 2 * M)
+        got, expect = _grid_entries(wkp, grid, -1, -3, M, us[None, :], ws[:, None])
+        assert got == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.mark.parametrize("M", [12, 13])
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_weight_kernel_grid_spans_periods(N, M):
-    # index ranges two periods and more out on both sides; odd M, and N that
-    # does not divide M, included.  The same entries read at a sparse sample of
-    # rows, which covers fewer blocks, agree bit for bit.
+    # blocks two periods and more out on both sides; odd M, and N that does not
+    # divide M, included.  Every block (q, a), negative blocks included, is checked at
+    # its corners and at one random entry.  The same blocks read from a smaller
+    # range of blocks agree bit for bit.
     p = params(N)
-    h = p.N.sqrt / M
-    us = ws = np.arange(-2 * M - 3, 2 * M + 4)
+    blocks = range(-3, 3)
     rng = np.random.default_rng(1000 * N + M)
     for mu in (LcaPoint(0.0, 0), LcaPoint(0.3, 1)):
         wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p, mu)
-        grid = weight_kernel_grid(wkp, us, ws, M)
-        assert grid.shape == (len(ws), len(us))
-        rows = np.sort(rng.choice(len(ws), 6, replace=False))
-        np.testing.assert_array_equal(weight_kernel_grid(wkp, us, ws[rows], M), grid[rows])
-        corners = [(0, 0), (0, -1), (-1, 0), (-1, -1)]
-        for j, i in corners + list(zip(rng.integers(0, len(ws), 10), rng.integers(0, len(us), 10))):
-            expect = weight_kernel(wkp, LcaPoint(us[i] * h, 0), LcaPoint(ws[j] * h, 0))
-            assert grid[j, i] == pytest.approx(expect, rel=1e-12)
+        core = weight_kernel_cores([wkp], M)[0]
+        grid = weight_kernel_grid(wkp, core, blocks, blocks)
+        assert grid.shape == (6 * M, 6 * M)
+        np.testing.assert_array_equal(weight_kernel_grid(wkp, core, range(-1, 1), range(1, 3)),
+                                      grid[4 * M:, 2 * M:4 * M])
+        # per block: its four corners and one random entry, at u = aM + u0, w = qM + w0
+        q, a = (b.ravel() * M for b in np.meshgrid(blocks, blocks, indexing="ij"))
+        u0, w0 = (np.hstack([np.tile(c, (len(q), 1)), rng.integers(0, M, (len(q), 1))])
+                  for c in ([0, 0, M - 1, M - 1], [0, M - 1, 0, M - 1]))
+        got, expect = _grid_entries(wkp, grid, blocks[0], blocks[0], M,
+                                    a[:, None] + u0, q[:, None] + w0)
+        assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_pentagon_family_matches_transform():

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -230,9 +231,36 @@ def test_non_finite_value_is_not_printed(capsys):
 
 
 def test_wgz_nan_level_is_rejected(capsys):
+    # a NaN b is refused as it is read, and a finite b off the level by the level check
     assert run(["wgz", "--b", "nan,0", "--k", "2", "--grid", "20"]) == 1
     captured = capsys.readouterr()
+    assert captured.out == "" and "must be finite, got nan" in captured.err
+    assert run(["wgz", "--b", "0.5,0", "--k", "2", "--grid", "20"]) == 1
+    captured = capsys.readouterr()
     assert captured.out == "" and "level k = 2" in captured.err
+
+
+_KERNEL = ["kernel", "--charges", "0.4,0.35,0.25"]
+
+
+@pytest.mark.parametrize("args, text", [
+    ([*_KERNEL, "--x", "nan,0", "--y", "0.2,0"], "nan"),
+    ([*_KERNEL, "--x", "0.1,0", "--y", "inf,0"], "inf"),
+    ([*_KERNEL, "--x", "0.1,0", "--y", "0.2,0", "--mu", "nan,0"], "nan"),
+    (["dtheta", "--z", "nan"], "nan"),
+    (["dtheta", "--z", "1e400"], "1e400"),
+    (["phi", "--z", "nan"], "nan"),
+    (["psi", "--charges", "0.4,0.35,0.25", "--z", "0.3,-inf"], "-inf"),
+], ids=["kernel-x", "kernel-y", "kernel-mu", "dtheta", "dtheta-overflow", "phi", "psi"])
+def test_non_finite_number_is_refused(args, text, capsys):
+    # --z, --x, --y and --mu refuse a NaN or inf as they are read, as --target does:
+    # exit 1 and one error line that names the number, before numpy can warn on it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: must be finite, got {text}\n"
 
 
 @pytest.mark.parametrize(

@@ -122,6 +122,18 @@ def test_inversion_exact(rng):
 
 @pytest.mark.parametrize("check,size", [(verify_pentagon_exact, 3), (verify_inversion_exact, 2)],
                          ids=["pentagon", "inversion"])
+def test_degenerate_sample_is_skipped_and_counted(check, size):
+    # x = (1, 1), y = (1, -1): x1 y2 + x2 = 0, so the first flip of the sample has no
+    # denominator; it is skipped and counted, and the positive samples around it,
+    # whose flips stay positive, are checked
+    degenerate = (pt(1, 1), pt(1, -1), pt(2, 3))[:size]
+    positive = (pt(1, 2), pt(3, 5), pt(7, 11))[:size]
+    assert check([positive, degenerate, positive]) == {"checked": 2, "skipped": 1,
+                                                       "pass": True, "witness": None}
+
+
+@pytest.mark.parametrize("check,size", [(verify_pentagon_exact, 3), (verify_inversion_exact, 2)],
+                         ids=["pentagon", "inversion"])
 def test_relation_check_runs_the_real_flip(check, size, rng, monkeypatch):
     # a sign error in the flip must fail both relations: the checks apply flip itself
     from qdlab import groupoid

@@ -12,7 +12,8 @@ from conftest import (EVEN_PERMS, branched_two_tet, brute_kernel, params, relabe
 
 import qdlab.charged
 import qdlab.partition
-from qdlab.charged import ChargeTriple, WeightKernelParams, weight_kernel, weight_kernel_grid
+from qdlab.charged import (ChargeTriple, WeightKernelParams, weight_kernel, weight_kernel_cores,
+                           weight_kernel_grid)
 from qdlab.cli import run
 from qdlab.errors import NonConvergent, TopologyError
 from qdlab.lca import CircleVar, LcaPoint, Modulus, QuadratureSpec
@@ -217,6 +218,22 @@ def test_pachner_invariance_five_tets_N1():
     assert abs(abs(z5) - abs(z2)) / abs(z2) < 1e-3
 
 
+def _box(X, t, M, first=1):
+    """[(umin, umax), (wmin, wmax)]: the u and w that tet t reads at indices in [0, M) on
+    edges first.. and 0 on the others; first=1 is the slice j_0 = 0 that _contract sums."""
+    return [tuple(sum(f(v, 0) for v in m[first:]) * (M - 1) for f in (min, max))
+            for m in qdlab.partition._slots(X)[t].tolist()]
+
+
+def _own_table(X, t, box, M):
+    """Tet t's whole-block table over the blocks of box, from its own core, conjugated if
+    the tet is negative, and the (u, w) of its entry [0, 0]."""
+    wkp = qdlab.partition._kernel(X, X.tets[t])
+    a, q = (range(lo // M, hi // M + 1) for lo, hi in box)
+    table = weight_kernel_grid(wkp, weight_kernel_cores([wkp], M)[0], a, q)
+    return np.conj(table) if X.tets[t].sign < 0 else table, (a[0] * M, q[0] * M)
+
+
 def _all_edge_tables(X, M):
     """Each tet's table over the index box of every j in [0, M)^E, j_0 included.
 
@@ -224,15 +241,10 @@ def _all_edge_tables(X, M):
     this wider box, built here by the same weight_kernel_grid.
     """
     tables = []
-    for t, tet in enumerate(X.tets):
+    for t in range(len(X.tets)):
+        table, (u0, w0) = _own_table(X, t, _box(X, t, M, first=0), M)
         m1, m2 = qdlab.partition._slots(X)[t].tolist()
-        (umin, umax), (wmin, wmax) = ((sum(min(v * (M - 1), 0) for v in m),
-                                       sum(max(v * (M - 1), 0) for v in m))
-                                      for m in (m1, m2))
-        table = weight_kernel_grid(qdlab.partition._kernel(X, tet),
-                                   np.arange(umin, umax + 1), np.arange(wmin, wmax + 1), M)
-        tables.append({"table": np.conj(table) if tet.sign < 0 else table,
-                       "umin": umin, "wmin": wmin, "m1": m1, "m2": m2})
+        tables.append({"table": table, "u0": u0, "w0": w0, "m1": m1, "m2": m2})
     return tables
 
 
@@ -245,7 +257,7 @@ def _full_grid_sum(X, tables, M, stride):
     for tab in tables:
         u = sum(v * js[c] for c, v in enumerate(tab["m1"]))
         w = sum(v * js[c] for c, v in enumerate(tab["m2"]))
-        total = total * tab["table"][w - tab["wmin"], u - tab["umin"]]
+        total = total * tab["table"][w - tab["w0"], u - tab["u0"]]
     return complex(np.sum(total) / n**E)
 
 
@@ -403,7 +415,7 @@ def test_edge_reversal_leaves_Z_unchanged():
         for tab in tables:
             u = sum(v * js[c] for c, v in enumerate(tab["m1"]))
             w = sum(v * js[c] for c, v in enumerate(tab["m2"]))
-            vals = tab["table"][w - tab["wmin"], u - tab["umin"]]
+            vals = tab["table"][w - tab["w0"], u - tab["u0"]]
             total = vals if total is None else total * vals
         return complex(np.sum(total) / M**2)
 
@@ -442,31 +454,31 @@ def test_total_weight_matches_product():
 
 def test_tet_table_matches_pointwise_kernel():
     # the table path (the M x M core, extended by the automorphy relations) and
-    # the pointwise path of the B-sum give the same values; the corners of each
-    # table lie up to two periods outside the core, and at N=3, N does not divide M
+    # the pointwise path of the B-sum give the same values at the free indices j
+    # that a tet's view reads; the corners {0, M - 1}^2 reach every extreme of u and
+    # w, up to two periods outside the core, and at N=3, N does not divide M
     M = 16
     for N in (2, 3):
         X = builtin_census("fig8_3tet", N=N)
         h = X.N.sqrt / M
-        for t, tab in enumerate(_tet_tables(X, M)):
+        for t, (view, row) in enumerate(zip(_tet_tables(X, M), qdlab.partition._slots(X))):
             wkp = WeightKernelParams(X.tets[t].angles, params(N))
-            rows, cols = tab["table"].shape
-            # off = -wmin cols - umin with umin <= 0 <= umax, so divmod recovers both
-            wmin, umin = (-v for v in divmod(tab["off"], cols))
-            for i, j in [(0, 0), (rows - 1, cols - 1), (rows // 2, cols // 3), (rows // 3, cols - 1)]:
-                u, w = j + umin, i + wmin
+            for j in [*itertools.product((0, M - 1), repeat=2), (M // 2, M // 3), (M // 3, 1)]:
+                j = tuple(jc if k > 1 else 0 for jc, k in zip(j, view.shape))  # edges it reads
+                u, w = (int(np.dot(m[1:], j)) for m in row)
                 expect = weight_kernel(wkp, LcaPoint(u * h, 0), LcaPoint(w * h, 0))
                 if X.tets[t].sign < 0:
                     expect = np.conj(expect)
-                assert tab["table"][i, j] == pytest.approx(expect, rel=1e-12)
+                assert view[j] == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.mark.parametrize("charges, want", [
     ((0.05, 0.9, 0.05), None),
     ((0.475, 0.05, 0.475), None),
     ((0.475, 0.475, 0.05), None),
-    # W((0.1, 0), (0.2, 0)) and the table entries [0, 0] and [30, 30] of the
-    # sum over k = -400..400, from before the tails were summed in closed form
+    # W((0.1, 0), (0.2, 0)) and the table entries at (umin, wmin) and (umin + 30,
+    # wmin + 30) of the sum over k = -400..400, from before the tails were summed in
+    # closed form
     ((0.05, 0.475, 0.475), (0.7923974491314545 + 1.7012240234258045j,
                             0.6100782727582019 + 1.4744542095767674j,
                             32.135484131704246 + 2.9276006376445043j)),
@@ -480,12 +492,14 @@ def test_tet_table_truncation_is_checked(theta3, charges, want):
     ch = ChargeTriple(*charges)
     X = ShapedTriangulation(Modulus(5), theta3, [ShapedTet(1, ch)], [])
     wkp = WeightKernelParams(ch, params(5))
-    tab = _tet_tables(X, 16)[0]
-    wmin, umin = (-v for v in divmod(tab["off"], tab["table"].shape[1]))
+    table = _tet_tables(X, 16)[0].base
+    # the entries at (umin + i, wmin + i) of the slice box, i = 0 and 30
+    (umin, _), (wmin, _) = _box(X, 0, 16)
+    ui, wi = umin % 16, wmin % 16  # its column and row in the whole-block table
     h = X.N.sqrt / 16
     points = [(LcaPoint(0.1, 0), LcaPoint(0.2, 0))] + [
         (LcaPoint((i + umin) * h, 0), LcaPoint((i + wmin) * h, 0)) for i in (0, 30)]
-    got = (weight_kernel(wkp, *points[0]), tab["table"][0, 0], tab["table"][30, 30])
+    got = (weight_kernel(wkp, *points[0]), table[wi, ui], table[wi + 30, ui + 30])
     assert got == pytest.approx([brute_kernel(wkp, x, y, 3000) for x, y in points], rel=1e-10)
     if want is not None:
         assert got == pytest.approx(want, rel=1e-12)
@@ -562,7 +576,8 @@ def test_slabs_are_bounded_at_six_edges(monkeypatch):
 
 
 def _take_contract(X, tables, M, stride=1):
-    """_contract as one take per tet from an int64 index array: the reference for the views."""
+    """_contract as one take per tet from int64 index arrays into its whole-block table
+    (view.base), its blocks found from the slot row: the reference for the views."""
     E, n = len(X.edge_classes), M // stride
     ax, slab_points = stride * np.arange(n), qdlab.partition._SLAB_POINTS
     r = next((r for r in range(E - 1) if M ** (E - 2 - r) <= slab_points), 0)
@@ -572,9 +587,12 @@ def _take_contract(X, tables, M, stride=1):
         slab = [ax[a:a + s] for a, s in zip(starts, steps)]
         j = [0, *np.ix_(*slab, *[ax] * (E - 1 - len(steps)))]
         shape, out = np.broadcast_shapes(*map(np.shape, j)), np.ones((), dtype=complex)
-        gathers = [tab["table"].ravel().take(sum((tab["step"][c] * j[c] for c in range(1, E)
-                                                  if tab["step"][c]), tab["off"]))
-                   for tab in tables]
+        gathers = []
+        for t, (view, row) in enumerate(zip(tables, qdlab.partition._slots(X).tolist())):
+            (umin, _), (wmin, _) = _box(X, t, M)
+            u, w = (sum((m[c] * j[c] for c in range(1, E) if m[c]), -(lo // M) * M)
+                    for m, lo in zip(row, (umin, wmin)))
+            gathers.append(view.base[w, u])
         for g in sorted(gathers, key=np.size):
             out = np.multiply(out, g, out=out if out.shape == shape else None)
         total += np.sum(out)
@@ -618,43 +636,47 @@ def test_contraction_allocates_one_slab_product():
 
 
 @pytest.mark.parametrize("rows", [-1, 1])
-def test_contraction_refuses_a_read_past_the_table(rows):
-    # one record's plan moved one table row past either end: numpy's bounds check
-    # on the view raises, where a take would have wrapped a negative index
+def test_contraction_refuses_a_read_past_the_table(rows, monkeypatch):
+    # every table one row short, its first (-1) or its last (1) row cut: the view
+    # of a tet that reads the last row of its blocks then ends past the table, and
+    # numpy's bounds check raises as _tet_tables builds it, before any sum
     X = pachner_23(builtin_census("fig8_3tet", N=1), (0, 2))
-    tables = _tet_tables(X, 16)
-    bad = {**tables[1], "off": tables[1]["off"] + rows * tables[1]["table"].shape[1]}
-    with pytest.raises(ValueError):
-        _contract(X, [*tables[:1], bad, *tables[2:]], 16)
+    real = qdlab.partition.weight_kernel_grid
+    monkeypatch.setattr(qdlab.partition, "weight_kernel_grid",
+                        lambda *args: real(*args)[1:] if rows < 0 else real(*args)[:-1])
+    with pytest.raises(ValueError, match="buffer"):
+        _tet_tables(X, 16)
 
 
 @pytest.mark.parametrize("name, shapes", [
-    ("fig8_2tet", [(16, 31)] * 2),
-    ("fig8_3tet", [(31, 16), (16, 46), (31, 16)]),
-    ("four_tet", [(46, 16), (61, 46), (31, 31), (46, 46)]),
+    ("fig8_2tet", [(16, 48)] * 2),
+    ("fig8_3tet", [(48, 16), (16, 48), (48, 16)]),
+    ("four_tet", [(48, 32), (64, 48), (32, 48), (48, 48)]),
 ])
 def test_tables_span_the_fixed_edge_slice(name, shapes):
-    # each table spans the index box of the slice j_0 = 0 that _contract sums,
-    # not the box of all of [0, M)^E: fig8_2tet's would be (31, 61)
+    # each table is the whole blocks of the index box of the slice j_0 = 0 that
+    # _contract sums, not those of all of [0, M)^E: fig8_2tet's would be (32, 64)
     X = (pachner_23(builtin_census("fig8_3tet"), (0, 2)) if name == "four_tet"
          else builtin_census(name))
     tabs = _tet_tables(X, 16)
-    assert [tab["table"].shape for tab in tabs] == shapes
+    assert [view.base.shape for view in tabs] == shapes
+    if name == "fig8_2tet":
+        assert [tab["table"].shape for tab in _all_edge_tables(X, 16)] == [(32, 64)] * 2
     if name == "fig8_3tet":
-        assert tabs[0]["table"] is tabs[2]["table"]
+        assert tabs[0].base is tabs[2].base
 
 
 def test_equal_tets_share_one_table():
     # tets 0 and 2 of fig8_3tet have equal charges, sign and index ranges
     X = builtin_census("fig8_3tet", N=2)
     tabs = _tet_tables(X, 16)
-    assert tabs[0]["table"] is tabs[2]["table"]
-    assert tabs[1]["table"] is not tabs[0]["table"]
+    assert tabs[0].base is tabs[2].base
+    assert tabs[1].base is not tabs[0].base
     # a second call keeps its own memo: new arrays with the same entries
     again = _tet_tables(X, 16)
     for t in (0, 2):
-        assert again[t]["table"] is not tabs[t]["table"]
-        np.testing.assert_array_equal(again[t]["table"], tabs[t]["table"])
+        assert again[t].base is not tabs[t].base
+        np.testing.assert_array_equal(again[t].base, tabs[t].base)
 
 
 def _four_tet(N):
@@ -686,14 +708,8 @@ def test_shared_dtheta_rows_keep_every_table_bit(name, N):
     X = {"fig8_3tet": builtin_census("fig8_3tet", N=N), "four_tet": _four_tet(N),
          "five_tet": _five_tet(N)}[name]
     M = 32
-    for tet, row, tab in zip(X.tets, qdlab.partition._slots(X), _tet_tables(X, M)):
-        # the box of the slice j_0 = 0: edge 0 reads index 0 only
-        (umin, umax), (wmin, wmax) = ((sum(min(v * (M - 1), 0) for v in m[1:]),
-                                       sum(max(v * (M - 1), 0) for v in m[1:]))
-                                      for m in row.tolist())
-        own = weight_kernel_grid(qdlab.partition._kernel(X, tet), np.arange(umin, umax + 1),
-                                 np.arange(wmin, wmax + 1), M)
-        np.testing.assert_array_equal(tab["table"], np.conj(own) if tet.sign < 0 else own)
+    for t, view in enumerate(_tet_tables(X, M)):
+        np.testing.assert_array_equal(view.base, _own_table(X, t, _box(X, t, M), M)[0])
 
 
 @pytest.mark.parametrize("name", ["fig8_3tet", "four_tet"])
@@ -780,9 +796,10 @@ def test_partition_raises_on_nan_table(monkeypatch):
     # the guard of partition_function itself, behind the B-sum's own guard
     real = qdlab.partition.weight_kernel_grid
 
-    def poisoned(wkp, us, ws, M, core):
-        out = real(wkp, us, ws, M, core)
-        out[list(ws).index(0), list(us).index(0)] = np.nan  # the entry at equal states
+    def poisoned(wkp, core, a_blocks, q_blocks):
+        out = real(wkp, core, a_blocks, q_blocks)
+        M = len(core)
+        out[-q_blocks[0] * M, -a_blocks[0] * M] = np.nan  # the entry at equal states
         return out
 
     monkeypatch.setattr(qdlab.partition, "weight_kernel_grid", poisoned)

@@ -30,6 +30,7 @@ from qdlab.triangulation import (
     balance_kernel,
     balanced_perturbation,
     builtin_census,
+    face_vertices,
     gauge_direction,
     pachner_23,
     pachner_32,
@@ -217,6 +218,74 @@ def test_pachner_32_rejects_wrong_edge():
     idx = next(i for i, c in enumerate(Y.edge_classes) if len(c) != 3)
     with pytest.raises(TopologyError):
         pachner_32(Y, idx)
+
+
+def _three_tet_side():
+    """pachner_23 of fig8_2tet and the index of its valence-3 edge class."""
+    Y = pachner_23(fig8(), FIG8_CANONICAL_FACE)
+    return Y, next(i for i, c in enumerate(Y.edge_classes) if len(c) == 3)
+
+
+def _relabelled(X, t, perm):
+    """X with vertex v of tet t renamed perm[v], every gluing at tet t rewritten to match."""
+    gluings = []
+    for g in X.gluings:
+        ends = [[g.from_tet, g.from_face, face_vertices(g.from_face)],
+                [g.to_tet, g.to_face, g.vertex_map]]
+        for end in ends:
+            if end[0] == t:
+                end[1], end[2] = perm[end[1]], tuple(perm[v] for v in end[2])
+        corr = dict(zip(*(end[2] for end in ends)))
+        gluings.append(FaceGluing(g.from_tet, ends[0][1], g.to_tet, ends[1][1],
+                                  tuple(corr[v] for v in face_vertices(ends[0][1]))))
+    return ShapedTriangulation(X.N, X.theta, X.tets, gluings)
+
+
+def test_pachner_32_refuses_a_valence_3_edge_on_two_tets():
+    # a closed two-tet gluing, found by enumerating face pairings: each tet is glued
+    # to itself, and edge class 3 has three edges, all of tet 1
+    X = fig8()
+    gluings = [FaceGluing(0, 0, 0, 1, (0, 2, 3)), FaceGluing(0, 2, 0, 3, (0, 1, 2)),
+               FaceGluing(1, 0, 1, 1, (0, 3, 2)), FaceGluing(1, 2, 1, 3, (1, 2, 0))]
+    Y = ShapedTriangulation(X.N, X.theta, X.tets, gluings)
+    assert Y.is_closed and len(Y.edge_classes[3]) == 3
+    with pytest.raises(TopologyError, match="three distinct tets"):
+        pachner_32(Y, 3)
+
+
+def test_pachner_32_refuses_a_relabelled_three_tet_side():
+    # renaming the vertices of one tet of the three by (1, 0, 3, 2) keeps the
+    # triangulation, but moves that tet's edge of the class, here from (0, 2) to
+    # (1, 3): no order of the three tets puts it in the canonical position, where
+    # the side as pachner_23 built it collapses.  Relabelling twice is the identity.
+    Y, idx = _three_tet_side()
+    pachner_32(Y, idx)
+    t, edge = Y.edge_classes[idx][0]
+    moved = _relabelled(Y, t, (1, 0, 3, 2))
+    assert _relabelled(moved, t, (1, 0, 3, 2)).gluings == Y.gluings
+    idx = next(i for i, c in enumerate(moved.edge_classes) if len(c) == 3)
+    assert (t, edge) not in moved.edge_classes[idx]
+    with pytest.raises(TopologyError, match="canonical three-tet position"):
+        pachner_32(moved, idx)
+
+
+def test_pachner_32_refuses_three_tets_of_mixed_sign():
+    Y, idx = _three_tet_side()
+    t = Y.edge_classes[idx][0][0]
+    tets = [ShapedTet(-q.sign, q.angles) if i == t else q for i, q in enumerate(Y.tets)]
+    with pytest.raises(TopologyError, match="signs disagree"):
+        pachner_32(ShapedTriangulation(Y.N, Y.theta, tets, Y.gluings), idx)
+
+
+def test_pachner_32_refuses_a_non_positive_merged_charge():
+    # charges (0.45, 0.1, 0.45) on the three tets around the edge: the merged tet has
+    # a1 = 0.9 and c1 = 0.9, so its b = 1 - a1 - c1 is negative
+    Y, idx = _three_tet_side()
+    around = {t for t, _ in Y.edge_classes[idx]}
+    rows = [(0.45, 0.1, 0.45) if t in around else (q.angles.a, q.angles.b, q.angles.c)
+            for t, q in enumerate(Y.tets)]
+    with pytest.raises(Infeasible, match="strictly positive"):
+        pachner_32(Y.with_angles(rows), idx)
 
 
 def test_pachner_32_refuses_charges_off_the_transfer_equations():
