@@ -73,7 +73,7 @@ import numpy as np
 from .errors import NonConvergent
 from .faddeev import live_radius
 from .lca import (STEP, WINDOW, LcaPoint, fourier_kernel, gaussian_exp, haar_simpson,
-                  halve_residue, scalar_out)
+                  halve_residue, refuse_large, refuse_large_gaussian, scalar_out)
 from .qdilog import QdParams, factor_args, inversion_constant, log_dtheta
 
 __all__ = [
@@ -135,8 +135,10 @@ def log_psi(charges: ChargeTriple, z, n: int | np.ndarray | None, params: QdPara
 
 
 def psi_charged(charges: ChargeTriple, z, n: int, params: QdParams):
-    """psi_{A,C}(z, n); scalar in, scalar out."""
+    """psi_{A,C}(z, n); scalar in, scalar out.  A z whose phase pi z^2 reaches 2^52 turns
+    is refused (lca.refuse_large)."""
     zarr = np.asarray(z, dtype=complex)
+    refuse_large_gaussian(zarr)
     return scalar_out(zarr, np.exp(log_psi(charges, zarr, n % params.N.N, params)))
 
 
@@ -375,17 +377,27 @@ def weight_kernel_rows(wkp: WeightKernelParams, yr, yn):
     prefactor <x; -(y + s b0)/2> move.  They are built on the broadcast shape of x, yn and
     the shift, not of y: a scalar x and residue yn give one row of phases (_b_sum).
     Nothing is kept past the returned function.
+
+    A y whose B-sum shift indices, about sqrt(N) y, reach 2^52 is refused, and so is an
+    x at which a phase of W reaches 2^52 turns (lca.refuse_large).  Each phase is at most
+    |k - yn - shift| (|x| + |mu_x|)/sqrt(N) turns over the shifts k of the sum: the
+    B-sum's (k - yn - shift)(mu_x - x)/sqrt(N), its tail ratio's 2 sqrt(N)(mu_x - x) and,
+    as the shifts k run past -sqrt(N) y0 on both sides, the prefactor's x (y + shift/sqrt(N))/2.
     """
     N, rN = wkp.params.N.N, wkp.params.N.sqrt
     yr, yn = np.asarray(yr, dtype=float), np.asarray(yn, dtype=int) % N
     shape = np.broadcast_shapes(yr.shape, yn.shape)
+    refuse_large("the B-sum's shift index, about sqrt(N) |y|,", lambda m: (m + rN) * rN, "y", yr)
     rows = _rows(wkp, np.broadcast_to(yr - yn / rN, shape).ravel())
+    kmax = max(-int(rows[0][0]), int(rows[0][-1])) + int(np.max(yn, initial=0))  # >= |k - yn|
 
     def per_row(a):  # one value, or one per row of F psi
         return a.reshape(1) if a.size == 1 else np.broadcast_to(a, shape).ravel()
 
     def W(xr, xn, shift: int = 0) -> np.ndarray:
         xr, xn, off = np.asarray(xr, dtype=float), np.asarray(xn, dtype=int) % N, yn + shift
+        refuse_large("a phase of W, at most |k - yn - shift| (|x| + |mu_x|)/sqrt(N) turns,",
+                     lambda m: (kmax + abs(shift)) / rN * (m + abs(wkp.mu.x)), "x", xr)
         total = _b_sum(wkp, rows, per_row(xr), per_row(xn), per_row(off)).reshape(shape)
         # <x; -y/2> with the halving convention of lca.halve, fused like the phases of _b_sum
         hyn = halve_residue(off % N, N)

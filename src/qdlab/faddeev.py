@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PoleProximity, SlowConvergence
-from .lca import scalar_out
+from .lca import refuse_large_gaussian, scalar_out
 
 _IM_THETA_SQ_FLOOR = 0.05  # thetas with Im(theta^2) below this converge too slowly
 _PRODUCT_TOL = 1e-16  # tail tolerance of the infinite q-products
@@ -194,9 +194,11 @@ def phi_theta(z, theta: ThetaParam):
     """Phi_theta(z); scalar in, scalar out; arrays pass through vectorized.
 
     Raises PoleProximity when a scalar z is within _POLE_EPS of the pole
-    lattice (array inputs skip the check for speed).
+    lattice (array inputs skip the check for speed), and ValueError where the
+    phase pi z^2 of the inversion relation reaches 2^52 turns (lca.refuse_large).
     """
     zarr = np.asarray(z, dtype=complex)
+    refuse_large_gaussian(zarr)
     if zarr.ndim == 0:
         pole, dist = nearest_pole(complex(zarr), theta)
         if dist < _POLE_EPS:

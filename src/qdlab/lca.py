@@ -95,6 +95,25 @@ def gaussian_exp(p: LcaPoint, N: Modulus) -> complex:
     return np.exp(1j * np.pi * p.x**2) * np.exp(-1j * np.pi * n * (n + N.N) / N.N)
 
 
+def refuse_large(what: str, size, name: str, values) -> None:
+    """Raise ValueError when size(m) reaches 2^52, m the largest modulus in values (NaN read
+    as 0): from 2^52 a float keeps no fractional bit, so a phase of that many turns, or a
+    shift index that large, leaves no digit of the value.  The message names the element
+    of values at m.  size maps a Python float to one, so an overflow is inf, not a warning.
+    """
+    flat = np.ravel(values)
+    mag = np.fmax(np.abs(flat), 0.0)  # fmax drops a NaN
+    if flat.size and size(float(mag.max())) >= 2.0**52:
+        raise ValueError(f"{what} reaches 2^52 at {name} = {flat[np.argmax(mag)]}, "
+                         "where a float keeps no fractional bit")
+
+
+def refuse_large_gaussian(z) -> None:
+    """refuse_large for the phase of <z> = e^{pi i z^2}, |z|^2/2 turns: the phase that
+    Phi_theta, D_theta and psi take on at large |z|."""
+    refuse_large("the phase pi z^2, |z|^2/2 turns,", lambda m: m * m / 2, "z", z)
+
+
 def fourier_kernel(p: LcaPoint, q: LcaPoint, N: Modulus) -> complex:
     """<p;q> = e^{2 pi i x y} e^{-2 pi i m n / N}, the self-duality bicharacter."""
     return np.exp(2j * np.pi * p.x * q.x) * np.exp(-2j * np.pi * (p.n * q.n) / N.N)

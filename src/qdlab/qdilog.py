@@ -24,7 +24,7 @@ import numpy as np
 from .errors import PoleProximity
 from .faddeev import ThetaParam, is_near_pole, log_phi_theta
 from .lca import (STEP, WINDOW, LcaPoint, Modulus, fourier_kernel, gaussian_exp, haar_simpson,
-                  scalar_out)
+                  refuse_large_gaussian, scalar_out)
 
 __all__ = [
     "QdParams",
@@ -100,8 +100,10 @@ def log_dtheta(z, n: int | np.ndarray, params: QdParams) -> np.ndarray:
 
 
 def dtheta(z, n: int, params: QdParams):
-    """D_theta(z, n).  Scalar z gets a pole-proximity check on every factor."""
+    """D_theta(z, n).  Scalar z gets a pole-proximity check on every factor; a z whose
+    phase pi z^2 reaches 2^52 turns is refused (lca.refuse_large)."""
     zarr = np.asarray(z, dtype=complex)
+    refuse_large_gaussian(zarr)
     if zarr.ndim == 0:
         for arg in factor_args(complex(zarr), n, params):
             if is_near_pole(complex(arg), params.theta):

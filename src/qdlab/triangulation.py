@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -90,15 +90,32 @@ class FaceGluing:
 
 
 class ShapedTriangulation:
-    """Immutable triangulation: the glued (tet, face) set, edge classes as sorted (tet, edge pair)
-    tuples, the incidence [t, s, c] (edges of tet t at slot s in class c) and its angle_sums."""
+    """Immutable triangulation: the face map partner, edge classes as sorted (tet, edge pair)
+    tuples, the incidence [t, s, c] (edges of tet t at slot s in class c) and its angle_sums.
+
+    partner[(t, f)] = (t', f', vertex map, i) for both ends (t, f) of each gluing i: the face
+    (t', f') glued to (t, f), and the map {v: image} of the vertices of face f, read from
+    (t, f).  It is validated as it is built; every face lookup reads it.
+    """
 
     def __init__(self, N: Modulus, theta: ThetaParam, tets, gluings):
         self.N = N
         self.theta = theta
         self.tets: tuple[ShapedTet, ...] = tuple(tets)
         self.gluings: tuple[FaceGluing, ...] = tuple(gluings)
-        self.glued_faces: frozenset = self._validate()
+        self.partner: dict = {}
+        for i, g in enumerate(self.gluings):
+            if (g.from_tet, g.from_face) == (g.to_tet, g.to_face):  # else "glued twice"
+                raise ValidationError("face glued to itself")
+            vm = dict(zip(face_vertices(g.from_face), g.vertex_map))
+            for t, f, t2, f2, m in ((g.from_tet, g.from_face, g.to_tet, g.to_face, vm),
+                                    (g.to_tet, g.to_face, g.from_tet, g.from_face,
+                                     {w: v for v, w in vm.items()})):
+                if not (0 <= t < len(self.tets) and 0 <= f < 4):
+                    raise ValidationError(f"face ({t},{f}) out of range")
+                if (t, f) in self.partner:
+                    raise ValidationError(f"face ({t},{f}) glued twice")
+                self.partner[(t, f)] = (t2, f2, m, i)
         self.edge_classes: tuple[tuple, ...] = self._edge_classes()
         self.incidence = np.zeros((len(self.tets), 3, len(self.edge_classes)), dtype=int)
         for c, members in enumerate(self.edge_classes):
@@ -107,20 +124,6 @@ class ShapedTriangulation:
         self.incidence.flags.writeable = False
         self.angle_sums = (_angles(self)[:, :, None] * self.incidence).sum(axis=(0, 1))
         self.angle_sums.flags.writeable = False
-
-    def _validate(self):
-        seen = set()
-        T = len(self.tets)
-        for g in self.gluings:
-            if (g.from_tet, g.from_face) == (g.to_tet, g.to_face):  # else "glued twice"
-                raise ValidationError("face glued to itself")
-            for (t, f) in ((g.from_tet, g.from_face), (g.to_tet, g.to_face)):
-                if not (0 <= t < T and 0 <= f < 4):
-                    raise ValidationError(f"face ({t},{f}) out of range")
-                if (t, f) in seen:
-                    raise ValidationError(f"face ({t},{f}) glued twice")
-                seen.add((t, f))
-        return frozenset(seen)
 
     def _edge_classes(self):
         items = [(t, e) for t in range(len(self.tets)) for e in EDGE_PAIRS]
@@ -132,19 +135,11 @@ class ShapedTriangulation:
                 x = parent[x]
             return x
 
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for g in self.gluings:
-            src = face_vertices(g.from_face)
-            corr = dict(zip(src, g.vertex_map))
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    e_from = tuple(sorted((src[i], src[j])))
-                    e_to = tuple(sorted((corr[src[i]], corr[src[j]])))
-                    union((g.from_tet, e_from), (g.to_tet, e_to))
+        for (t, f), (t2, _, vm, _) in self.partner.items():
+            for v, w in combinations(face_vertices(f), 2):
+                rx, ry = find((t, (v, w))), find((t2, tuple(sorted((vm[v], vm[w])))))
+                if rx != ry:
+                    parent[rx] = ry
         groups: dict = {}
         for it in items:
             groups.setdefault(find(it), []).append(it)
@@ -152,7 +147,7 @@ class ShapedTriangulation:
 
     @property
     def is_closed(self) -> bool:
-        return len(self.glued_faces) == 4 * len(self.tets)
+        return len(self.partner) == 4 * len(self.tets)
 
     def is_balanced(self, tol: float = 1e-12) -> bool:
         return bool(np.all(np.abs(self.angle_sums - 2.0) <= tol))
@@ -266,12 +261,9 @@ def _label_gluings(placed) -> list[FaceGluing]:
 
 def _is_glued(X: ShapedTriangulation, gluings) -> bool:
     """Whether every one of gluings is a gluing of X, read in either direction."""
-    have = set(X.gluings)
-    for g in X.gluings:
-        inv = {w: v for v, w in zip(face_vertices(g.from_face), g.vertex_map)}
-        vm = tuple(inv[w] for w in face_vertices(g.to_face))
-        have.add(FaceGluing(g.to_tet, g.to_face, g.from_tet, g.from_face, vm))
-    return set(gluings) <= have
+    return all(X.partner.get((g.from_tet, g.from_face), ())[:3]
+               == (g.to_tet, g.to_face, dict(zip(face_vertices(g.from_face), g.vertex_map)))
+               for g in gluings)
 
 
 def _rewire(X: ShapedTriangulation, old, new_labels, new_tets) -> ShapedTriangulation:
@@ -313,15 +305,16 @@ def pachner_23(X: ShapedTriangulation, face: tuple[int, int]) -> ShapedTriangula
     gluing must match one of the two exact bipyramid wirings.  Charges of the
     three new tets come from solve_pentagon_charges; all pre-existing edge
     angle sums are conserved exactly and the new edge is balanced.
+
+    The move reads the stored gluing at the face, whichever end of it the face
+    is, in its from/to order: it first tries the from-tet as d3 and the to-tet
+    as d1, then the other way round.  Where both wirings hold, that order picks
+    the result, so reversing the stored direction of a gluing can give a
+    different, equally valid, three-tet side.
     """
-    match = [
-        g
-        for g in X.gluings
-        if (g.from_tet, g.from_face) == tuple(face) or (g.to_tet, g.to_face) == tuple(face)
-    ]
-    if not match:
+    if tuple(face) not in X.partner:
         raise TopologyError(f"face {face} is not glued")
-    g = match[0]
+    g = X.gluings[X.partner[tuple(face)][3]]
     if g.from_tet == g.to_tet:
         raise TopologyError("2-3 move needs two distinct tetrahedra")
     if X.tets[g.from_tet].sign != X.tets[g.to_tet].sign:

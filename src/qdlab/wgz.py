@@ -233,14 +233,14 @@ def conjugated_operator(name: str, b: complex, f: TestVector, k: int) -> TestVec
 def commutation_phase(name1: str, name2: str, b: complex, k: int) -> complex:
     """Predicted constant with  A B = phase * B A, from the closed forms.
 
-    Raises ValueError when the two compositions are not proportional.
+    The two compositions have the same rot, shift and alpha, as compose adds them and
+    IEEE addition commutes, so they differ by their consts alone.  Raises ValueError
+    when those differ by a component-dependent factor.
     """
     A = operator_closed_form(name1, b, k)
     B = operator_closed_form(name2, b, k)
     ab = A.compose(B)
     ba = B.compose(A)
-    if ab.rot != ba.rot or abs(ab.shift - ba.shift) > 1e-12 or abs(ab.alpha - ba.alpha) > 1e-12:
-        raise ValueError("compositions differ beyond a constant")
     ratios = [ca / cb for ca, cb in zip(ab.consts, ba.consts)]
     if max(abs(r - ratios[0]) for r in ratios) > 1e-12:
         raise ValueError("compositions differ by a component-dependent factor")

@@ -1,6 +1,7 @@
 """Charged dilogarithms: transforms, conjugation identities, weight kernels."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -472,6 +473,31 @@ def test_b_sum_refuses_a_tail_that_is_not_geometric(side, monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonConvergent, match="tail not geometric"):
             weight_kernel(wkp, LcaPoint(0.1, 0), LcaPoint(0.2, 1))
+
+
+def test_b_sum_refuses_a_nan_x():
+    # a NaN x reaches no q-product, only the phases, so the B-sum is the first to see
+    # it; numpy's invalid-value warning on the way is silenced here, not by the code
+    wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), params(2))
+    with np.errstate(invalid="ignore"), pytest.raises(NonConvergent, match="B-sum not finite"):
+        weight_kernel_many(wkp, np.nan, 0, 0.2, 1)
+
+
+@pytest.mark.parametrize("x, y, text", [
+    (0.1, 4e15, "shift index, about sqrt(N) |y|, reaches 2^52 at y = 4000000000000000.0"),
+    (np.array([0.1, -2e15]), 0.2, "reaches 2^52 at x = -2000000000000000.0"),
+    (0.1, np.array([0.2, 1e16]), "reaches 2^52 at y = 1e+16"),
+], ids=["y", "x-array", "y-array"])
+def test_kernel_point_that_keeps_no_fractional_bit_is_refused(x, y, text):
+    # the shift indices of the sum sit near -sqrt(N) y, and its phases reach
+    # |k - yn| (|x| + |mu_x|)/sqrt(N) turns: from 2^52 a float keeps no fractional bit
+    wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), params(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=re.escape(text)):
+            weight_kernel_many(wkp, x, 0, y, 0)
+        # below those sizes the kernel is evaluated
+        assert np.isfinite(weight_kernel_many(wkp, 1e3, 0, 1e3, 0))
 
 
 def _grid_entries(wkp, grid, a0, q0, M, us, ws):

@@ -207,7 +207,7 @@ def test_wgz_k_below_1_is_rejected(k, capsys):
         "angle-string", "N-overflow"])
 def test_rejected_triangulation_document(edit, message, capsys, tmp_path):
     # each edit of the figure-eight document (or raw text) fails one check of
-    # parse_triangulation or ShapedTriangulation._validate, with its own message;
+    # parse_triangulation or the face map of ShapedTriangulation, with its own message;
     # unknown fields and a bad vertex map have their own tests in test_triangulation
     if callable(edit):
         doc = builtin_census("fig8_2tet").to_document()
@@ -221,13 +221,26 @@ def test_rejected_triangulation_document(edit, message, capsys, tmp_path):
     assert captured.err.count("\n") == 1  # one error line, no traceback
 
 
-def test_non_finite_value_is_not_printed(capsys):
-    # psi is NaN this far out; JSON has no NaN, so the command fails with no output.
-    # Getting there overflows, and the overflow warnings are part of the case.
-    with pytest.warns(RuntimeWarning):
-        assert run(["psi", "--charges", "0.4,0.3,0.3", "--z", "1e300"]) == 1
+@pytest.mark.parametrize("args, text", [
+    (["kernel", "--charges", "0.4,0.35,0.25", "--x", "0.1,0", "--y", "1e300,0"],
+     "shift index, about sqrt(N) |y|, reaches 2^52 at y = 1e+300"),
+    (["kernel", "--charges", "0.4,0.35,0.25", "--x", "1e300,0", "--y", "0.2,0"],
+     "a phase of W, at most |k - yn - shift| (|x| + |mu_x|)/sqrt(N) turns, reaches 2^52 "
+     "at x = 1e+300"),
+    (["dtheta", "--z", "1e300"], "reaches 2^52 at z = (1e+300+0j)"),
+    (["phi", "--z", "1e300"], "reaches 2^52 at z = (1e+300+0j)"),
+    (["psi", "--charges", "0.4,0.35,0.25", "--z", "1e300"], "reaches 2^52 at z = (1e+300+0j)"),
+], ids=["kernel-y", "kernel-x", "dtheta", "phi", "psi"])
+def test_finite_value_too_large_is_refused(args, text, capsys):
+    # a finite point at which a B-sum shift index or a phase in turns reaches 2^52 keeps
+    # no fractional bit: it is refused by name, with no warning and no output
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(args) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error:")
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert text in captured.err
 
 
 def test_wgz_nan_level_is_rejected(capsys):

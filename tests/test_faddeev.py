@@ -40,6 +40,29 @@ def test_theta_param_validation():
     assert th.c == pytest.approx(0.5j)
 
 
+@pytest.mark.parametrize("frac", ["0", "1/2", "-1/3", 0.75])
+def test_pi_fraction_outside_the_first_quadrant_is_refused(frac):
+    with pytest.raises(ValueError, match=r"must be in \(0, 1/2\)"):
+        ThetaParam.from_pi_fraction(frac)
+
+
+def test_nan_argument_of_an_array_is_refused(theta3):
+    # an array skips the pole check, so a NaN z reaches the q-products, which refuse it
+    with pytest.raises(ValueError, match="q-product argument is not finite"):
+        phi_theta(np.array([0.3, np.nan]), theta3)
+
+
+@pytest.mark.parametrize("z", [1e8, -1e8, 1e8j, np.array([0.2, -3e300])])
+def test_z_whose_phase_keeps_no_fractional_bit_is_refused(z, theta3):
+    # |z|^2/2 turns reaches 2^52 from |z| = 2^26.5 = 9.5e7 on; refused by name, with no
+    # overflow warning, by phi_theta and dtheta alike
+    p = QdParams(theta3, Modulus(2))
+    for f in (lambda: phi_theta(z, theta3), lambda: dtheta(z, 0, p)):
+        with pytest.raises(ValueError, match="reaches 2\\^52 at z = "):
+            f()
+    assert np.isfinite(phi_theta(9e7, theta3))  # just below, z is evaluated
+
+
 def test_c_theta_examples(thetas):
     th3, th4, _ = thetas
     assert th3.c == pytest.approx(0.5j)

@@ -88,6 +88,12 @@ def test_ptolemy_examples():
         ptolemy(one, one, one, G(-1), one)
 
 
+def test_zero_diagonal_is_a_division_by_zero():
+    # a quadrilateral whose pre-flip diagonal lambda is 0 has no ratio points
+    with pytest.raises(ZeroDivisionError, match="division by zero Gaussian rational"):
+        lambda_ratio_points(G(1), G(2), G(3), G(4), G(0))
+
+
 def test_lambda_flip_consistency(rng):
     done = 0
     while done < 20:

@@ -32,6 +32,20 @@ def test_solve_degenerate_rejected():
         solve_pentagon_charges(EQUAL, EQUAL, free=1 / 3)
 
 
+def test_free_parameter_at_the_rounding_edge_is_refused():
+    # a0 = 5e-324 lies inside the interval (0, 0.25), but a4 = t3.a - (t1.a - a0)
+    # rounds to 0, so the charge triple q4 is refused as not strictly positive
+    t1 = ChargeTriple(0.3, 1 - 0.3 - 0.35, 0.35)
+    t3 = ChargeTriple(0.3, 1 - 0.3 - 0.25, 0.25)
+    with pytest.raises(Infeasible, match="strictly positive"):
+        solve_pentagon_charges(t1, t3, free=5e-324)
+
+
+def test_pentagon_charges_need_five_triples():
+    with pytest.raises(ValueError, match="need five charge triples"):
+        PentagonCharges(tuple(solve_pentagon_charges(EQUAL, EQUAL))[:4])
+
+
 def test_solve_float_round_trip():
     q = solve_pentagon_charges(ChargeTriple(0.41, 0.27, 0.32), T3, free=0.2)
     rebuilt = [ChargeTriple(float(c.a), float(c.b), float(c.c)) for c in q]

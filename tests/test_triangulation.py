@@ -51,7 +51,7 @@ def test_census_fig8_2tet():
     assert X.is_balanced(1e-12)
     assert all(len(c) == 6 for c in X.edge_classes)
     # chi of the non-compact manifold: -T + F - E = -2 + 4 - 2 = 0
-    faces = len(X.glued_faces) // 2
+    faces = len(X.partner) // 2
     assert -len(X.tets) + faces - len(X.edge_classes) == 0
 
 
@@ -86,6 +86,19 @@ def test_parse_rejects_double_gluing():
     doc["gluings"].append(doc["gluings"][0])
     with pytest.raises(ValidationError):
         parse_triangulation(doc)
+
+
+def test_parse_rejects_theta_outside_the_first_quadrant():
+    doc = fig8().to_document()
+    doc["theta_arg_over_pi"] = 0.5
+    with pytest.raises(SchemaError, match=r"must be in \(0, 1/2\)"):
+        parse_triangulation(doc)
+
+
+def test_tet_sign_must_be_one_or_minus_one():
+    # parse_triangulation refuses a bad sign itself; the constructor refuses it too
+    with pytest.raises(ValueError, match="tet sign must be"):
+        ShapedTet(0, ChargeTriple.equal())
 
 
 def test_parse_rejects_bad_vertex_map():
@@ -156,6 +169,29 @@ def test_pachner_23_errors():
     )
     with pytest.raises(TopologyError):
         pachner_23(bad, FIG8_CANONICAL_FACE)
+
+
+def _pairing(X):
+    """X's face pairing with its vertex maps, whatever direction each gluing is stored in."""
+    return {face: end[:3] for face, end in X.partner.items()}
+
+
+def test_pachner_23_reads_the_stored_gluing_direction():
+    # at fig8_3tet's face (0, 2) both wirings hold, so the stored from/to order picks
+    # which old tet plays d3: stored the other way round, the same triangulation moves
+    # to a different four-tet, with the same Z (1.5e-16 relative at N=1, M=64)
+    X = builtin_census("fig8_3tet")
+    doc = X.to_document()
+    g = doc["gluings"][X.partner[(0, 2)][3]]
+    inv = dict(zip(g["vertex_map"], face_vertices(g["from"][1])))
+    g["from"], g["to"] = g["to"], g["from"]
+    g["vertex_map"] = [inv[w] for w in face_vertices(g["from"][1])]
+    Y = parse_triangulation(doc)
+    assert _pairing(Y) == _pairing(X) and Y.gluings != X.gluings
+    A, B = pachner_23(X, (0, 2)), pachner_23(Y, (0, 2))
+    assert _pairing(A) != _pairing(B)
+    za, zb = (partition_function(Z, QuadratureSpec(M=64), target=1.0).Z for Z in (A, B))
+    assert abs(za - zb) <= 1e-12 * abs(za)
 
 
 def test_pachner_23_infeasible_charges():

@@ -164,6 +164,33 @@ def test_commutations_match_closed_forms(pair):
             assert np.max(np.abs(np.asarray(direct(j, us)) - ph * np.asarray(BA(j, us)))) < 1e-12
 
 
+def test_reported_pairs_commute_up_to_a_constant():
+    # the four pairs of the wgz report have component-independent commutation
+    # constants at every level k = 1..8 and b = sqrt((k + it)/2), t in [-5, 5];
+    # (U, Ut) is component-dependent at k = 2 and is refused
+    for k in range(1, 9):
+        for t in np.linspace(-5, 5, 41):
+            b = complex(np.sqrt((k + 1j * t) / 2))
+            for pair in (("U", "V"), ("U", "Vt"), ("V", "Ut"), ("V", "Vt")):
+                assert np.isfinite(commutation_phase(*pair, b, k))
+    with pytest.raises(ValueError, match="component-dependent"):
+        commutation_phase("U", "Ut", b_of(2), 2)
+
+
+def test_operator_refusals():
+    with pytest.raises(ValueError, match="unknown operator 'W'"):
+        operator_closed_form("W", b_of(2), 2)
+    with pytest.raises(LevelMismatch, match="levels differ"):
+        OperatorWord(2).compose(OperatorWord(3))
+
+
+def test_inverse_refuses_points_off_the_grid():
+    k, M = 2, 40
+    s = wgz_forward(vec(k), k, M)
+    with pytest.raises(ValueError, match="section grid"):
+        wgz_inverse(s, k, [0.5 / M])
+
+
 def test_s_twisted_pairing_report():
     # the paper's isometry statement lacks a formula; measure the S-twisted
     # pairing of forward images against the plain component pairing and only
