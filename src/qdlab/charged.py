@@ -24,8 +24,9 @@ is its automorphic descent
     W_{A,C;mu}(x, y) = <x; -y/2> sum_{b in B} H_{A,C}(-y-b) conj<b> <b; mu - x>,
 
 quasi-periodic in both arguments under B-shifts.  Every kernel value, paired
-(`weight_kernel_rows`, `weight_kernel_many`) or on a grid (`weight_kernel_grid`,
-for the per-tet tables of the partition function), comes from one B-sum engine
+(`weight_kernel_rows`, `weight_kernel_many`, and the lines of
+`weight_kernel_cores`) or on a grid (`weight_kernel_grid`; the lines and grids
+serve the per-tet views of the partition function), comes from one B-sum engine
 in three stages, at the section points y0 = yr - yn/sqrt(N) of a set of points y.
 - `_dtheta_rows` evaluates D_theta(-z - c_th (B + C)/sqrt(N), -n), the one factor
   of F psi_{A,C}(z, n) that runs q-products, on the band of shifts the sum reads,
@@ -330,7 +331,8 @@ def _b_sum(wkp: WeightKernelParams, rows: tuple, xr, xn, off=None) -> np.ndarray
     summand is geometric with period 2N, so each tail is sum_seeds X_k / (1 - R), with
     R = up or down times the phase ratio e^{+-4 pi i sqrt(N) (mu_x - x)}, which no offset
     changes.  The sum is exact up to the q-products' own tolerance; NonConvergent is
-    raised when it is not finite.  All rows are contracted in one statement per branch;
+    raised when it is not finite, and before any arithmetic when an x is not, which
+    would make numpy warn on the way.  All rows are contracted in one statement per branch;
     its temporaries are the size of T, or of the result on a grid.
 
     xr is a 1-D float array and xn a 1-D integer array reduced mod N.  Paired (off a 1-D
@@ -352,6 +354,8 @@ def _b_sum(wkp: WeightKernelParams, rows: tuple, xr, xn, off=None) -> np.ndarray
             2j * np.pi * (k / rN) * (wkp.mu.x - x) - 2j * np.pi * k * ((wkp.mu.n - n) / N)
         )
 
+    if not np.all(np.isfinite(xr)):
+        raise NonConvergent(f"weight-kernel B-sum not finite at x = {xr[~np.isfinite(xr)][0]}")
     turn = np.exp(4j * np.pi * rN * (wkp.mu.x - xr))  # phase ratio of k -> k + 2N
     if off is None:
         P = phase(ks[:, None], xr, xn)
@@ -367,16 +371,18 @@ def _b_sum(wkp: WeightKernelParams, rows: tuple, xr, xn, off=None) -> np.ndarray
     return total
 
 
-def weight_kernel_rows(wkp: WeightKernelParams, yr, yn):
+def weight_kernel_rows(wkp: WeightKernelParams, yr, yn, rows: tuple | None = None):
     """W_{A,C;mu}(., y) at the points y = (yr, yn) (broadcast), from one evaluation of F psi.
 
     Returns W(xr, xn, shift=0), the kernel at x = (xr, xn), broadcast to the shape of y,
-    and y + shift b0, for an integer shift.  F psi is evaluated once, by _rows at the
-    section points y0 = yr - yn/sqrt(N) of y.  A B-shift y + s b0 has the same y0 and
-    section offset yn + s, so every shift reads the same rows; only the phases and the
-    prefactor <x; -(y + s b0)/2> move.  They are built on the broadcast shape of x, yn and
-    the shift, not of y: a scalar x and residue yn give one row of phases (_b_sum).
-    Nothing is kept past the returned function.
+    and y + shift b0, for an integer shift or one per point of y.  F psi is evaluated
+    once, by _rows at the section points y0 = yr - yn/sqrt(N) of y.  A B-shift y + s b0
+    has the same y0 and section offset yn + s, so every shift reads the same rows; only
+    the phases and the prefactor <x; -(y + s b0)/2> move.  They are built on the
+    broadcast shape of x, yn and the shift, not of y: a scalar x and residue yn give one
+    row of phases (_b_sum).  Nothing is kept past the returned function.  rows, if
+    given, are the rows (ks, T, up, down) of _rows at those section points, one per
+    point, already evaluated: weight_kernel_cores reads its lines off a core's rows.
 
     A y whose B-sum shift indices, about sqrt(N) y, reach 2^52 is refused, and so is an
     x at which a phase of W reaches 2^52 turns (lca.refuse_large).  Each phase is at most
@@ -388,16 +394,18 @@ def weight_kernel_rows(wkp: WeightKernelParams, yr, yn):
     yr, yn = np.asarray(yr, dtype=float), np.asarray(yn, dtype=int) % N
     shape = np.broadcast_shapes(yr.shape, yn.shape)
     refuse_large("the B-sum's shift index, about sqrt(N) |y|,", lambda m: (m + rN) * rN, "y", yr)
-    rows = _rows(wkp, np.broadcast_to(yr - yn / rN, shape).ravel())
+    if rows is None:
+        rows = _rows(wkp, np.broadcast_to(yr - yn / rN, shape).ravel())
     kmax = max(-int(rows[0][0]), int(rows[0][-1])) + int(np.max(yn, initial=0))  # >= |k - yn|
 
     def per_row(a):  # one value, or one per row of F psi
         return a.reshape(1) if a.size == 1 else np.broadcast_to(a, shape).ravel()
 
-    def W(xr, xn, shift: int = 0) -> np.ndarray:
+    def W(xr, xn, shift=0) -> np.ndarray:
         xr, xn, off = np.asarray(xr, dtype=float), np.asarray(xn, dtype=int) % N, yn + shift
+        smax = int(np.max(np.abs(shift)))
         refuse_large("a phase of W, at most |k - yn - shift| (|x| + |mu_x|)/sqrt(N) turns,",
-                     lambda m: (kmax + abs(shift)) / rN * (m + abs(wkp.mu.x)), "x", xr)
+                     lambda m: (kmax + smax) / rN * (m + abs(wkp.mu.x)), "x", xr)
         total = _b_sum(wkp, rows, per_row(xr), per_row(xn), per_row(off)).reshape(shape)
         # <x; -y/2> with the halving convention of lca.halve, fused like the phases of _b_sum
         hyn = halve_residue(off % N, N)
@@ -413,22 +421,36 @@ def weight_kernel_many(wkp: WeightKernelParams, xr, xn, yr, yn) -> np.ndarray:
     return weight_kernel_rows(wkp, yr, yn)(xr, xn)
 
 
-def weight_kernel_cores(wkps, M: int) -> list[np.ndarray]:
-    """The M x M B-sum core S[w, u] = S((u h, 0), (w h, 0)), 0 <= u, w < M, of
-    weight_kernel_grid for each kernel of wkps, h = sqrt(N)/M.
+def weight_kernel_cores(wkps, M: int, lines=None) -> list[np.ndarray]:
+    """The B-sum on the index grid of step h = sqrt(N)/M for each kernel of wkps: the
+    M x M core S[w, u] = S((u h, 0), (w h, 0)), 0 <= u, w < M, of weight_kernel_grid, or,
+    where lines[i] is a pair (u, w) of integer arrays, W((u h, 0), (w h, 0)) along them.
 
+    Both read the rows of F psi at y0 = (0..M-1) h, once per kernel: W at w = qM + w0
+    is weight_kernel_rows(wkp, w0 h, 0)(u h, 0, qN) read off row w0, by the paired
+    branch of the B-sum, in len(u) row contractions rather than the M of a core.
     D_theta is evaluated once per QdParams and float B + C: the kernels that share them
-    read the same rows of _dtheta_rows, which live only within this call.  Each core has
-    the bits of the kernel's own, as its rows are the same floats.
+    read the same rows of _dtheta_rows, which live only within this call.  Every value
+    has the bits of the kernel's own, as its rows are the same floats.
     """
-    cores = {}
-    for p, bc in dict.fromkeys((w.params, w.charges.b + w.charges.c) for w in wkps):
-        y0 = np.arange(M) * (p.N.sqrt / M)
+    lines = lines or [None] * len(wkps)
+    out = [None] * len(wkps)
+    bands = [(w.params, w.charges.b + w.charges.c) for w in wkps]
+    for p, bc in dict.fromkeys(bands):
+        h = p.N.sqrt / M
+        y0 = np.arange(M) * h
         d_rows = _dtheta_rows(p, bc, y0)
-        for w in wkps:
-            if (w.params, w.charges.b + w.charges.c) == (p, bc):
-                cores[w] = _b_sum(w, _rows(w, y0, d_rows), y0, np.zeros(M, dtype=int))
-    return [cores[w] for w in wkps]
+        for wkp in dict.fromkeys(w for w, band in zip(wkps, bands) if band == (p, bc)):
+            ks, T, up, down = rows = _rows(wkp, y0, d_rows)
+            for i in (i for i, w in enumerate(wkps) if w == wkp):
+                if lines[i] is None:
+                    out[i] = _b_sum(wkp, rows, y0, np.zeros(M, dtype=int))
+                else:
+                    u, w = lines[i]
+                    w0 = w % M
+                    W = weight_kernel_rows(wkp, y0[w0], 0, (ks, T[w0], up[w0], down[w0]))
+                    out[i] = W(u * h, 0, w // M * p.N.N)
+    return out
 
 
 def weight_kernel_grid(wkp: WeightKernelParams, core: np.ndarray, a_blocks,
@@ -460,7 +482,8 @@ def weight_kernel_grid(wkp: WeightKernelParams, core: np.ndarray, a_blocks,
           * np.exp(-2j * np.pi * q[..., None] * p.N.sqrt * wkp.mu.x)).reshape(len(q), -1)
     # T0, then its columns a of phases, then the blocks: each step frees the last
     T = core * root(-N * u0[:, None] * u0, M * M)
-    T = (T[:, None, :] * root(-N * a * u0, M).T[:, :, None]).reshape(M, -1)
+    # in C order, so that the reshape is a view, not a copy
+    T = np.multiply(T[:, None, :], root(-N * a * u0, M).T[:, :, None], order="C").reshape(M, -1)
     out = np.empty((len(q) * M, len(a) * M), dtype=complex)
     np.multiply(T, qa[:, None, :], out=out.reshape(len(q), M, -1))
     return out

@@ -10,29 +10,37 @@ the triangulation's incidence (_slots).  States live on the circle A/B, one per
 edge class; Z(X) integrates the product of weights over [0, sqrt(N))^edges
 with the mass-1 measure (dt/sqrt(N)) per edge, by periodic trapezoid on M
 points per edge.  Kernel values are memoized on the index grid: for lifted
-states all kernel arguments are integer multiples of h = sqrt(N)/M, so each
-tet needs a single (E2-index, E1-index) table: the whole M x M blocks that
-cover the index box of the slice j_0 = 0 that the sum reads (below).  The
-table comes from `charged.weight_kernel_grid`, which shares the B-sum engine
-and its closed-form tails with every pointwise kernel value.  It sums the B-sum
-on the M x M core only; by the two automorphy relations of the kernel every
-M x M block of the table is that core times a rank-one unimodular phase.
+states all kernel arguments are integer multiples of h = sqrt(N)/M.  A tet
+whose slot row touches at most one free edge of the slice j_0 = 0 that the sum
+reads (below), as every tet of a two-tet triangulation does, reads M kernel
+values along a line.  It gets them straight from the paired B-sum, M row
+contractions, where a table would cost an M x M core and at least 3M^2
+entries with M^2 chirp exponentials.  Every other tet needs a single
+(E2-index, E1-index) table: the whole M x M blocks that cover the index box
+of that slice.  The table comes from `charged.weight_kernel_grid`, which
+shares the B-sum engine and its closed-form tails with every pointwise kernel
+value.  It sums the B-sum on the M x M core only; by the two automorphy
+relations of the kernel every M x M block of the table is that core times a
+rank-one unimodular phase.
 
 Within one call, tets with equal charges, sign and index ranges share one
-table, tets with equal charges share one core, and D_theta, the B-sum's one
-costly factor, is evaluated once per float b + c (charged.weight_kernel_cores):
-fig8_3tet's three tets read one band, the four-tet's four read two.  A grid of
+table, positive tets with equal charges and lines share one line, tets with
+equal charges share one core and one set of F psi rows, and D_theta, the
+B-sum's one costly factor, is evaluated once per float b + c for the lines and
+the cores together (charged.weight_kernel_cores): fig8_2tet's two tets and
+fig8_3tet's three read one band, the four-tet's four read two.  A grid of
 M/s points per edge is the stride-s subgrid of the M grid, so it is contracted
-straight from the M tables: its index j reads the M-grid entry at s j.  The
+straight from the M views: its index j reads the M-grid entry at s j.  The
 error estimate reads its M/2 and M/4 grids this way where they divide M, and a
 convergence ladder reads every rung that divides its largest.
 Nothing is cached across calls.  Each tet's slot rows sum to zero (two edges
 at each slot), so the integrand depends only on j_c - j_0, and descent makes it
 periodic in each j_c: the sum is equal copies of the slice j_0 = 0 (M^(E-1)
-points).  A tet's read plan is affine in the free j_c, so it is one strided
-view of its table, built once and bounds-checked by numpy's constructor, and
-every slab and coarse grid is a basic slice of that view.  Where the weight
-does not descend, Z is refused before any table is built (_require_descent).
+points).  A tet's read plan is affine in the free j_c, so it is its line or
+one strided view of its table, built once and bounds-checked by numpy's
+constructor, and every slab and coarse grid is a basic slice of that view.
+Where the weight does not descend, Z is refused before any line or table is
+built (_require_descent).
 """
 
 from __future__ import annotations
@@ -137,35 +145,58 @@ def _require_descent(X: ShapedTriangulation) -> None:
 
 
 def _tet_tables(X: ShapedTriangulation, M: int) -> list[np.ndarray]:
-    """Each tet's kernel table on the index grid at size M, read through one strided view.
+    """Each tet's kernel values on the index grid at size M, read through one view.
 
-    The table is the whole-block array of weight_kernel_grid over the blocks that the
-    slice j_0 = 0 reads: u and w run over all integer combinations of free grid indices
-    0..M-1 with the tet's slot row (_slots), its E1 part giving u and its E2 part w, and
-    the blocks a0..a1 and q0..q1 are those of the extreme u and w.  Entry
-    [w - q0 M, u - a0 M] = W((u h, 0), (w h, 0)), so with ncol columns the entry at free
-    indices j_c is table.ravel()[sum_c step[c] j_c - (q0 ncol + a0) M], step[c] =
-    m2_c ncol + m1_c.  The view is that read plan: view[j_1, ..., j_{E-1}] is that entry,
-    with size M on each free edge the tet touches and 1 on the others.  numpy's
-    constructor checks the view's extent against the table, negative strides included,
-    and raises ValueError on a read past either end.  Tets with equal charges, sign and
-    blocks share one array.  The M x M B-sum cores come first, one per charge triple,
-    from weight_kernel_cores, which evaluates D_theta once per float b + c and drops
-    those rows before any table is built.
+    At free grid indices j_c (j_0 = 0), tet t reads W((u h, 0), (w h, 0)), where u and w
+    are the sums of j_c times its slot row (_slots), its E1 part giving u and its E2 part
+    w.  view[j_1, ..., j_{E-1}] is that value, with size M on each free edge the tet
+    touches and 1 on the others.
+
+    A tet that touches at most one free edge c reads a line, u = m1_c j and w = m2_c j
+    for j = 0..M-1 (one point if it touches none).  Its view is that line, M values from
+    the paired B-sum (weight_kernel_cores' lines).  A table would cost an M x M core and
+    at least 3M^2 entries with M^2 chirp exponentials for those M reads.
+
+    Every other tet reads a table: the whole-block array of weight_kernel_grid over the
+    blocks that the slice j_0 = 0 reads, u and w running over all integer combinations
+    of free indices 0..M-1 with its slot row, the blocks a0..a1 and q0..q1 those of the
+    extreme u and w.  Entry [w - q0 M, u - a0 M] = W((u h, 0), (w h, 0)), so with ncol
+    columns the entry at free indices j_c is table.ravel()[sum_c step[c] j_c -
+    (q0 ncol + a0) M], step[c] = m2_c ncol + m1_c.  The view is that read plan: numpy's
+    constructor checks its extent against the table, negative strides included, and
+    raises ValueError on a read past either end.
+
+    Tets with equal charges, sign and blocks share one table; positive tets with equal
+    charges and lines share one line.  The lines and the M x M B-sum cores, one per
+    charge triple, come first, from one weight_kernel_cores call, which evaluates D_theta
+    once per float b + c and drops those rows before any table is built.
     """
     kernels = {tet.angles: _kernel(X, tet) for tet in X.tets}
-    cores = dict(zip(kernels, weight_kernel_cores(list(kernels.values()), M)))
+    slots = _slots(X)[:, :, 1:]  # the slice j_0 = 0 reads no column of edge 0
+    # a tet's line (m1_c, m2_c) on the one free edge c it touches, (0, 0) on none
+    lines = [tuple(row.sum(axis=1).tolist()) if np.count_nonzero(row.any(axis=0)) <= 1
+             else None for row in slots]
+    reads = list(dict.fromkeys((tet.angles, m) for tet, m in zip(X.tets, lines)))
+    values = dict(zip(reads, weight_kernel_cores(
+        [kernels[angles] for angles, _ in reads], M,
+        [None if m is None else np.multiply.outer(m, np.arange(M if any(m) else 1))
+         for _, m in reads])))
     memo, views = {}, []
-    for tet, row in zip(X.tets, _slots(X)):
-        (a0, q0), (a1, q1) = ((f(row[:, 1:], 0).sum(axis=1) * (M - 1) // M).tolist()
-                              for f in (np.minimum, np.maximum))  # j_0 = 0 widens no range
+    for tet, row, m in zip(X.tets, slots, lines):
+        if m is not None:  # M values: a negative tet conjugates its own copy
+            line = values[tet.angles, m]
+            views.append((np.conj(line) if tet.sign < 0 else line).reshape(
+                [M if s else 1 for s in row.any(axis=0)]))
+            continue
+        (a0, q0), (a1, q1) = ((f(row, 0).sum(axis=1) * (M - 1) // M).tolist()
+                              for f in (np.minimum, np.maximum))
         key = (tet.angles, tet.sign, a0, a1, q0, q1)
         if key not in memo:
-            table = weight_kernel_grid(kernels[tet.angles], cores[tet.angles],
+            table = weight_kernel_grid(kernels[tet.angles], values[tet.angles, None],
                                        range(a0, a1 + 1), range(q0, q1 + 1))
             memo[key] = np.conj(table) if tet.sign < 0 else table
         table = memo[key]
-        ncol, step = table.shape[1], (row[1, 1:] * table.shape[1] + row[0, 1:]).tolist()
+        ncol, step = table.shape[1], (row[1] * table.shape[1] + row[0]).tolist()
         views.append(np.ndarray([M if s else 1 for s in step], table.dtype, table,
                                 -(q0 * ncol + a0) * M * table.itemsize,
                                 [s * table.itemsize for s in step]))

@@ -477,10 +477,12 @@ def test_b_sum_refuses_a_tail_that_is_not_geometric(side, monkeypatch):
 
 def test_b_sum_refuses_a_nan_x():
     # a NaN x reaches no q-product, only the phases, so the B-sum is the first to see
-    # it; numpy's invalid-value warning on the way is silenced here, not by the code
+    # it, and refuses it before any arithmetic on it could make numpy warn
     wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), params(2))
-    with np.errstate(invalid="ignore"), pytest.raises(NonConvergent, match="B-sum not finite"):
-        weight_kernel_many(wkp, np.nan, 0, 0.2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonConvergent, match="B-sum not finite"):
+            weight_kernel_many(wkp, np.nan, 0, 0.2, 1)
 
 
 @pytest.mark.parametrize("x, y, text", [

@@ -13,7 +13,7 @@ from conftest import (EVEN_PERMS, branched_two_tet, brute_kernel, params, relabe
 import qdlab.charged
 import qdlab.partition
 from qdlab.charged import (ChargeTriple, WeightKernelParams, weight_kernel, weight_kernel_cores,
-                           weight_kernel_grid)
+                           weight_kernel_grid, weight_kernel_rows)
 from qdlab.cli import run
 from qdlab.errors import NonConvergent, TopologyError
 from qdlab.lca import CircleVar, LcaPoint, Modulus, QuadratureSpec
@@ -350,13 +350,15 @@ def test_partition_cli_on_a_relabelled_fig8(N, code, tmp_path, capsys):
                                builtin_census("single_tet")],
                          ids=["relabelled-N1", "relabelled-N3", "single_tet"])
 def test_refusal_comes_before_any_table(X, monkeypatch):
-    # the descent gate runs before the first table, so no B-sum core and no kernel
-    # grid is built
+    # the descent gate runs before the first table, so no B-sum core, no line and no
+    # kernel grid is built: the relabelled fig8s are E = 2, so each of their tets reads
+    # a line, whose first step is the D_theta rows
     def no_table(*args):
         raise AssertionError("a table was built before the refusal")
 
     monkeypatch.setattr(qdlab.partition, "weight_kernel_cores", no_table)
     monkeypatch.setattr(qdlab.partition, "weight_kernel_grid", no_table)
+    monkeypatch.setattr(qdlab.charged, "_dtheta_rows", no_table)
     with pytest.raises(TopologyError):
         partition_function(X, QuadratureSpec(M=16), target=1.0)
 
@@ -453,13 +455,17 @@ def test_total_weight_matches_product():
 
 
 def test_tet_table_matches_pointwise_kernel():
-    # the table path (the M x M core, extended by the automorphy relations) and
-    # the pointwise path of the B-sum give the same values at the free indices j
-    # that a tet's view reads; the corners {0, M - 1}^2 reach every extreme of u and
-    # w, up to two periods outside the core, and at N=3, N does not divide M
+    # the table path (the M x M core, extended by the automorphy relations), the line
+    # path (the paired B-sum on the core's rows) and the pointwise path of the B-sum
+    # give the same values at the free indices j that a tet's view reads; the corners
+    # {0, M - 1}^2 reach every extreme of u and w, up to two periods outside the core,
+    # and at N=3, N does not divide M.  fig8_3tet's tets read tables; the two-tet
+    # triangulations' tets read lines: fig8_2tet's in block q = 0, the branched one's
+    # tet 0 in block q = -1 and its tet 1, which is negative, and the relabelled one's
+    # tet 1 in blocks q = -1 and -2
     M = 16
-    for N in (2, 3):
-        X = builtin_census("fig8_3tet", N=N)
+    for N, name in itertools.product((2, 3), ["fig8_3tet", "fig8_2tet", "branched", "relabelled"]):
+        X = builtin_census(name, N=N) if name == "fig8_3tet" else _two_tets(name, N)
         h = X.N.sqrt / M
         for t, (view, row) in enumerate(zip(_tet_tables(X, M), qdlab.partition._slots(X))):
             wkp = WeightKernelParams(X.tets[t].angles, params(N))
@@ -649,18 +655,22 @@ def test_contraction_refuses_a_read_past_the_table(rows, monkeypatch):
 
 
 @pytest.mark.parametrize("name, shapes", [
-    ("fig8_2tet", [(16, 48)] * 2),
+    ("fig8_2tet", [(16,)] * 2),
     ("fig8_3tet", [(48, 16), (16, 48), (48, 16)]),
     ("four_tet", [(48, 32), (64, 48), (32, 48), (48, 48)]),
 ])
 def test_tables_span_the_fixed_edge_slice(name, shapes):
     # each table is the whole blocks of the index box of the slice j_0 = 0 that
-    # _contract sums, not those of all of [0, M)^E: fig8_2tet's would be (32, 64)
+    # _contract sums, not those of all of [0, M)^E.  fig8_2tet's tets touch one free
+    # edge, so each reads its line, M values at a unit stride, where a table would be
+    # (16, 48) and the box of all of [0, M)^2 (32, 64)
     X = (pachner_23(builtin_census("fig8_3tet"), (0, 2)) if name == "four_tet"
          else builtin_census(name))
     tabs = _tet_tables(X, 16)
     assert [view.base.shape for view in tabs] == shapes
     if name == "fig8_2tet":
+        assert [view.strides for view in tabs] == [(np.dtype(complex).itemsize,)] * 2
+        assert tabs[0].base is tabs[1].base  # equal charges, sign and line
         assert [tab["table"].shape for tab in _all_edge_tables(X, 16)] == [(32, 64)] * 2
     if name == "fig8_3tet":
         assert tabs[0].base is tabs[2].base
@@ -683,12 +693,14 @@ def _four_tet(N):
     return pachner_23(builtin_census("fig8_3tet", N=N), (0, 2))
 
 
-@pytest.mark.parametrize("name,bands", [("fig8_3tet", 1), ("four_tet", 2), ("five_tet", 3)])
+@pytest.mark.parametrize("name,bands", [("fig8_2tet", 1), ("fig8_3tet", 1), ("four_tet", 2),
+                                        ("five_tet", 3)])
 def test_dtheta_runs_once_per_b_plus_c(name, bands, monkeypatch):
     # D_theta reads the charges through b + c alone, so _tet_tables evaluates it on
-    # the B-sum band once per float b + c: 3, 4 and 5 tets, 1, 2 and 3 bands
-    X = {"fig8_3tet": builtin_census("fig8_3tet"), "four_tet": _four_tet(1),
-         "five_tet": _five_tet(1)}[name]
+    # the B-sum band once per float b + c, for the tets that read a line and those that
+    # read a table alike: 2, 3, 4 and 5 tets, 1, 1, 2 and 3 bands
+    X = {"fig8_2tet": builtin_census("fig8_2tet"), "fig8_3tet": builtin_census("fig8_3tet"),
+         "four_tet": _four_tet(1), "five_tet": _five_tet(1)}[name]
     real, calls = qdlab.charged.log_dtheta, []
 
     def counted(*args):
@@ -793,15 +805,77 @@ def test_partition_raises_on_nan_term(nan_transform, capsys):
 
 
 def test_partition_raises_on_nan_table(monkeypatch):
-    # the guard of partition_function itself, behind the B-sum's own guard
-    real = qdlab.partition.weight_kernel_grid
+    # the guard of partition_function itself, behind the B-sum's own guard, on a
+    # whole-block table: fig8_3tet's tets touch two free edges each
+    real, calls = qdlab.partition.weight_kernel_grid, []
 
     def poisoned(wkp, core, a_blocks, q_blocks):
         out = real(wkp, core, a_blocks, q_blocks)
         M = len(core)
         out[-q_blocks[0] * M, -a_blocks[0] * M] = np.nan  # the entry at equal states
+        calls.append(1)
         return out
 
     monkeypatch.setattr(qdlab.partition, "weight_kernel_grid", poisoned)
     with pytest.raises(NonConvergent):
+        partition_function(builtin_census("fig8_3tet"), QuadratureSpec(M=16), target=1.0)
+    assert calls
+
+
+def test_partition_raises_on_nan_line(monkeypatch):
+    # the same guard on a line: fig8_2tet's tets touch one free edge each
+    real, calls = qdlab.partition.weight_kernel_cores, []
+
+    def poisoned(wkps, M, lines):
+        out = real(wkps, M, lines)
+        for values, line in zip(out, lines):
+            if line is not None:
+                values[0] = np.nan  # the value at equal states
+                calls.append(1)
+        return out
+
+    monkeypatch.setattr(qdlab.partition, "weight_kernel_cores", poisoned)
+    with pytest.raises(NonConvergent):
         partition_function(builtin_census("fig8_2tet"), QuadratureSpec(M=16), target=1.0)
+    assert calls
+
+
+def _two_tets(name, N):
+    return {"fig8_2tet": lambda: builtin_census("fig8_2tet", N=N),
+            "branched": lambda: branched_two_tet(N),
+            "relabelled": lambda: relabelled_fig8((0, 3, 1, 2), N)}[name]()
+
+
+@pytest.mark.parametrize("name", ["fig8_2tet", "branched", "relabelled"])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_line_keeps_the_bits_of_the_kernel_rows(name, N):
+    # a line read off the rows of F psi at y0 = (0..M-1) h that weight_kernel_cores
+    # shares has the bits of weight_kernel_rows at the rows w0 it reads, W at
+    # w = qM + w0 being W(u h, 0, qN) of row w0: the branched tet 0 reads q = -1 and
+    # its tet 1 is negative, the relabelled tet 1 reads q = -1 and -2 and every other row
+    X, M = _two_tets(name, N), 32
+    h = X.N.sqrt / M
+    for t, view in enumerate(_tet_tables(X, M)):
+        (m1,), (m2,) = qdlab.partition._slots(X)[t, :, 1:].tolist()
+        u, w = m1 * np.arange(M), m2 * np.arange(M)
+        line = weight_kernel_rows(qdlab.partition._kernel(X, X.tets[t]), w % M * h, 0)(
+            u * h, 0, w // M * N)
+        np.testing.assert_array_equal(view, np.conj(line) if X.tets[t].sign < 0 else line)
+
+
+def test_lines_build_no_table(monkeypatch):
+    # fig8_2tet's Z reads M paired B-sum values per tet: no kernel grid, and no B-sum
+    # core, the grid branch of _b_sum (offsets None)
+    real_sum, sums = qdlab.charged._b_sum, []
+
+    def b_sum(wkp, rows, xr, xn, off=None):
+        sums.append(off is None)
+        return real_sum(wkp, rows, xr, xn, off)
+
+    def no_grid(*args):
+        raise AssertionError("a whole-block table was built")
+
+    monkeypatch.setattr(qdlab.charged, "_b_sum", b_sum)
+    monkeypatch.setattr(qdlab.partition, "weight_kernel_grid", no_grid)
+    partition_function(builtin_census("fig8_2tet", N=2), QuadratureSpec(M=32), target=1.0)
+    assert sums == [False]  # one line: the two tets share it
