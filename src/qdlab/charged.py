@@ -45,14 +45,14 @@ The B-sum's tails are geometric with period 2N.  F psi_{A,C}(z, n) is
 e^{pi i z^2} e^{2 pi i c_th C z/sqrt(N)} / D_theta(-z - s, -n) times factors of
 period N in n, with s = c_th (B + C)/sqrt(N).  Term k of the sum sits at
 z = y0 + k/sqrt(N), n = k mod N, so k -> k + 2N moves z by 2 sqrt(N) and keeps n.
-- Right (k -> +inf): every Faddeev factor of D is dead and unreflected, so D = 1
-  exactly (faddeev.live_radius).  log F psi moves by 4 pi i sqrt(N) z + 4 pi i N
+- Right (k -> +inf): D's point is unreflected and both its q-products are dead
+  (_band), so D = 1 exactly.  log F psi moves by 4 pi i sqrt(N) z + 4 pi i N
   + 4 pi i c_th C, which is 4 pi i sqrt(N) y0 + 4 pi i c_th C modulo 2 pi i.
-- Left (k -> -inf): every factor is dead and reflected, log Phi(a) =
-  pi i a^2 + 2 log Phi(0).  The factor offsets o_j of D_theta (qdilog.factor_args)
-  sum to (N - 1)(c_th - i (theta + 1/theta)/2) = 0 over j, so
-  log D(w, m) = pi i w^2 + (period N in m), and log F psi is -2 pi i c_th B z/sqrt(N)
-  plus terms of period N.  It moves by 4 pi i c_th B under k -> k - 2N.
+- Left (k -> -inf): D's point is reflected and both products are dead, so D is the
+  inversion relation's right side alone, D(w, m) = <w, m> e^{-pi i (N + 2 c_th^2/N)/6}
+  (qdilog.inversion_constant): log D(w, m) = pi i w^2 + (period N in m), and log F psi
+  is -2 pi i c_th B z/sqrt(N) plus terms of period N.  It moves by 4 pi i c_th B under
+  k -> k - 2N.
 - The phases conj<k b0> <k b0; mu - x> move by e^{+-4 pi i sqrt(N) (mu_x - x)}.
 With c_th = i cos(arg theta), each summand of conj(kappa F psi) times its phase is
 multiplied over one period by
@@ -72,10 +72,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergent
-from .faddeev import live_radius
+from .faddeev import _PRODUCT_TOL, _dead_bound, level_products
 from .lca import (STEP, WINDOW, LcaPoint, fourier_kernel, gaussian_exp, haar_simpson,
                   halve_residue, refuse_large, refuse_large_gaussian, scalar_out)
-from .qdilog import QdParams, factor_args, inversion_constant, log_dtheta
+from .qdilog import QdParams, inversion_constant, log_dtheta
 
 __all__ = [
     "ChargeTriple",
@@ -261,21 +261,19 @@ def _band(p: QdParams, bc: float, y0: np.ndarray) -> tuple[int, int]:
     k > k1, at every y0 given, for every charge triple with B + C = bc.
 
     F psi_{A,C}(z, n) holds 1/D_theta(-z - s, -n), s = c_th (B + C)/sqrt(N) (log_psi of
-    psi_{C,B}), and factor j of that D has argument o[j, n] - z/sqrt(N) with
-    o = factor_args(-s, -n).  At z = y0 + k/sqrt(N) its real part o.real - y0/sqrt(N) - k/N
-    moves with k and its imaginary part does not, so faddeev.live_radius of o.imag bounds
-    the live k.  One more k on each side keeps the rounding of the edge out.
-
-    o is affine in j and m = (j + n) mod N, and live_radius is convex in o.imag, so
-    o.real - r is concave and o.real + r convex: their extremes over every factor and
-    residue sit at the corners j, m in {0, N - 1}, which the residues -n = 0, 1, -1 reach.
-    So o holds 3N arguments, not N^2.
+    psi_{C,B}).  At z = t = y0 + k/sqrt(N) that D runs its two q-products
+    (faddeev.level_products) at w = -t - s on the right (large k), and at the reflected
+    w = t + s on the left.  Each product's Re log x is affine in Re w, with slope
+    2 pi cos(arg theta)/sqrt(N), and no residue moves it.  So a product is live exactly
+    for -left <= t <= right, where its Re log x at w = s (left) or w = -s (right) falls by
+    slope * left (right) to its dead bound.  One more k on each side keeps the rounding of
+    the edge out.
     """
-    N, rN = p.N.N, p.N.sqrt
-    o = factor_args(-p.theta.c * bc / rN, np.array([0, 1, -1]) % N, p)
-    r = live_radius(o.imag, p.theta)
-    return (math.floor(N * (np.min(o.real - r) - np.max(y0) / rN)) - 1,
-            math.ceil(N * (np.max(o.real + r) - np.min(y0) / rN)) + 1)
+    rN, s = p.N.sqrt, p.theta.c * bc / p.N.sqrt
+    left, right = (max((lx.real - _dead_bound(lq.real, _PRODUCT_TOL)) * rN
+                       / (2 * np.pi * p.theta.theta.real)
+                       for lx, lq in level_products(w, 0, p.theta, p.N.N)) for w in (s, -s))
+    return (math.floor(rN * (-left - np.max(y0))) - 1, math.ceil(rN * (right - np.min(y0))) + 1)
 
 
 def _dtheta_rows(p: QdParams, bc: float, y0: np.ndarray) -> tuple:

@@ -103,6 +103,9 @@ def _gauge_evaluate(ctx: Context, edge: int, spec) -> dict:
 
 
 CHECKS: dict[str, Check] = {
+    # holds by construction, as D_theta reflects Re x > 0 by this relation
+    # (qdilog.inversion_residual); the q-products are held to the N-factor product and to
+    # mpmath by tests/test_qdilog.py::test_two_products_match_the_n_factor_product_and_mpmath
     "inversion": Check(
         lambda rng, ctx, n: _residues(rng, ctx, n, -2.5, 2.5),
         _max_residual(qdilog.inversion_residual),

@@ -10,23 +10,32 @@ A product (x; q)_inf = prod_j (1 - x q^j) is evaluated as follows.
   < tol (to first order in |x|), and its log is taken as exactly 0.
 - Live: a term with Re log(x q^j) > 0 is added as a log, since a product of
   such terms could overflow.  This head is taken only over the elements with
-  Re log x > 0.  After the reflection below, log_phi_theta passes such an element
-  only for |Im z| > cos(arg theta), so elsewhere the head costs one comparison.
+  Re log x > 0.  After the reflection below, log_level_dilog passes such an element
+  only for |Im z| > cos(arg theta)/sqrt(N), so elsewhere the head costs one comparison.
   Then, at |x q^j| <= 1, every element runs the same
   D = ceil(log tol / log|q|) + 1 terms (the last below tol) in one loop for the
-  batch, x q^j updated by one multiplication by q per term, and the product p is
-  logged once as log|p| + i arg p: near 1, several times faster than complex log.
+  batch, x q^j updated by one multiplication per term, and the product p is logged
+  as log|p| + i arg p: near 1, several times faster than complex log.  p is logged
+  once, or, past 128 terms, every 128 terms and restarted, so that it stays a finite
+  double: the products of log_level_dilog run about N D terms, and unrestarted they
+  leave the range of a double near N = 4000 at theta = e^{i pi/3} and near N = 300 at
+  arg theta = 0.49 pi.  D is at most 118 above the floor of Im theta^2, so a product
+  of Phi_theta is logged once.
 So every log is defined only modulo 2 pi i; every caller exponentiates.
 
-For Re z > 0, log_phi_theta runs both products at -z, where they are short, by
-the inversion relation of Phi: log Phi(z) = pi i z^2 + 2 log Phi(0) - log Phi(-z).
+log_phi_theta is the N = 1 case of log_level_dilog, which evaluates D_theta(z, n) of
+qdilog at level N as two q-products (their derivation is in the qdilog module notes).
+For Re z > 0 it runs both products at (-z, -n), where they are short, by the inversion
+relation D(z, n) D(-z, -n) = <z, n> e^{-pi i (N + 2 c^2/N)/6}; at N = 1 that is
+log Phi(z) = pi i z^2 + 2 log Phi(0) - log Phi(-z).
 
 A value does not depend on its batch only while the batch is short.  From 16,384
 complex elements (256 KiB) numpy reuses a temporary operand of a complex multiply
 as its output, and the in-place product rounds differently: `prod * (1 - e)` in
-_log_pochhammer and `2 pi t (w + c)` in log_phi_theta are two such products.
+_log_pochhammer and `2 pi t (w/sqrt(N) + ...)` in level_products are two such products.
 qdilog.log_dtheta evaluates every D_theta in tiles below that size; a direct
-log_phi_theta call on a longer array may move values in their last bits.
+log_phi_theta or log_level_dilog call on a longer array may move values in their last
+bits.
 """
 
 from __future__ import annotations
@@ -83,12 +92,15 @@ def _dead_bound(decay: float, tol: float) -> float:
     return math.log(tol * -math.expm1(decay))
 
 
-def _log_pochhammer(lx: np.ndarray, lq: complex, tol: float) -> np.ndarray:
+def _log_pochhammer(lx: np.ndarray, lq: complex, tol: float, stride: int = 1) -> np.ndarray:
     """log prod_j (1 - e^{lx + j lq}) modulo 2 pi i, to within tol (see the module notes).
 
     The log-form head is taken only over the elements with Re lx > 0, the only ones
     that have a head term.  After it every live element runs the same D terms, D from q
-    and tol alone, and every product is taken out of place (numpy's in-place
+    and tol alone.  Term j = k stride + r takes e^{j lq} as (e^{stride lq})^k e^{r lq}, so
+    the rounding of the nome compounds over the D/stride rounds, not over all D terms
+    (log_level_dilog's products run N D terms; stride N keeps them as accurate as N
+    products of D terms each).  Every product is taken out of place (numpy's in-place
     complex multiply rounds a lone element unlike a longer run).  So a value does
     not depend on the other points of a batch of fewer than 16,384 live elements;
     from that size numpy reuses the temporary 1 - e as the output of
@@ -97,7 +109,7 @@ def _log_pochhammer(lx: np.ndarray, lq: complex, tol: float) -> np.ndarray:
     lx = np.asarray(lx, dtype=complex)
     if not np.all(np.isfinite(lx)):
         raise ValueError("q-product argument is not finite")
-    decay = lq.real  # = -2 pi Im theta^2 < 0
+    decay = lq.real  # = -2 pi Im theta^2 < 0, over N in the products of log_level_dilog
     flat = lx.ravel()
     out = np.zeros_like(flat)  # dead elements stay exactly 0
     live = np.flatnonzero(flat.real >= _dead_bound(decay, tol))
@@ -108,28 +120,15 @@ def _log_pochhammer(lx: np.ndarray, lq: complex, tol: float) -> np.ndarray:
         w = x[pos[head > j]] + j * lq
         out[live[pos[head > j]]] += w + np.log(np.expm1(-w))  # log(1 - e^w) mod 2 pi i
     x[pos] += head * lq
-    e = np.exp(x)  # |e| <= 1 after the head
-    prod, q = 1 - e, cmath.exp(lq)
-    for _ in range(math.ceil(math.log(tol) / decay)):
-        e = e * q
+    e = base = np.exp(x)  # |e| <= 1 after the head
+    prod, q, powers = 1 - e, cmath.exp(lq * stride), [cmath.exp(r * lq) for r in range(stride)]
+    for j in range(1, math.ceil(math.log(tol) / decay) + 1):
+        e = base * powers[j % stride] if j % stride else (base := base * q)
         prod = prod * (1 - e)
+        if j % 128 == 0:  # logged and restarted, so that it stays a finite double (see above)
+            out[live], prod = out[live] + np.log(np.abs(prod)) + 1j * np.angle(prod), 1
     out[live] += np.log(np.abs(prod)) + 1j * np.angle(prod)  # = np.log(prod) to rounding, faster
     return out.reshape(lx.shape)
-
-
-def live_radius(im, theta: ThetaParam) -> np.ndarray:
-    """r(v) such that both q-products of log_phi_theta at s + i v are dead when |s| > r(v).
-
-    With arg theta = phi, after the reflection the products run at w = u + i v' with
-    u = -|s| and |v'| = |v|, and Re log x is 2 pi (u cos phi - v' sin phi - sin phi cos phi)
-    for the numerator and 2 pi (u cos phi + v' sin phi - sin phi cos phi) for the
-    denominator; both have decay -2 pi Im theta^2.  Both lie below the dead bound b when
-    2 pi (cos phi u + sin phi |v| - sin phi cos phi) < b.  So log Phi is exactly 0 for
-    s < -r(v) and exactly pi i z^2 + 2 log Phi(0) for s > r(v).
-    """
-    cos, sin = theta.theta.real, theta.theta.imag
-    bound = _dead_bound(-2 * np.pi * theta.im_theta_sq, _PRODUCT_TOL) / (2 * np.pi)
-    return (sin * np.abs(im) - sin * cos - bound) / cos
 
 
 def _check_rate(theta: ThetaParam) -> None:
@@ -140,24 +139,48 @@ def _check_rate(theta: ThetaParam) -> None:
         )
 
 
-def log_phi_theta(z, theta: ThetaParam) -> np.ndarray:
-    """log Phi_theta(z) modulo 2 pi i, vectorized over z.  No pole check (may return +/-inf).
+def level_products(w, m, theta: ThetaParam, N: int) -> tuple:
+    """((lx, lq), (ly, lqt)): log D_theta(w, m) at level N is
+    log (e^lx; e^lq)_inf - log (e^ly; e^lqt)_inf, the nomes zeta p and p~/zeta of the
+    qdilog module notes, both of modulus |q|^{1/N}.  m is an integer (array) in 0..N-1.
 
-    A product's log-form head grows with 2 pi Re(theta z), so Re z > 0 is reflected
-    (see above), per element; c_theta stays put.  Batching changes no value below
-    16,384 points (see above).
+    lx and ly are affine in w with the same slope 2 pi cos(arg theta)/sqrt(N) in Re w
+    (charged._band reads that).  At N = 1 and m = 0 they are Phi_theta's own two products,
+    as the same floats: 1/sqrt(N) and log zeta = 2 pi i (1 mod N)/N are 1 and 0, and the
+    residue terms add exact zeros.
+    """
+    # lz = log zeta, zeta = e^{2 pi i/N}, reduced mod 2 pi i
+    t, c, s, lz = theta.theta, theta.c, 1 / math.sqrt(N), 2j * np.pi * (1 % N) / N
+    lq = 2j * np.pi * t**2 / N + lz
+    phase = m * lz
+    lx = 2 * np.pi * t * (w * s + (2 - 1 / N) * c) + (phase - (N - 1) * lq)
+    return (lx, lq), (2 * np.pi / t * (w * s - c / N) - phase, -2j * np.pi / t**2 / N - lz)
+
+
+def log_level_dilog(z, n, theta: ThetaParam, N: int) -> np.ndarray:
+    """log D_theta(z, n) modulo 2 pi i at level N (qdilog), n an integer in 0..N-1 or an
+    array of them that broadcasts to the shape of z: two q-products, with Re z > 0 reflected
+    per point (see above).  Neither tiled (qdilog.log_dtheta) nor checked for poles (may
+    return +/-inf).  Batching changes no value below 16,384 points (see above).
     """
     _check_rate(theta)
     shape = np.shape(z)
     z = np.asarray(z, dtype=complex).ravel()  # numpy scalar math rounds unlike its array loops
-    t, c = theta.theta, theta.c
     flip = z.real > 0
-    w = np.where(flip, -z, z)
-    num = _log_pochhammer(2 * np.pi * t * (w + c), 2j * np.pi * t**2, _PRODUCT_TOL)
-    den = _log_pochhammer(2 * np.pi / t * (w - c), -2j * np.pi / t**2, _PRODUCT_TOL)
-    two_log_phi0 = -1j * np.pi * (1 + 2 * c**2) / 6  # phi_zero's exponent, doubled
-    log_phi = num - den
-    return np.where(flip, 1j * np.pi * z**2 + two_log_phi0 - log_phi, log_phi).reshape(shape)
+    # a point reads row n + N flip of tables over the 2N residues and sides: the residue
+    # its products run at, and the inversion constant times <0, n>
+    row, r = np.ravel(n + N * flip.reshape(shape)), np.arange(2 * N) % N
+    m = np.where(np.arange(2 * N) < N, r, -r % N)
+    inv = -1j * np.pi * (N % 12 + 2 * theta.c**2 / N) / 6 - 1j * np.pi * (r * (r + N) % (2 * N) / N)
+    (lx, lq), (ly, lqt) = level_products(np.where(flip, -z, z), m[row], theta, N)
+    log_d = _log_pochhammer(lx, lq, _PRODUCT_TOL, N) - _log_pochhammer(ly, lqt, _PRODUCT_TOL, N)
+    return np.where(flip, 1j * np.pi * z**2 + inv[row] - log_d, log_d).reshape(shape)
+
+
+def log_phi_theta(z, theta: ThetaParam) -> np.ndarray:
+    """log Phi_theta(z) modulo 2 pi i, vectorized over z: log_level_dilog at N = 1.  No pole
+    check (may return +/-inf)."""
+    return log_level_dilog(z, 0, theta, 1)
 
 
 def nearest_pole(z: complex, theta: ThetaParam) -> tuple[complex, float]:

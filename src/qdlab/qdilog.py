@@ -5,24 +5,38 @@ D_theta(x,n) = prod_{j=0}^{N-1} Phi_theta( x/sqrt(N) + (1 - 1/N) c
 
 together with the inversion relation and the Fourier transformation formula.
 
-D_theta is where the Faddeev work and memory are made: a point of A_N holds N
-Faddeev factors, so log_dtheta evaluates every D_theta in tiles of at most
-_TILE_POINTS Faddeev points.  It views z as rows times its last axis, along which
-n, an integer or an integer array, runs; a tile is some rows times a slice of that
-axis, and one log_phi_theta call.  The residues stay a vector along the last axis,
-so factor_args computes them per column, not per point.  A tile cannot split the N
-factors of one point, so QdParams refuses an N above _TILE_POINTS, by name.
+D_theta runs as two q-products, not N Faddeev factors of two each.  Take
+zeta = e^{2 pi i/N}, p = e^{2 pi i theta^2/N} (so q = p^N), p~ = e^{-2 pi i theta^{-2}/N}
+(so q~ = p~^N) and m_j = (j + n) mod N.
+- The numerator of factor j has argument x_j = X zeta^{-j} p^{-m_j}, with
+  X = e^{2 pi theta (z/sqrt(N) + (2 - 1/N) c)}.  As j and k >= 0 run, l = N k - m_j
+  takes every integer >= -(N - 1) once, and zeta^{-j} = zeta^{n + l}, so
+
+      prod_j (x_j; q)_inf = (X zeta^n (zeta p)^{1 - N}; zeta p)_inf.
+
+- The denominator arguments are Y zeta^{-n} (p~/zeta)^j, with Y = e^{2 pi theta^{-1}
+  (z/sqrt(N) - c/N)}; as j + N k runs over every integer >= 0 once, their product is
+  (Y zeta^{-n}; p~/zeta)_inf.
+So log D_theta is two q-products, of nomes e^{2 pi i (theta^2 + 1)/N} and
+e^{-2 pi i (theta^{-2} + 1)/N}, both of modulus |q|^{1/N}: a point costs about N D terms
+(faddeev's D) of each, one product apiece (faddeev.level_products).  A point with
+Re z > 0 is mapped back from (-z, -n) by the inversion relation (inversion_constant), so
+the products run where they are short (faddeev.log_level_dilog); at N = 1 this is
+log_phi_theta's own arithmetic.  Read with k = N and b = theta, this is the two-product
+level-k quantum dilogarithm of Dimofte (arXiv:1409.0857); the derivation above does not
+rest on that reading.
+
+log_dtheta evaluates every D_theta in tiles of at most _TILE_POINTS points, each one
+log_level_dilog call.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from .errors import PoleProximity
-from .faddeev import ThetaParam, is_near_pole, log_phi_theta
+from .faddeev import ThetaParam, is_near_pole, log_level_dilog
 from .lca import (STEP, WINDOW, LcaPoint, Modulus, fourier_kernel, gaussian_exp, haar_simpson,
                   refuse_large_gaussian, scalar_out)
 
@@ -37,39 +51,37 @@ __all__ = [
 ]
 
 
-# Faddeev points per tile of log_dtheta.  A point of A_N holds N Faddeev factors, so a
-# tile of rows x columns of z is N * rows * columns points; this bounds the memory of one
-# log_phi_theta call whatever the size of z or N.  It also keeps every q-product batch
-# below the 16,384 complex values (256 KiB) from which numpy multiplies in place
-# (faddeev._log_pochhammer), so a value does not depend on its tile.
-#
-# It is also the largest N that QdParams takes.  A tile can split the points of z but not
-# the N factors of one point, so it holds at most _TILE_POINTS Faddeev points only while
-# N <= _TILE_POINTS.  The work of the weight kernel's B-sum grows faster: its band reads
-# 829, 8,242 and 27,462 shifts at N = 30, 300 and 1000 (charged._band), the same for
-# every charge triple, about 27.5 N shifts and so 27.5 N^2 Faddeev points per row.  At the
-# limit one row is 27.5 * 4096^2 = 4.6e8 points, about 190 times the row of an N = 300
-# kernel value (about 1 s on a 2-core box).
+# Points of D_theta per tile of log_dtheta.  A point is one element of each of its two
+# q-products whatever N is, so a tile bounds the memory of one log_level_dilog call
+# whatever the size of z or N, and keeps every q-product batch below the 16,384 complex
+# values (256 KiB) from which numpy multiplies in place (faddeev._log_pochhammer), so a
+# value does not depend on its tile.
 _TILE_POINTS = 4096
+# The largest N that QdParams takes, a bound on time, not on memory.  A point runs about
+# N D terms of each q-product (D = 7 at theta = e^{i pi/3}), a few numpy operations a term,
+# and the weight kernel's B-sum reads about 27.5 N shifts per row (charged._band), so a
+# kernel value costs about N^2 work.  On a 2-core box one D_theta value at N = 4096 takes
+# 0.24 s, and `qdlab kernel --N 4096` 19 s at a peak RSS of 47 MB (--N 300: 0.3 s, 33 MB).
+_MAX_N = 4096
 
 
 @dataclass(frozen=True)
 class QdParams:
-    """theta and the modulus N <= _TILE_POINTS.  The residue epsilon = (0, M) of order two
+    """theta and the modulus N <= _MAX_N.  The residue epsilon = (0, M) of order two
     is 0 for every N: the paper determines M = 0 unless 8 | N and leaves the 8 | N case open."""
 
     theta: ThetaParam
     N: Modulus
 
     def __post_init__(self):
-        if self.N.N > _TILE_POINTS:
-            raise ValueError(f"N = {self.N.N} is too large: D_theta evaluates its N Faddeev "
-                             f"factors in tiles of at most {_TILE_POINTS}, so N <= {_TILE_POINTS}")
+        if self.N.N > _MAX_N:
+            raise ValueError(f"N = {self.N.N} is too large: D_theta's q-products run about "
+                             f"7 N terms a point, a weight-kernel value N^2, so N <= {_MAX_N}")
 
 
 def factor_args(z, n: int | np.ndarray, params: QdParams) -> np.ndarray:
     """Arguments of the N Faddeev factors of D_theta at (z, n), factor j on row j of the
-    first axis; integer (array) n broadcasts with z."""
+    first axis; integer (array) n broadcasts with z.  They locate D_theta's poles (dtheta)."""
     t, c, N = params.theta.theta, params.theta.c, params.N.N
     z = np.asarray(z, dtype=complex)
     j = np.arange(N).reshape((N,) + (1,) * max(z.ndim, np.ndim(n)))
@@ -78,24 +90,14 @@ def factor_args(z, n: int | np.ndarray, params: QdParams) -> np.ndarray:
 
 def log_dtheta(z, n: int | np.ndarray, params: QdParams) -> np.ndarray:
     """log D_theta(z, n) modulo 2 pi i; n is an integer or an integer array along the last
-    axis of z.
-
-    z is viewed as rows x its last axis, of length L, and evaluated in tiles of
-    max(1, min(_TILE_POINTS // N, L)) columns x max(1, _TILE_POINTS // (N columns)) rows,
-    at most _TILE_POINTS Faddeev points each (see the module notes).  Each tile is one
-    log_phi_theta call, its N factors added in order, j = 0..N-1.
-    """
-    N = params.N.N
+    axis of z.  The points of z, in C order, are evaluated in tiles of _TILE_POINTS, each one
+    log_level_dilog call (see the module notes)."""
     z = np.asarray(z, dtype=complex)
-    grid = z.reshape(math.prod(z.shape[:-1]), z.shape[-1] if z.ndim else 1)
-    n = np.broadcast_to(n, grid.shape[1:])
-    cols = max(1, min(_TILE_POINTS // N, grid.shape[1]))
-    rows = max(1, _TILE_POINTS // (N * cols))
-    out = np.empty_like(grid)
-    for r, c in itertools.product(range(0, grid.shape[0], rows), range(0, grid.shape[1], cols)):
-        i, k = slice(r, r + rows), slice(c, c + cols)
-        factors = log_phi_theta(factor_args(grid[i, k], n[k], params), params.theta)
-        out[i, k] = sum(factors, np.zeros_like(grid[i, k]))
+    flat, n = z.ravel(), np.broadcast_to(np.asarray(n) % params.N.N, z.shape).ravel()
+    out = np.empty_like(flat)
+    for i in range(0, flat.size, _TILE_POINTS):
+        tile = slice(i, i + _TILE_POINTS)
+        out[tile] = log_level_dilog(flat[tile], n[tile], params.theta, params.N.N)
     return out.reshape(z.shape)
 
 
@@ -119,8 +121,10 @@ def inversion_constant(params: QdParams) -> complex:
 
 
 def inversion_residual(x: float, n: int, params: QdParams) -> float:
-    """| D(x,n) D(-x,-n) - <x,n> e^{-pi i (N + 2 c^2/N)/6} |.  The factor arguments pair
-    as z, -z, so under log_phi_theta's reflection this tests no q-product."""
+    """| D(x,n) D(-x,-n) - <x,n> e^{-pi i (N + 2 c^2/N)/6} |.  log_dtheta reflects a point
+    with Re x > 0 by this very relation (faddeev.log_level_dilog), so it holds by
+    construction for D_theta as a whole and tests no q-product;
+    tests/test_qdilog.py::test_two_products_match_the_n_factor_product_and_mpmath does."""
     N = params.N
     lhs = dtheta(x, n % N.N, params) * dtheta(-x, (-n) % N.N, params)
     rhs = gaussian_exp(LcaPoint(x, n), N) * inversion_constant(params)

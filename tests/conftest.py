@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qdlab.charged import ChargeTriple, forward_transform_closed, pentagon_normalization
-from qdlab.faddeev import ThetaParam
+from qdlab.faddeev import ThetaParam, log_phi_theta
 from qdlab.lca import LcaPoint, Modulus, b_generator, fourier_kernel, gaussian_exp, halve
-from qdlab.qdilog import QdParams
+from qdlab.qdilog import QdParams, factor_args, inversion_constant
 from qdlab.triangulation import FaceGluing, ShapedTet, ShapedTriangulation, builtin_census
 
 THETA_FRACTIONS = ["1/3", "1/4", "2/5"]
@@ -29,6 +29,57 @@ def rng():
 
 def params(N: int, frac: str = "1/3") -> QdParams:
     return QdParams(ThetaParam.from_pi_fraction(frac), Modulus(N))
+
+
+@pytest.fixture
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        yield mpmath
+
+
+def mp_pochhammer(mp, lx, lq):
+    """(e^lx; e^lq)_inf at the working precision, stopped once |x q^j| < 1e-45."""
+    x, q, out = mp.exp(lx), mp.exp(lq), mp.mpc(1)
+    while abs(x) >= mp.mpf("1e-45"):
+        out *= 1 - x
+        x *= q
+    return out
+
+
+def mp_phi(mp, z, th):
+    """Phi_theta(z) from its product formula, at the float theta and z given."""
+    t, z = mp.mpc(th.theta), mp.mpc(z)
+    c = 1j * (t + 1 / t) / 2
+    num = mp_pochhammer(mp, 2 * mp.pi * t * (z + c), 2j * mp.pi * t**2)
+    return num / mp_pochhammer(mp, 2 * mp.pi / t * (z - c), -2j * mp.pi / t**2)
+
+
+def mp_dtheta(mp, z, n: int, p: QdParams):
+    """D_theta(z, n) as the product of its N Faddeev factors (the qdilog module docstring's
+    formula) by mp_phi, at the float theta and z given; no reflection."""
+    t, N = mp.mpc(p.theta.theta), p.N.N
+    c = 1j * (t + 1 / t) / 2
+    return mp.fprod(mp_phi(mp, mp.mpc(z) / mp.sqrt(N) + (1 - mp.mpf(1) / N) * c
+                           - 1j / t * mp.mpf(j) / N - 1j * t * mp.mpf((j + n) % N) / N, p.theta)
+                    for j in range(N))
+
+
+def log_dtheta_n_factors(z, n, p: QdParams) -> np.ndarray:
+    """log D_theta(z, n) as the sum of log Phi_theta over its N Faddeev factors
+    (qdilog.factor_args): the N-factor form that qdilog.log_dtheta's two q-products replace,
+    kept as a test oracle.  Each factor runs its own two products of nome q and q~.  A
+    point with Re z > 0 is mapped back from (-z, -n) by the inversion relation, with
+    lca.gaussian_exp and qdilog.inversion_constant, so that its Gaussian phase is one
+    rounding, not N."""
+    N = p.N.N
+    z = np.asarray(z, dtype=complex)
+    n = np.broadcast_to(np.asarray(n) % N, z.shape)
+    flip = z.real > 0
+    w, m = np.where(flip, -z, z), np.where(flip, -n % N, n)
+    log_d = np.sum(log_phi_theta(factor_args(w, m, p), p.theta), axis=0)
+    inv = np.log(gaussian_exp(LcaPoint(z, n), p.N) * inversion_constant(p))
+    return np.where(flip, inv - log_d, log_d)
 
 
 def brute_kernel(wkp, x: LcaPoint, y: LcaPoint, K: int) -> complex:

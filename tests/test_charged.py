@@ -1,6 +1,5 @@
 """Charged dilogarithms: transforms, conjugation identities, weight kernels."""
 
-import math
 import re
 import warnings
 
@@ -209,37 +208,39 @@ def test_forward_transform_decay_rates(N, frac):
 @pytest.mark.parametrize("frac", ["1/3", "1/4", "1/5"])
 @pytest.mark.parametrize("N", [1, 2, 3, 5])
 def test_band_matches_the_dead_mask(N, frac, A, monkeypatch):
-    # past the band of _band every q-product of every Faddeev factor of F psi is
-    # dead by _log_pochhammer's own mask (its log exactly 0), and every factor is on
-    # one side: reflected (Re > 0) on the left, not on the right.  Inside, a product
-    # is live within N + 1 shifts of each end, so the band is not wider than that.
+    # past the band of _band both q-products of the D_theta in F psi are dead by
+    # _log_pochhammer's own mask (their logs exactly 0), and every point is on one side:
+    # reflected (Re > 0) on the left, not on the right.  Inside, a product is live within
+    # two shifts of each end: the band is no wider than the live region, rounded out to
+    # whole shifts, plus the one-shift margin on each side.
     p = params(N, frac)
     wkp = WeightKernelParams(ChargeTriple(A, (1 - A) / 3, 2 * (1 - A) / 3), p)
     y0 = np.array([-1.3, 0.0, 0.7])
     k0, k1 = qdlab.charged._band(p, wkp.charges.b + wkp.charges.c, y0)
-    real_product, real_phi = qdlab.faddeev._log_pochhammer, qdlab.qdilog.log_phi_theta
+    real_product, real_d = qdlab.faddeev._log_pochhammer, qdlab.qdilog.log_level_dilog
     live, args = [], []
 
-    def product(lx, lq, tol):
-        out = real_product(lx, lq, tol)
+    def product(*a):
+        out = real_product(*a)
         live[-1] |= bool(np.any(out != 0))
         return out
 
-    def phi(z, theta):
+    def dilog(z, *a):
         args.append(np.asarray(z))
-        return real_phi(z, theta)
+        return real_d(z, *a)
 
     monkeypatch.setattr(qdlab.faddeev, "_log_pochhammer", product)
-    monkeypatch.setattr(qdlab.qdilog, "log_phi_theta", phi)
+    monkeypatch.setattr(qdlab.qdilog, "log_level_dilog", dilog)
     ks = np.arange(k0 - 4 * N - 1, k1 + 4 * N + 2)
     for k in ks:
         live.append(False)
         log_forward_transform(wkp.charges, y0 + k / p.N.sqrt, k % N, p)
     live = np.array(live)
+    assert len(args) == len(ks)
     assert not np.any(live[(ks < k0) | (ks > k1)])
     assert np.all(np.concatenate([a.real.ravel() for a, k in zip(args, ks) if k < k0]) > 0)
     assert np.all(np.concatenate([a.real.ravel() for a, k in zip(args, ks) if k > k1]) <= 0)
-    assert ks[live].min() <= k0 + N + 1 and ks[live].max() >= k1 - N - 1
+    assert ks[live].min() <= k0 + 2 and ks[live].max() >= k1 - 2
 
 
 def _record_z(monkeypatch) -> dict:
@@ -313,39 +314,52 @@ def test_band_longer_than_a_tile_keeps_its_bits(monkeypatch):
 
 
 @pytest.mark.parametrize("N", [4, 7, 12])
-def test_band_edges_sit_at_the_corner_factors(N, rng):
-    # _band reads 3N factor arguments; the extremes over all N^2 of them, every
-    # factor j at every residue, give the same band
+def test_band_edges_sit_two_shifts_past_the_live_products(N, rng, monkeypatch):
+    # _band reads the live shifts off the two products' Re log x, affine in Re z; the
+    # live shifts found by running the products, for every y0 and every shift, end
+    # exactly two shifts inside each edge (the rounding of the edge and the margin)
     p = params(N)
+    rN = p.N.sqrt
+    real, masks = qdlab.faddeev._log_pochhammer, []
+
+    def product(*a):
+        out = real(*a)
+        masks.append(out != 0)
+        return out
+
+    monkeypatch.setattr(qdlab.faddeev, "_log_pochhammer", product)
     for _ in range(5):
         a, b = rng.uniform(0.05, 0.45, 2)
         ch = ChargeTriple(a, b, 1 - a - b)
+        bc = ch.b + ch.c
         y0 = rng.uniform(-3, 3, 3)
-        o = qdlab.qdilog.factor_args(-p.theta.c * (ch.b + ch.c) / p.N.sqrt, -np.arange(N) % N, p)
-        r = qdlab.faddeev.live_radius(o.imag, p.theta)
-        lo, hi = np.min(o.real - r), np.max(o.real + r)
-        assert qdlab.charged._band(p, ch.b + ch.c, y0) == (
-            math.floor(N * (lo - np.max(y0) / p.N.sqrt)) - 1,
-            math.ceil(N * (hi - np.min(y0) / p.N.sqrt)) + 1)
+        k0, k1 = qdlab.charged._band(p, bc, y0)
+        ks = np.arange(k0 - 2 * N, k1 + 2 * N + 1)
+        masks.clear()
+        log_dtheta(-(y0[:, None] + ks / rN) - p.theta.c * bc / rN, -ks % N, p)
+        assert len(masks) == 2  # one tile
+        live = ks[np.any((masks[0] | masks[1]).reshape(len(y0), -1), axis=0)]
+        assert (k0, k1) == (live.min() - 2, live.max() + 2)
 
 
 def test_every_faddeev_call_of_a_kernel_value_fits_a_tile(monkeypatch):
-    # over A_N a point of D_theta holds N Faddeev factors, so log_dtheta's tile is
-    # counted in Faddeev points: at N=50 a B-sum row of about 1,400 shifts would be
-    # 69,000 points in one call, and the Fourier transform of D_theta at N=2 sends
-    # 9,578 contour points, 19,156 Faddeev points
-    real, sizes = qdlab.qdilog.log_phi_theta, []
+    # log_dtheta's tile is counted in points of D_theta, each one element of each of its
+    # two q-products: at N=50 a B-sum row holds about 1,400 shifts, and the Fourier
+    # transform of D_theta at N=2 sends 9,578 contour points.  No _log_pochhammer call
+    # takes more than a tile
+    real, sizes = qdlab.faddeev._log_pochhammer, []
 
-    def counted(z, theta):
-        sizes.append(np.size(z))
-        return real(z, theta)
+    def counted(lx, *a):
+        sizes.append(np.size(lx))
+        return real(lx, *a)
 
-    monkeypatch.setattr(qdlab.qdilog, "log_phi_theta", counted)
+    monkeypatch.setattr(qdlab.faddeev, "_log_pochhammer", counted)
     weight_kernel(WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), params(50)),
                   LcaPoint(0.1, 0), LcaPoint(0.2, 0))
     qdlab.qdilog.fourier_transform_dtheta(0.35, 1, params(2))
     forward_transform_quadrature(ChargeTriple(0.4, 0.35, 0.25), 0.3, 1, params(3))
     assert sizes and max(sizes) <= qdlab.qdilog._TILE_POINTS
+    assert sum(sizes) > 2 * 9578
 
 
 @pytest.mark.parametrize("N", [2, 3])

@@ -197,7 +197,7 @@ def test_wgz_k_below_1_is_rejected(k, capsys):
     (lambda d: d["gluings"][0].update(vertex_map=[2, 1, "x"]), "vertex_map must be a list of 3"),
     (lambda d: d["tets"][1].update(sign=True), "tet 1: sign must be 1 or -1"),
     (lambda d: d["tets"][0].update(angles=["0.3333333333333333"] * 3), "tet 0: angles must be"),
-    # QdParams refuses an N above qdilog._TILE_POINTS by name
+    # QdParams refuses an N above qdilog._MAX_N by name
     (lambda d: d.update(N=10**30), f"N = {10**30} is too large"),
 ], ids=["invalid-json", "not-object", "missing-field", "N-not-integer", "tet-fields",
         "tet-sign", "angle-count", "gluing-fields", "face-out-of-range", "glued-twice",

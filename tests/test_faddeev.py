@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import mp_phi, mp_pochhammer
 
 import qdlab.faddeev
 from qdlab.errors import PoleProximity, SlowConvergence
@@ -12,6 +13,7 @@ from qdlab.faddeev import (
     ThetaParam,
     _log_pochhammer,
     is_near_pole,
+    level_products,
     log_phi_theta,
     nearest_pole,
     phi_theta,
@@ -163,37 +165,13 @@ def test_slow_convergence_guard():
         phi_theta(0.3, th)
 
 
-@pytest.fixture
-def mp():
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        yield mpmath
-
-
-def _mp_pochhammer(mp, lx, lq):
-    """(e^lx; e^lq)_inf at the working precision, stopped once |x q^j| < 1e-45."""
-    x, q, out = mp.exp(lx), mp.exp(lq), mp.mpc(1)
-    while abs(x) >= mp.mpf("1e-45"):
-        out *= 1 - x
-        x *= q
-    return out
-
-
-def _mp_phi(mp, z, th):
-    """Phi_theta(z) from its product formula, at the float theta and z given."""
-    t, z = mp.mpc(th.theta), mp.mpc(z)
-    c = 1j * (t + 1 / t) / 2
-    num = _mp_pochhammer(mp, 2 * mp.pi * t * (z + c), 2j * mp.pi * t**2)
-    return num / _mp_pochhammer(mp, 2 * mp.pi / t * (z - c), -2j * mp.pi / t**2)
-
-
 @pytest.mark.parametrize("span, rel", [(30, 1e-12), (90, 1e-11)])
 def test_log_phi_matches_mpmath(mp, span, rel):
     for seed, frac in enumerate(ORACLE_FRACTIONS):
         th = ThetaParam.from_pi_fraction(frac)
         rng = np.random.default_rng(seed)
         zs = rng.uniform(-span, span, 40) + 1j * rng.uniform(-0.3, 0.3, 40)
-        ref = np.array([complex(_mp_phi(mp, z, th)) for z in zs])
+        ref = np.array([complex(mp_phi(mp, z, th)) for z in zs])
         assert np.max(np.abs(np.exp(log_phi_theta(zs, th)) / ref - 1)) < rel
 
 
@@ -202,9 +180,9 @@ def test_log_phi_matches_mpmath_off_axis(mp, monkeypatch):
     # take the log form, which the near-axis oracle never reaches
     max_re = []
 
-    def recorded(lx, lq, tol):
+    def recorded(lx, lq, tol, stride=1):
         max_re.append(np.max(np.real(lx)))
-        return _log_pochhammer(lx, lq, tol)
+        return _log_pochhammer(lx, lq, tol, stride)
 
     monkeypatch.setattr(qdlab.faddeev, "_log_pochhammer", recorded)
     for seed, frac in enumerate(ORACLE_FRACTIONS):
@@ -214,7 +192,7 @@ def test_log_phi_matches_mpmath_off_axis(mp, monkeypatch):
         max_re.clear()
         got = np.exp(log_phi_theta(zs, th))
         assert max(max_re) > 0
-        ref = np.array([complex(_mp_phi(mp, z, th)) for z in zs])
+        ref = np.array([complex(mp_phi(mp, z, th)) for z in zs])
         assert np.max(np.abs(got / ref - 1)) < 1e-12
 
 
@@ -231,7 +209,7 @@ def test_dead_q_product_points_match_mpmath(mp):
             dead = lx.real < edge
             assert 0 < dead.sum() < dead.size
             got = _log_pochhammer(lx, lq, tol)
-            ref = [_mp_pochhammer(mp, mp.mpc(x), mp.mpc(lq)) for x in lx]
+            ref = [mp_pochhammer(mp, mp.mpc(x), mp.mpc(lq)) for x in lx]
             assert np.all(got[dead] == 0) and np.all(got[~dead] != 0)
             assert max(abs(r - 1) for r, d in zip(ref, dead) if d) < tol
             ref = np.array([complex(r) for r in ref])
@@ -249,7 +227,7 @@ def test_q_products_match_mpmath(mp):
         for lx, lq in [(2 * np.pi * t * (zs + c), 2j * np.pi * t**2),
                        (2 * np.pi / t * (zs - c), -2j * np.pi / t**2)]:
             got = np.exp(_log_pochhammer(lx, lq, tol))
-            ref = np.array([complex(_mp_pochhammer(mp, mp.mpc(x), mp.mpc(lq))) for x in lx])
+            ref = np.array([complex(mp_pochhammer(mp, mp.mpc(x), mp.mpc(lq))) for x in lx])
             assert np.max(np.abs(got / ref - 1)) < 1e-12
 
 
@@ -281,8 +259,45 @@ def test_deepest_q_products_match_mpmath(mp):
         edge = math.log(tol * -math.expm1(lq.real))
         lx = rng.uniform(edge, 1, 40) + 1j * rng.uniform(-np.pi, np.pi, 40)
         got = np.exp(_log_pochhammer(lx, lq, tol))
-        ref = np.array([complex(_mp_pochhammer(mp, mp.mpc(x), mp.mpc(lq))) for x in lx])
+        ref = np.array([complex(mp_pochhammer(mp, mp.mpc(x), mp.mpc(lq))) for x in lx])
         assert np.max(np.abs(got / ref - 1)) < 1e-12
+
+
+def test_long_q_products_match_mpmath(mp):
+    # at N = 500 each q-product of D_theta runs 3,386 terms of nome e^{lq} (|q|^{1/N});
+    # taken in rounds of N (stride), the rounding of e^{lq} compounds over 7 rounds,
+    # not 3,386 terms, which would cost about 3e-13 here.  Logs are compared, as the
+    # values are e^{+-100} and more
+    tol = qdlab.faddeev._PRODUCT_TOL
+    N = 500
+    th = ThetaParam.from_pi_fraction("1/3")
+    for lx, lq in level_products(np.array([-0.3 + 0.05j, -2.0 - 0.1j]), np.array([1, N - 1]), th, N):
+        assert math.ceil(math.log(tol) / lq.real) == 3386
+        got = _log_pochhammer(lx, lq, tol, N)
+        for g, x in zip(got, lx):
+            ref = mp.log(mp_pochhammer(mp, mp.mpc(x), mp.mpc(lq)))
+            assert abs(mp.exp(mp.mpc(g) - ref) - 1) < 1e-13
+
+
+def test_figure_eight_integral_meets_garoufalidis_kashaev():
+    # I(theta) = int Phi_theta(x)^2 e^{-pi i x^2} dx on R + 0.25i, by the trapezoid rule
+    # (step 1/256, window +-30, where the integrand is below e^{-47}), at 8 theta = e^{i phi},
+    # phi in [pi/125, pi/30], extrapolated to theta = 1 by a fit of degree 5 in phi^2.
+    # Garoufalidis-Kashaev (arXiv:1411.6062) give at b = 1 |I| = (e^{V/2pi} - e^{-V/2pi})/sqrt(3)
+    # = 0.379567579522537, V = 2.029883212819307 the volume of the figure-eight knot
+    # complement, and arg I = pi/6, the phase of Phi_1(0)^2, as Phi(x)^2 e^{-pi i x^2} =
+    # Phi(0)^2 Phi(x)/Phi(-x) is their integrand.  A value from outside qdlab pins
+    # log_phi_theta, the N = 1 arithmetic of log_level_dilog
+    x = np.arange(-30 * 256, 30 * 256 + 1) / 256 + 0.25j
+    phis = np.linspace(np.pi / 125, np.pi / 30, 8)
+    values = [np.sum(np.exp(2 * log_phi_theta(x, ThetaParam(cmath.exp(1j * phi)))
+                            - 1j * np.pi * x**2)) / 256 for phi in phis]
+    at_one = np.polyval(np.polyfit(phis**2, values, 5), 0)
+    V = 2.029883212819307
+    closed = (math.exp(V / (2 * math.pi)) - math.exp(-V / (2 * math.pi))) / math.sqrt(3)
+    assert closed == pytest.approx(0.379567579522537, abs=1e-15)
+    assert abs(abs(at_one) - closed) < 1e-10
+    assert abs(cmath.phase(at_one) - math.pi / 6) < 1e-10
 
 
 def test_reflection_keeps_pole_guards(thetas):

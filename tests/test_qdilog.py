@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from conftest import params
+from conftest import log_dtheta_n_factors, mp_dtheta, params
 
+import qdlab.charged
 from qdlab.faddeev import phi_theta
 from qdlab.lca import STEP
 from qdlab.qdilog import (
@@ -86,6 +87,41 @@ def test_factor_args_rows_match_the_per_factor_formula(rng):
             np.testing.assert_array_equal(factor_args(zz, n, p), np.stack(rows))
 
 
+@pytest.mark.parametrize("frac", ["1/8", "1/3", "2/5"])
+@pytest.mark.parametrize("N", [2, 3, 5, 8])
+def test_two_products_match_the_n_factor_product_and_mpmath(N, frac, mp):
+    # log_dtheta's two q-products of nome |q|^{1/N} against the N Faddeev factors of
+    # nome q each (conftest.log_dtheta_n_factors), on the rows of the weight kernel's
+    # B-sum (charged._dtheta_rows: the band, its seeds and ratio shifts), to 1e-12
+    # relative; and both against mpmath at 40 digits at each end of the band.  log D is a
+    # float, and at the far ends its imaginary part, about pi |z|^2, is spaced up to 1.8e-12
+    # (|z| = 58-64 at N = 8, theta = e^{2 pi i/5}; 20-24 at N = 2, 3, theta = e^{i pi/3}),
+    # so each value is held to 1e-12 plus two spacings of its log
+    p = params(N, frac)
+    rN, bc = p.N.sqrt, 0.6
+    y0 = np.arange(16) * rN / 16
+    ks, rows = qdlab.charged._dtheta_rows(p, bc, y0)
+    z = -(y0[:, None] + ks / rN) - p.theta.c * bc / rN  # the argument of D in each row
+    oracle = log_dtheta_n_factors(z, -ks % N, p)
+    bound = 1e-12 + 2 * np.spacing(np.abs(rows))
+    assert np.all(np.abs(np.expm1(rows - oracle)) <= bound)
+    for i in (2 * N + 1, -2 * N - 2):  # the band's first and last shift
+        ref = complex(mp_dtheta(mp, z[0, i], int(-ks[i] % N), p))
+        for got in (rows[0, i], oracle[0, i]):
+            assert abs(np.exp(got) / ref - 1) <= bound[0, i]
+
+
+def test_long_products_stay_finite_doubles():
+    # near theta = i, at N = 300, each q-product of D_theta runs 28,000 terms, and a
+    # partial product of them leaves the range of a double (an error of order 1 when
+    # the product is logged once); logged every 128 terms, D_theta meets the N-factor
+    # product, whose factors run 94 terms each
+    p = params(300, "49/100")
+    z, n = np.array([-0.4, 0.4, 3.0]), np.array([299, 1, 2])
+    got = log_dtheta(z, n, p)
+    assert np.max(np.abs(np.expm1(got - log_dtheta_n_factors(z, n, p)))) < 5e-11
+
+
 def test_fourier_formula_examples():
     assert fourier_formula_residual(0.2, 0, params(1)) < 1e-6
     assert fourier_formula_residual(0.0, 1, params(2)) < 1e-6
@@ -114,20 +150,21 @@ def test_inversion_constant_unimodular():
 
 
 def test_long_contour_keeps_the_bits_of_short_chunks():
-    # the contour of fourier_transform_dtheta at N=2 holds 9,578 points, 19,156
-    # Faddeev factors.  In one log_phi_theta call numpy would multiply in place past
-    # 16,384 values and move 2,287 of them in their last bits; log_dtheta's tiles keep
+    # the contour of fourier_transform_dtheta at N=2, at half its step, holds 19,154
+    # points.  In one faddeev.log_level_dilog call numpy would multiply in place past
+    # 16,384 values and move 3,332 of them in their last bits; log_dtheta's tiles keep
     # every value equal to the same points evaluated 2,048 at a time
     p = params(2)
-    delta, h = _contour_delta(p), STEP / 4
+    delta, h = _contour_delta(p), STEP / 8
     z = np.arange(-14, 26 / (2 * np.pi * delta) + h / 2, h) + 1j * delta
-    assert len(z) == 9578
+    assert len(z) == 19154
     chunks = [log_dtheta(z[i:i + 2048], 1, p) for i in range(0, len(z), 2048)]
     np.testing.assert_array_equal(log_dtheta(z, 1, p), np.concatenate(chunks))
 
 
-def test_n_up_to_a_tile_is_taken():
-    # at N = 4096 the factors of one point of D_theta fill one tile; N = 4097 would not fit
+def test_n_up_to_the_limit_is_taken():
+    # N = 4096 is the largest N that QdParams takes: a bound on time, not on a tile, as a
+    # point of D_theta runs about 7 N terms of each q-product (qdilog._MAX_N)
     assert np.isfinite(log_dtheta(0.4, 1, params(4096)))
     with pytest.raises(ValueError, match="N = 4097 is too large"):
         params(4097)
