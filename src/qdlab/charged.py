@@ -24,15 +24,20 @@ is its automorphic descent
     W_{A,C;mu}(x, y) = <x; -y/2> sum_{b in B} H_{A,C}(-y-b) conj<b> <b; mu - x>,
 
 quasi-periodic in both arguments under B-shifts.  Every kernel value, paired
-(`weight_kernel_rows`, `weight_kernel_many`, and the lines of
-`weight_kernel_cores`) or on a grid (`weight_kernel_grid`; the lines and grids
-serve the per-tet views of the partition function), comes from one B-sum engine
-in three stages, at the section points y0 = yr - yn/sqrt(N) of a set of points y.
+(`weight_kernel_rows`, `weight_kernel_many`, `weight_kernel_pairs`, its one-pair case
+`weight_kernel`, and the lines of `weight_kernel_cores`) or on a grid
+(`weight_kernel_grid`; the lines and grids serve the per-tet views of the partition
+function), comes from one B-sum engine in three stages, at the section points
+y0 = yr - yn/sqrt(N) of a set of points y.
 - `_dtheta_rows` evaluates D_theta(-z - c_th (B + C)/sqrt(N), -n), the one factor
   of F psi_{A,C}(z, n) that runs q-products, on the band of shifts the sum reads,
   in one qdilog.log_dtheta call, whose memory that function bounds.  It reads the
-  charges through the float B + C alone, so `weight_kernel_cores` evaluates it once
-  per value of B + C, and every kernel with that value reads the same rows.
+  charges through the float B + C alone, so `weight_kernel_cores` and
+  `weight_kernel_pairs` evaluate it once per value of B + C (`_by_band`), and every
+  kernel with that value reads the same rows.  A batch of pairs (the tet weights of
+  a descent residual, the left sides of a five-term check) keeps one row per pair at
+  its own y0, never one row read at two B-offsets: a descent residual compares a
+  weight with its B-shift, and a shared row would make it an identity of the code.
 - `_rows` adds the rest of log F psi (log_forward_transform, given those rows),
   applies kappa, conj and exp, and reads the tail ratios.
 - `_b_sum` contracts the rows with the phases of x, which enters nowhere else.
@@ -89,6 +94,7 @@ __all__ = [
     "pentagon_family",
     "weight_kernel",
     "weight_kernel_many",
+    "weight_kernel_pairs",
     "weight_kernel_rows",
     "weight_kernel_cores",
     "weight_kernel_grid",
@@ -285,8 +291,11 @@ def _dtheta_rows(p: QdParams, bc: float, y0: np.ndarray) -> tuple:
     the float B + C share these rows.  The shifts are the band k0..k1 of _band, where a
     q-product is live, 2N seed shifts on each side and one ratio shift per side (see the
     module notes); L is one log_dtheta call, with the residues -k mod N along the last axis.
+    A y0 at which a shift index, about sqrt(N) y0, reaches 2^52 is refused first
+    (lca.refuse_large), before any band is sized by it; the message names it y.
     """
     N, rN = p.N.N, p.N.sqrt
+    refuse_large("the B-sum's shift index, about sqrt(N) |y|,", lambda m: (m + rN) * rN, "y", y0)
     k0, k1 = _band(p, bc, y0)
     ks = np.arange(k0 - 2 * N - 1, k1 + 2 * N + 2)  # ratio, 2N seeds, band, 2N seeds, ratio
     z = np.asarray(y0[:, None] + ks / rN, dtype=complex)
@@ -382,16 +391,15 @@ def weight_kernel_rows(wkp: WeightKernelParams, yr, yn, rows: tuple | None = Non
     given, are the rows (ks, T, up, down) of _rows at those section points, one per
     point, already evaluated: weight_kernel_cores reads its lines off a core's rows.
 
-    A y whose B-sum shift indices, about sqrt(N) y, reach 2^52 is refused, and so is an
-    x at which a phase of W reaches 2^52 turns (lca.refuse_large).  Each phase is at most
-    |k - yn - shift| (|x| + |mu_x|)/sqrt(N) turns over the shifts k of the sum: the
+    A y whose B-sum shift indices, about sqrt(N) y, reach 2^52 is refused (_dtheta_rows),
+    and so is an x at which a phase of W reaches 2^52 turns (lca.refuse_large).  Each
+    phase is at most |k - yn - shift| (|x| + |mu_x|)/sqrt(N) turns over the shifts k: the
     B-sum's (k - yn - shift)(mu_x - x)/sqrt(N), its tail ratio's 2 sqrt(N)(mu_x - x) and,
     as the shifts k run past -sqrt(N) y0 on both sides, the prefactor's x (y + shift/sqrt(N))/2.
     """
     N, rN = wkp.params.N.N, wkp.params.N.sqrt
     yr, yn = np.asarray(yr, dtype=float), np.asarray(yn, dtype=int) % N
     shape = np.broadcast_shapes(yr.shape, yn.shape)
-    refuse_large("the B-sum's shift index, about sqrt(N) |y|,", lambda m: (m + rN) * rN, "y", yr)
     if rows is None:
         rows = _rows(wkp, np.broadcast_to(yr - yn / rN, shape).ravel())
     kmax = max(-int(rows[0][0]), int(rows[0][-1])) + int(np.max(yn, initial=0))  # >= |k - yn|
@@ -419,6 +427,17 @@ def weight_kernel_many(wkp: WeightKernelParams, xr, xn, yr, yn) -> np.ndarray:
     return weight_kernel_rows(wkp, yr, yn)(xr, xn)
 
 
+def _by_band(wkps) -> dict:
+    """The indices of wkps by the key of their D_theta rows and by kernel:
+    {(QdParams, float B + C): {kernel: [i, ...]}}, in order of first appearance.
+    _dtheta_rows reads the charges through B + C alone, so the kernels of one key can
+    read one call's rows, and equal kernels one _rows call."""
+    groups = {}
+    for i, w in enumerate(wkps):
+        groups.setdefault((w.params, w.charges.b + w.charges.c), {}).setdefault(w, []).append(i)
+    return groups
+
+
 def weight_kernel_cores(wkps, M: int, lines=None) -> list[np.ndarray]:
     """The B-sum on the index grid of step h = sqrt(N)/M for each kernel of wkps: the
     M x M core S[w, u] = S((u h, 0), (w h, 0)), 0 <= u, w < M, of weight_kernel_grid, or,
@@ -427,20 +446,19 @@ def weight_kernel_cores(wkps, M: int, lines=None) -> list[np.ndarray]:
     Both read the rows of F psi at y0 = (0..M-1) h, once per kernel: W at w = qM + w0
     is weight_kernel_rows(wkp, w0 h, 0)(u h, 0, qN) read off row w0, by the paired
     branch of the B-sum, in len(u) row contractions rather than the M of a core.
-    D_theta is evaluated once per QdParams and float B + C: the kernels that share them
-    read the same rows of _dtheta_rows, which live only within this call.  Every value
-    has the bits of the kernel's own, as its rows are the same floats.
+    D_theta is evaluated once per QdParams and float B + C (_by_band): the kernels that
+    share them read the same rows of _dtheta_rows, which live only within this call.
+    Every value has the bits of the kernel's own, as its rows are the same floats.
     """
     lines = lines or [None] * len(wkps)
     out = [None] * len(wkps)
-    bands = [(w.params, w.charges.b + w.charges.c) for w in wkps]
-    for p, bc in dict.fromkeys(bands):
+    for (p, bc), kernels in _by_band(wkps).items():
         h = p.N.sqrt / M
         y0 = np.arange(M) * h
         d_rows = _dtheta_rows(p, bc, y0)
-        for wkp in dict.fromkeys(w for w, band in zip(wkps, bands) if band == (p, bc)):
+        for wkp, idx in kernels.items():
             ks, T, up, down = rows = _rows(wkp, y0, d_rows)
-            for i in (i for i, w in enumerate(wkps) if w == wkp):
+            for i in idx:
                 if lines[i] is None:
                     out[i] = _b_sum(wkp, rows, y0, np.zeros(M, dtype=int))
                 else:
@@ -448,6 +466,28 @@ def weight_kernel_cores(wkps, M: int, lines=None) -> list[np.ndarray]:
                     w0 = w % M
                     W = weight_kernel_rows(wkp, y0[w0], 0, (ks, T[w0], up[w0], down[w0]))
                     out[i] = W(u * h, 0, w // M * p.N.N)
+    return out
+
+
+def weight_kernel_pairs(wkps, xs, ys) -> np.ndarray:
+    """W_i(x_i, y_i) for parallel sequences of kernels wkps and points xs, ys of A_N.
+
+    One _dtheta_rows call per QdParams and float B + C (_by_band) covers the section
+    points y0 of all the pairs that share them, so each row spans the union of their
+    bands, about sqrt(N) times the spread of their y0 more shifts than its own; past its
+    own band a row's terms are geometric, so the sum moves only by rounding.  Each kernel
+    makes one _rows call over its own rows, and weight_kernel_rows reads each pair off its
+    own row, with its refusals.  The module notes say why no row serves two pairs.
+    """
+    y0 = np.array([y.x - y.n % w.params.N.N / w.params.N.sqrt for w, y in zip(wkps, ys)])
+    out = np.empty(len(wkps), dtype=complex)
+    for (p, bc), kernels in _by_band(wkps).items():
+        group = np.concatenate(list(kernels.values()))  # each kernel's pairs together
+        ks, log_d = _dtheta_rows(p, bc, y0[group])
+        for wkp, idx in kernels.items():
+            rows = _rows(wkp, y0[idx], (ks, log_d[np.isin(group, idx)]))
+            W = weight_kernel_rows(wkp, [ys[i].x for i in idx], [ys[i].n for i in idx], rows)
+            out[idx] = W([xs[i].x for i in idx], [xs[i].n for i in idx])
     return out
 
 
@@ -488,5 +528,5 @@ def weight_kernel_grid(wkp: WeightKernelParams, core: np.ndarray, a_blocks,
 
 
 def weight_kernel(wkp: WeightKernelParams, x: LcaPoint, y: LcaPoint) -> complex:
-    """W_{A,C;mu}(x, y) at a single pair of points of A_N."""
-    return complex(weight_kernel_many(wkp, x.x, x.n, y.x, y.n))
+    """W_{A,C;mu}(x, y) at a single pair of points of A_N: weight_kernel_pairs of one pair."""
+    return complex(weight_kernel_pairs([wkp], [x], [y])[0])

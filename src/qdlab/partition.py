@@ -28,11 +28,15 @@ table, positive tets with equal charges and lines share one line, tets with
 equal charges share one core and one set of F psi rows, and D_theta, the
 B-sum's one costly factor, is evaluated once per float b + c for the lines and
 the cores together (charged.weight_kernel_cores): fig8_2tet's two tets and
-fig8_3tet's three read one band, the four-tet's four read two.  A grid of
-M/s points per edge is the stride-s subgrid of the M grid, so it is contracted
-straight from the M views: its index j reads the M-grid entry at s j.  The
-error estimate reads its M/2 and M/4 grids this way where they divide M, and a
-convergence ladder reads every rung that divides its largest.
+fig8_3tet's three read one band, the four-tet's four read two.  Pointwise
+weights batch the same way (charged.weight_kernel_pairs): descent_residual's 2T
+tet weights, at the lifts and at the shifted lifts, make one D_theta call per
+float b + c, each (lifts, tet) on its own row at its own section point, as a
+shifted weight read off its base's row would make the residual an identity of
+the code.  A grid of M/s points per edge is the stride-s subgrid of the M grid,
+so it is contracted straight from the M views: its index j reads the M-grid
+entry at s j.  The error estimate reads its M/2 and M/4 grids this way where
+they divide M, and a convergence ladder reads every rung that divides its largest.
 Nothing is cached across calls.  Each tet's slot rows sum to zero (two edges
 at each slot), so the integrand depends only on j_c - j_0, and descent makes it
 periodic in each j_c: the sum is equal copies of the slice j_0 = 0 (M^(E-1)
@@ -51,7 +55,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .charged import WeightKernelParams, weight_kernel, weight_kernel_cores, weight_kernel_grid
+from .charged import (WeightKernelParams, weight_kernel_cores, weight_kernel_grid,
+                      weight_kernel_pairs)
 from .errors import NonConvergent, TopologyError
 from .lca import LcaPoint, QuadratureSpec, b_generator, lift
 from .qdilog import QdParams
@@ -85,23 +90,25 @@ def boltzmann_weight(
     state: tuple,
 ) -> complex:
     """Weight of tet t at a state, one CircleVar per edge class (lifted canonically)."""
-    return _weight(X, t, [lift(s, X.N) for s in state], _slots(X))
+    return _weights(X, [(t, [lift(s, X.N) for s in state])])[0]
 
 
-def _weight(X: ShapedTriangulation, t: int, lifts, slots: np.ndarray) -> complex:
-    """Weight of tet t at lifts, one LcaPoint per edge class: the kernel at (E1, E2),
-    the combinations of the lifts by its slot rows (slots = _slots(X)), conjugated if
-    the tet is negative."""
-    e1, e2 = (sum((lifts[c].scale(v) for c, v in enumerate(row) if v), LcaPoint(0.0, 0))
-              for row in slots[t].tolist())
-    val = weight_kernel(_kernel(X, X.tets[t]), e1, e2)
-    return np.conj(val) if X.tets[t].sign < 0 else val
+def _weights(X: ShapedTriangulation, items) -> list[complex]:
+    """The weight of tet t at lifts (one LcaPoint per edge class) for each (t, lifts) of
+    items: the kernel at (E1, E2), the combinations of the lifts by its slot rows
+    (_slots), conjugated if the tet is negative.  All come from one weight_kernel_pairs
+    call, each pair on its own row of F psi."""
+    slots = _slots(X).tolist()
+    args = [[sum((lifts[c].scale(v) for c, v in enumerate(row) if v), LcaPoint(0.0, 0))
+             for row in slots[t]] for t, lifts in items]
+    vals = weight_kernel_pairs([_kernel(X, X.tets[t]) for t, _ in items],
+                               *([a[j] for a in args] for j in (0, 1))).tolist()
+    return [v.conjugate() if X.tets[t].sign < 0 else v for (t, _), v in zip(items, vals)]
 
 
 def total_weight(X: ShapedTriangulation, lifts) -> complex:
     """B_X at explicit lifts (one LcaPoint per edge class)."""
-    slots = _slots(X)
-    return math.prod((_weight(X, t, lifts, slots) for t in range(len(X.tets))), start=1.0 + 0j)
+    return math.prod(_weights(X, [(t, lifts) for t in range(len(X.tets))]), start=1.0 + 0j)
 
 
 def descent_residual(
@@ -112,13 +119,15 @@ def descent_residual(
 ) -> float:
     """Relative change of B_X when one edge lift is moved by k B-generators.
 
-    Vanishing residuals certify that the total weight descends to A/B^edges.
+    Vanishing residuals certify that the total weight descends to A/B^edges.  The 2T
+    tet weights, at the lifts and at the shifted lifts, come from one batch.
     """
     lifts = [lift(s, X.N) for s in state]
-    w0 = total_weight(X, lifts)
     shifted = list(lifts)
     shifted[edge] = shifted[edge] + b_generator(X.N).scale(k)
-    w1 = total_weight(X, shifted)
+    T = len(X.tets)
+    w = _weights(X, [(t, ls) for ls in (lifts, shifted) for t in range(T)])
+    w0, w1 = (math.prod(w[s:s + T], start=1.0 + 0j) for s in (0, T))
     return abs(w1 - w0) / max(abs(w0), 1e-300)
 
 

@@ -14,7 +14,8 @@ identity of the weight kernels over A/B:
 with the kernel offsets mu_0 = mu_1 = alpha, mu_2 = alpha + beta,
 mu_3 = mu_4 = beta.  Both hold with constant exactly 1 in this normalization.
 The integrand's kernels are read off rows of F psi (charged.weight_kernel_rows),
-built once per y-set: W_2's once per check, W_4's and W_0's once per sample.
+built once per y-set: W_2's once per check, W_4's and W_0's once per sample.  The
+left sides W_1(x, y) W_3(u, v) of every sample come from one weight_kernel_pairs batch.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .charged import (
     ChargeTriple,
     WeightKernelParams,
     pentagon_family,
-    weight_kernel,
+    weight_kernel_pairs,
     weight_kernel_rows,
 )
 from .errors import Infeasible
@@ -156,10 +157,14 @@ def check_charged_beta_pentagon(
                 * w2(x.x + y.x + u.x + v.x - (ts + s * b0.x), x.n + y.n + u.n + v.n - s * b0.n, s)
                 * w0(x.x + v.x, x.n + v.n, -s) for s in shifts]
 
+    samples = list(samples)
+    sides = weight_kernel_pairs([wks[1], wks[3]] * len(samples),
+                                [p for x, y, u, v in samples for p in (x, u)],
+                                [p for x, y, u, v in samples for p in (y, v)]).tolist()
     residuals = []
     shift_defect = None
-    for (x, y, u, v) in samples:
-        lhs = weight_kernel(wks[1], x, y) * weight_kernel(wks[3], u, v)
+    for (x, y, u, v), w1, w3 in zip(samples, sides[::2], sides[1::2]):
+        lhs = w1 * w3
         vals, *shifted = integrand(x, y, u, v, (0, 1) if shift_defect is None else (0,))
         rhs = complex(np.sum(vals) / M)
         residuals.append(abs(lhs - rhs) / (abs(lhs) + abs(rhs)))

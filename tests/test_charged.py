@@ -25,6 +25,7 @@ from qdlab.charged import (
     weight_kernel_cores,
     weight_kernel_grid,
     weight_kernel_many,
+    weight_kernel_pairs,
     weight_kernel_rows,
 )
 from qdlab.errors import NonConvergent
@@ -497,6 +498,30 @@ def test_b_sum_refuses_a_nan_x():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonConvergent, match="B-sum not finite"):
             weight_kernel_many(wkp, np.nan, 0, 0.2, 1)
+
+
+def test_weight_kernel_pairs_match_single_pairs(rng, monkeypatch):
+    # one batch over kernels of two values of b + c (two distinct charge triples share
+    # 0.6), at N = 2 and 3, with repeated kernels and every residue, equals the kernels
+    # one pair at a time.  D_theta is one call per N and b + c; each pair keeps its own
+    # row, whose band is the union of its group's, so only rounding differs
+    kernels = [WeightKernelParams(ch, params(N), LcaPoint(0.3, 1)) for N in (2, 3)
+               for ch in (ChargeTriple(0.4, 0.35, 0.25), ChargeTriple(0.4, 0.25, 0.35),
+                          ChargeTriple(0.2, 0.45, 0.35))]
+    wkps = [kernels[i] for i in rng.integers(0, len(kernels), 24)]
+    xs, ys = ([LcaPoint(float(rng.uniform(-1, 1)), int(rng.integers(0, w.params.N.N)))
+               for w in wkps] for _ in range(2))
+    seen = _record_z(monkeypatch)
+    batch = weight_kernel_pairs(wkps, xs, ys)
+    assert len(seen["log_dtheta"]) == 4
+    assert sum(len(z) for z in seen["log_dtheta"]) == 24
+    for w, x, y, value in zip(wkps, xs, ys, batch):
+        assert value == pytest.approx(weight_kernel(w, x, y), rel=1e-13)
+    # a non-finite x in one pair is refused for the batch, as for the pair alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonConvergent, match="B-sum not finite"):
+            weight_kernel_pairs(wkps[:2], [xs[0], LcaPoint(np.nan, 0)], ys[:2])
 
 
 @pytest.mark.parametrize("x, y, text", [

@@ -16,7 +16,7 @@ from qdlab.charged import (ChargeTriple, WeightKernelParams, weight_kernel, weig
                            weight_kernel_grid, weight_kernel_rows)
 from qdlab.cli import run
 from qdlab.errors import NonConvergent, TopologyError
-from qdlab.lca import CircleVar, LcaPoint, Modulus, QuadratureSpec
+from qdlab.lca import CircleVar, LcaPoint, Modulus, QuadratureSpec, b_generator, lift
 from qdlab.partition import (
     _contract,
     _grid_values,
@@ -90,6 +90,58 @@ def test_negative_sign_conjugates():
     assert boltzmann_weight(Xn, 0, state) == pytest.approx(
         np.conj(boltzmann_weight(X, 0, state)), rel=1e-13
     )
+
+
+@pytest.mark.parametrize("X", [builtin_census("fig8_2tet", N=2), builtin_census("fig8_3tet", N=2),
+                               pachner_23(builtin_census("fig8_3tet", N=1), (0, 2))],
+                         ids=["fig8_2tet-N2", "fig8_3tet-N2", "four-tet-N1"])
+def test_descent_residual_is_one_dtheta_call_per_band(X, monkeypatch):
+    # the 2T tet weights of a descent residual, at the lifts and at the shifted lifts,
+    # make one log_dtheta call per b + c (the two-tet and three-tet fig8 one, the
+    # four-tet two), and every (state, tet) has its own row at its own section point:
+    # no shifted weight is read off its base's row
+    N, rN = X.N.N, X.N.sqrt
+    rows, y0s = [], []
+    real_d, real_rows = qdlab.charged.log_dtheta, qdlab.charged._dtheta_rows
+
+    def log_dtheta(z, *args):
+        rows.append(len(z))
+        return real_d(z, *args)
+
+    def dtheta_rows(p, bc, y0):
+        y0s.extend(y0.tolist())
+        return real_rows(p, bc, y0)
+
+    monkeypatch.setattr(qdlab.charged, "log_dtheta", log_dtheta)
+    monkeypatch.setattr(qdlab.charged, "_dtheta_rows", dtheta_rows)
+    state = tuple(CircleVar(t) for t in np.linspace(0.1, 0.9, len(X.edge_classes)) * rN)
+    assert descent_residual(X, state, 0, k=N) < 1e-8
+    lifts = [lift(s, X.N) for s in state]
+    shifted = [lifts[0] + b_generator(X.N).scale(N), *lifts[1:]]
+    expect = []
+    for ls in (lifts, shifted):
+        for m in qdlab.partition._slots(X)[:, 1].tolist():  # E2, the kernel's y
+            y = sum((ls[c].scale(v) for c, v in enumerate(m)), LcaPoint(0.0, 0))
+            expect.append(y.x - y.n % N / rN)
+    assert len(rows) == len({tet.angles.b + tet.angles.c for tet in X.tets}) == (
+        2 if len(X.tets) == 4 else 1)
+    assert sum(rows) == 2 * len(X.tets)
+    assert sorted(y0s) == pytest.approx(sorted(expect), abs=1e-12)
+
+
+def test_weights_match_single_kernels():
+    # the batched tet weights at two sets of lifts are the kernels one pair at a time,
+    # conjugated for the negative tet of the branched two-tet triangulation
+    X = branched_two_tet(2)
+    assert [tet.sign for tet in X.tets] == [1, -1]
+    items = [(t, [LcaPoint(0.3, 1), LcaPoint(1.1, 0)]) for t in (0, 1)]
+    items += [(t, [LcaPoint(-0.4, 0), LcaPoint(0.7, 3)]) for t in (1, 0)]
+    slots = qdlab.partition._slots(X).tolist()
+    for (t, ls), w in zip(items, qdlab.partition._weights(X, items)):
+        e1, e2 = (sum((ls[c].scale(v) for c, v in enumerate(m)), LcaPoint(0.0, 0))
+                  for m in slots[t])
+        one = weight_kernel(WeightKernelParams(X.tets[t].angles, params(2)), e1, e2)
+        assert w == pytest.approx(np.conj(one) if X.tets[t].sign < 0 else one, rel=1e-13)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
