@@ -18,14 +18,16 @@ The five-term (pentagon) family is the conjugated, normalized transform
     kappa_{A,C} = e^{i pi c_th^2 (A^2 + A C)/N},
 
 which satisfies the Fourier-side five-term identity with constant exactly 1
-(pinned numerically by the pentagon tests).  The two-variable weight kernel
-is its automorphic descent
+(pinned numerically by the pentagon tests).  A different, also unimodular, linear
+phase kappa_{A,C} e^{-i pi c_th^2 (A - C)/(3N)} would make the transform a clean
+cocycle with constant gamma^{-1/3} = e^{-i pi N/12}; nothing uses it, so it is not
+defined here.  The two-variable weight kernel is its automorphic descent
 
     W_{A,C;mu}(x, y) = <x; -y/2> sum_{b in B} H_{A,C}(-y-b) conj<b> <b; mu - x>,
 
 quasi-periodic in both arguments under B-shifts.  Every kernel value, paired
-(`weight_kernel_rows`, `weight_kernel_many`, `weight_kernel_pairs`, its one-pair case
-`weight_kernel`, and the lines of `weight_kernel_cores`) or on a grid
+(`weight_kernel_rows`, `weight_kernel_pairs`, its one-pair case `weight_kernel`, and
+the lines of `weight_kernel_cores`) or on a grid
 (`weight_kernel_grid`; the lines and grids serve the per-tet views of the partition
 function), comes from one B-sum engine in three stages, at the section points
 y0 = yr - yn/sqrt(N) of a set of points y.
@@ -66,7 +68,9 @@ multiplied over one period by
     R- = e^{-4 pi cos(arg theta) B} e^{-4 pi i sqrt(N) (mu_x - x)}        (k -> k - 2N),
 
 both inside the unit circle.  `_rows` reads R off F psi itself, not off this
-formula, and `_b_sum` sums each tail as its 2N seed terms over 1 - R.
+formula, and `_b_sum` sums each tail as its 2N seed terms over 1 - R.  So the sum is
+exact up to the q-products' own tolerance whatever the charges: a charge of 0.05 slows
+a tail's decay but adds no terms.
 """
 
 from __future__ import annotations
@@ -93,7 +97,6 @@ __all__ = [
     "pentagon_normalization",
     "pentagon_family",
     "weight_kernel",
-    "weight_kernel_many",
     "weight_kernel_pairs",
     "weight_kernel_rows",
     "weight_kernel_cores",
@@ -421,12 +424,6 @@ def weight_kernel_rows(wkp: WeightKernelParams, yr, yn, rows: tuple | None = Non
     return W
 
 
-def weight_kernel_many(wkp: WeightKernelParams, xr, xn, yr, yn) -> np.ndarray:
-    """W_{A,C;mu} at parallel (broadcast) arrays of points x = (xr, xn), y = (yr, yn)."""
-    xr, xn, yr, yn = np.broadcast_arrays(xr, xn, yr, yn)
-    return weight_kernel_rows(wkp, yr, yn)(xr, xn)
-
-
 def _by_band(wkps) -> dict:
     """The indices of wkps by the key of their D_theta rows and by kernel:
     {(QdParams, float B + C): {kernel: [i, ...]}}, in order of first appearance.
@@ -448,7 +445,9 @@ def weight_kernel_cores(wkps, M: int, lines=None) -> list[np.ndarray]:
     branch of the B-sum, in len(u) row contractions rather than the M of a core.
     D_theta is evaluated once per QdParams and float B + C (_by_band): the kernels that
     share them read the same rows of _dtheta_rows, which live only within this call.
-    Every value has the bits of the kernel's own, as its rows are the same floats.
+    Every value has the bits of the kernel's own, as its rows are the same floats: a
+    line's are those of weight_kernel_rows at its w0 h wherever its w0 reach both 0 and
+    M - 1, where the band, and so every row, is the same.
     """
     lines = lines or [None] * len(wkps)
     out = [None] * len(wkps)

@@ -11,15 +11,16 @@ A product (x; q)_inf = prod_j (1 - x q^j) is evaluated as follows.
 - Live: a term with Re log(x q^j) > 0 is added as a log, since a product of
   such terms could overflow.  This head is taken only over the elements with
   Re log x > 0.  After the reflection below, log_level_dilog passes such an element
-  only for |Im z| > cos(arg theta)/sqrt(N), so elsewhere the head costs one comparison.
-  Then, at |x q^j| <= 1, every element runs the same
-  D = ceil(log tol / log|q|) + 1 terms (the last below tol) in one loop for the
-  batch, x q^j updated by one multiplication per term, and the product p is logged
-  as log|p| + i arg p: near 1, several times faster than complex log.  p is logged
-  once, or, past 128 terms, every 128 terms and restarted, so that it stays a finite
-  double: the products of log_level_dilog run about N D terms, and unrestarted they
+  only for |Im z| > cos(arg theta)/sqrt(N), so elsewhere the head costs one comparison
+  (`qdlab phi` at such a z has a head; no point of the benchmark's workloads does).
+  Then, at |x q^j| <= 1, every element runs the same D = ceil(log tol / log|q|) + 1
+  terms (the last below tol; D = 8 at theta = e^{i pi/3}, 95 at e^{i pi/100}) in one
+  loop for the batch, x q^j updated by one multiplication per term, and the product p
+  is logged as log|p| + i arg p: near 1, several times faster than complex log.  p is
+  logged once, or, past 128 terms, every 128 terms and restarted, so that it stays a
+  finite double: the products of log_level_dilog run about N D terms, and unrestarted they
   leave the range of a double near N = 4000 at theta = e^{i pi/3} and near N = 300 at
-  arg theta = 0.49 pi.  D is at most 118 above the floor of Im theta^2, so a product
+  arg theta = 0.49 pi.  D is at most 119 above the floor of Im theta^2, so a product
   of Phi_theta is logged once.
 So every log is defined only modulo 2 pi i; every caller exponentiates.
 

@@ -10,6 +10,11 @@ Conventions, fixed once here and used by every other module:
   circumference sqrt(N), carries dt/sqrt(N) on [0, sqrt(N)) (total mass 1).
   This is the unique pair satisfying the Weil decomposition of the Haar
   measure above.
+
+The one exception is the weight kernel's phases: charged._b_sum and the W of
+charged.weight_kernel_rows fuse theirs into one exp each, as routing them through
+this module would move the kernel in its last bits, as a change of the B-sum's order
+or band does; charged.weight_kernel_grid takes its phases from exact integer numerators.
 """
 
 from __future__ import annotations
@@ -121,7 +126,8 @@ def fourier_kernel(p: LcaPoint, q: LcaPoint, N: Modulus) -> complex:
 
 def simpson(y, dx: float):
     """Composite Simpson's rule on >= 3 uniform samples y of step dx, bit for bit SciPy's
-    simpson (>= 1.11): an even count takes Cartwright's correction on the last interval."""
+    simpson (>= 1.11): an even count takes Cartwright's correction on the last interval.
+    It is lca's own, so importing qdlab loads no SciPy."""
     y = np.asarray(y)
     n = len(y)
     if n % 2:

@@ -28,14 +28,14 @@ table, positive tets with equal charges and lines share one line, tets with
 equal charges share one core and one set of F psi rows, and D_theta, the
 B-sum's one costly factor, is evaluated once per float b + c for the lines and
 the cores together (charged.weight_kernel_cores): fig8_2tet's two tets and
-fig8_3tet's three read one band, the four-tet's four read two.  Pointwise
-weights batch the same way (charged.weight_kernel_pairs): descent_residual's 2T
-tet weights, at the lifts and at the shifted lifts, make one D_theta call per
-float b + c, each (lifts, tet) on its own row at its own section point, as a
-shifted weight read off its base's row would make the residual an identity of
-the code.  A grid of M/s points per edge is the stride-s subgrid of the M grid,
-so it is contracted straight from the M views: its index j reads the M-grid
-entry at s j.  The error estimate reads its M/2 and M/4 grids this way where
+fig8_3tet's three read one band, the four-tet's four read two, the five-tet's
+five three.  Pointwise weights batch the same way (charged.weight_kernel_pairs):
+descent_residual's 2T tet weights, at the lifts and at the shifted lifts, make one
+D_theta call per float b + c, each (lifts, tet) on its own row at its own section
+point, as a shifted weight read off its base's row would make the residual an
+identity of the code.  A grid of M/s points per edge is the stride-s subgrid of
+the M grid, so it is contracted straight from the M views: its index j reads the
+M-grid entry at s j.  The error estimate reads its M/2 and M/4 grids this way where
 they divide M, and a convergence ladder reads every rung that divides its largest.
 Nothing is cached across calls.  Each tet's slot rows sum to zero (two edges
 at each slot), so the integrand depends only on j_c - j_0, and descent makes it
@@ -142,7 +142,8 @@ def _require_descent(X: ShapedTriangulation) -> None:
     its entry by e^{-pi i N (m1 w - m2 u)/M} (-1)^(N m2 (1 - m1)), conjugated
     if the tet is negative.  The exponentials cancel over the tets, as the form
     sum_t sign_t (m1_c m2_d - m2_c m1_d) is zero (Neumann-Zagier); the signs
-    leave (-1)^(N sum_t m2 (1 - m1)), and an odd sum is refused.
+    leave (-1)^(N sum_t m2 (1 - m1)), and an odd sum is refused.  `qdlab check
+    descent` samples the same property (descent_residual).
     """
     if not X.is_closed:  # an open X's total weight need not descend
         raise TopologyError("triangulation has unglued faces; j_0 cannot be fixed")
@@ -212,7 +213,8 @@ def _tet_tables(X: ShapedTriangulation, M: int) -> list[np.ndarray]:
     return views
 
 
-# grid points per slab of the contraction
+# grid points per slab of the contraction; the E <= 3 grids of the census are one
+# slab at M = 128
 _SLAB_POINTS = 2**16
 
 # the default bound on the estimated error of Z relative to |Z|
@@ -308,7 +310,9 @@ def partition_function(
     """Z(X) on the grid of spec.M points per edge, with an extrapolated error estimate.
 
     The estimate (_error_estimate) reads Z at M, M // 2 and M // 4 through
-    _grid_values, by stride from the M tables where they divide M.
+    _grid_values, by stride from the M tables where they divide M.  Those coarse
+    grids fall below the floor 8 of QuadratureSpec.M for M < 32, which only the
+    rungs of convergence_report must meet.
     Raises NonConvergent when Z is not finite, or when the estimate exceeds target
     relative to |Z| (an inf estimate meets only target = inf), and ValueError when
     the target is not positive.

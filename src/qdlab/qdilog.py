@@ -58,7 +58,7 @@ __all__ = [
 # value does not depend on its tile.
 _TILE_POINTS = 4096
 # The largest N that QdParams takes, a bound on time, not on memory.  A point runs about
-# N D terms of each q-product (D = 7 at theta = e^{i pi/3}), a few numpy operations a term,
+# N D terms of each q-product (D = 8 at theta = e^{i pi/3}), a few numpy operations a term,
 # and the weight kernel's B-sum reads about 27.5 N shifts per row (charged._band), so a
 # kernel value costs about N^2 work.  On a 2-core box one D_theta value at N = 4096 takes
 # 0.24 s, and `qdlab kernel --N 4096` 19 s at a peak RSS of 47 MB (--N 300: 0.3 s, 33 MB).

@@ -50,7 +50,8 @@ from .lca import Modulus
 from .pentagon import pentagon_residuals, solve_pentagon_charges
 
 EDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# angle slot (0=a, 1=b, 2=c) carried by each edge pair; opposite edges agree
+# angle slot (0=a, 1=b, 2=c) carried by each edge pair; opposite edges agree.  Read only
+# where ShapedTriangulation builds its incidence, which everything else reads
 ANGLE_SLOT = {(0, 1): 0, (2, 3): 0, (0, 2): 1, (1, 3): 1, (0, 3): 2, (1, 2): 2}
 # Klein four-group of vertex relabelings preserving the weight formula
 V4 = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
@@ -95,7 +96,8 @@ class ShapedTriangulation:
 
     partner[(t, f)] = (t', f', vertex map, i) for both ends (t, f) of each gluing i: the face
     (t', f') glued to (t, f), and the map {v: image} of the vertices of face f, read from
-    (t, f).  It is validated as it is built; every face lookup reads it.
+    (t, f).  It is validated as it is built; every face lookup reads it.  gluings keeps
+    each gluing as given, in its order and direction, and to_document writes it so.
     """
 
     def __init__(self, N: Modulus, theta: ThetaParam, tets, gluings):

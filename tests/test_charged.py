@@ -24,7 +24,6 @@ from qdlab.charged import (
     weight_kernel,
     weight_kernel_cores,
     weight_kernel_grid,
-    weight_kernel_many,
     weight_kernel_pairs,
     weight_kernel_rows,
 )
@@ -303,13 +302,13 @@ def test_band_longer_than_a_tile_keeps_its_bits(monkeypatch):
     for N in (1, 2, 3, 5):
         p = params(N)
         wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), p, LcaPoint(0.3, 1))
-        paired = (wkp, [0.1, -0.4], [0, 1], [0.2, 0.9], [1, 0])
+        x, y = ([0.1, -0.4], [0, 1]), ([0.2, 0.9], [1, 0])
         blocks = range(-1, 2), range(-1, 1)
-        whole = (weight_kernel_many(*paired),
+        whole = (weight_kernel_rows(wkp, *y)(*x),
                  weight_kernel_grid(wkp, weight_kernel_cores([wkp], 8)[0], *blocks))
         with monkeypatch.context() as m:
             m.setattr(qdlab.qdilog, "_TILE_POINTS", 16)
-            np.testing.assert_array_equal(weight_kernel_many(*paired), whole[0])
+            np.testing.assert_array_equal(weight_kernel_rows(wkp, *y)(*x), whole[0])
             np.testing.assert_array_equal(
                 weight_kernel_grid(wkp, weight_kernel_cores([wkp], 8)[0], *blocks), whole[1])
 
@@ -383,7 +382,7 @@ def test_integer_array_residues_match_scalar_calls(N, rng):
 
 
 @pytest.mark.parametrize("N", [2, 3])
-def test_weight_kernel_many_mixed_residues(N, rng):
+def test_paired_kernel_mixed_residues(N, rng):
     # one paired call over points of every residue yn equals per-point calls, and
     # a point with yn != 0, summed from its canonical section, equals its B-orbit
     # summed from y itself with lca's phases over a doubled window
@@ -392,10 +391,10 @@ def test_weight_kernel_many_mixed_residues(N, rng):
     xr, yr = rng.uniform(-1, 1, (2, 8))
     xn, yn = rng.integers(0, N, (2, 8))
     yn[:N] = np.arange(N)
-    many = weight_kernel_many(wkp, xr, xn, yr, yn)
+    paired = weight_kernel_rows(wkp, yr, yn)(xr, xn)
     for i in range(8):
         one = weight_kernel(wkp, LcaPoint(xr[i], int(xn[i])), LcaPoint(yr[i], int(yn[i])))
-        assert many[i] == pytest.approx(one, rel=1e-13)
+        assert paired[i] == pytest.approx(one, rel=1e-13)
     x, y = LcaPoint(xr[1], int(xn[1])), LcaPoint(yr[1], 1)
     kap, b0 = pentagon_normalization(wkp.charges, p), b_generator(p.N)
     brute = 0j
@@ -403,7 +402,7 @@ def test_weight_kernel_many_mixed_residues(N, rng):
         kb = b0.scale(k)
         term = np.conj(kap * forward_transform_closed(wkp.charges, y.x + kb.x, y.n + k, p))
         brute += term * np.conj(gaussian_exp(kb, p.N)) * fourier_kernel(kb, wkp.mu - x, p.N)
-    assert many[1] == pytest.approx(fourier_kernel(x, -halve(y, p.N), p.N) * brute, rel=1e-10)
+    assert paired[1] == pytest.approx(fourier_kernel(x, -halve(y, p.N), p.N) * brute, rel=1e-10)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -420,9 +419,9 @@ def test_kernel_rows_read_b_shifts_as_section_offsets(N, rng):
     xn = rng.integers(0, N, 2 * N + 1)
     yn = np.arange(2 * N + 1) % N  # every residue, 0 among them
     W = weight_kernel_rows(wkp, yr, yn)
-    np.testing.assert_array_equal(W(xr, xn), weight_kernel_many(wkp, xr, xn, yr, yn))
+    np.testing.assert_array_equal(W(xr, xn), weight_kernel_rows(wkp, yr, yn)(xr, xn))
     for s in (-2, -1, 1, 2):
-        expect = weight_kernel_many(wkp, xr, xn, yr + s / p.N.sqrt, yn + s)
+        expect = weight_kernel_rows(wkp, yr + s / p.N.sqrt, yn + s)(xr, xn)
         np.testing.assert_allclose(W(xr, xn, s), expect, rtol=0,
                                    atol=1e-13 * np.abs(expect).max())
 
@@ -497,7 +496,7 @@ def test_b_sum_refuses_a_nan_x():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonConvergent, match="B-sum not finite"):
-            weight_kernel_many(wkp, np.nan, 0, 0.2, 1)
+            weight_kernel_rows(wkp, 0.2, 1)(np.nan, 0)
 
 
 def test_weight_kernel_pairs_match_single_pairs(rng, monkeypatch):
@@ -536,9 +535,10 @@ def test_kernel_point_that_keeps_no_fractional_bit_is_refused(x, y, text):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=re.escape(text)):
-            weight_kernel_many(wkp, x, 0, y, 0)
+            xr, xn, yr, yn = np.broadcast_arrays(x, 0, y, 0)
+            weight_kernel_rows(wkp, yr, yn)(xr, xn)
         # below those sizes the kernel is evaluated
-        assert np.isfinite(weight_kernel_many(wkp, 1e3, 0, 1e3, 0))
+        assert np.isfinite(weight_kernel_rows(wkp, 1e3, 0)(1e3, 0))
 
 
 def _grid_entries(wkp, grid, a0, q0, M, us, ws):
@@ -546,8 +546,8 @@ def _grid_entries(wkp, grid, a0, q0, M, us, ws):
     and the pointwise kernel there, each as an array."""
     h = wkp.params.N.sqrt / M
     us, ws = np.asarray(us), np.asarray(ws)
-    return (grid[ws - q0 * M, us - a0 * M],
-            weight_kernel_many(wkp, us * h, 0, ws * h, 0))
+    xr, xn, yr, yn = np.broadcast_arrays(us * h, 0, ws * h, 0)
+    return grid[ws - q0 * M, us - a0 * M], weight_kernel_rows(wkp, yr, yn)(xr, xn)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])

@@ -1,8 +1,11 @@
 """Command-line surface: values, schemas, exit codes, determinism."""
 
 import cmath
+import functools
+import importlib
 import json
 import math
+import pkgutil
 import re
 import subprocess
 import sys
@@ -16,7 +19,7 @@ from conftest import relabelled_fig8
 import qdlab.cli
 from qdlab import checks
 from qdlab.cli import run
-from qdlab.triangulation import builtin_census
+from qdlab.triangulation import ShapedTriangulation, builtin_census
 
 
 def invoke(args, capsys):
@@ -315,6 +318,37 @@ def test_readme_cli_examples_run(capsys):
     for argv in lines:
         assert run(argv[1:]) == 0, " ".join(argv)
         capsys.readouterr()
+
+
+def test_readme_names_exist():
+    # every backticked qdlab name the README points to exists: a module's by getattr
+    # on the module, a class's on the class or, for an attribute set in __init__, on
+    # fig8_2tet; other dotted names (numpy, statistics, file names) are not qdlab's
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = {m.name: importlib.import_module(f"qdlab.{m.name}")
+               for m in pkgutil.iter_modules(qdlab.__path__)}
+    classes = {k: v for m in modules.values() for k, v in vars(m).items() if isinstance(v, type)}
+    instances = {ShapedTriangulation: builtin_census("fig8_2tet")}
+    checked = []
+    for dotted in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)", readme):
+        head, *path = dotted.split(".")
+        if head in modules:
+            owners = [modules[head]]
+        elif head in classes:
+            owners = [classes[head], instances.get(classes[head])]
+        else:
+            continue
+        assert any(o is not None and _has_path(o, path) for o in owners), dotted
+        checked.append(dotted)
+    assert len(checked) >= 30
+
+
+def _has_path(obj, path) -> bool:
+    try:
+        functools.reduce(getattr, path, obj)
+    except AttributeError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("kind", list(checks.CHECKS))
