@@ -42,9 +42,12 @@ y0 = yr - yn/sqrt(N) of a set of points y.
   weight with its B-shift, and a shared row would make it an identity of the code.
 - `_rows` adds the rest of log F psi (log_forward_transform, given those rows),
   applies kappa, conj and exp, and reads the tail ratios.
-- `_b_sum` contracts the rows with the phases of x, which enters nowhere else.
-The paired and the grid values run the same float operations in the same order,
-so sharing the rows keeps every bit.  A B-shift y + s b0 has the same y0 and section
+- `_b_sum` contracts the rows with the phases of x, which enters nowhere else: paired,
+  one fused exp per term; on the index grid of a core, the (-1)^k mu factor of each
+  shift k times e^{-2 pi i k u0/M}, read off the M M-th roots of unity at the exact
+  integer k u0 mod M, so K + M exponentials rather than K M.
+The paired and the grid values each run the same float operations in the same order
+whichever kernels share their rows, so sharing the rows keeps every bit.  A B-shift y + s b0 has the same y0 and section
 offset yn + s, so it reads the same rows: `weight_kernel_rows` returns
 W(x, y + s b0) for every x and integer s from one evaluation of F psi.
 
@@ -333,7 +336,13 @@ def _rows(wkp: WeightKernelParams, y0: np.ndarray, d_rows: tuple | None = None) 
     return ks, terms, up, down
 
 
-def _b_sum(wkp: WeightKernelParams, rows: tuple, xr, xn, off=None) -> np.ndarray:
+def _root(k, d):
+    """e^{pi i k/d} for integer k, from the exact numerator k mod 2d."""
+    return np.exp(1j * np.pi * (k % (2 * d)) / d)
+
+
+def _b_sum(wkp: WeightKernelParams, rows: tuple, xr=None, xn=None, off=None,
+           M: int | None = None) -> np.ndarray:
     """Stage three of the B-sum: S(x, y) = sum_k T[i, k] conj<j b0> <j b0; mu - x>, j = k - off_i,
     the sum at y = (y0_i, 0) + off_i b0 from the rows (ks, T, up, down) of _rows.
 
@@ -345,12 +354,16 @@ def _b_sum(wkp: WeightKernelParams, rows: tuple, xr, xn, off=None) -> np.ndarray
     would make numpy warn on the way.  All rows are contracted in one statement per branch;
     its temporaries are the size of T, or of the result on a grid.
 
-    xr is a 1-D float array and xn a 1-D integer array reduced mod N.  Paired (off a 1-D
-    integer array): S(x_i, y_i), each row contracted with its own phases.  xr, xn and off
-    each hold one value or one per row, and the phases and the ratio turn are built on
-    their broadcast shape, so a scalar x and offset give one row of phases, which numpy
-    broadcasts over T.  Grid (off None, every offset 0): [j, i] -> S(x_i, y_j), the rows
-    contracted with the phases of every x by matmuls.
+    Paired (xr, xn and off given): S(x_i, y_i), each row contracted with its own phases.
+    xr is a 1-D float array, xn a 1-D integer array reduced mod N and off a 1-D integer
+    array; each holds one value or one per row, and the phases and the ratio turn are
+    built on their broadcast shape, so a scalar x and offset give one row of phases,
+    which numpy broadcasts over T.  Grid (M given, every offset 0): [w0, u0] ->
+    S((u0 h, 0), (w0 h, 0)) on the index grid of step h = sqrt(N)/M, the rows being
+    those at y0 = w0 h, contracted by matmuls with the phases P[k, u0] = (-1)^k
+    e^{2 pi i k (mu_x/sqrt(N) - mu_n/N)} e^{-2 pi i k u0/M}.  The last factor is read off
+    the M M-th roots of unity at the exact integer k u0 mod M, so P takes K + M
+    exponentials for its K shifts, not K M.
     """
     ks, terms, up, down = rows
     p = wkp.params
@@ -364,11 +377,14 @@ def _b_sum(wkp: WeightKernelParams, rows: tuple, xr, xn, off=None) -> np.ndarray
             2j * np.pi * (k / rN) * (wkp.mu.x - x) - 2j * np.pi * k * ((wkp.mu.n - n) / N)
         )
 
-    if not np.all(np.isfinite(xr)):
+    if M is not None:
+        u0 = np.arange(M)
+        xr = u0 * (rN / M)
+    elif not np.all(np.isfinite(xr)):
         raise NonConvergent(f"weight-kernel B-sum not finite at x = {xr[~np.isfinite(xr)][0]}")
     turn = np.exp(4j * np.pi * rN * (wkp.mu.x - xr))  # phase ratio of k -> k + 2N
-    if off is None:
-        P = phase(ks[:, None], xr, xn)
+    if M is not None:
+        P = phase(ks, 0.0, 0)[:, None] * _root(-2 * u0, M)[np.multiply.outer(ks, u0) % M]
         total = (terms[:, band] @ P[band]
                  + terms[:, right] @ P[right] / (1 - up[:, None] * turn)
                  + terms[:, left] @ P[left] / (1 - down[:, None] / turn))
@@ -459,7 +475,7 @@ def weight_kernel_cores(wkps, M: int, lines=None) -> list[np.ndarray]:
             ks, T, up, down = rows = _rows(wkp, y0, d_rows)
             for i in idx:
                 if lines[i] is None:
-                    out[i] = _b_sum(wkp, rows, y0, np.zeros(M, dtype=int))
+                    out[i] = _b_sum(wkp, rows, M=M)
                 else:
                     u, w = lines[i]
                     w0 = w % M
@@ -503,26 +519,32 @@ def weight_kernel_grid(wkp: WeightKernelParams, core: np.ndarray, a_blocks,
     to term k + N, so S(u, w + qM) = lambda(u)^q S(u, w) with
     lambda(u) = (-1)^N e^{2 pi i sqrt(N) (u h - mu_x)}.  Every entry carries the
     rounding of its core entry.  The block (q, a) of entries <u h; -w h/2> lambda(u)^q
-    S(u0, w0) is the phased core T0 = S e^{-pi i N u0 w0/M^2} times e^{-pi i N a w0/M}
-    e^{pi i N q u0/M} (-1)^(N q (1 - a)) e^{-2 pi i q sqrt(N) mu_x}, each phase one
-    exp of an exact integer numerator.  One broadcast product writes every block.
+    S(u0, w0) is S times the chirp e^{-pi i N u0 w0/M^2}, times e^{-pi i N a w0/M}
+    e^{pi i N q u0/M} (-1)^(N q (1 - a)) e^{-2 pi i q sqrt(N) mu_x}.
+
+    The chirp is not taken entry by entry.  By Bluestein's identity
+    u0 w0 = ((u0 + w0)^2 - u0^2 - w0^2)/2 it is H[u0 + w0] r(u0) r(w0), with
+    H[s] = e^{-pi i N s^2/(2 M^2)}, s = 0..2M - 2, read as an M x M Hankel view, and
+    r(t) = e^{pi i N t^2/(2 M^2)}.  r(w0) joins the column phase of block column a,
+    r(u0) the row phase of block (q, a), so the table takes 2M - 1 + (len(a) + len(q)) M
+    exponentials, each of an exact integer numerator (_root), and len(q) more for mu_x.
+    The blocks are written straight into the array returned: no other array is the
+    size of the table.
     """
     p = wkp.params
     N, M = p.N.N, len(core)
     u0 = np.arange(M)
     a, q = (np.asarray(v)[:, None] for v in (a_blocks, q_blocks))
-
-    def root(k, d):  # e^{pi i k/d} for integer k
-        return np.exp(1j * np.pi * (k % (2 * d)) / d)
-
-    qa = (root(N * q[..., None] * u0, M) * (1 - 2 * (N * q * (1 - a.T) % 2))[..., None]
-          * np.exp(-2j * np.pi * q[..., None] * p.N.sqrt * wkp.mu.x)).reshape(len(q), -1)
-    # T0, then its columns a of phases, then the blocks: each step frees the last
-    T = core * root(-N * u0[:, None] * u0, M * M)
-    # in C order, so that the reshape is a view, not a copy
-    T = np.multiply(T[:, None, :], root(-N * a * u0, M).T[:, :, None], order="C").reshape(M, -1)
+    H = _root(-N * np.arange(2 * M - 1) ** 2, 2 * M * M)
+    chirp = np.ndarray((M, M), H.dtype, H, 0, (H.itemsize, H.itemsize))  # [w0, u0] -> H[u0 + w0]
+    cols = _root(N * u0 * (u0 - 2 * M * a), 2 * M * M)  # [a, w0]
+    qa = (_root(N * u0 * (u0 + 2 * M * q), 2 * M * M)[:, None, :]
+          * ((1 - 2 * (N * q * (1 - a.T) % 2))
+             * np.exp(-2j * np.pi * q * p.N.sqrt * wkp.mu.x))[..., None])  # [q, a, u0]
     out = np.empty((len(q) * M, len(a) * M), dtype=complex)
-    np.multiply(T, qa[:, None, :], out=out.reshape(len(q), M, -1))
+    blocks = out.reshape(len(q), M, len(a), M)  # a view: [q, w0, a, u0]
+    np.multiply((core * chirp)[:, None, :], cols.T[:, :, None], out=blocks)
+    blocks *= qa[:, None]
     return out
 
 

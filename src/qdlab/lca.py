@@ -11,10 +11,11 @@ Conventions, fixed once here and used by every other module:
   This is the unique pair satisfying the Weil decomposition of the Haar
   measure above.
 
-The one exception is the weight kernel's phases: charged._b_sum and the W of
-charged.weight_kernel_rows fuse theirs into one exp each, as routing them through
+The one exception is the weight kernel's phases: the paired charged._b_sum and the W
+of charged.weight_kernel_rows fuse theirs into one exp each, as routing them through
 this module would move the kernel in its last bits, as a change of the B-sum's order
-or band does; charged.weight_kernel_grid takes its phases from exact integer numerators.
+or band does.  The grid charged._b_sum and charged.weight_kernel_grid take theirs, but
+for the mu_x factors, from exact integer numerators (charged._root).
 """
 
 from __future__ import annotations

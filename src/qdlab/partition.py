@@ -15,13 +15,15 @@ whose slot row touches at most one free edge of the slice j_0 = 0 that the sum
 reads (below), as every tet of a two-tet triangulation does, reads M kernel
 values along a line.  It gets them straight from the paired B-sum, M row
 contractions, where a table would cost an M x M core and at least 3M^2
-entries with M^2 chirp exponentials.  Every other tet needs a single
-(E2-index, E1-index) table: the whole M x M blocks that cover the index box
-of that slice.  The table comes from `charged.weight_kernel_grid`, which
+entries.  Every other tet needs a single (E2-index, E1-index) table: the
+whole M x M blocks that cover the index box of that slice.  The table comes from `charged.weight_kernel_grid`, which
 shares the B-sum engine and its closed-form tails with every pointwise kernel
 value.  It sums the B-sum on the M x M core only; by the two automorphy
 relations of the kernel every M x M block of the table is that core times a
-rank-one unimodular phase.
+unimodular phase, the chirp e^{-pi i N u0 w0/M^2} times a rank-one factor.  The
+core's phases and a table's chirp and block phases are, but for their mu factors,
+roots of unity taken from exact integer numerators: O(M + K) exponentials for K
+B-shifts.  The table is written once.
 
 Within one call, tets with equal charges, sign and index ranges share one
 table, positive tets with equal charges and lines share one line, tets with
@@ -165,7 +167,7 @@ def _tet_tables(X: ShapedTriangulation, M: int) -> list[np.ndarray]:
     A tet that touches at most one free edge c reads a line, u = m1_c j and w = m2_c j
     for j = 0..M-1 (one point if it touches none).  Its view is that line, M values from
     the paired B-sum (weight_kernel_cores' lines).  A table would cost an M x M core and
-    at least 3M^2 entries with M^2 chirp exponentials for those M reads.
+    at least 3M^2 entries for those M reads.
 
     Every other tet reads a table: the whole-block array of weight_kernel_grid over the
     blocks that the slice j_0 = 0 reads, u and w running over all integer combinations

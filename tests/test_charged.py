@@ -593,6 +593,100 @@ def test_weight_kernel_grid_spans_periods(N, M):
         assert got == pytest.approx(expect, rel=1e-12)
 
 
+def _core_by_entry(wkp, M):
+    """The B-sum core of weight_kernel_cores with its phases taken entry by entry: one
+    exp per shift k and column u0 for (-1)^k <k b0; mu - (u0 h, 0)>, and the tails
+    summed as _b_sum sums them."""
+    N, rN = wkp.params.N.N, wkp.params.N.sqrt
+    x = np.arange(M) * (rN / M)
+    ks, T, up, down = qdlab.charged._rows(wkp, x)
+    k = ks[:, None]
+    P = (1 - 2 * (k & 1)) * np.exp(2j * np.pi * (k / rN) * (wkp.mu.x - x)
+                                   - 2j * np.pi * k * (wkp.mu.n / N))
+    turn = np.exp(4j * np.pi * rN * (wkp.mu.x - x))
+    band, left, right = slice(2 * N + 1, -2 * N - 1), slice(1, 2 * N + 1), slice(-2 * N - 1, -1)
+    return (T[:, band] @ P[band] + T[:, right] @ P[right] / (1 - up[:, None] * turn)
+            + T[:, left] @ P[left] / (1 - down[:, None] / turn))
+
+
+def _grid_by_entry(wkp, core, a_blocks, q_blocks):
+    """weight_kernel_grid's blocks with the chirp e^{-pi i N u0 w0/M^2} taken entry by
+    entry, M^2 exponentials, and each block's phases over its own rows and columns."""
+    N, M = wkp.params.N.N, len(core)
+    u0, w0 = np.arange(M), np.arange(M)[:, None]
+    chirped = core * np.exp(-1j * np.pi * (N * u0 * w0 % (2 * M * M)) / (M * M))
+    return np.block([[chirped * np.exp(-1j * np.pi * (N * a * w0 % (2 * M)) / M)
+                      * np.exp(1j * np.pi * (N * q * u0 % (2 * M)) / M)
+                      * (-1) ** (N * q * (1 - a) % 2)
+                      * np.exp(-2j * np.pi * q * wkp.params.N.sqrt * wkp.mu.x)
+                      for a in a_blocks] for q in q_blocks])
+
+
+@pytest.mark.parametrize("M", [128, 100])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_table_matches_its_per_entry_phases(N, M):
+    # the chirp from a Hankel array of 2M - 1 roots agrees with the per-entry chirp entry
+    # by entry, and the core's phases gathered from the M M-th roots of unity with the
+    # per-entry ones, N = 3 not dividing M = 100 included.  A core entry is a sum of
+    # terms as large as the largest entry, and may cancel to 1e-3 of it, so the core
+    # and the whole table are held to their largest entry
+    wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), params(N), LcaPoint(0.3, 1))
+    blocks = range(-1, 2)
+    core, expect_core = weight_kernel_cores([wkp], M)[0], _core_by_entry(wkp, M)
+    expect = _grid_by_entry(wkp, expect_core, blocks, blocks)
+    np.testing.assert_allclose(weight_kernel_grid(wkp, expect_core, blocks, blocks), expect,
+                               rtol=1e-13, atol=0)
+    for got, want in ((core, expect_core), (weight_kernel_grid(wkp, core, blocks, blocks), expect)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_table_path_takes_o_m_plus_k_exponentials(N, monkeypatch):
+    # a core's phases and a table's chirp and block phases take O(M + K) complex
+    # exponentials, K the shifts of the core's rows, not K M + M^2.  Counted: every
+    # element of every np.exp and _root of qdlab.charged in one weight_kernel_cores and
+    # one weight_kernel_grid call, but for those in _rows, which exponentiates the K M
+    # values of log F psi themselves
+    M, blocks = 128, range(-1, 2)
+    count, live = [0], [True]
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def exp(x, *args, **kwargs):
+            out = np.exp(x, *args, **kwargs)
+            count[0] += np.size(out) if live[0] else 0
+            return out
+
+    def quiet(f):
+        def run(*args, **kwargs):
+            live[0] = False
+            try:
+                return f(*args, **kwargs)
+            finally:
+                live[0] = True
+        return run
+
+    real_root = qdlab.charged._root
+
+    def root(k, d):
+        out = quiet(real_root)(k, d)
+        count[0] += np.size(out)
+        return out
+
+    monkeypatch.setattr(qdlab.charged, "np", CountingNumpy())
+    monkeypatch.setattr(qdlab.charged, "_rows", quiet(qdlab.charged._rows))
+    monkeypatch.setattr(qdlab.charged, "_root", root)
+    wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), params(N), LcaPoint(0.3, 1))
+    K = len(qdlab.charged._dtheta_rows(wkp.params, wkp.charges.b + wkp.charges.c,
+                                       np.arange(M) * (wkp.params.N.sqrt / M))[0])
+    count[0] = 0
+    weight_kernel_grid(wkp, weight_kernel_cores([wkp], M)[0], blocks, blocks)
+    assert 0 < count[0] <= 10 * (M + K)  # 1316..1373 here; K M + M^2 is 20,736..28,032
+
+
 def test_pentagon_family_matches_transform():
     p = params(2)
     ch = ChargeTriple(0.5, 0.2, 0.3)

@@ -917,12 +917,12 @@ def test_line_keeps_the_bits_of_the_kernel_rows(name, N):
 
 def test_lines_build_no_table(monkeypatch):
     # fig8_2tet's Z reads M paired B-sum values per tet: no kernel grid, and no B-sum
-    # core, the grid branch of _b_sum (offsets None)
+    # core, the grid branch of _b_sum (M given)
     real_sum, sums = qdlab.charged._b_sum, []
 
-    def b_sum(wkp, rows, xr, xn, off=None):
-        sums.append(off is None)
-        return real_sum(wkp, rows, xr, xn, off)
+    def b_sum(wkp, rows, xr=None, xn=None, off=None, M=None):
+        sums.append(M is not None)
+        return real_sum(wkp, rows, xr, xn, off, M)
 
     def no_grid(*args):
         raise AssertionError("a whole-block table was built")
