@@ -11,11 +11,16 @@ Three kinds of lines:
 - last, Z of the five-tet complex (two 2-3 moves from fig8_3tet) at N=1 on the
   M=64 grid, whose contraction runs its leading free edge one index at a time.
 
-Run it in two checkouts and diff the outputs; equal files mean the same bits.
+Run it in two checkouts and diff the outputs; equal files mean the same bits.  With
+--against OLD, a fingerprint saved from another checkout, it prints only the lines that
+differ from OLD, matched by command or by value name: a value line gets its relative
+move |z - z_old|/|z_old|, a line that OLD lacks gets "new", and one of OLD's that this
+checkout lacks gets "gone".
 
-Usage: python scripts/fingerprint.py > fingerprint.txt
+Usage: python scripts/fingerprint.py [--against OLD] > fingerprint.txt
 """
 
+import argparse
 import hashlib
 import json
 import math
@@ -145,8 +150,43 @@ def five_tet_line() -> str:
     return f"five-tet N=1 M=64 | Z | {_hex(partition_function(X, QuadratureSpec(M=64), math.inf).Z)}"
 
 
+def _parse(line: str) -> tuple:
+    """(key, z) of a fingerprint line: a value line's name and complex value, or a
+    command line's command and None."""
+    head, _, last = line.rpartition(" | ")
+    try:
+        real, imag = map(float.fromhex, last.split())
+        return head, complex(real, imag)
+    except ValueError:
+        return line.partition(" | ")[0], None
+
+
+def moved(lines: list[str], old_lines: list[str]) -> list[str]:
+    """The lines that differ from old_lines, each value line with its relative move."""
+    old = {_parse(line)[0]: line for line in old_lines}
+    out = []
+    for line in lines:
+        key, z = _parse(line)
+        was = old.pop(key, None)
+        if was is None:
+            out.append(f"{line} | new")
+        elif was != line:
+            z_old = _parse(was)[1]
+            out.append(line if z is None or z_old is None
+                       else f"{line} | moved {abs(z - z_old) / abs(z_old):.1e}")
+    return out + [f"{line} | gone" for line in old.values()]
+
+
 def main():
-    print("\n".join(workload_lines() + command_lines() + [five_tet_line()]))
+    parser = argparse.ArgumentParser(description="Print a fingerprint of this checkout.")
+    parser.add_argument("--against", metavar="OLD",
+                        help="a saved fingerprint; print only the lines that differ from it")
+    args = parser.parse_args()
+    lines = workload_lines() + command_lines() + [five_tet_line()]
+    if args.against:
+        lines = moved(lines, Path(args.against).read_text().splitlines())
+    for line in lines:
+        print(line)
 
 
 if __name__ == "__main__":

@@ -42,10 +42,11 @@ y0 = yr - yn/sqrt(N) of a set of points y.
   weight with its B-shift, and a shared row would make it an identity of the code.
 - `_rows` adds the rest of log F psi (log_forward_transform, given those rows),
   applies kappa, conj and exp, and reads the tail ratios.
-- `_b_sum` contracts the rows with the phases of x, which enters nowhere else: paired,
-  one fused exp per term; on the index grid of a core, the (-1)^k mu factor of each
-  shift k times e^{-2 pi i k u0/M}, read off the M M-th roots of unity at the exact
-  integer k u0 mod M, so K + M exponentials rather than K M.
+- `_b_sum` contracts the rows with the phases of x, which enters nowhere else, and sums
+  the tails: paired, one fused exp per term and the tail ratios read off F psi; on the
+  index grid of a core, the (-1)^k mu factor of each shift k times e^{-2 pi i k u0/M},
+  read off the M M-th roots of unity at the exact integer k u0 mod M, so K + M
+  exponentials rather than K M, and the tail ratios in closed form from the same roots.
 The paired and the grid values each run the same float operations in the same order
 whichever kernels share their rows, so sharing the rows keeps every bit.  A B-shift y + s b0 has the same y0 and section
 offset yn + s, so it reads the same rows: `weight_kernel_rows` returns
@@ -70,10 +71,14 @@ multiplied over one period by
     R+ = e^{-4 pi cos(arg theta) C} e^{4 pi i sqrt(N) (mu_x - x - y0)}   (k -> k + 2N),
     R- = e^{-4 pi cos(arg theta) B} e^{-4 pi i sqrt(N) (mu_x - x)}        (k -> k - 2N),
 
-both inside the unit circle.  `_rows` reads R off F psi itself, not off this
-formula, and `_b_sum` sums each tail as its 2N seed terms over 1 - R.  So the sum is
-exact up to the q-products' own tolerance whatever the charges: a charge of 0.05 slows
-a tail's decay but adds no terms.
+both inside the unit circle.  `_b_sum` sums each tail as its 2N seed terms over 1 - R.
+Its paired branch reads R off F psi itself (the ratios up, down of `_rows`) times the
+phase ratio.  Its grid branch takes R in closed form: at x = u0 h, y0 = w0 h,
+h = sqrt(N)/M, R+ is a constant times omega^{-2N (u0 + w0)}, omega = e^{2 pi i/M}, an
+M x M Hankel array in u0 + w0, and R- a constant times omega^{2N u0}, a function of u0
+alone.  `_rows` reads up and down on every row either way, and refuses a tail that is
+not geometric.  So the sum is exact up to the q-products' own tolerance whatever the
+charges: a charge of 0.05 slows a tail's decay but adds no terms.
 """
 
 from __future__ import annotations
@@ -347,23 +352,30 @@ def _b_sum(wkp: WeightKernelParams, rows: tuple, xr=None, xn=None, off=None,
     the sum at y = (y0_i, 0) + off_i b0 from the rows (ks, T, up, down) of _rows.
 
     W(x, y) = <x; -y/2> S(x, y); the prefactor is left to the callers.  Past the band the
-    summand is geometric with period 2N, so each tail is sum_seeds X_k / (1 - R), with
-    R = up or down times the phase ratio e^{+-4 pi i sqrt(N) (mu_x - x)}, which no offset
-    changes.  The sum is exact up to the q-products' own tolerance; NonConvergent is
-    raised when it is not finite, and before any arithmetic when an x is not, which
-    would make numpy warn on the way.  All rows are contracted in one statement per branch;
-    its temporaries are the size of T, or of the result on a grid.
+    summand is geometric with period 2N, so each tail is sum_seeds X_k / (1 - R), with R
+    the ratio R+ or R- of the module notes, which no offset changes.  The sum is exact up
+    to the q-products' own tolerance; NonConvergent is raised when it is not finite, and
+    before any arithmetic when an x is not, which would make numpy warn on the way.  All
+    rows are contracted in one statement per branch.
 
-    Paired (xr, xn and off given): S(x_i, y_i), each row contracted with its own phases.
-    xr is a 1-D float array, xn a 1-D integer array reduced mod N and off a 1-D integer
-    array; each holds one value or one per row, and the phases and the ratio turn are
-    built on their broadcast shape, so a scalar x and offset give one row of phases,
-    which numpy broadcasts over T.  Grid (M given, every offset 0): [w0, u0] ->
-    S((u0 h, 0), (w0 h, 0)) on the index grid of step h = sqrt(N)/M, the rows being
-    those at y0 = w0 h, contracted by matmuls with the phases P[k, u0] = (-1)^k
-    e^{2 pi i k (mu_x/sqrt(N) - mu_n/N)} e^{-2 pi i k u0/M}.  The last factor is read off
-    the M M-th roots of unity at the exact integer k u0 mod M, so P takes K + M
-    exponentials for its K shifts, not K M.
+    Paired (xr, xn and off given): S(x_i, y_i), each row contracted with its own phases,
+    and R = up or down of _rows times the phase ratio turn = e^{+-4 pi i sqrt(N) (mu_x - x)};
+    the temporaries are the size of T.  xr is a 1-D float array, xn a 1-D integer array
+    reduced mod N and off a 1-D integer array; each holds one value or one per row, and
+    the phases and turn are built on their broadcast shape, so a scalar x and offset give
+    one row of phases, which numpy broadcasts over T.
+
+    Grid (M given, every offset 0): [w0, u0] -> S((u0 h, 0), (w0 h, 0)) on the index grid
+    of step h = sqrt(N)/M, the rows being those at y0 = w0 h, contracted by two matmuls
+    with the phases P[k, u0] = (-1)^k e^{2 pi i k (mu_x/sqrt(N) - mu_n/N)} e^{-2 pi i k u0/M}.
+    The last factor is read off the M M-th roots of unity omega^-t, omega = e^{2 pi i/M},
+    at the exact integer t = k u0 mod M, so P takes K + M exponentials for its K shifts,
+    not K M.  The tail ratios are taken in closed form (module notes) from the same roots,
+    not from up, down and turn.  1/(1 - R-) depends on u0 alone and is folded into the 2N
+    left seed rows of P, so the left seeds and the band are one matmul.  1/(1 - R+) is
+    M-periodic in u0 + w0, a Hankel view of M values, and multiplies the right tail's
+    matmul in place.  So a core takes two matmuls, and no M x M array is built but the
+    result and that tail.
     """
     ks, terms, up, down = rows
     p = wkp.params
@@ -379,16 +391,21 @@ def _b_sum(wkp: WeightKernelParams, rows: tuple, xr=None, xn=None, off=None,
 
     if M is not None:
         u0 = np.arange(M)
-        xr = u0 * (rN / M)
+        roots = _root(-2 * u0, M)  # omega^-u0
+        P = phase(ks, 0.0, 0)[:, None] * roots[np.multiply.outer(ks, u0) % M]
+        cos, ch, r = p.theta.theta.real, wkp.charges, roots[2 * N * u0 % M]  # r[s] = omega^-2Ns
+        mu = np.exp(4j * np.pi * rN * wkp.mu.x)
+        P[left] /= 1 - np.exp(-4 * np.pi * cos * ch.b) / mu * np.conj(r)  # 1 - R-
+        g = 1 / (1 - np.exp(-4 * np.pi * cos * ch.c) * mu * r)  # 1/(1 - R+) at u0 + w0 = s
+        g = np.concatenate((g, g[:-1]))  # s = 0..2M - 2
+        total = terms[:, 1:-2 * N - 1] @ P[1:-2 * N - 1]  # left seeds and band
+        tail = terms[:, right] @ P[right]
+        tail *= np.ndarray((M, M), g.dtype, g, 0, (g.itemsize, g.itemsize))  # g[u0 + w0]
+        total += tail
     elif not np.all(np.isfinite(xr)):
         raise NonConvergent(f"weight-kernel B-sum not finite at x = {xr[~np.isfinite(xr)][0]}")
-    turn = np.exp(4j * np.pi * rN * (wkp.mu.x - xr))  # phase ratio of k -> k + 2N
-    if M is not None:
-        P = phase(ks, 0.0, 0)[:, None] * _root(-2 * u0, M)[np.multiply.outer(ks, u0) % M]
-        total = (terms[:, band] @ P[band]
-                 + terms[:, right] @ P[right] / (1 - up[:, None] * turn)
-                 + terms[:, left] @ P[left] / (1 - down[:, None] / turn))
     else:
+        turn = np.exp(4j * np.pi * rN * (wkp.mu.x - xr))  # phase ratio of k -> k + 2N
         X = terms * phase(ks - off[:, None], xr[:, None], xn[:, None])
         total = (X[:, band].sum(axis=1) + X[:, right].sum(axis=1) / (1 - up * turn)
                  + X[:, left].sum(axis=1) / (1 - down / turn))

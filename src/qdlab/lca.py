@@ -15,7 +15,8 @@ The one exception is the weight kernel's phases: the paired charged._b_sum and t
 of charged.weight_kernel_rows fuse theirs into one exp each, as routing them through
 this module would move the kernel in its last bits, as a change of the B-sum's order
 or band does.  The grid charged._b_sum and charged.weight_kernel_grid take theirs, but
-for the mu_x factors, from exact integer numerators (charged._root).
+for the mu_x factors and the grid B-sum tails' charge factors e^{-4 pi cos(arg theta) B}
+and e^{-4 pi cos(arg theta) C}, from exact integer numerators (charged._root).
 """
 
 from __future__ import annotations

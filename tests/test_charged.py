@@ -469,6 +469,31 @@ def test_b_sum_tails_are_geometric(N):
         assert summand(k + step) / summand(k) == pytest.approx(ratio, rel=1e-10)
 
 
+@pytest.mark.parametrize("charges", [ChargeTriple.equal(), ChargeTriple(0.4, 0.35, 0.25),
+                                     ChargeTriple(0.05, 0.9, 0.05)], ids=["equal", "0.4", "0.05"])
+@pytest.mark.parametrize("M", [128, 100])
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_grid_tail_ratios_match_their_closed_form(N, M, charges):
+    # on the rows of a core, y0 = w0 sqrt(N)/M, the ratios of F psi one period apart
+    # that _rows measures are e^{-4 pi cos(arg theta) C} omega^{-2N w0} on the right and
+    # e^{-4 pi cos(arg theta) B} on the left, omega = e^{2 pi i/M}: the closed forms that
+    # the grid branch of _b_sum takes its tails from (N = 3 does not divide M = 100).
+    # The rows' log D carries the reflection's unreduced Gaussian phase, hence 1e-11.
+    # With B and C swapped the closed forms miss, where B and C differ
+    p = params(N)
+    w0 = np.arange(M)
+    _, _, up, down = qdlab.charged._rows(WeightKernelParams(charges, p, LcaPoint(0.3, 1)),
+                                         w0 * (p.N.sqrt / M))
+    cos = p.theta.theta.real
+    turns = np.exp(-2j * np.pi * (2 * N * w0 % M) / M)
+    for (b, c), match in (((charges.b, charges.c), True), ((charges.c, charges.b), False)):
+        if not match and b == c:
+            continue
+        right, left = np.exp(-4 * np.pi * cos * c) * turns, np.exp(-4 * np.pi * cos * b)
+        misses = [np.max(np.abs(got / want - 1)) for got, want in ((up, right), (down, left))]
+        assert all(m <= 1e-11 for m in misses) if match else all(m > 1e-3 for m in misses)
+
+
 @pytest.mark.parametrize("side", [0, -1], ids=["left", "right"])
 def test_b_sum_refuses_a_tail_that_is_not_geometric(side, monkeypatch):
     # the outermost D_theta entry of one side lowered by 50: log F psi there rises by
@@ -595,8 +620,10 @@ def test_weight_kernel_grid_spans_periods(N, M):
 
 def _core_by_entry(wkp, M):
     """The B-sum core of weight_kernel_cores with its phases taken entry by entry: one
-    exp per shift k and column u0 for (-1)^k <k b0; mu - (u0 h, 0)>, and the tails
-    summed as _b_sum sums them."""
+    exp per shift k and column u0 for (-1)^k <k b0; mu - (u0 h, 0)>, and each tail over
+    an M x M denominator from the ratio _rows measures on F psi (up, down) and the phase
+    ratio turn.  _b_sum's grid branch takes those ratios in closed form, so this checks
+    its tails independently."""
     N, rN = wkp.params.N.N, wkp.params.N.sqrt
     x = np.arange(M) * (rN / M)
     ks, T, up, down = qdlab.charged._rows(wkp, x)
@@ -627,9 +654,10 @@ def _grid_by_entry(wkp, core, a_blocks, q_blocks):
 def test_table_matches_its_per_entry_phases(N, M):
     # the chirp from a Hankel array of 2M - 1 roots agrees with the per-entry chirp entry
     # by entry, and the core's phases gathered from the M M-th roots of unity with the
-    # per-entry ones, N = 3 not dividing M = 100 included.  A core entry is a sum of
-    # terms as large as the largest entry, and may cancel to 1e-3 of it, so the core
-    # and the whole table are held to their largest entry
+    # per-entry ones, N = 3 not dividing M = 100 included, and the core's closed-form
+    # tails with tails summed over measured ratios.  A core entry is a sum of terms as
+    # large as the largest entry, and may cancel to 1e-3 of it, so the core and the
+    # whole table are held to their largest entry
     wkp = WeightKernelParams(ChargeTriple(0.4, 0.35, 0.25), params(N), LcaPoint(0.3, 1))
     blocks = range(-1, 2)
     core, expect_core = weight_kernel_cores([wkp], M)[0], _core_by_entry(wkp, M)
@@ -646,7 +674,8 @@ def test_table_path_takes_o_m_plus_k_exponentials(N, monkeypatch):
     # exponentials, K the shifts of the core's rows, not K M + M^2.  Counted: every
     # element of every np.exp and _root of qdlab.charged in one weight_kernel_cores and
     # one weight_kernel_grid call, but for those in _rows, which exponentiates the K M
-    # values of log F psi themselves
+    # values of log F psi themselves.  The core's tails take none per entry: their ratios
+    # come from the M roots of its phases
     M, blocks = 128, range(-1, 2)
     count, live = [0], [True]
 
@@ -684,7 +713,7 @@ def test_table_path_takes_o_m_plus_k_exponentials(N, monkeypatch):
                                        np.arange(M) * (wkp.params.N.sqrt / M))[0])
     count[0] = 0
     weight_kernel_grid(wkp, weight_kernel_cores([wkp], M)[0], blocks, blocks)
-    assert 0 < count[0] <= 10 * (M + K)  # 1316..1373 here; K M + M^2 is 20,736..28,032
+    assert 0 < count[0] <= 10 * (M + K)  # 1191..1248 here; K M + M^2 is 20,736..28,032
 
 
 def test_pentagon_family_matches_transform():
